@@ -28,7 +28,7 @@ def main():
     witness = equivariant.separation_witness(
         args.n, equivariant.BumpProfile(args.t0, args.width))
 
-    grid = character.HaarGrid.default()
+    grid = character.HaarGrid()
     print(f"{'grid':>16} {'lhs (trace)':>22} {'rhs (integral)':>22} "
           f"{'rel_err':>10} {'offrow':>10} {'secs':>6}")
     for _ in range(args.levels):

@@ -22,7 +22,8 @@ __version__ = "0.1.0"
 # table maps each of these to exactly one subcommand.
 OPERATIONS = {
     "groups": ("make_a", "make_n", "make_k", "so21_check", "psi", "psi_inv",
-               "iwasawa", "recompose", "cartan", "cartan_radius", "haar_density"),
+               "iwasawa", "recompose", "cartan", "cartan_radius", "polar",
+               "haar_density"),
     "lie": ("bracket", "ad_w_eigencheck", "exp_matrix", "dpsi", "casimir_apply"),
     "hyperbolic": ("act", "chi", "phi", "laplacian_fd", "eigencheck"),
     "reps": ("cocycle", "act_principal", "matcoef", "k_types",

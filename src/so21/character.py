@@ -27,11 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import resolve_nodes
 from .errors import DomainError, SupportWarning, TruncationWarning
-from .groups import IwasawaCoords, haar_density, make_a, make_k, make_n
-from .reps import SpectralParam, _cocycle_batch, _dft_nodes
-from .equivariant import EquivariantFn
+from .groups import IwasawaCoords, _polar, haar_density, make_a, make_k, make_n
+from .reps import SpectralParam, _coefficient, _induced_nodes, _node_count, _projector
+from .equivariant import EquivariantFn, bump
 
 BOUNDARY_TOL = 1e-12
 _CHUNK = 65536
@@ -54,10 +53,6 @@ class HaarGrid:
     u_max: float = 4.0
     nu: int = 48
     ntheta: int = 96
-
-    @classmethod
-    def default(cls, nt=48, nu=48, ntheta=96) -> "HaarGrid":
-        return cls(nt=nt, nu=nu, ntheta=ntheta)
 
     def refine(self, factor: float = 1.5) -> "HaarGrid":
         """Grid with every node count scaled up by `factor`."""
@@ -184,29 +179,21 @@ class OperatorMatrix:
         return float(1.0 - np.abs(self.mat[-self.n + self.N]).sum() / mass)
 
 
-def _pi_core(s, n, f, grid, N, nodes, threads, rhs_index=None):
+def _pi_core(s, f, grid, N, nodes, threads, rhs_index=None):
     """Shared quadrature core: the matrix of pi(f), and optionally the
     integral of f times the diagonal matrix coefficient at rhs_index."""
     _check_support(f, grid)
-    T, U, TH = grid.nodes()
-    G = make_a(T) @ make_n(U) @ make_k(TH)
+    G = grid.elements()
     fvals = np.asarray(f(G), dtype=complex)
     active = np.flatnonzero(np.abs(fvals) > 0.0)
     if active.size == 0:
         return np.zeros((2 * N + 1, 2 * N + 1), dtype=complex), 0.0 + 0.0j
     G, fvals = G[active], fvals[active]
     w = grid.node_weight
-
-    dft = _dft_nodes(nodes)
-    ns = np.arange(-N, N + 1)
-    project = np.exp(-1j * np.outer(ns, dft)) / nodes
-    rhs_phase = None
-    if rhs_index is not None:
-        rhs_phase = np.exp(-1j * rhs_index * dft)
+    gamma = (1.0 + s) / 2.0
 
     def worker(sl):
-        t, theta_out = _cocycle_batch(dft, G[sl])
-        mult = np.exp((1.0 + s) / 2.0 * t)
+        mult, theta_out = _induced_nodes(gamma, G[sl], N, nodes)
         weighted = (w * fvals[sl])[:, None] * mult
         # accumulate S[j, n] = sum_i weighted[i, j] e^{i n theta'_{ij}}
         phase = np.exp(1j * theta_out)
@@ -217,15 +204,15 @@ def _pi_core(s, n, f, grid, N, nodes, threads, rhs_index=None):
             if idx < 2 * N:
                 cur *= phase
         rhs_part = 0.0 + 0.0j
-        if rhs_phase is not None:
-            coeffs = (mult * np.exp(1j * rhs_index * theta_out)) @ rhs_phase / nodes
+        if rhs_index is not None:
+            coeffs = _coefficient(mult, theta_out, rhs_index, rhs_index)
             rhs_part = np.sum(w * fvals[sl] * coeffs)
         return S, rhs_part
 
     partials = _chunked_partials(G.shape[0], worker, threads)
     S = np.sum(np.asarray([p[0] for p in partials]), axis=0)
     rhs = complex(np.sum(np.asarray([p[1] for p in partials])))
-    return project @ S, rhs
+    return _projector(N, nodes) @ S, rhs
 
 
 def pi_of_f(
@@ -247,13 +234,10 @@ def pi_of_f(
         raise DomainError(f"pi_of_f needs an induced kind, got {p.kind}")
     if f.n_left != f.n_right:
         raise DomainError("pi_of_f needs a test function of equal bi-type (n, n)")
-    n = f.n_left
-    nodes = resolve_nodes(nodes, 4 * N + 4)
-    if nodes < 4 * N + 4:
-        raise DomainError(f"need at least {4 * N + 4} nodes for truncation {N}")
-    mat, _ = _pi_core(p.s, n, f, grid, N, nodes, threads)
+    nodes = _node_count(N, nodes)
+    mat, _ = _pi_core(p.s, f, grid, N, nodes, threads)
     _warn_on_matrix_truncation(mat)
-    return OperatorMatrix(mat, p, n, grid, N, nodes)
+    return OperatorMatrix(mat, p, f.n_left, grid, N, nodes)
 
 
 def _warn_on_matrix_truncation(mat):
@@ -323,13 +307,13 @@ def char_identity_check(
         raise DomainError(f"test function has bi-type ({f.n_left}, {f.n_right}), expected ({n}, {n})")
     if p.kind == "trivial":
         raise DomainError("the trivial representation is not modeled as an operator here")
-    grid = grid if grid is not None else HaarGrid.default()
-    nodes = resolve_nodes(nodes, 4 * N + 4)
+    grid = grid if grid is not None else HaarGrid()
+    nodes = _node_count(N, nodes)
     start = time.perf_counter()
     s = p.induced_s
 
     if p.is_induced:
-        mat, rhs = _pi_core(s, n, f, grid, N, nodes, threads, rhs_index=-n)
+        mat, rhs = _pi_core(s, f, grid, N, nodes, threads, rhs_index=-n)
         lhs = complex(np.trace(mat))
         op = OperatorMatrix(mat, p, n, grid, N, nodes)
         off = op.offrow_mass()
@@ -339,7 +323,7 @@ def char_identity_check(
         edge = p.m // 2
         ladder = ns >= edge if p.sign > 0 else ns <= -edge
         include_rhs = bool(ladder[-n + N]) if abs(n) <= N else False
-        mat, rhs = _pi_core(s, n, f, grid, N, nodes, threads,
+        mat, rhs = _pi_core(s, f, grid, N, nodes, threads,
                             rhs_index=-n if include_rhs else None)
         block = mat[np.ix_(ladder, ladder)]
         lhs = complex(np.trace(block))
@@ -391,14 +375,8 @@ class HaarCheckResult:
 
 def _oracle_test_function(gs):
     """Generic smooth compactly supported function used by the Haar oracle."""
-    gs = np.asarray(gs, dtype=float)
-    r = np.arcsinh(np.hypot(gs[..., 0, 2], gs[..., 1, 2]))
-    theta1 = np.arctan2(gs[..., 1, 2], gs[..., 0, 2])
-    theta2 = np.arctan2(-gs[..., 2, 1], gs[..., 2, 0])
-    x = (r - 0.6) / 0.35
-    profile = np.zeros_like(r)
-    inside = np.abs(x) < 1.0
-    profile[inside] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
+    theta1, r, theta2 = _polar(np.asarray(gs, dtype=float))
+    profile = bump((r - 0.6) / 0.35)
     return profile * (1.3 + np.cos(theta1 + theta2)) * (0.7 + 0.3 * np.sin(theta2 - 2.0 * theta1))
 
 

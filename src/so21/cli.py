@@ -36,7 +36,7 @@ SUBCOMMANDS = (
 # honest against the package-level operation registry.
 OPERATION_COVERAGE = {
     "iwasawa": ("iwasawa", "recompose", "make_a", "make_n", "make_k"),
-    "cartan": ("cartan", "cartan_radius"),
+    "cartan": ("cartan", "cartan_radius", "polar"),
     "psi": ("psi",),
     "psi-inv": ("psi_inv", "so21_check"),
     "bracket": ("bracket", "ad_w_eigencheck"),
@@ -70,7 +70,6 @@ class RunConfig:
 
     subcommand: str
     format: str
-    seed: int
     threads: int
     no_meta: bool
     out: str | None
@@ -121,12 +120,15 @@ def _jsonable(value):
 
 
 def _emit(payload, config: RunConfig, started: float) -> None:
+    # timings a handler reports ride in its "meta" entry, never in the payload
+    payload = dict(payload)
+    timings = payload.pop("meta", {})
     if not config.no_meta:
-        payload = dict(payload)
         payload["meta"] = {
             "subcommand": config.subcommand,
             "runtime_seconds": time.perf_counter() - started,
             "timestamp": time.time(),
+            **timings,
         }
     if config.format == "json":
         text = json.dumps(_jsonable(payload), sort_keys=True)
@@ -150,7 +152,6 @@ def _emit(payload, config: RunConfig, started: float) -> None:
 
 def _common_flags(parser):
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--no-meta", action="store_true")
     parser.add_argument("--out", default=None)
@@ -461,7 +462,8 @@ def _handle(args, config: RunConfig):
                                                 threads=args.threads)
         payload = {"lhs": res.lhs_trace, "rhs": res.rhs_integral,
                    "rel_err": res.rel_err, "offrow_mass": res.offrow_mass,
-                   "grid": list(grid.shape), "trunc": res.N, "runtime": res.seconds}
+                   "grid": list(grid.shape), "trunc": res.N,
+                   "meta": {"check_seconds": res.seconds}}
         if args.refine:
             fine = (character.corollary_check if args.corollary else character.char_identity_check)(
                 p, args.n, f, grid=grid.refine(), N=args.trunc, threads=args.threads)
@@ -475,8 +477,9 @@ def _handle(args, config: RunConfig):
             print(res.line(), file=sys.stderr)
         payload = {"criteria": [
             {"number": r.number, "name": r.name, "passed": r.passed,
-             "detail": r.detail, "seconds": r.seconds} for r in results],
-            "all_passed": all(r.passed for r in results)}
+             "detail": r.detail} for r in results],
+            "all_passed": all(r.passed for r in results),
+            "meta": {"criterion_seconds": [r.seconds for r in results]}}
         return payload, EXIT_OK if payload["all_passed"] else EXIT_TOLERANCE
 
     raise UsageError(f"unknown subcommand {name!r}")
@@ -491,8 +494,7 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    config = RunConfig(args.subcommand, args.format, args.seed, args.threads,
-                       args.no_meta, args.out)
+    config = RunConfig(args.subcommand, args.format, args.threads, args.no_meta, args.out)
     try:
         payload, code = _handle(args, config)
         _emit(payload, config, started)

@@ -19,9 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import resolve_nodes
 from .errors import DomainError, NumericError
-from .groups import make_a, make_k
+from .groups import _polar, make_a, make_k
 from .reps import SpectralParam, _matcoef_batch, k_types
 
 DEFAULT_PROJECTION_NODES = 128
@@ -87,21 +86,6 @@ class EquivariantFn:
         return self.evaluator(np.asarray(g, dtype=float))
 
 
-def _polar_angle_sum(gs):
-    """theta1 + theta2 of the polar factorization, batched.
-
-    Well defined for every element: at positive radius both angles are
-    pinned by the border entries, and at radius zero the element is a
-    rotation whose full angle plays the role of the sum.
-    """
-    gs = np.asarray(gs, dtype=float)
-    sin_r = np.hypot(gs[..., 0, 2], gs[..., 1, 2])
-    theta1 = np.arctan2(gs[..., 1, 2], gs[..., 0, 2])
-    theta2 = np.arctan2(-gs[..., 2, 1], gs[..., 2, 0])
-    rotation_angle = np.arctan2(gs[..., 1, 0], gs[..., 0, 0])
-    return np.where(sin_r > 1e-12, theta1 + theta2, rotation_angle)
-
-
 def separation_witness(n: int, profile: BumpProfile) -> EquivariantFn:
     """A bi-type (n, n) bump supported on a band of polar radii.
 
@@ -113,12 +97,10 @@ def separation_witness(n: int, profile: BumpProfile) -> EquivariantFn:
     """
 
     def evaluate(gs):
-        # hot path: called on large internally-built grids, so the radius is
-        # read off the border entries directly instead of via cartan_radius
-        gs = np.asarray(gs, dtype=float)
-        radius = np.arcsinh(np.hypot(gs[..., 0, 2], gs[..., 1, 2]))
-        phase = np.exp(1j * n * _polar_angle_sum(gs))
-        return profile(radius) * phase
+        # hot path: called on large internally-built grids, so the stack is
+        # not re-validated; at radius zero theta2 carries the full angle
+        theta1, radius, theta2 = _polar(np.asarray(gs, dtype=float))
+        return profile(radius) * np.exp(1j * n * (theta1 + theta2))
 
     return EquivariantFn(n, n, evaluate, support=profile.support)
 
@@ -131,7 +113,7 @@ def project_biequivariant(f, n: int, nodes=None) -> EquivariantFn:
     uniform angles (periodic trapezoid).  Idempotent on functions already
     of type (n, n) and annihilates every pure type (m, m) with m != n.
     """
-    nodes = resolve_nodes(nodes, DEFAULT_PROJECTION_NODES)
+    nodes = DEFAULT_PROJECTION_NODES if nodes is None else int(nodes)
     if nodes < 64:
         raise DomainError("projection needs at least 64 nodes per angle")
     thetas = 2.0 * np.pi * np.arange(nodes) / nodes
@@ -161,7 +143,7 @@ def right_isotype_project(f, n: int, nodes=None):
     The result satisfies h(x k_theta) = e^{i n theta} h(x); it is the n-th
     right Fourier mode of f along the rotation subgroup.
     """
-    nodes = resolve_nodes(nodes, DEFAULT_PROJECTION_NODES)
+    nodes = DEFAULT_PROJECTION_NODES if nodes is None else int(nodes)
     thetas = 2.0 * np.pi * np.arange(nodes) / nodes
     right = make_k(thetas)
     phase = np.exp(-1j * n * thetas)
@@ -226,8 +208,8 @@ def gram_min_eig(
     lo, hi = float(region[0]), float(region[1])
     if not 0.0 <= lo < hi:
         raise DomainError("region must be an interval [lo, hi) with 0 <= lo < hi")
-    quad_nodes = resolve_nodes(quad_nodes, 64)
-    coef_nodes = resolve_nodes(coef_nodes, 128)
+    quad_nodes = 64 if quad_nodes is None else int(quad_nodes)
+    coef_nodes = 128 if coef_nodes is None else int(coef_nodes)
 
     def assemble(nq):
         xs, ws = np.polynomial.legendre.leggauss(nq)

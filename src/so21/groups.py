@@ -211,24 +211,25 @@ class PSL2Element:
 
     The representative makes the first entry of (a, b, c, d) whose modulus
     exceeds 1e-12 positive, which is deterministic and total on SL(2,R).
+    `matrix` is a (2, 2) array, or a (..., 2, 2) stack of representatives.
     """
 
     matrix: np.ndarray
 
     @classmethod
     def from_matrix(cls, m) -> "PSL2Element":
+        """Canonicalize one 2x2 matrix, or each matrix of a (..., 2, 2) stack."""
         m = np.asarray(m, dtype=float)
-        if m.shape != (2, 2):
-            raise DomainError("PSL2Element expects a single 2x2 matrix")
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det - 1.0) > 1e-12:
-            raise DomainError(f"PSL2 representative must have det 1, got defect {abs(det - 1.0):.2e}")
-        for entry in (m[0, 0], m[0, 1], m[1, 0], m[1, 1]):
-            if abs(entry) > SIGN_TOL:
-                if entry < 0:
-                    m = -m
-                break
-        out = m.copy()
+        if m.shape[-2:] != (2, 2):
+            raise DomainError("PSL2Element expects 2x2 matrices")
+        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+        defect = float(np.max(np.abs(det - 1.0)))
+        if defect > 1e-12:
+            raise DomainError(f"PSL2 representative must have det 1, got defect {defect:.2e}")
+        entries = m.reshape(m.shape[:-2] + (4,))
+        first = np.argmax(np.abs(entries) > SIGN_TOL, axis=-1)
+        lead = np.take_along_axis(entries, first[..., None], axis=-1)
+        out = np.where(lead[..., None] < 0.0, -m, m)
         out.flags.writeable = False
         return cls(out)
 
@@ -252,7 +253,7 @@ class CartanCoords:
 
     For t > 0 the pair (theta1, theta2) is unique modulo 2*pi; at t = 0 the
     element is a pure rotation, stored as (0, 0, theta2) with theta2 carrying
-    the whole angle.
+    the whole angle.  Fields may be arrays.
     """
 
     theta1: float
@@ -291,54 +292,67 @@ def recompose(c: IwasawaCoords):
     return make_a(c.t) @ make_n(c.u) @ make_k(c.theta)
 
 
-def cartan_radius(g):
-    """Radius t >= 0 of the polar factorization g = k_theta1 a_t k_theta2.
-
-    Computed as arcsinh of the Euclidean norm of (g13, g23), which is exact
-    on the subgroup elements and numerically stable near the identity,
-    unlike arcosh(g33).  Invariant under multiplication by K on both sides.
-    """
-    g = require_member(g, "cartan_radius input")
-    return np.arcsinh(np.hypot(g[..., 0, 2], g[..., 1, 2]))
-
-
 _DEGENERATE_RADIUS = 1e-12
 
 
-def cartan(g) -> CartanCoords:
-    """Polar (K-A-K) coordinates of a single group element.
+def _polar(gs):
+    """Polar coordinates (theta1, r, theta2) of an unvalidated (..., 3, 3) stack.
 
-    The radius comes from :func:`cartan_radius`; for positive radius the two
-    angles are pinned by the third column and third row of g, and the
-    factorization k_theta1 a_t k_theta2 is unique with t >= 0 and both
-    angles in [0, 2*pi).  Radii below 1e-12 degenerate to a pure rotation.
+    The radius is the arcsinh of the Euclidean norm of (g13, g23), which is
+    exact on the subgroup elements and numerically stable near the identity,
+    unlike arcosh(g33).  For positive radius the two angles are pinned by
+    the third column and the third row of g, and the factorization
+    k_theta1 a_r k_theta2 is unique.  Radii below 1e-12 degenerate to a pure
+    rotation, stored as (0, 0, theta2) with theta2 carrying the whole angle.
+    The angles come straight from arctan2, in (-pi, pi]; hot paths that only
+    feed them to periodic functions skip the reduction that :func:`polar`
+    applies.
     """
-    g = require_member(g, "cartan input")
-    if g.ndim != 2:
-        raise DomainError("cartan expects a single matrix; use cartan_radius for batches")
-    t = float(cartan_radius(g))
-    if t < _DEGENERATE_RADIUS:
-        theta2 = float(np.arctan2(g[1, 0], g[0, 0]) % (2.0 * np.pi))
-        return CartanCoords(0.0, 0.0, theta2)
-    theta1 = float(np.arctan2(g[1, 2], g[0, 2]) % (2.0 * np.pi))
-    theta2 = float(np.arctan2(-g[2, 1], g[2, 0]) % (2.0 * np.pi))
+    r = np.arcsinh(np.hypot(gs[..., 0, 2], gs[..., 1, 2]))
+    theta1 = np.arctan2(gs[..., 1, 2], gs[..., 0, 2])
+    theta2 = np.arctan2(-gs[..., 2, 1], gs[..., 2, 0])
+    flat = r < _DEGENERATE_RADIUS
+    if np.any(flat):
+        theta1 = np.where(flat, 0.0, theta1)
+        theta2 = np.where(flat, np.arctan2(gs[..., 1, 0], gs[..., 0, 0]), theta2)
+        r = np.where(flat, 0.0, r)
+    return theta1, r, theta2
+
+
+def polar(gs):
+    """Polar (K-A-K) coordinates (theta1, r, theta2) of g = k_theta1 a_r k_theta2.
+
+    Broadcasts over stacked input; membership is checked first.  Both
+    angles lie in [0, 2*pi), and the factorization is unique for r > 0;
+    see :func:`_polar` for the degenerate radius.
+    """
+    theta1, r, theta2 = _polar(require_member(gs, "polar input"))
+    return theta1 % (2.0 * np.pi), r, theta2 % (2.0 * np.pi)
+
+
+def cartan_radius(g):
+    """Radius r >= 0 of the polar factorization; invariant under K on both sides."""
+    return polar(g)[1]
+
+
+def cartan(g) -> CartanCoords:
+    """Polar coordinates of g as :class:`CartanCoords`; broadcasts like iwasawa."""
+    theta1, t, theta2 = polar(g)
+    if np.ndim(t) == 0:
+        return CartanCoords(float(theta1), float(t), float(theta2))
     return CartanCoords(theta1, t, theta2)
 
 
 def psi_inv(g) -> PSL2Element:
-    """Invert the covering map on a single element of SO(2,1)^0.
+    """Invert the covering map on an element of SO(2,1)^0, or on a stack.
 
     Runs the Iwasawa decomposition and maps each factor back through the
     subgroup correspondences (sl2_a, sl2_n, sl2_k), then canonicalizes the
     overall sign.  Avoids any entrywise sign-case analysis; correctness is
     pinned by round-trip tests.
     """
-    g = require_member(g, "psi_inv input")
-    if g.ndim != 2:
-        raise DomainError("psi_inv expects a single matrix")
     c = iwasawa(g)
-    m = sl2_a(c.t) @ sl2_n(c.u) @ sl2_k(c.theta)
-    return PSL2Element.from_matrix(m)
+    return PSL2Element.from_matrix(sl2_a(c.t) @ sl2_n(c.u) @ sl2_k(c.theta))
 
 
 def haar_density(c: IwasawaCoords):

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import resolve_nodes
 from .errors import DomainError
 from .groups import psi_inv, require_member
 
@@ -84,10 +83,9 @@ def phi(w, z, nodes=None):
     z : complex
         Point with Im z > 0.
     nodes : int, optional
-        Quadrature node count, >= 16.  Defaults to 512, overridable through
-        the LH_DEFAULT_NODES environment variable.
+        Quadrature node count, >= 16.  Defaults to 512.
     """
-    nodes = resolve_nodes(nodes, DEFAULT_PHI_NODES)
+    nodes = DEFAULT_PHI_NODES if nodes is None else int(nodes)
     if nodes < 16:
         raise DomainError("phi requires at least 16 quadrature nodes")
     z = _require_hpoint(z)

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import resolve_nodes
 from .errors import DomainError, TruncationWarning
 from .groups import require_member
 
@@ -261,6 +260,44 @@ def _dft_nodes(nodes):
     return 2.0 * np.pi * np.arange(nodes) / nodes
 
 
+def _node_count(N, nodes):
+    """Quadrature node count for truncation N: `nodes`, else the floor 4N + 4.
+
+    Fewer than 4N + 4 nodes alias the products of modes up to N, so an
+    explicit count below the floor raises DomainError.
+    """
+    floor = 4 * N + 4
+    nodes = floor if nodes is None else int(nodes)
+    if nodes < floor:
+        raise DomainError(f"need at least {floor} nodes for truncation {N}")
+    return nodes
+
+
+def _induced_nodes(gamma, gs, N, nodes):
+    """The induced action on the DFT nodes, for a stack of elements.
+
+    Runs the cocycle k_theta g = a_t n_u k_theta' on the nodes theta_j
+    (count checked by :func:`_node_count`) and returns the multiplier
+    e^{gamma t} and the transported angle theta', both of shape
+    (B, nodes).  Every induced-action quantity is assembled from these two
+    arrays: (rho(g) v)(theta_j) = mult_j v(theta'_j).
+    """
+    t, theta_out = _cocycle_batch(_dft_nodes(_node_count(N, nodes)), gs)
+    return np.exp(gamma * t), theta_out
+
+
+def _projector(N, nodes):
+    """(2N+1, nodes) DFT matrix from node values to the coefficients |n| <= N."""
+    ns = np.arange(-N, N + 1)
+    return np.exp(-1j * np.outer(ns, _dft_nodes(nodes))) / nodes
+
+
+def _coefficient(mult, theta_out, n, m):
+    """<rho(g) e_n, e_m> for each row of the induced-action node data."""
+    nodes = theta_out.shape[-1]
+    return (mult * np.exp(1j * n * theta_out)) @ np.exp(-1j * m * _dft_nodes(nodes)) / nodes
+
+
 def act_induced(gamma, g, v: KFourierVector, nodes=None) -> KFourierVector:
     """Right-translation action with multiplier e^{gamma * t(theta, g)}.
 
@@ -271,18 +308,12 @@ def act_induced(gamma, g, v: KFourierVector, nodes=None) -> KFourierVector:
     """
     g = require_member(g, "act_induced input")
     N = v.N
-    min_nodes = 4 * N + 4
-    nodes = resolve_nodes(nodes, min_nodes)
-    if nodes < min_nodes:
-        raise DomainError(f"need at least {min_nodes} nodes for truncation {N}")
-    thetas = _dft_nodes(nodes)
-    t, theta_out = _cocycle_batch(thetas, g[None])
-    t, theta_out = t[0], theta_out[0]
+    mult, theta_out = _induced_nodes(gamma, g[None], N, nodes)
     ns = np.arange(-N, N + 1)
-    values = np.exp(1j * np.outer(theta_out, ns)) @ v.c
-    transported = np.exp(np.asarray(gamma, complex) * t) * values
-    coeffs = np.exp(-1j * np.outer(ns, thetas)) @ transported / nodes
-    out = KFourierVector(N, coeffs)
+    # P @ (C @ v): two matrix-vector products; forming P @ C would add a
+    # matrix product to every call
+    values = mult[0] * (np.exp(1j * np.outer(theta_out[0], ns)) @ v.c)
+    out = KFourierVector(N, _projector(N, theta_out.shape[1]) @ values)
     _warn_on_top_modes(out)
     return out
 
@@ -323,26 +354,17 @@ def rep_matrix(p: SpectralParam, g, N: int, nodes=None) -> RepMatrix:
     if not p.is_induced:
         raise DomainError(f"rep_matrix needs an induced kind, got {p.kind}")
     g = require_member(g, "rep_matrix input")
-    min_nodes = 4 * N + 4
-    nodes = resolve_nodes(nodes, min_nodes)
-    if nodes < min_nodes:
-        raise DomainError(f"need at least {min_nodes} nodes for truncation {N}")
-    thetas = _dft_nodes(nodes)
-    t, theta_out = _cocycle_batch(thetas, g[None])
-    t, theta_out = t[0], theta_out[0]
+    mult, theta_out = _induced_nodes((1.0 + p.s) / 2.0, g[None], N, nodes)
     ns = np.arange(-N, N + 1)
-    columns = np.exp((1.0 + p.s) / 2.0 * t)[:, None] * np.exp(1j * np.outer(theta_out, ns))
-    project = np.exp(-1j * np.outer(ns, thetas)) / nodes
-    return RepMatrix(project @ columns, p.s, g, N, nodes)
+    columns = mult[0][:, None] * np.exp(1j * np.outer(theta_out[0], ns))
+    nodes = theta_out.shape[1]
+    return RepMatrix(_projector(N, nodes) @ columns, p.s, g, N, nodes)
 
 
 def _matcoef_batch(s, gs, n, m, nodes):
     """<rho_s(g) e_n, e_m> for a stack of elements, one (n, m) pair."""
-    thetas = _dft_nodes(nodes)
-    t, theta_out = _cocycle_batch(thetas, gs)
-    mult = np.exp((1.0 + s) / 2.0 * t)
-    integrand = mult * np.exp(1j * n * theta_out) * np.exp(-1j * m * thetas)[None, :]
-    return integrand.sum(axis=1) / nodes
+    mult, theta_out = _induced_nodes((1.0 + s) / 2.0, gs, max(abs(n), abs(m)), nodes)
+    return _coefficient(mult, theta_out, n, m)
 
 
 DEFAULT_MATCOEF_NODES = 128
@@ -355,14 +377,16 @@ def matcoef(p: SpectralParam, g, n: int, m: int, nodes=None, N=None) -> complex:
     enters: a single coefficient is a plain integral over the circle).
     For g in the rotation subgroup this reduces to the character values,
     and the diagonal (n, n) coefficient transforms under k_theta1 g k_theta2
-    by the phase e^{i n (theta1 + theta2)}.
+    by the phase e^{i n (theta1 + theta2)}.  The default node count is 128,
+    raised to the floor 4 max(|n|, |m|) + 4 when that is larger.
     """
     if not p.is_induced:
         raise DomainError(f"matcoef needs an induced kind, got {p.kind}")
     if N is not None and (abs(n) > N or abs(m) > N):
         raise DomainError(f"indices ({n}, {m}) outside truncation {N}")
     g = require_member(g, "matcoef input")
-    nodes = resolve_nodes(nodes, max(DEFAULT_MATCOEF_NODES, 4 * max(abs(n), abs(m)) + 4))
+    if nodes is None:
+        nodes = max(DEFAULT_MATCOEF_NODES, 4 * max(abs(n), abs(m)) + 4)
     return complex(_matcoef_batch(p.s, g[None], n, m, nodes)[0])
 
 
@@ -468,7 +492,6 @@ def discrete_ladder_leakage(m: int, sign: int, g, N: int, nodes=None) -> float:
     p = SpectralParam.discrete(m, sign)
     if N < m // 2 + LADDER_SOURCE_GUARD:
         raise DomainError(f"need N >= {m // 2 + LADDER_SOURCE_GUARD} for m = {m}")
-    g = require_member(g, "ladder input")
     ambient = SpectralParam.induced_point(p.induced_s)
     rep = rep_matrix(ambient, g, N, nodes=nodes)
     ns = np.arange(-N, N + 1)

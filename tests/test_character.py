@@ -16,12 +16,12 @@ def _witness(n, center=0.6, width=0.3):
 # ---------------------------------------------------------------------------
 
 def test_grid_total_mass_is_box_area():
-    grid = character.HaarGrid.default()
+    grid = character.HaarGrid()
     assert abs(grid.total_mass() - 6.0 * 8.0) < 1e-10
 
 
 def test_grid_refinement_scales_counts():
-    grid = character.HaarGrid.default().refine()
+    grid = character.HaarGrid().refine()
     assert grid.shape == (72, 72, 144)
 
 
@@ -52,7 +52,7 @@ def test_integrate_separable_oracle():
     us = np.linspace(-4, 4, 20001)
     oracle = (np.trapezoid(equivariant.bump((ts - 0.2) / 1.5), ts)
               * np.trapezoid(equivariant.bump(us / 2.0), us))
-    value = complex(character.integrate_G(f, character.HaarGrid.default()))
+    value = complex(character.integrate_G(f, character.HaarGrid()))
     assert abs(value.imag) < 1e-12
     assert abs(value.real - oracle) / oracle < 0.005
 
@@ -64,7 +64,7 @@ def test_integrate_odd_function_vanishes():
         t = -np.log(gs[..., 2, 2] - gs[..., 0, 2])
         return u * equivariant.bump(u / 2.0) * equivariant.bump(t / 2.0)
 
-    value = character.integrate_G(f, character.HaarGrid.default())
+    value = character.integrate_G(f, character.HaarGrid())
     assert abs(value) < 1e-10
 
 
@@ -111,7 +111,7 @@ def test_pi_of_zero_function():
 
 def test_pi_range_concentration():
     op = character.pi_of_f(reps.SpectralParam.principal(1.0), _witness(1),
-                           character.HaarGrid.default(), N=16)
+                           character.HaarGrid(), N=16)
     assert op.offrow_mass() < 1e-3
 
 
@@ -148,7 +148,7 @@ def test_pi_adjoint_for_unitary_parameter():
         return np.conj(f(inv))
 
     f_star = equivariant.EquivariantFn(1, 1, reflected, support=f.support)
-    grid = character.HaarGrid.default()
+    grid = character.HaarGrid()
     op = character.pi_of_f(p, f, grid, N=10).mat
     op_star = character.pi_of_f(p, f_star, grid, N=10).mat
     scale = np.max(np.abs(op))
@@ -222,6 +222,16 @@ def test_corollary_type_validation():
     with pytest.raises(DomainError):
         character.corollary_check(reps.SpectralParam.principal(1.0), 1,
                                   _witness(1), grid=SMALL_GRID, N=8)
+
+
+def test_char_identity_node_floor():
+    # 8 nodes alias the products of modes up to N = 16; both checks must
+    # refuse them, as pi_of_f does, instead of agreeing on aliased sums
+    p = reps.SpectralParam.principal(1.0)
+    with pytest.raises(DomainError):
+        character.char_identity_check(p, 1, _witness(1), grid=SMALL_GRID, N=16, nodes=8)
+    with pytest.raises(DomainError):
+        character.corollary_check(p, 1, _witness(-1), grid=SMALL_GRID, N=16, nodes=8)
 
 
 def test_char_identity_type_validation():

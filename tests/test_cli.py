@@ -212,20 +212,26 @@ def test_charcheck_corollary_and_refine(capsys):
 # determinism & output plumbing
 # ---------------------------------------------------------------------------
 
+CHARCHECK_SMALL = ["charcheck", "--s", "i", "--n", "1", "--grid", "16,16,32", "--trunc", "4"]
+
+
 def test_byte_identical_output_without_meta(capsys):
-    argv = ["matcoef", "--s", "2i", "--g-iwasawa", "0.7,0.3,1.1",
-            "--n", "1", "--m", "1", "--no-meta"]
-    cli.run(argv)
-    first = capsys.readouterr().out
-    cli.run(argv)
-    second = capsys.readouterr().out
-    assert first == second
+    for argv in (["matcoef", "--s", "2i", "--g-iwasawa", "0.7,0.3,1.1",
+                  "--n", "1", "--m", "1", "--no-meta"],
+                 CHARCHECK_SMALL + ["--no-meta"]):
+        cli.run(argv)
+        first = capsys.readouterr().out
+        cli.run(argv)
+        second = capsys.readouterr().out
+        assert first == second
 
 
 def test_meta_block_present_by_default(capsys):
     code, payload = run_json(capsys, "iwasawa", "--matrix", IDENTITY)
     assert code == 0
     assert "runtime_seconds" in payload["meta"]
+    _, payload = run_json(capsys, *CHARCHECK_SMALL)
+    assert "check_seconds" in payload["meta"]
 
 
 def test_output_file(tmp_path, capsys):
@@ -246,6 +252,10 @@ def test_suite_fast(capsys):
     assert code == 0
     assert payload["all_passed"] is True
     assert len(payload["criteria"]) == 11
+    # timings live in the meta block, which --no-meta strips
+    assert "meta" not in payload
+    for criterion in payload["criteria"]:
+        assert set(criterion) == {"number", "name", "passed", "detail"}
 
 
 # ---------------------------------------------------------------------------

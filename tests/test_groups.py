@@ -162,12 +162,20 @@ def test_psi_inv_half_rotation():
     assert_allclose(groups.psi(rep.matrix), groups.make_k(np.pi), atol=1e-12)
 
 
+def _random_with_rotations(rng):
+    """1000 random elements followed by 8 pure rotations (degenerate radius)."""
+    return np.concatenate([groups.random_elements(rng, 1000),
+                           groups.make_k(rng.uniform(0, 2 * np.pi, 8))])
+
+
 def test_psi_inv_round_trip_random():
     rng = np.random.default_rng(11)
-    worst = 0.0
-    for g in groups.random_elements(rng, 1000):
-        worst = max(worst, np.max(np.abs(groups.psi(groups.psi_inv(g).matrix) - g)))
-    assert worst < 1e-9
+    gs = _random_with_rotations(rng)
+    batch = groups.psi_inv(gs).matrix
+    assert batch.shape == (len(gs), 2, 2)
+    assert np.max(np.abs(groups.psi(batch) - gs)) < 1e-9
+    for g, m in zip(gs, batch):
+        assert_allclose(groups.psi_inv(g).matrix, m, rtol=0, atol=1e-12)
 
 
 def test_psl2_sign_canonicalization_is_total():
@@ -244,13 +252,16 @@ def test_cartan_radius_of_negative_boost():
 
 def test_cartan_recomposition_random():
     rng = np.random.default_rng(17)
-    worst = 0.0
-    for g in groups.random_elements(rng, 1000):
-        c = groups.cartan(g)
-        assert c.t >= 0.0
-        rebuilt = groups.make_k(c.theta1) @ groups.make_a(c.t) @ groups.make_k(c.theta2)
-        worst = max(worst, np.max(np.abs(rebuilt - g)))
-    assert worst < 1e-9
+    gs = _random_with_rotations(rng)
+    c = groups.cartan(gs)
+    assert np.all(c.t >= 0.0)
+    assert np.all(c.t[-8:] == 0.0) and np.all(c.theta1[-8:] == 0.0)
+    rebuilt = groups.make_k(c.theta1) @ groups.make_a(c.t) @ groups.make_k(c.theta2)
+    assert np.max(np.abs(rebuilt - gs)) < 1e-9
+    for i, g in enumerate(gs):
+        single = groups.cartan(g)
+        assert_allclose([single.theta1, single.t, single.theta2],
+                        [c.theta1[i], c.t[i], c.theta2[i]], rtol=0, atol=1e-12)
 
 
 def test_cartan_radius_bi_invariant():
@@ -266,6 +277,9 @@ def test_cartan_degenerates_to_rotation():
     c = groups.cartan(groups.make_k(2.5))
     assert c.theta1 == 0.0 and c.t == 0.0
     assert_allclose(c.theta2, 2.5)
+    theta1, r, theta2 = groups.polar(groups.make_k(np.array([2.5, 5.0])))
+    assert np.all(theta1 == 0.0) and np.all(r == 0.0)
+    assert_allclose(theta2, [2.5, 5.0])
 
 
 # ---------------------------------------------------------------------------

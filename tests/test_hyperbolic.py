@@ -100,14 +100,6 @@ def test_phi_node_floor():
         hyperbolic.phi(0.5, 1j, nodes=8)
 
 
-def test_phi_nodes_env_override(monkeypatch):
-    w, z = 0.5 + 2j, 1.3 + 0.7j
-    coarse = hyperbolic.phi(w, z, nodes=16)
-    monkeypatch.setenv("LH_DEFAULT_NODES", "16")
-    assert hyperbolic.phi(w, z) == coarse
-    assert hyperbolic.phi(w, z, nodes=512) != coarse  # explicit wins
-
-
 # ---------------------------------------------------------------------------
 # Laplacian
 # ---------------------------------------------------------------------------

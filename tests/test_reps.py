@@ -207,12 +207,29 @@ def test_matcoef_truncation_bound_check():
     p = reps.SpectralParam.principal(1.0)
     with pytest.raises(DomainError):
         reps.matcoef(p, np.eye(3), 5, 0, N=4)
+    # the node floor 4 max(|n|, |m|) + 4 of the induced action applies too
+    with pytest.raises(DomainError):
+        reps.matcoef(p, np.eye(3), 5, 0, nodes=20)
 
 
 def test_rep_matrix_identity():
     p = reps.SpectralParam.principal(1.5)
     rep = reps.rep_matrix(p, np.eye(3), N=10)
     assert np.max(np.abs(rep.mat - np.eye(21))) < 1e-12
+
+
+def test_rep_matrix_matches_action_and_matcoef(rng):
+    # the matrix, the action and the single coefficient share one kernel
+    N, nodes = 12, 64
+    g = groups.make_a(0.4) @ groups.make_n(-0.3) @ groups.make_k(2.2)
+    v = reps.KFourierVector.smooth_random(N, rng, decay=1.0)
+    for p in (reps.SpectralParam.principal(1.0), reps.SpectralParam.complementary(0.3)):
+        rep = reps.rep_matrix(p, g, N, nodes=nodes)
+        acted = reps.act_principal(p, g, v, nodes=nodes)
+        assert np.max(np.abs(rep.mat @ v.c - acted.c)) < 1e-12
+        for n, m in ((0, 0), (3, -2), (-N, N)):
+            coef = reps.matcoef(p, g, n, m, nodes=nodes)
+            assert abs(rep.mat[m + N, n + N] - coef) < 1e-12
 
 
 def test_rep_matrix_homomorphism_central_block():
