@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, SupportWarning, TruncationWarning
-from .groups import IwasawaCoords, _polar, haar_density, make_a, make_k, make_n
+from .groups import IwasawaCoords, _polar, haar_density, make_a, make_k, make_n, recompose
 from .reps import SpectralParam, _coefficient, _induced_nodes, _node_count, _projector
 from .equivariant import EquivariantFn, bump
 
@@ -90,12 +89,21 @@ class HaarGrid:
         T, U, TH = np.meshgrid(ts, us, thetas, indexing="ij")
         return T.ravel(), U.ravel(), TH.ravel()
 
-    def elements(self, indices=None):
-        """Stack of group elements at all nodes (or a subset of flat indices)."""
-        T, U, TH = self.nodes()
-        if indices is not None:
-            T, U, TH = T[indices], U[indices], TH[indices]
-        return make_a(T) @ make_n(U) @ make_k(TH)
+    def elements(self):
+        """Stack of group elements at all nodes, in flat-index order."""
+        return recompose(IwasawaCoords(*self.nodes()))
+
+    def chunks(self):
+        """The stack of :meth:`elements` in flat-index order, `_CHUNK` nodes at a time.
+
+        Grid reductions sum one partial per chunk, in chunk order, so they
+        hold one chunk of elements rather than the whole grid.
+        """
+        ts, us, thetas = self.coordinate_arrays()
+        count = self.nt * self.nu * self.ntheta
+        for start in range(0, count, _CHUNK):
+            i, j, k = np.unravel_index(np.arange(start, min(start + _CHUNK, count)), self.shape)
+            yield recompose(IwasawaCoords(ts[i], us[j], thetas[k]))
 
     def boundary_elements(self, samples: int = 24):
         """Elements on the four t/u faces of the box, for support checks."""
@@ -112,7 +120,7 @@ class HaarGrid:
         T = np.concatenate([f[0] for f in faces])
         U = np.concatenate([f[1] for f in faces])
         TH = np.concatenate([f[2] for f in faces])
-        return make_a(T) @ make_n(U) @ make_k(TH)
+        return recompose(IwasawaCoords(T, U, TH))
 
 
 def _check_support(f, grid: HaarGrid):
@@ -128,34 +136,16 @@ def _check_support(f, grid: HaarGrid):
         )
 
 
-def _chunked_partials(count, worker, threads):
-    """Apply `worker` to chunk slices, reducing partials in fixed order."""
-    slices = [slice(i, min(i + _CHUNK, count)) for i in range(0, count, _CHUNK)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(worker, slices))
-    else:
-        partials = [worker(s) for s in slices]
-    return partials
-
-
-def integrate_G(f, grid: HaarGrid, threads: int = 1) -> complex:
+def integrate_G(f, grid: HaarGrid) -> complex:
     """Haar integral of f over the grid box.
 
     f must accept stacked (..., 3, 3) elements and should vanish on the box
     boundary; a non-negligible boundary value triggers a SupportWarning
-    with a crude mass estimate.  Chunk partial sums are accumulated in a
-    fixed order, so the result is independent of the thread count.
+    with a crude mass estimate.
     """
     _check_support(f, grid)
-    G = grid.elements()
-    w = grid.node_weight
-
-    def worker(sl):
-        return np.sum(f(G[sl]))
-
-    partials = _chunked_partials(G.shape[0], worker, threads)
-    return complex(w * np.sum(np.asarray(partials)))
+    partials = [np.sum(f(G)) for G in grid.chunks()]
+    return complex(grid.node_weight * np.sum(np.asarray(partials)))
 
 
 @dataclass(frozen=True)
@@ -179,16 +169,19 @@ class OperatorMatrix:
         return float(1.0 - np.abs(self.mat[-self.n + self.N]).sum() / mass)
 
 
-def _pi_core(s, f, grid, N, nodes, threads, rhs_index=None):
+def _pi_core(s, f, grid, N, nodes, rhs_index=None):
     """Shared quadrature core: the matrix of pi(f), and optionally the
     integral of f times the diagonal matrix coefficient at rhs_index."""
     _check_support(f, grid)
-    G = grid.elements()
-    fvals = np.asarray(f(G), dtype=complex)
-    active = np.flatnonzero(np.abs(fvals) > 0.0)
-    if active.size == 0:
+    kept_G, kept_f = [], []
+    for G in grid.chunks():
+        fvals = np.asarray(f(G), dtype=complex)
+        active = np.flatnonzero(np.abs(fvals) > 0.0)
+        kept_G.append(G[active])
+        kept_f.append(fvals[active])
+    G, fvals = np.concatenate(kept_G), np.concatenate(kept_f)
+    if fvals.size == 0:
         return np.zeros((2 * N + 1, 2 * N + 1), dtype=complex), 0.0 + 0.0j
-    G, fvals = G[active], fvals[active]
     w = grid.node_weight
     gamma = (1.0 + s) / 2.0
 
@@ -209,7 +202,7 @@ def _pi_core(s, f, grid, N, nodes, threads, rhs_index=None):
             rhs_part = np.sum(w * fvals[sl] * coeffs)
         return S, rhs_part
 
-    partials = _chunked_partials(G.shape[0], worker, threads)
+    partials = [worker(slice(i, i + _CHUNK)) for i in range(0, fvals.size, _CHUNK)]
     S = np.sum(np.asarray([p[0] for p in partials]), axis=0)
     rhs = complex(np.sum(np.asarray([p[1] for p in partials])))
     return _projector(N, nodes) @ S, rhs
@@ -221,7 +214,6 @@ def pi_of_f(
     grid: HaarGrid,
     N: int,
     nodes=None,
-    threads: int = 1,
 ) -> OperatorMatrix:
     """Matrix of the smoothed operator pi(f) on the truncated Fourier basis.
 
@@ -235,7 +227,7 @@ def pi_of_f(
     if f.n_left != f.n_right:
         raise DomainError("pi_of_f needs a test function of equal bi-type (n, n)")
     nodes = _node_count(N, nodes)
-    mat, _ = _pi_core(p.s, f, grid, N, nodes, threads)
+    mat, _ = _pi_core(p.s, f, grid, N, nodes)
     _warn_on_matrix_truncation(mat)
     return OperatorMatrix(mat, p, f.n_left, grid, N, nodes)
 
@@ -290,7 +282,6 @@ def char_identity_check(
     grid: HaarGrid | None = None,
     N: int = 16,
     nodes=None,
-    threads: int = 1,
 ) -> CharIdentityResult:
     """Verify trace pi(f) = integral of f times the (-n, -n) matrix coefficient.
 
@@ -313,7 +304,7 @@ def char_identity_check(
     s = p.induced_s
 
     if p.is_induced:
-        mat, rhs = _pi_core(s, f, grid, N, nodes, threads, rhs_index=-n)
+        mat, rhs = _pi_core(s, f, grid, N, nodes, rhs_index=-n)
         lhs = complex(np.trace(mat))
         op = OperatorMatrix(mat, p, n, grid, N, nodes)
         off = op.offrow_mass()
@@ -323,7 +314,7 @@ def char_identity_check(
         edge = p.m // 2
         ladder = ns >= edge if p.sign > 0 else ns <= -edge
         include_rhs = bool(ladder[-n + N]) if abs(n) <= N else False
-        mat, rhs = _pi_core(s, f, grid, N, nodes, threads,
+        mat, rhs = _pi_core(s, f, grid, N, nodes,
                             rhs_index=-n if include_rhs else None)
         block = mat[np.ix_(ladder, ladder)]
         lhs = complex(np.trace(block))
@@ -342,7 +333,6 @@ def corollary_check(
     grid: HaarGrid | None = None,
     N: int = 16,
     nodes=None,
-    threads: int = 1,
 ) -> CharIdentityResult:
     """Character identity for a tau_n-spherical p against a bi-type (-n, -n) f.
 
@@ -352,7 +342,7 @@ def corollary_check(
     """
     if f.n_left != f.n_right or f.n_left != -n:
         raise DomainError(f"corollary needs a test function of bi-type ({-n}, {-n})")
-    return char_identity_check(p, -n, f, grid=grid, N=N, nodes=nodes, threads=threads)
+    return char_identity_check(p, -n, f, grid=grid, N=N, nodes=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -380,37 +370,37 @@ def _oracle_test_function(gs):
     return profile * (1.3 + np.cos(theta1 + theta2)) * (0.7 + 0.3 * np.sin(theta2 - 2.0 * theta1))
 
 
-def haar_invariance_check(
-    grid: HaarGrid | None = None,
-    translations=None,
-    f=None,
-    threads: int = 1,
-) -> HaarCheckResult:
+def haar_invariance_check(grid: HaarGrid | None = None, translations=None) -> HaarCheckResult:
     """Certify the Haar density by measuring translation-invariance defects.
 
     Integrates f(g0 g) and f(g g0) over the grid for each translation g0
     and reports the relative deviation from the untranslated integral.
-    The default f is a fixed generic bump supported well inside the default
-    box; defaults for g0 are a boost, a unipotent, and a rotation.
+    f is a fixed generic bump supported well inside the default box;
+    defaults for g0 are a boost, a unipotent, and a rotation.  All the
+    integrals are accumulated over one pass through the grid's chunks.
     """
     grid = grid if grid is not None else HaarGrid(nt=96, nu=96, ntheta=128)
     if translations is None:
         translations = {"a(0.3)": make_a(0.3), "n(0.5)": make_n(0.5), "k(1)": make_k(1.0)}
-    fn = f if f is not None else _oracle_test_function
-    G = grid.elements()
-    w = grid.node_weight
+    f = _oracle_test_function
+    base_parts = []
+    left_parts = {name: [] for name in translations}
+    right_parts = {name: [] for name in translations}
+    for G in grid.chunks():
+        base_parts.append(np.sum(f(G)))
+        for name, g0 in translations.items():
+            left_parts[name].append(np.sum(f(g0 @ G)))
+            right_parts[name].append(np.sum(f(G @ g0)))
 
-    def total(mats):
-        def worker(sl):
-            return np.sum(fn(mats[sl]))
-        return w * float(np.real(np.sum(np.asarray(_chunked_partials(mats.shape[0], worker, threads)))))
+    def total(parts):
+        return grid.node_weight * float(np.real(np.sum(np.asarray(parts))))
 
-    base = total(G)
+    base = total(base_parts)
     per = {}
     worst_left = worst_right = 0.0
-    for name, g0 in translations.items():
-        left = abs(total(g0 @ G) - base) / abs(base)
-        right = abs(total(G @ g0) - base) / abs(base)
+    for name in translations:
+        left = abs(total(left_parts[name]) - base) / abs(base)
+        right = abs(total(right_parts[name]) - base) / abs(base)
         per[name] = {"left": left, "right": right}
         worst_left = max(worst_left, left)
         worst_right = max(worst_right, right)

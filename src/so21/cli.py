@@ -70,7 +70,6 @@ class RunConfig:
 
     subcommand: str
     format: str
-    threads: int
     no_meta: bool
     out: str | None
 
@@ -94,13 +93,18 @@ def _parse_matrix2(text):
     return np.array(_parse_floats(text, 4)).reshape(2, 2)
 
 
-def _element_from_args(args):
-    if getattr(args, "matrix", None):
-        return _parse_matrix3(args.matrix)
-    if getattr(args, "g_iwasawa", None):
-        t, u, theta = _parse_floats(args.g_iwasawa, 3)
-        return groups.recompose(groups.IwasawaCoords(t, u, theta))
-    raise UsageError("provide --matrix or --g-iwasawa")
+def _parse_element(text):
+    """Group element a_t n_u k_theta from a `t,u,theta` string."""
+    return groups.recompose(groups.IwasawaCoords(*_parse_floats(text, 3)))
+
+
+def _parse_spectral(text):
+    return reps.SpectralParam.from_s(reps.parse_complex(text))
+
+
+def _parse_grid(text):
+    nt, nu, ntheta = (int(v) for v in _parse_floats(text, 3))
+    return character.HaarGrid(nt=nt, nu=nu, ntheta=ntheta)
 
 
 def _jsonable(value):
@@ -152,7 +156,6 @@ def _emit(payload, config: RunConfig, started: float) -> None:
 
 def _common_flags(parser):
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--no-meta", action="store_true")
     parser.add_argument("--out", default=None)
 
@@ -289,11 +292,10 @@ def _handle(args, config: RunConfig):
 
     if name == "iwasawa":
         if args.recompose:
-            t, u, theta = _parse_floats(args.recompose, 3)
-            g = groups.recompose(groups.IwasawaCoords(t, u, theta))
-            return {"matrix": g}, EXIT_OK
-        g = _element_from_args(args)
-        c = groups.iwasawa(g)
+            return {"matrix": _parse_element(args.recompose)}, EXIT_OK
+        if not args.matrix:
+            raise UsageError("iwasawa needs --matrix (or --recompose)")
+        c = groups.iwasawa(_parse_matrix3(args.matrix))
         return {"t": c.t, "u": c.u, "theta": c.theta}, EXIT_OK
 
     if name == "cartan":
@@ -332,9 +334,8 @@ def _handle(args, config: RunConfig):
         return {"matrix": lie.exp_matrix(_algebra_from_text(args.algebra))}, EXIT_OK
 
     if name == "casimir":
-        p = reps.SpectralParam.from_s(reps.parse_complex(args.s))
-        t, u, theta = _parse_floats(args.g_iwasawa, 3)
-        g = groups.recompose(groups.IwasawaCoords(t, u, theta))
+        p = _parse_spectral(args.s)
+        g = _parse_element(args.g_iwasawa)
         coef = lambda mat: reps.matcoef(p, mat, args.n, args.n)
         ratio = lie.casimir_apply(coef, g, h=args.h) / coef(g)
         return {"ratio": complex(ratio), "s": args.s, "n": args.n}, EXIT_OK
@@ -354,10 +355,7 @@ def _handle(args, config: RunConfig):
         payload = {"phi": hyperbolic.phi(w, z, nodes=args.nodes),
                    "chi": complex(hyperbolic.chi(w, z))}
         if args.act:
-            t, u, theta = _parse_floats(args.act, 3)
-            g = groups.recompose(groups.IwasawaCoords(t, u, theta))
-            moved = complex(hyperbolic.act(g, z))
-            payload["moved_point"] = moved
+            payload["moved_point"] = complex(hyperbolic.act(_parse_element(args.act), z))
         return payload, EXIT_OK
 
     if name == "eigencheck":
@@ -368,9 +366,8 @@ def _handle(args, config: RunConfig):
         return payload, EXIT_OK if res.rel_err <= args.tol else EXIT_TOLERANCE
 
     if name == "matcoef":
-        p = reps.SpectralParam.from_s(reps.parse_complex(args.s))
-        t, u, theta = _parse_floats(args.g_iwasawa, 3)
-        g = groups.recompose(groups.IwasawaCoords(t, u, theta))
+        p = _parse_spectral(args.s)
+        g = _parse_element(args.g_iwasawa)
         value = reps.matcoef(p, g, args.n, args.m, nodes=args.nodes, N=args.trunc)
         payload = {"value": value, "s": args.s, "n": args.n, "m": args.m}
         if args.vector:
@@ -402,9 +399,7 @@ def _handle(args, config: RunConfig):
 
     if name == "ladder":
         sign = 1 if args.sign == "+" else -1
-        t, u, theta = _parse_floats(args.g_iwasawa, 3)
-        g = groups.recompose(groups.IwasawaCoords(t, u, theta))
-        leak = reps.discrete_ladder_leakage(args.m, sign, g, args.N)
+        leak = reps.discrete_ladder_leakage(args.m, sign, _parse_element(args.g_iwasawa), args.N)
         payload = {"leakage": leak, "m": args.m, "sign": args.sign, "N": args.N}
         if args.tol is not None and leak > args.tol:
             return payload, EXIT_TOLERANCE
@@ -426,19 +421,18 @@ def _handle(args, config: RunConfig):
         return payload, EXIT_OK
 
     if name == "gram":
-        params = [reps.SpectralParam.from_s(reps.parse_complex(tok))
-                  for tok in args.params.split(",")]
+        params = [_parse_spectral(tok) for tok in args.params.split(",")]
         res = equivariant.gram_min_eig(params, args.n, region=(0.0, args.tmax))
         return {"min_eig": res.min_eig, "cond": res.cond,
                 "params": [p.label for p in params]}, EXIT_OK
 
     if name == "haarcheck":
-        nt, nu, ntheta = (int(v) for v in _parse_floats(args.grid, 3))
-        grid = character.HaarGrid(nt=nt, nu=nu, ntheta=ntheta)
-        res = character.haar_invariance_check(grid, threads=args.threads)
+        grid = _parse_grid(args.grid)
+        res = character.haar_invariance_check(grid)
         direct = character.integrate_G(
             character._oracle_test_function,
-            character.HaarGrid(nt=min(nt, 48), nu=min(nu, 48), ntheta=min(ntheta, 64)))
+            character.HaarGrid(nt=min(grid.nt, 48), nu=min(grid.nu, 48),
+                               ntheta=min(grid.ntheta, 64)))
         payload = {"base_integral": res.base_integral,
                    "worst_left": res.worst_left,
                    "worst_right": res.worst_right,
@@ -448,25 +442,22 @@ def _handle(args, config: RunConfig):
         return payload, EXIT_OK if res.worst <= args.tol else EXIT_TOLERANCE
 
     if name == "charcheck":
-        p = reps.SpectralParam.from_s(reps.parse_complex(args.s))
-        nt, nu, ntheta = (int(v) for v in _parse_floats(args.grid, 3))
-        grid = character.HaarGrid(nt=nt, nu=nu, ntheta=ntheta)
+        p = _parse_spectral(args.s)
+        grid = _parse_grid(args.grid)
         profile = equivariant.BumpProfile(args.t0, args.width)
         if args.corollary:
             f = equivariant.separation_witness(-args.n, profile)
-            res = character.corollary_check(p, args.n, f, grid=grid, N=args.trunc,
-                                            threads=args.threads)
+            res = character.corollary_check(p, args.n, f, grid=grid, N=args.trunc)
         else:
             f = equivariant.separation_witness(args.n, profile)
-            res = character.char_identity_check(p, args.n, f, grid=grid, N=args.trunc,
-                                                threads=args.threads)
+            res = character.char_identity_check(p, args.n, f, grid=grid, N=args.trunc)
         payload = {"lhs": res.lhs_trace, "rhs": res.rhs_integral,
                    "rel_err": res.rel_err, "offrow_mass": res.offrow_mass,
                    "grid": list(grid.shape), "trunc": res.N,
                    "meta": {"check_seconds": res.seconds}}
         if args.refine:
             fine = (character.corollary_check if args.corollary else character.char_identity_check)(
-                p, args.n, f, grid=grid.refine(), N=args.trunc, threads=args.threads)
+                p, args.n, f, grid=grid.refine(), N=args.trunc)
             payload["refined"] = {"lhs": fine.lhs_trace, "rhs": fine.rhs_integral,
                                   "rel_err": fine.rel_err, "grid": list(fine.grid.shape)}
         return payload, EXIT_OK if res.rel_err <= args.tol else EXIT_TOLERANCE
@@ -494,7 +485,7 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    config = RunConfig(args.subcommand, args.format, args.threads, args.no_meta, args.out)
+    config = RunConfig(args.subcommand, args.format, args.no_meta, args.out)
     try:
         payload, code = _handle(args, config)
         _emit(payload, config, started)

@@ -105,6 +105,28 @@ def separation_witness(n: int, profile: BumpProfile) -> EquivariantFn:
     return EquivariantFn(n, n, evaluate, support=profile.support)
 
 
+def _projection_angles(nodes):
+    """Uniform angles of a projector and their rotations, at least 64 of them."""
+    nodes = DEFAULT_PROJECTION_NODES if nodes is None else int(nodes)
+    if nodes < 64:
+        raise DomainError("projection needs at least 64 nodes per angle")
+    thetas = 2.0 * np.pi * np.arange(nodes) / nodes
+    return thetas, make_k(thetas)
+
+
+def _per_element(value, gs):
+    """Apply the scalar `value(g)` to one element or to each element of a stack.
+
+    Projectors average over nodes^2 (or nodes) translates of each element,
+    so they go one element at a time to bound memory.
+    """
+    gs = np.asarray(gs, dtype=float)
+    out = np.array([value(g) for g in gs.reshape(-1, 3, 3)], dtype=complex)
+    if gs.ndim == 2:
+        return out[0]
+    return out.reshape(gs.shape[:-2])
+
+
 def project_biequivariant(f, n: int, nodes=None) -> EquivariantFn:
     """Project a function onto bi-type (n, n) by double rotation averaging.
 
@@ -113,28 +135,14 @@ def project_biequivariant(f, n: int, nodes=None) -> EquivariantFn:
     uniform angles (periodic trapezoid).  Idempotent on functions already
     of type (n, n) and annihilates every pure type (m, m) with m != n.
     """
-    nodes = DEFAULT_PROJECTION_NODES if nodes is None else int(nodes)
-    if nodes < 64:
-        raise DomainError("projection needs at least 64 nodes per angle")
-    thetas = 2.0 * np.pi * np.arange(nodes) / nodes
-    left = make_k(thetas)
-    right = make_k(thetas)
+    thetas, rotations = _projection_angles(nodes)
     phase = np.exp(-1j * n * (thetas[:, None] + thetas[None, :]))
-    support = getattr(f, "support", None)
 
-    def evaluate(gs):
-        gs = np.asarray(gs, dtype=float)
-        single = gs.ndim == 2
-        batch = gs[None] if single else gs.reshape(-1, 3, 3)
-        out = np.empty(batch.shape[0], dtype=complex)
-        for i, g in enumerate(batch):
-            translated = left[:, None] @ g @ right[None, :]
-            out[i] = np.mean(phase * f(translated))
-        if single:
-            return out[0]
-        return out.reshape(gs.shape[:-2])
+    def value(g):
+        return np.mean(phase * f(rotations[:, None] @ g @ rotations[None, :]))
 
-    return EquivariantFn(n, n, evaluate, support=support)
+    return EquivariantFn(n, n, lambda gs: _per_element(value, gs),
+                         support=getattr(f, "support", None))
 
 
 def right_isotype_project(f, n: int, nodes=None):
@@ -143,23 +151,13 @@ def right_isotype_project(f, n: int, nodes=None):
     The result satisfies h(x k_theta) = e^{i n theta} h(x); it is the n-th
     right Fourier mode of f along the rotation subgroup.
     """
-    nodes = DEFAULT_PROJECTION_NODES if nodes is None else int(nodes)
-    thetas = 2.0 * np.pi * np.arange(nodes) / nodes
-    right = make_k(thetas)
+    thetas, rotations = _projection_angles(nodes)
     phase = np.exp(-1j * n * thetas)
 
-    def project(xs):
-        xs = np.asarray(xs, dtype=float)
-        single = xs.ndim == 2
-        batch = xs[None] if single else xs.reshape(-1, 3, 3)
-        out = np.empty(batch.shape[0], dtype=complex)
-        for i, x in enumerate(batch):
-            out[i] = np.mean(phase * f(x @ right))
-        if single:
-            return out[0]
-        return out.reshape(xs.shape[:-2])
+    def value(x):
+        return np.mean(phase * f(x @ rotations))
 
-    return project
+    return lambda xs: _per_element(value, xs)
 
 
 @dataclass(frozen=True)

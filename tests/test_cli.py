@@ -28,6 +28,7 @@ def test_iwasawa_identity(capsys):
 
 def test_usage_error_unknown_flag(capsys):
     assert cli.run(["iwasawa", "--bogus", "1"]) == 1
+    assert cli.run(["haarcheck", "--threads", "2"]) == 1
 
 
 def test_usage_error_unknown_subcommand(capsys):
@@ -218,7 +219,8 @@ CHARCHECK_SMALL = ["charcheck", "--s", "i", "--n", "1", "--grid", "16,16,32", "-
 def test_byte_identical_output_without_meta(capsys):
     for argv in (["matcoef", "--s", "2i", "--g-iwasawa", "0.7,0.3,1.1",
                   "--n", "1", "--m", "1", "--no-meta"],
-                 CHARCHECK_SMALL + ["--no-meta"]):
+                 CHARCHECK_SMALL + ["--no-meta"],
+                 ["haarcheck", "--grid", "24,24,32", "--no-meta"]):
         cli.run(argv)
         first = capsys.readouterr().out
         cli.run(argv)

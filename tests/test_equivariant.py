@@ -155,8 +155,9 @@ def test_projection_matches_refined_quadrature():
 
 
 def test_projection_node_floor():
-    with pytest.raises(DomainError):
-        equivariant.project_biequivariant(lambda gs: 1.0, 0, nodes=32)
+    for projector in (equivariant.project_biequivariant, equivariant.right_isotype_project):
+        with pytest.raises(DomainError):
+            projector(lambda gs: 1.0, 0, nodes=32)
 
 
 def test_type_grid_annihilation():
