@@ -16,6 +16,13 @@ predicted collapse of its range onto the single isotype index -n is an
 observed outcome rather than an input assumption.  The trace of that matrix
 is then compared against the integral of f times the diagonal matrix
 coefficient at (-n, -n), which is the character identity under test.
+
+The quadrature runs the cocycle once per (t, u) row rather than once per
+node.  If k_phi a_t n_u = a' n' k_theta', then k_phi (a_t n_u k_theta) =
+a' n' k_{theta' + theta}: every node of a row shares the multiplier of its
+row base a_t n_u and shifts the transported angle by its own theta.  The
+identity holds for every element, so nothing about f is assumed: f is
+evaluated at every grid node, and the range collapse stays observed.
 """
 
 from __future__ import annotations
@@ -93,17 +100,30 @@ class HaarGrid:
         """Stack of group elements at all nodes, in flat-index order."""
         return recompose(IwasawaCoords(*self.nodes()))
 
+    def _row_bases(self):
+        """Elements a_t n_u of the (t, u) rows, in flat row order.
+
+        The node at (row, k) is ``_row_bases()[row] @ make_k(theta_k)``,
+        bit for bit the element :func:`so21.groups.recompose` builds.
+        """
+        ts, us, _ = self.coordinate_arrays()
+        T, U = np.meshgrid(ts, us, indexing="ij")
+        return make_a(T.ravel()) @ make_n(U.ravel())
+
     def chunks(self):
         """The stack of :meth:`elements` in flat-index order, `_CHUNK` nodes at a time.
 
-        Grid reductions sum one partial per chunk, in chunk order, so they
-        hold one chunk of elements rather than the whole grid.
+        Each chunk is built as row base times rotation, from the row bases
+        and the rotations computed once per call.  Grid reductions sum one
+        partial per chunk, in chunk order, so they hold one chunk of
+        elements rather than the whole grid.
         """
-        ts, us, thetas = self.coordinate_arrays()
-        count = self.nt * self.nu * self.ntheta
+        bases = self._row_bases()
+        rotations = make_k(self.coordinate_arrays()[2])
+        count = bases.shape[0] * self.ntheta
         for start in range(0, count, _CHUNK):
-            i, j, k = np.unravel_index(np.arange(start, min(start + _CHUNK, count)), self.shape)
-            yield recompose(IwasawaCoords(ts[i], us[j], thetas[k]))
+            row, k = np.divmod(np.arange(start, min(start + _CHUNK, count)), self.ntheta)
+            yield bases[row] @ rotations[k]
 
     def boundary_elements(self, samples: int = 24):
         """Elements on the four t/u faces of the box, for support checks."""
@@ -170,42 +190,35 @@ class OperatorMatrix:
 
 
 def _pi_core(s, f, grid, N, nodes, rhs_index=None):
-    """Shared quadrature core: the matrix of pi(f), and optionally the
-    integral of f times the diagonal matrix coefficient at rhs_index."""
+    """Shared quadrature core: the matrix of pi(f), the integral of f times
+    the diagonal matrix coefficient at rhs_index (0 when None), and the
+    number of (t, u) rows the cocycle ran on."""
     _check_support(f, grid)
-    kept_G, kept_f = [], []
-    for G in grid.chunks():
-        fvals = np.asarray(f(G), dtype=complex)
-        active = np.flatnonzero(np.abs(fvals) > 0.0)
-        kept_G.append(G[active])
-        kept_f.append(fvals[active])
-    G, fvals = np.concatenate(kept_G), np.concatenate(kept_f)
-    if fvals.size == 0:
-        return np.zeros((2 * N + 1, 2 * N + 1), dtype=complex), 0.0 + 0.0j
-    w = grid.node_weight
-    gamma = (1.0 + s) / 2.0
-
-    def worker(sl):
-        mult, theta_out = _induced_nodes(gamma, G[sl], N, nodes)
-        weighted = (w * fvals[sl])[:, None] * mult
-        # accumulate S[j, n] = sum_i weighted[i, j] e^{i n theta'_{ij}}
-        phase = np.exp(1j * theta_out)
-        cur = weighted * np.exp(-1j * N * theta_out)
-        S = np.empty((nodes, 2 * N + 1), dtype=complex)
-        for idx in range(2 * N + 1):
-            S[:, idx] = cur.sum(axis=0)
-            if idx < 2 * N:
-                cur *= phase
-        rhs_part = 0.0 + 0.0j
-        if rhs_index is not None:
-            coeffs = _coefficient(mult, theta_out, rhs_index, rhs_index)
-            rhs_part = np.sum(w * fvals[sl] * coeffs)
-        return S, rhs_part
-
-    partials = [worker(slice(i, i + _CHUNK)) for i in range(0, fvals.size, _CHUNK)]
-    S = np.sum(np.asarray([p[0] for p in partials]), axis=0)
-    rhs = complex(np.sum(np.asarray([p[1] for p in partials])))
-    return _projector(N, nodes) @ S, rhs
+    fvals = np.concatenate([np.asarray(f(G), dtype=complex) for G in grid.chunks()])
+    fvals = fvals.reshape(-1, grid.ntheta)
+    active = np.flatnonzero(np.any(np.abs(fvals) > 0.0, axis=1))
+    # k_phi a_t n_u = a' n' k_theta' gives k_phi (a_t n_u k_theta) = a' n' k_{theta' + theta}:
+    # every node of a row has its row base's multiplier and theta' shifted by
+    # theta.  So the cocycle runs once per active row, and the theta sum folds
+    # into F[row, n] = sum_k w f(row, k) e^{i n theta_k}.  f is evaluated and
+    # summed at every node, so no symmetry of f is assumed and the range
+    # collapse stays observed.
+    mult, theta_out = _induced_nodes((1.0 + s) / 2.0, grid._row_bases()[active], N, nodes)
+    thetas = grid.coordinate_arrays()[2]
+    F = (grid.node_weight * fvals[active]) @ np.exp(1j * np.outer(thetas, np.arange(-N, N + 1)))
+    # accumulate S[j, n] = sum_row F[row, n] mult[row, j] e^{i n theta'[row, j]}
+    phase = np.exp(1j * theta_out)
+    cur = mult * np.exp(-1j * N * theta_out)
+    S = np.empty((nodes, 2 * N + 1), dtype=complex)
+    for idx in range(2 * N + 1):
+        S[:, idx] = F[:, idx] @ cur
+        if idx < 2 * N:
+            cur *= phase
+    rhs = 0.0 + 0.0j
+    if rhs_index is not None:
+        coeffs = _coefficient(mult, theta_out, rhs_index, rhs_index)
+        rhs = complex(F[:, rhs_index + N] @ coeffs)
+    return _projector(N, nodes) @ S, rhs, active.size
 
 
 def pi_of_f(
@@ -227,7 +240,7 @@ def pi_of_f(
     if f.n_left != f.n_right:
         raise DomainError("pi_of_f needs a test function of equal bi-type (n, n)")
     nodes = _node_count(N, nodes)
-    mat, _ = _pi_core(p.s, f, grid, N, nodes)
+    mat, _, _ = _pi_core(p.s, f, grid, N, nodes)
     _warn_on_matrix_truncation(mat)
     return OperatorMatrix(mat, p, f.n_left, grid, N, nodes)
 
@@ -251,7 +264,8 @@ class CharIdentityResult:
 
     For a discrete (ladder) parameter, `block_norm` is the operator 2-norm
     of pi(f) restricted to the ladder subspace; it stays None for induced
-    kinds.
+    kinds.  `active_rows` counts the (t, u) grid rows on which f is nonzero
+    at some theta node, which are the rows the cocycle ran on.
     """
 
     lhs_trace: complex
@@ -260,12 +274,18 @@ class CharIdentityResult:
     offrow_mass: float
     grid: HaarGrid
     N: int
+    active_rows: int
     seconds: float
     block_norm: float | None = None
 
     @property
     def magnitudes(self) -> tuple[float, float]:
         return abs(self.lhs_trace), abs(self.rhs_integral)
+
+    @property
+    def grid_rows(self) -> int:
+        """Number of (t, u) rows of the grid, nt * nu."""
+        return self.grid.nt * self.grid.nu
 
 
 def _relative_gap(lhs: complex, rhs: complex) -> float:
@@ -290,12 +310,15 @@ def char_identity_check(
     f times <rho(g) e_{-n}, e_{-n}>.  For a discrete parameter the operator
     is assembled in the ambient induced space at s = m - 1 and restricted
     to the ladder subspace; when the ladder misses the isotype -n both
-    sides must come out numerically zero.
+    sides must come out numerically zero.  The isotype -n must lie inside
+    the truncation, |n| <= N.
     """
     if f.n_left != f.n_right:
         raise DomainError("character identity needs a test function of bi-type (n, n)")
     if f.n_left != n:
         raise DomainError(f"test function has bi-type ({f.n_left}, {f.n_right}), expected ({n}, {n})")
+    if abs(n) > N:
+        raise DomainError(f"isotype {-n} lies outside the truncation [-{N}, {N}]")
     if p.kind == "trivial":
         raise DomainError("the trivial representation is not modeled as an operator here")
     grid = grid if grid is not None else HaarGrid()
@@ -304,7 +327,7 @@ def char_identity_check(
     s = p.induced_s
 
     if p.is_induced:
-        mat, rhs = _pi_core(s, f, grid, N, nodes, rhs_index=-n)
+        mat, rhs, active_rows = _pi_core(s, f, grid, N, nodes, rhs_index=-n)
         lhs = complex(np.trace(mat))
         op = OperatorMatrix(mat, p, n, grid, N, nodes)
         off = op.offrow_mass()
@@ -313,17 +336,15 @@ def char_identity_check(
         ns = np.arange(-N, N + 1)
         edge = p.m // 2
         ladder = ns >= edge if p.sign > 0 else ns <= -edge
-        include_rhs = bool(ladder[-n + N]) if abs(n) <= N else False
-        mat, rhs = _pi_core(s, f, grid, N, nodes,
-                            rhs_index=-n if include_rhs else None)
+        mat, rhs, active_rows = _pi_core(s, f, grid, N, nodes,
+                                         rhs_index=-n if ladder[-n + N] else None)
         block = mat[np.ix_(ladder, ladder)]
         lhs = complex(np.trace(block))
-        if not include_rhs:
-            rhs = 0.0 + 0.0j
         off = OperatorMatrix(mat, SpectralParam.induced_point(s), n, grid, N, nodes).offrow_mass()
         block_norm = float(np.linalg.norm(block, ord=2)) if block.size else 0.0
     seconds = time.perf_counter() - start
-    return CharIdentityResult(lhs, rhs, _relative_gap(lhs, rhs), off, grid, N, seconds, block_norm)
+    return CharIdentityResult(lhs, rhs, _relative_gap(lhs, rhs), off, grid, N, active_rows,
+                              seconds, block_norm)
 
 
 def corollary_check(

@@ -454,12 +454,14 @@ def _handle(args, config: RunConfig):
         payload = {"lhs": res.lhs_trace, "rhs": res.rhs_integral,
                    "rel_err": res.rel_err, "offrow_mass": res.offrow_mass,
                    "grid": list(grid.shape), "trunc": res.N,
+                   "active_rows": res.active_rows, "grid_rows": res.grid_rows,
                    "meta": {"check_seconds": res.seconds}}
         if args.refine:
             fine = (character.corollary_check if args.corollary else character.char_identity_check)(
                 p, args.n, f, grid=grid.refine(), N=args.trunc)
             payload["refined"] = {"lhs": fine.lhs_trace, "rhs": fine.rhs_integral,
-                                  "rel_err": fine.rel_err, "grid": list(fine.grid.shape)}
+                                  "rel_err": fine.rel_err, "grid": list(fine.grid.shape),
+                                  "active_rows": fine.active_rows, "grid_rows": fine.grid_rows}
         return payload, EXIT_OK if res.rel_err <= args.tol else EXIT_TOLERANCE
 
     if name == "suite":

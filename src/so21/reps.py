@@ -213,6 +213,8 @@ def _cocycle_batch(thetas, gs):
     -------
     t, theta_out : ndarrays of shape (B, M)
         Boost and rotation coordinates of k_theta g = a_t n_u k_theta'.
+        theta_out comes straight from arctan2, in (-pi, pi]: every internal
+        consumer uses it only through e^{i n theta'}.
 
     Entirely closed-form: only the first and third columns of g enter, and
     the residual rotation angle is assembled from the rows of
@@ -239,18 +241,19 @@ def _cocycle_batch(thetas, gs):
         + (-(1.0 - half_u2) * sh + half_u2 * ch) * h3
     u_et = u * np.exp(t)
     k10 = u_et * h1 + h2 - u_et * h3
-    theta_out = np.arctan2(k10, k00) % (2.0 * np.pi)
-    return t, theta_out
+    return t, np.arctan2(k10, k00)
 
 
 def cocycle(theta, g):
     """Boost and rotation parts (t, theta') of k_theta g = a_t n_u k_theta'.
 
     theta may be a scalar or an array; g is a single validated element.
+    theta' is reduced to [0, 2 pi).
     """
     g = require_member(g, "cocycle input")
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
     t, theta_out = _cocycle_batch(theta_arr, g[None])
+    theta_out = theta_out % (2.0 * np.pi)
     if np.ndim(theta) == 0:
         return float(t[0, 0]), float(theta_out[0, 0])
     return t[0], theta_out[0]

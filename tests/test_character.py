@@ -152,6 +152,53 @@ def test_pi_adjoint_for_unitary_parameter():
     assert np.max(np.abs(op_star - op.conj().T)) / scale < 1e-3
 
 
+def _pi_per_node(s, f, grid, N, nodes, rhs_index):
+    # reference for character._pi_core: the cocycle runs on every grid
+    # element, and each node contributes w f(g) <rho(g) e_n, e_m> directly
+    gs = grid.elements()
+    fvals = np.asarray(f(gs), dtype=complex)
+    active = np.abs(fvals) > 0.0
+    mult, theta_out = reps._induced_nodes((1.0 + s) / 2.0, gs[active], N, nodes)
+    wf = grid.node_weight * fvals[active]
+    S = np.empty((nodes, 2 * N + 1), dtype=complex)
+    for idx, n in enumerate(range(-N, N + 1)):
+        S[:, idx] = wf @ (mult * np.exp(1j * n * theta_out))
+    rhs = wf @ reps._coefficient(mult, theta_out, rhs_index, rhs_index)
+    return reps._projector(N, nodes) @ S, rhs
+
+
+def _off_type(f):
+    # declared of bi-type (1, 1), but its value also varies with theta2 at
+    # frequency 2, so pi(f) spreads beyond the row of isotype -1
+    def values(gs):
+        _, _, theta2 = groups._polar(np.asarray(gs, dtype=float))
+        return f(gs) * (1.0 + 0.5 * np.cos(2.0 * theta2))
+
+    return equivariant.EquivariantFn(1, 1, values, support=f.support)
+
+
+@pytest.mark.parametrize("off_type, min_offrow", [(False, 0.0), (True, 0.05)],
+                         ids=["witness", "off_type"])
+def test_pi_core_matches_per_node_reference(off_type, min_offrow):
+    # _pi_core runs the cocycle once per (t, u) row; the per-node reference
+    # runs it on every element, so agreement pins the row identity without
+    # any assumption on f.  The off-type case keeps its off-row mass (0.09
+    # here, against 0.02 for the witness alone).
+    f = _off_type(_witness(1)) if off_type else _witness(1)
+    s, N, nodes = 1.0j, 8, 36
+    grid = character.HaarGrid(nt=16, nu=16, ntheta=40)
+    mat, rhs, active_rows = character._pi_core(s, f, grid, N, nodes, rhs_index=-1)
+    ref_mat, ref_rhs = _pi_per_node(s, f, grid, N, nodes, rhs_index=-1)
+    assert 0 < active_rows < grid.nt * grid.nu
+    assert np.max(np.abs(mat - ref_mat)) < 1e-12 * np.max(np.abs(ref_mat))
+    assert abs(rhs - ref_rhs) < 1e-12 * abs(ref_rhs)
+    p = reps.SpectralParam.principal(1.0)
+    off = character.OperatorMatrix(mat, p, 1, grid, N, nodes).offrow_mass()
+    ref_off = character.OperatorMatrix(ref_mat, p, 1, grid, N, nodes).offrow_mass()
+    assert abs(off - ref_off) < 1e-12
+    assert off > min_offrow
+
+
 def test_pi_validation():
     f = _witness(1)
     with pytest.raises(DomainError):
@@ -226,6 +273,18 @@ def test_char_identity_node_floor():
         character.char_identity_check(p, 1, _witness(1), grid=SMALL_GRID, N=16, nodes=8)
     with pytest.raises(DomainError):
         character.corollary_check(p, 1, _witness(-1), grid=SMALL_GRID, N=16, nodes=8)
+
+
+def test_char_identity_isotype_outside_truncation():
+    # the truncated trace cannot see isotype -n when |n| > N: the induced
+    # check used to report rel_err ~ 1 and the ladder check a vacuous rhs = 0
+    f = _witness(10)
+    for p in (reps.SpectralParam.principal(1.0), reps.SpectralParam.discrete(2, 1)):
+        with pytest.raises(DomainError):
+            character.char_identity_check(p, 10, f, grid=SMALL_GRID, N=8)
+    with pytest.raises(DomainError):
+        character.corollary_check(reps.SpectralParam.principal(1.0), -10, f,
+                                  grid=SMALL_GRID, N=8)
 
 
 def test_char_identity_type_validation():

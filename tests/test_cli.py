@@ -193,12 +193,22 @@ def test_charcheck_gate(capsys):
                              "--tol", "0.05", "--no-meta")
     assert code == 0
     assert payload["rel_err"] < 0.05
-    # the two sides share the quadrature, so they agree to ~1e-15; the
+    assert 0 < payload["active_rows"] < payload["grid_rows"] == 24 * 24
+    # the two sides share the quadrature, so they agree to ~1e-16; the
     # tolerance gate is exercised below that floor
     code, _ = run_json(capsys, "charcheck", "--s", "i", "--n", "1",
                        "--grid", "24,24,48", "--trunc", "8",
                        "--tol", "1e-17", "--no-meta")
     assert code == 3
+
+
+def test_charcheck_isotype_outside_truncation(capsys):
+    # isotype -20 is outside the truncation 16: a domain error, not a
+    # tolerance failure
+    code = cli.run(["charcheck", "--s", "i", "--n", "20", "--trunc", "16",
+                    "--grid", "24,24,64", "--no-meta"])
+    assert code == 2
+    assert "outside the truncation" in capsys.readouterr().err
 
 
 def test_charcheck_corollary_and_refine(capsys):
