@@ -35,10 +35,12 @@ import numpy as np
 
 from .errors import DomainError, SupportWarning, TruncationWarning
 from .groups import IwasawaCoords, _polar, haar_density, make_a, make_k, make_n, recompose
-from .reps import SpectralParam, _coefficient, _induced_nodes, _node_count, _projector
+from .reps import SpectralParam, _coefficient, _induced_nodes, _node_count, _projector, k_types
 from .equivariant import EquivariantFn, bump
 
 BOUNDARY_TOL = 1e-12
+BOUNDARY_SAMPLES = 24
+REFINE_FACTOR = 1.5
 _CHUNK = 65536
 
 
@@ -60,12 +62,12 @@ class HaarGrid:
     nu: int = 48
     ntheta: int = 96
 
-    def refine(self, factor: float = 1.5) -> "HaarGrid":
-        """Grid with every node count scaled up by `factor`."""
+    def refine(self) -> "HaarGrid":
+        """Grid with every node count scaled up by REFINE_FACTOR."""
         return HaarGrid(
-            self.t_min, self.t_max, int(np.ceil(self.nt * factor)),
-            self.u_min, self.u_max, int(np.ceil(self.nu * factor)),
-            int(np.ceil(self.ntheta * factor)),
+            self.t_min, self.t_max, int(np.ceil(self.nt * REFINE_FACTOR)),
+            self.u_min, self.u_max, int(np.ceil(self.nu * REFINE_FACTOR)),
+            int(np.ceil(self.ntheta * REFINE_FACTOR)),
         )
 
     @property
@@ -125,11 +127,11 @@ class HaarGrid:
             row, k = np.divmod(np.arange(start, min(start + _CHUNK, count)), self.ntheta)
             yield bases[row] @ rotations[k]
 
-    def boundary_elements(self, samples: int = 24):
-        """Elements on the four t/u faces of the box, for support checks."""
-        ts = np.linspace(self.t_min, self.t_max, samples)
-        us = np.linspace(self.u_min, self.u_max, samples)
-        thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    def boundary_elements(self):
+        """Elements on the four t/u faces of the box, BOUNDARY_SAMPLES per axis."""
+        ts = np.linspace(self.t_min, self.t_max, BOUNDARY_SAMPLES)
+        us = np.linspace(self.u_min, self.u_max, BOUNDARY_SAMPLES)
+        thetas = np.linspace(0.0, 2.0 * np.pi, BOUNDARY_SAMPLES, endpoint=False)
         faces = []
         for t_edge in (self.t_min, self.t_max):
             T, U, TH = np.meshgrid([t_edge], us, thetas, indexing="ij")
@@ -305,13 +307,13 @@ def char_identity_check(
 ) -> CharIdentityResult:
     """Verify trace pi(f) = integral of f times the (-n, -n) matrix coefficient.
 
-    f must be of bi-type (n, n).  For an induced parameter the trace of the
-    full truncated matrix is compared with the independent quadrature of
-    f times <rho(g) e_{-n}, e_{-n}>.  For a discrete parameter the operator
-    is assembled in the ambient induced space at s = m - 1 and restricted
-    to the ladder subspace; when the ladder misses the isotype -n both
-    sides must come out numerically zero.  The isotype -n must lie inside
-    the truncation, |n| <= N.
+    f must be of bi-type (n, n).  The operator is assembled in the ambient
+    induced space (s = m - 1 for a discrete parameter), and its trace over
+    the K-types of p inside the truncation (all of them for an induced
+    kind, the ladder for a discrete one) is compared with the independent
+    quadrature of f times <rho(g) e_{-n}, e_{-n}>.  When the K-types miss
+    the isotype -n both sides must come out numerically zero.  The isotype
+    -n must lie inside the truncation, |n| <= N.
     """
     if f.n_left != f.n_right:
         raise DomainError("character identity needs a test function of bi-type (n, n)")
@@ -324,24 +326,15 @@ def char_identity_check(
     grid = grid if grid is not None else HaarGrid()
     nodes = _node_count(N, nodes)
     start = time.perf_counter()
-    s = p.induced_s
-
-    if p.is_induced:
-        mat, rhs, active_rows = _pi_core(s, f, grid, N, nodes, rhs_index=-n)
-        lhs = complex(np.trace(mat))
-        op = OperatorMatrix(mat, p, n, grid, N, nodes)
-        off = op.offrow_mass()
-        block_norm = None
-    else:
-        ns = np.arange(-N, N + 1)
-        edge = p.m // 2
-        ladder = ns >= edge if p.sign > 0 else ns <= -edge
-        mat, rhs, active_rows = _pi_core(s, f, grid, N, nodes,
-                                         rhs_index=-n if ladder[-n + N] else None)
-        block = mat[np.ix_(ladder, ladder)]
-        lhs = complex(np.trace(block))
-        off = OperatorMatrix(mat, SpectralParam.induced_point(s), n, grid, N, nodes).offrow_mass()
-        block_norm = float(np.linalg.norm(block, ord=2)) if block.size else 0.0
+    block = k_types(p).contains(np.arange(-N, N + 1))
+    mat, rhs, active_rows = _pi_core(p.induced_s, f, grid, N, nodes,
+                                     rhs_index=-n if block[-n + N] else None)
+    restricted = mat[np.ix_(block, block)]
+    lhs = complex(np.trace(restricted))
+    off = OperatorMatrix(mat, p, n, grid, N, nodes).offrow_mass()
+    block_norm = None
+    if not p.is_induced:
+        block_norm = float(np.linalg.norm(restricted, ord=2)) if restricted.size else 0.0
     seconds = time.perf_counter() - start
     return CharIdentityResult(lhs, rhs, _relative_gap(lhs, rhs), off, grid, N, active_rows,
                               seconds, block_norm)

@@ -14,7 +14,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,16 +61,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run's output."""
-
-    subcommand: str
-    format: str
-    no_meta: bool
-    out: str | None
 
 
 def _parse_floats(text, count=None):
@@ -123,20 +112,20 @@ def _jsonable(value):
     return value
 
 
-def _emit(payload, config: RunConfig, started: float) -> None:
+def _emit(payload, args, started: float) -> None:
     # timings a handler reports ride in its "meta" entry, never in the payload
     payload = dict(payload)
     timings = payload.pop("meta", {})
-    if not config.no_meta:
+    if not args.no_meta:
         payload["meta"] = {
-            "subcommand": config.subcommand,
+            "subcommand": args.subcommand,
             "runtime_seconds": time.perf_counter() - started,
             "timestamp": time.time(),
             **timings,
         }
-    if config.format == "json":
+    if args.format == "json":
         text = json.dumps(_jsonable(payload), sort_keys=True)
-    elif config.format == "csv":
+    elif args.format == "csv":
         rows = payload.get("rows")
         if rows is None:
             raise UsageError("csv output is only available for 1-D sweeps")
@@ -147,8 +136,8 @@ def _emit(payload, config: RunConfig, started: float) -> None:
         text = buf.getvalue().rstrip("\n")
     else:
         text = "\n".join(f"{k}: {v}" for k, v in _jsonable(payload).items())
-    if config.out:
-        with open(config.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -286,9 +275,9 @@ def _algebra_from_text(text):
     return np.array(_parse_floats(text, 9)).reshape(3, 3)
 
 
-def _handle(args, config: RunConfig):
+def _handle(args):
     """Dispatch to the library; returns (payload, exit_code)."""
-    name = config.subcommand
+    name = args.subcommand
 
     if name == "iwasawa":
         if args.recompose:
@@ -487,10 +476,9 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    config = RunConfig(args.subcommand, args.format, args.no_meta, args.out)
     try:
-        payload, code = _handle(args, config)
-        _emit(payload, config, started)
+        payload, code = _handle(args)
+        _emit(payload, args, started)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -173,12 +173,14 @@ class GramResult:
         return self.min_eig > 0
 
 
+GRAM_QUAD_NODES = 64
+GRAM_COEF_NODES = 128
+
+
 def gram_min_eig(
     params: list[SpectralParam],
     n: int,
     region: tuple[float, float] = (0.0, 2.0),
-    quad_nodes=None,
-    coef_nodes=None,
 ) -> GramResult:
     """Smallest eigenvalue of the Gram matrix of diagonal matrix coefficients.
 
@@ -206,27 +208,26 @@ def gram_min_eig(
     lo, hi = float(region[0]), float(region[1])
     if not 0.0 <= lo < hi:
         raise DomainError("region must be an interval [lo, hi) with 0 <= lo < hi")
-    quad_nodes = 64 if quad_nodes is None else int(quad_nodes)
-    coef_nodes = 128 if coef_nodes is None else int(coef_nodes)
 
     def assemble(nq):
         xs, ws = np.polynomial.legendre.leggauss(nq)
         rs = lo + (hi - lo) * (xs + 1.0) / 2.0
         ws = ws * (hi - lo) / 2.0
         boosts = make_a(rs)
-        vals = np.array([_matcoef_batch(p.induced_s, boosts, n, n, coef_nodes) for p in params])
+        vals = np.array([_matcoef_batch(p.induced_s, boosts, n, n, GRAM_COEF_NODES)
+                         for p in params])
         weight = ws * np.sinh(rs)
         gram = 2.0 * np.pi * np.einsum("q,jq,kq->jk", weight, vals, np.conj(vals))
         return 0.5 * (gram + gram.conj().T)
 
-    coarse = assemble(quad_nodes)
-    fine = assemble(2 * quad_nodes)
+    coarse = assemble(GRAM_QUAD_NODES)
+    fine = assemble(2 * GRAM_QUAD_NODES)
     scale = max(float(np.max(np.abs(fine))), 1e-300)
     drift = float(np.max(np.abs(fine - coarse))) / scale
     if drift > 1e-8:
         raise NumericError(
             f"gram quadrature not converged: relative drift {drift:.2e} "
-            f"between {quad_nodes} and {2 * quad_nodes} nodes"
+            f"between {GRAM_QUAD_NODES} and {2 * GRAM_QUAD_NODES} nodes"
         )
     eigs = np.linalg.eigvalsh(fine)
     min_eig = float(eigs[0])

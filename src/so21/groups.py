@@ -105,18 +105,21 @@ class So21Diagnostic:
 def so21_check(mat) -> So21Diagnostic:
     """Diagnose whether ``mat`` lies in SO(2,1)^0.
 
-    Reports the worst-entry defect of g^T J g = J, the determinant defect
-    |det g - 1|, and whether the (3,3) entry is >= 1 (identity component).
-    Accepts any input and never raises; malformed shapes come back with
-    infinite defects.
+    Reports the worst-entry defect of g^T J g = J and the determinant defect
+    |det g - 1|, each divided by max(1, max|g|)^2 (entries of size G carry
+    rounding errors of size G^2 eps in both), and whether the (3,3) entry is
+    >= 1 (identity component).  Elements with entries <= 1 are judged on
+    absolute defects.  Accepts any input and never raises; malformed shapes
+    come back with infinite defects.
     """
     m = np.asarray(mat, dtype=float)
     if m.shape[-2:] != (3, 3):
         return So21Diagnostic(np.inf, np.inf, False)
     with np.errstate(all="ignore"):
-        form = np.swapaxes(m, -1, -2) @ J @ m - J
-        form_defect = float(np.max(np.abs(form)))
-        det_defect = float(np.max(np.abs(np.linalg.det(m) - 1.0)))
+        scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1))) ** 2
+        form = np.abs(np.swapaxes(m, -1, -2) @ J @ m - J).max(axis=(-2, -1))
+        form_defect = float((form / scale).max())
+        det_defect = float((np.abs(np.linalg.det(m) - 1.0) / scale).max())
         component_ok = bool(np.all(m[..., 2, 2] >= 1.0 - COMPONENT_TOL))
     if not np.isfinite(form_defect):
         return So21Diagnostic(np.inf, np.inf, False)
@@ -261,27 +264,45 @@ class CartanCoords:
     theta2: float
 
 
+def _iwasawa(q1, q2, q3, p1, p2, p3):
+    """Raw coordinates (t, u, theta) of g = a_t n_u k_theta from two columns.
+
+    Takes the first column (q1, q2, q3) and the third column (p1, p2, p3)
+    of an unvalidated member, as arrays that broadcast together.  The point
+    z = x + iy that g moves the hyperbolic base point to is read off the
+    third column: y = 1/(p3 - p1) and x = p2 * y.  The boost is t = ln y.
+    Swapping the order of the boost and unipotent factors rescales the
+    unipotent parameter by e^{-t} (= 1/y), so with x = u e^t the
+    decomposition lands on u = x / y = p2.  The angle is read off the first
+    column of the residual rotation (a_t n_u)^{-1} g, assembled from the
+    rows of n_{-u} a_{-t} without building any 3x3 products; it comes
+    straight from arctan2, in (-pi, pi].
+    """
+    t = -np.log(p3 - p1)
+    u = p2
+    ch, sh = np.cosh(t), np.sinh(t)
+    half_u2 = u * u / 2.0
+    k00 = ((1.0 - half_u2) * ch - half_u2 * sh) * q1 - u * q2 \
+        + (-(1.0 - half_u2) * sh + half_u2 * ch) * q3
+    u_et = u * np.exp(t)
+    k10 = u_et * q1 + q2 - u_et * q3
+    return t, u, np.arctan2(k10, k00)
+
+
 def iwasawa(g) -> IwasawaCoords:
-    """Decompose g = a_t n_u k_theta.
+    """Decompose g = a_t n_u k_theta, with theta in [0, 2*pi).
 
-    The point z = x + iy that g moves the hyperbolic base point to is read
-    off the third column (p1, p2, p3): y = 1/(p3 - p1) and x = p2 * y.  The
-    boost is t = ln y.  Swapping the order of the boost and unipotent factors
-    rescales the unipotent parameter by e^{-t} (= 1/y), so with x = u e^t the
-    decomposition g = a_t n_u k lands on u = x / y = p2.  The rotation angle
-    is read off the residual k = (a_t n_u)^{-1} g.
-
-    Broadcasts over stacked input; membership is checked first.
+    See :func:`_iwasawa` for the closed form.  Broadcasts over stacked
+    input; membership is checked first.
     """
     g = require_member(g, "iwasawa input")
-    p1, p2, p3 = g[..., 0, 2], g[..., 1, 2], g[..., 2, 2]
-    emt = p3 - p1
     # the third column is J-unit: p3^2 = 1 + p1^2 + p2^2, hence p3 > |p1|
-    assert np.all(emt > 0.0), "invalid member slipped past the form check"
-    t = -np.log(emt) + 0.0  # avoid negative zero at the identity
-    u = p2
-    k = make_n(-u) @ make_a(-t) @ g
-    theta = np.arctan2(k[..., 1, 0], k[..., 0, 0]) % (2.0 * np.pi)
+    if not np.all(g[..., 2, 2] - g[..., 0, 2] > 0.0):
+        raise DomainError("iwasawa input too large to decompose: p3 - p1 <= 0 after rounding")
+    t, u, theta = _iwasawa(g[..., 0, 0], g[..., 1, 0], g[..., 2, 0],
+                           g[..., 0, 2], g[..., 1, 2], g[..., 2, 2])
+    t = t + 0.0  # avoid negative zero at the identity
+    theta = theta % (2.0 * np.pi)
     if g.ndim == 2:
         return IwasawaCoords(float(t), float(u), float(theta))
     return IwasawaCoords(t, u, theta)
@@ -379,4 +400,4 @@ def random_elements(rng, count, t_bound=2.0, u_bound=2.0):
     t = rng.uniform(-t_bound, t_bound, size=count)
     u = rng.uniform(-u_bound, u_bound, size=count)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
-    return make_a(t) @ make_n(u) @ make_k(theta)
+    return recompose(IwasawaCoords(t, u, theta))

@@ -96,12 +96,11 @@ def phi(w, z, nodes=None):
     return complex(np.mean(np.exp(w * np.log(orbit.imag))))
 
 
-def laplacian_fd(f, z, h=1e-3, richardson=True):
+def laplacian_fd(f, z, h=1e-3):
     """Hyperbolic Laplacian -y^2 (d^2/dx^2 + d^2/dy^2) by central differences.
 
-    The 5-point stencil is O(h^2); with one Richardson level (default) it is
-    O(h^4).  The stencil must stay inside the half-plane, enforced as
-    h < y/4.
+    The 5-point stencil is O(h^2); one Richardson level makes it O(h^4).
+    The stencil must stay inside the half-plane, enforced as h < y/4.
     """
     z = complex(_require_hpoint(z))
     y = z.imag
@@ -114,8 +113,6 @@ def laplacian_fd(f, z, h=1e-3, richardson=True):
         return -(y * y) * (horiz + vert)
 
     coarse = stencil(h)
-    if not richardson:
-        return coarse
     fine = stencil(h / 2.0)
     return (4.0 * fine - coarse) / 3.0
 

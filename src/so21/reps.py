@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, TruncationWarning
-from .groups import require_member
+from .groups import _iwasawa, require_member
 
 TOP_MODE_ENERGY_TOL = 1e-6
 
@@ -216,32 +216,16 @@ def _cocycle_batch(thetas, gs):
         theta_out comes straight from arctan2, in (-pi, pi]: every internal
         consumer uses it only through e^{i n theta'}.
 
-    Entirely closed-form: only the first and third columns of g enter, and
-    the residual rotation angle is assembled from the rows of
-    (a_t n_u)^{-1} without building any 3x3 products.
+    Runs :func:`so21.groups._iwasawa` on the first and third columns of
+    k_theta g, which rotates only their first two entries.
     """
     c = np.cos(thetas)[None, :]
     s = np.sin(thetas)[None, :]
-    p1 = gs[:, 0, 2, None]
-    p2 = gs[:, 1, 2, None]
-    p3 = gs[:, 2, 2, None]
-    q1 = gs[:, 0, 0, None]
-    q2 = gs[:, 1, 0, None]
-    q3 = gs[:, 2, 0, None]
-    exp_neg_t = p3 - (p1 * c - p2 * s)
-    t = -np.log(exp_neg_t)
-    u = p1 * s + p2 * c
-    # first column of h = k_theta g
-    h1 = q1 * c - q2 * s
-    h2 = q1 * s + q2 * c
-    h3 = q3
-    ch, sh = np.cosh(t), np.sinh(t)
-    half_u2 = u * u / 2.0
-    k00 = ((1.0 - half_u2) * ch - half_u2 * sh) * h1 - u * h2 \
-        + (-(1.0 - half_u2) * sh + half_u2 * ch) * h3
-    u_et = u * np.exp(t)
-    k10 = u_et * h1 + h2 - u_et * h3
-    return t, np.arctan2(k10, k00)
+    q1, q2, q3 = (gs[:, i, 0, None] for i in range(3))
+    p1, p2, p3 = (gs[:, i, 2, None] for i in range(3))
+    t, _, theta_out = _iwasawa(q1 * c - q2 * s, q1 * s + q2 * c, q3,
+                               p1 * c - p2 * s, p1 * s + p2 * c, p3)
+    return t, theta_out
 
 
 def cocycle(theta, g):
@@ -482,13 +466,14 @@ LADDER_GUARD = 4
 LADDER_SOURCE_GUARD = 8
 
 
-def discrete_ladder_leakage(m: int, sign: int, g, N: int, nodes=None) -> float:
+def discrete_ladder_leakage(m: int, sign: int, g, N: int) -> float:
     """Coefficient mass escaping the discrete-series ladder inside V(m-1).
 
-    Acts with the induced representation at parameter s = m - 1 on every
-    basis vector of the ladder (n >= m/2 for sign +, mirrored for -) whose
-    index keeps a margin of 8 below the truncation bound, and measures the
-    relative mass landing outside the ladder.  The top 4 modes on each side
+    Acts with the induced representation at parameter s = m - 1, on the
+    4N + 4 nodes of :func:`rep_matrix`, on every basis vector of the ladder
+    (n >= m/2 for sign +, mirrored for -) whose index keeps a margin of 8
+    below the truncation bound, and measures the relative mass landing
+    outside the ladder.  The top 4 modes on each side
     are excluded as truncation guard.  An exactly invariant subspace drives
     this to roundoff; the value must also not grow beyond noise as N does.
     """
@@ -496,10 +481,9 @@ def discrete_ladder_leakage(m: int, sign: int, g, N: int, nodes=None) -> float:
     if N < m // 2 + LADDER_SOURCE_GUARD:
         raise DomainError(f"need N >= {m // 2 + LADDER_SOURCE_GUARD} for m = {m}")
     ambient = SpectralParam.induced_point(p.induced_s)
-    rep = rep_matrix(ambient, g, N, nodes=nodes)
+    rep = rep_matrix(ambient, g, N)
     ns = np.arange(-N, N + 1)
-    edge = m // 2
-    in_ladder = ns >= edge if sign > 0 else ns <= -edge
+    in_ladder = k_types(p).contains(ns)
     guard = np.abs(ns) <= N - LADDER_GUARD
     sources = in_ladder & (np.abs(ns) <= N - LADDER_SOURCE_GUARD)
     cols = rep.mat[:, sources]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from numpy.testing import assert_allclose
 
 from so21 import groups
@@ -78,6 +78,22 @@ def test_so21_check_rejects_reflection():
 def test_so21_check_closure_under_product():
     g = groups.make_a(2.0) @ groups.make_k(1.0)
     assert groups.so21_check(g).accepted
+
+
+@given(iwasawa_params(), iwasawa_params())
+@example((2.0, 1.96875, 2.0), (2.0, 1.75, 0.0))
+def test_so21_check_accepts_products_of_desk_scale_elements(p1, p2):
+    # entries up to ~543 carry form defects above the absolute 1e-10
+    g = groups.recompose(groups.IwasawaCoords(*p1)) @ groups.recompose(groups.IwasawaCoords(*p2))
+    assert groups.so21_check(g).accepted
+
+
+def test_so21_check_rejects_relative_perturbation():
+    g = groups.recompose(groups.IwasawaCoords(3.0, 0.5, 1.0))
+    assert groups.so21_check(g).accepted
+    bumped = g.copy()
+    bumped[0, 1] += 1e-8 * np.max(np.abs(g))
+    assert not groups.so21_check(bumped).accepted
 
 
 def test_so21_check_never_raises():
@@ -231,6 +247,14 @@ def test_iwasawa_batched_matches_scalar():
 def test_iwasawa_rejects_non_member():
     with pytest.raises(DomainError):
         groups.iwasawa(np.zeros((3, 3)))
+
+
+def test_iwasawa_rejects_boost_beyond_float_range():
+    # a_40 passes membership, but cosh 40 - sinh 40 rounds to 0
+    g = groups.make_a(40.0)
+    assert groups.so21_check(g).accepted
+    with pytest.raises(DomainError):
+        groups.iwasawa(g)
 
 
 # ---------------------------------------------------------------------------

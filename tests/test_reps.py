@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 from numpy.testing import assert_allclose
 
 from so21 import groups, hyperbolic, reps
 from so21.errors import DomainError, TruncationWarning
+
+from conftest import iwasawa_params
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +100,21 @@ def test_cocycle_rotation_adds_angles(theta, alpha):
     assert abs(t) < 1e-12
     gap = (theta_out - (theta + alpha)) % (2 * np.pi)
     assert min(gap, 2 * np.pi - gap) < 1e-10
+
+
+@given(iwasawa_params(), st.floats(0.0, 2.0 * np.pi, exclude_max=True))
+@example((2.0, 1.875, 0.0), 2.0)
+def test_cocycle_recomposes_rotated_element(params, theta):
+    # oracle independent of the shared Iwasawa kernel: k_theta g rebuilt
+    # from the cocycle's (t, theta') and u read off its (1, 2) entry
+    g = groups.recompose(groups.IwasawaCoords(*params))
+    h = groups.make_k(theta) @ g
+    t, theta_out = reps.cocycle(theta, g)
+    rebuilt = groups.recompose(groups.IwasawaCoords(t, h[1, 2], theta_out))
+    # theta' sums terms of size |h|^2 that cancel to cos and sin theta', so it
+    # carries up to about 50 |h|^2 eps: (2, 1.875, 0) at theta = 2 is 2.3e-12
+    scale = np.max(np.abs(h))
+    assert np.max(np.abs(rebuilt - h)) / scale < 1e-13 * scale**2
 
 
 def test_cocycle_matches_iwasawa():
