@@ -303,7 +303,8 @@ def _handle(args):
         return {"sl2": rep.matrix,
                 "diagnostics": {"form_defect": diag.form_defect,
                                 "det_defect": diag.det_defect,
-                                "component_ok": diag.component_ok}}, EXIT_OK
+                                "component_ok": diag.component_ok,
+                                "boost_error": diag.boost_error}}, EXIT_OK
 
     if name == "bracket":
         if args.adw_check:

@@ -30,6 +30,7 @@ J = np.diag([1.0, 1.0, -1.0])
 FORM_TOL = 1e-10
 DET_TOL = 1e-10
 COMPONENT_TOL = 1e-12
+BOOST_TOL = 1e-8
 SIGN_TOL = 1e-12
 
 
@@ -92,6 +93,7 @@ class So21Diagnostic:
     form_defect: float
     det_defect: float
     component_ok: bool
+    boost_error: float
 
     @property
     def accepted(self) -> bool:
@@ -99,6 +101,7 @@ class So21Diagnostic:
             self.form_defect < FORM_TOL
             and self.det_defect < DET_TOL
             and self.component_ok
+            and self.boost_error < BOOST_TOL
         )
 
 
@@ -109,21 +112,32 @@ def so21_check(mat) -> So21Diagnostic:
     |det g - 1|, each divided by max(1, max|g|)^2 (entries of size G carry
     rounding errors of size G^2 eps in both), and whether the (3,3) entry is
     >= 1 (identity component).  Elements with entries <= 1 are judged on
-    absolute defects.  Accepts any input and never raises; malformed shapes
-    come back with infinite defects.
+    absolute defects.
+
+    Relative defects do not bound the size of g, so the domain also ends
+    where the Iwasawa boost can no longer be read off g.  For every rotation
+    k_theta g, e^{-t} = p3 - p1' is at least e^{-r} = p3 - |(p1, p2)| on the
+    third column, r the Cartan radius, and the entries carry rounding errors
+    of size max|g| eps.  ``boost_error`` is max(1, max|g|) eps / e^{-r} (about
+    e^{2r} eps; infinite when e^{-r} <= 0), and members keep it below
+    BOOST_TOL, about r < 9.  Accepts any input and never raises; malformed
+    shapes come back with infinite defects.
     """
     m = np.asarray(mat, dtype=float)
     if m.shape[-2:] != (3, 3):
-        return So21Diagnostic(np.inf, np.inf, False)
+        return So21Diagnostic(np.inf, np.inf, False, np.inf)
     with np.errstate(all="ignore"):
-        scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1))) ** 2
+        size = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+        scale = size ** 2
         form = np.abs(np.swapaxes(m, -1, -2) @ J @ m - J).max(axis=(-2, -1))
         form_defect = float((form / scale).max())
         det_defect = float((np.abs(np.linalg.det(m) - 1.0) / scale).max())
         component_ok = bool(np.all(m[..., 2, 2] >= 1.0 - COMPONENT_TOL))
+        boost = m[..., 2, 2] - np.hypot(m[..., 0, 2], m[..., 1, 2])
+        boost_error = np.where(boost > 0.0, size * np.finfo(float).eps / boost, np.inf)
     if not np.isfinite(form_defect):
-        return So21Diagnostic(np.inf, np.inf, False)
-    return So21Diagnostic(form_defect, det_defect, component_ok)
+        return So21Diagnostic(np.inf, np.inf, False, np.inf)
+    return So21Diagnostic(form_defect, det_defect, component_ok, float(boost_error.max()))
 
 
 def require_member(mat, what="matrix"):
@@ -133,7 +147,8 @@ def require_member(mat, what="matrix"):
     if not diag.accepted:
         raise DomainError(
             f"{what} is not in SO(2,1)^0: form defect {diag.form_defect:.2e}, "
-            f"det defect {diag.det_defect:.2e}, component_ok={diag.component_ok}"
+            f"det defect {diag.det_defect:.2e}, component_ok={diag.component_ok}, "
+            f"boost error {diag.boost_error:.2e}"
         )
     return m
 
@@ -293,12 +308,10 @@ def iwasawa(g) -> IwasawaCoords:
     """Decompose g = a_t n_u k_theta, with theta in [0, 2*pi).
 
     See :func:`_iwasawa` for the closed form.  Broadcasts over stacked
-    input; membership is checked first.
+    input; membership is checked first, and keeps p3 - p1 well above its
+    rounding error (see :func:`so21_check`).
     """
     g = require_member(g, "iwasawa input")
-    # the third column is J-unit: p3^2 = 1 + p1^2 + p2^2, hence p3 > |p1|
-    if not np.all(g[..., 2, 2] - g[..., 0, 2] > 0.0):
-        raise DomainError("iwasawa input too large to decompose: p3 - p1 <= 0 after rounding")
     t, u, theta = _iwasawa(g[..., 0, 0], g[..., 1, 0], g[..., 2, 0],
                            g[..., 0, 2], g[..., 1, 2], g[..., 2, 2])
     t = t + 0.0  # avoid negative zero at the identity

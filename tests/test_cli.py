@@ -44,6 +44,13 @@ def test_domain_error_exit_code(capsys):
     assert cli.run(["iwasawa", "--matrix", bad]) == 2
 
 
+def test_matcoef_boost_beyond_precision_exit_code(capsys):
+    code = cli.run(["matcoef", "--s", "1", "--g-iwasawa", "40,0,0",
+                    "--n", "0", "--m", "0", "--no-meta"])
+    assert code == 2
+    assert "boost error" in capsys.readouterr().err
+
+
 def test_tolerance_gate_exit_codes(capsys):
     code, payload = run_json(capsys, "eigencheck", "--w", "0.5", "--z", "1,2", "--no-meta")
     assert code == 0
@@ -78,6 +85,7 @@ def test_psi_and_inverse(capsys):
     assert code == 0
     assert back["sl2"] == pytest.approx([1.0, 1.0, 0.0, 1.0], abs=1e-12)
     assert back["diagnostics"]["component_ok"] is True
+    assert back["diagnostics"]["boost_error"] < 1e-8
 
 
 def test_cartan_output(capsys):

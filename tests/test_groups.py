@@ -249,12 +249,24 @@ def test_iwasawa_rejects_non_member():
         groups.iwasawa(np.zeros((3, 3)))
 
 
-def test_iwasawa_rejects_boost_beyond_float_range():
-    # a_40 passes membership, but cosh 40 - sinh 40 rounds to 0
-    g = groups.make_a(40.0)
-    assert groups.so21_check(g).accepted
+@pytest.mark.parametrize("t", [10.0, 12.0, 40.0])
+def test_iwasawa_rejects_boost_beyond_precision(t):
+    # a_t has form defect 0 relative to its size, but e^{-t} = cosh t - sinh t
+    # carries a relative error of about e^{2t} eps, and rounds to 0 at t = 40
+    g = groups.make_a(t)
+    diag = groups.so21_check(g)
+    assert diag.form_defect < groups.FORM_TOL
+    assert not diag.accepted
+    assert diag.boost_error >= groups.BOOST_TOL
     with pytest.raises(DomainError):
         groups.iwasawa(g)
+
+
+def test_so21_check_accepts_boosts_the_absolute_test_accepted():
+    # t = 7.5 passed the absolute form test; membership ends near t = 9.1
+    for t in (7.5, 9.0):
+        assert groups.so21_check(groups.make_a(t)).accepted
+        assert groups.so21_check(groups.make_a(t) @ groups.make_k(1.0)).accepted
 
 
 # ---------------------------------------------------------------------------

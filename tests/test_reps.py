@@ -117,6 +117,17 @@ def test_cocycle_recomposes_rotated_element(params, theta):
     assert np.max(np.abs(rebuilt - h)) / scale < 1e-13 * scale**2
 
 
+@pytest.mark.parametrize("t", [12.0, 40.0])
+def test_cocycle_and_matcoef_reject_boost_beyond_precision(t):
+    # e^{-t} of a_t is unreadable here (0 after rounding at t = 40, which
+    # made the cocycle's t infinite and matcoef NaN); membership rejects it
+    g = groups.make_a(t)
+    with pytest.raises(DomainError):
+        reps.cocycle(0.0, g)
+    with pytest.raises(DomainError):
+        reps.matcoef(reps.SpectralParam.principal(1.0), g, 0, 0)
+
+
 def test_cocycle_matches_iwasawa():
     g = groups.make_a(0.5) @ groups.make_n(1.0) @ groups.make_k(2.0)
     theta = 0.9
