@@ -158,13 +158,12 @@ def criterion_7_ladders() -> CriterionResult:
     g = groups.make_a(1.0)
     leaks = {N: reps.discrete_ladder_leakage(2, 1, g, N) for N in (16, 24, 32)}
     mirrored = reps.discrete_ladder_leakage(2, -1, g, 24)
-    decreasing = all(
-        leaks[b] <= leaks[a] + 1e-9 for a, b in ((16, 24), (24, 32))
-    )
-    passed = leaks[24] < 1e-6 and mirrored < 1e-6 and decreasing
+    # an exactly invariant ladder leaks only round-off (at most 1.5e-15 here),
+    # so every truncation is held to one round-off bound
+    passed = all(leak < 1e-12 for leak in (*leaks.values(), mirrored))
     detail = ", ".join(f"N={N}: {leaks[N]:.1e}" for N in (16, 24, 32))
     return _result(7, "discrete-series ladder", start, passed,
-                   f"{detail}, mirrored {mirrored:.1e} (<1e-6, non-increasing)")
+                   f"{detail}, mirrored {mirrored:.1e} (<1e-12)")
 
 
 def criterion_8_projectors(seed=20250108) -> CriterionResult:

@@ -34,9 +34,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SupportWarning, TruncationWarning
-from .groups import IwasawaCoords, _polar, haar_density, make_a, make_k, make_n, recompose
+from .groups import IwasawaCoords, haar_density, make_a, make_k, make_n, recompose
 from .reps import SpectralParam, _coefficient, _induced_nodes, _node_count, _projector, k_types
-from .equivariant import EquivariantFn, bump
+from .equivariant import (BumpProfile, EquivariantFn, _on_radial_support, _product_stack,
+                          _row_concatenation)
 
 BOUNDARY_TOL = 1e-12
 BOUNDARY_SAMPLES = 24
@@ -115,17 +116,24 @@ class HaarGrid:
     def chunks(self):
         """The stack of :meth:`elements` in flat-index order, `_CHUNK` nodes at a time.
 
-        Each chunk is built as row base times rotation, from the row bases
-        and the rotations computed once per call.  Grid reductions sum one
-        partial per chunk, in chunk order, so they hold one chunk of
-        elements rather than the whole grid.
+        Each chunk is sliced from the whole (t, u) rows that cover it, built
+        as one broadcast product of those row bases with every rotation; the
+        row bases and the rotations are computed once per call.  Grid
+        reductions sum one partial per chunk, in chunk order, so they hold
+        one chunk of elements (plus at most two partial rows) rather than
+        the whole grid.  The consumers stay whole-array too:
+        :func:`haar_invariance_check` translates a chunk with 2-D products,
+        and the radial integrands compute polar angles only on their support.
         """
         bases = self._row_bases()
         rotations = make_k(self.coordinate_arrays()[2])
         count = bases.shape[0] * self.ntheta
         for start in range(0, count, _CHUNK):
-            row, k = np.divmod(np.arange(start, min(start + _CHUNK, count)), self.ntheta)
-            yield bases[row] @ rotations[k]
+            stop = min(start + _CHUNK, count)
+            r0, r1 = start // self.ntheta, -(-stop // self.ntheta)
+            rows = (bases[r0:r1, None] @ rotations).reshape(-1, 3, 3)
+            offset = r0 * self.ntheta
+            yield rows[start - offset:stop - offset]
 
     def boundary_elements(self):
         """Elements on the four t/u faces of the box, BOUNDARY_SAMPLES per axis."""
@@ -377,11 +385,15 @@ class HaarCheckResult:
         return max(self.worst_left, self.worst_right)
 
 
+_ORACLE_PROFILE = BumpProfile(0.6, 0.35)
+
+
 def _oracle_test_function(gs):
     """Generic smooth compactly supported function used by the Haar oracle."""
-    theta1, r, theta2 = _polar(np.asarray(gs, dtype=float))
-    profile = bump((r - 0.6) / 0.35)
-    return profile * (1.3 + np.cos(theta1 + theta2)) * (0.7 + 0.3 * np.sin(theta2 - 2.0 * theta1))
+    return _on_radial_support(
+        gs, _ORACLE_PROFILE,
+        lambda b, theta1, theta2:
+            b * (1.3 + np.cos(theta1 + theta2)) * (0.7 + 0.3 * np.sin(theta2 - 2.0 * theta1)))
 
 
 def haar_invariance_check(grid: HaarGrid | None = None, translations=None) -> HaarCheckResult:
@@ -402,9 +414,13 @@ def haar_invariance_check(grid: HaarGrid | None = None, translations=None) -> Ha
     right_parts = {name: [] for name in translations}
     for G in grid.chunks():
         base_parts.append(np.sum(f(G)))
+        # each translate is one 2-D product: G @ g0 on the stacked rows of G,
+        # g0 @ G on the row-concatenation of its elements
+        rows = G.reshape(-1, 3)
+        columns = _row_concatenation(G)
         for name, g0 in translations.items():
-            left_parts[name].append(np.sum(f(g0 @ G)))
-            right_parts[name].append(np.sum(f(G @ g0)))
+            left_parts[name].append(np.sum(f(_product_stack(g0, columns))))
+            right_parts[name].append(np.sum(f((rows @ g0).reshape(G.shape))))
 
     def total(parts):
         return grid.node_weight * float(np.real(np.sum(np.asarray(parts))))

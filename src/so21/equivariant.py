@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .groups import _polar, make_a, make_k
+from .groups import _polar_angles, _polar_radius, make_a, make_k
 from .reps import SpectralParam, _matcoef_batch, k_types
 
 DEFAULT_PROJECTION_NODES = 128
@@ -86,6 +86,28 @@ class EquivariantFn:
         return self.evaluator(np.asarray(g, dtype=float))
 
 
+def _on_radial_support(gs, profile, value):
+    """b(r) times an angular factor on an unvalidated stack, with angles only where b(r) != 0.
+
+    The polar radius r is computed at every node.  The polar angles, and
+    `value(b, theta1, theta2)` on the nonzero profile values b, are computed
+    only where the profile is nonzero, which is a few percent of a Haar
+    grid; every other node is an exact 0.  Hot path: called on large
+    internally-built grids, so the stack is not re-validated.  A single
+    (3, 3) element gives a scalar.
+    """
+    gs = np.asarray(gs, dtype=float)
+    stack = gs.reshape(-1, 3, 3)
+    radius = _polar_radius(stack)
+    b = profile(radius)
+    on = np.flatnonzero(b)
+    theta1, theta2 = _polar_angles(stack[on], radius[on])
+    vals = value(b[on], theta1, theta2)
+    out = np.zeros(radius.shape, dtype=vals.dtype)
+    out[on] = vals
+    return out.reshape(gs.shape[:-2])[()]
+
+
 def separation_witness(n: int, profile: BumpProfile) -> EquivariantFn:
     """A bi-type (n, n) bump supported on a band of polar radii.
 
@@ -97,10 +119,9 @@ def separation_witness(n: int, profile: BumpProfile) -> EquivariantFn:
     """
 
     def evaluate(gs):
-        # hot path: called on large internally-built grids, so the stack is
-        # not re-validated; at radius zero theta2 carries the full angle
-        theta1, radius, theta2 = _polar(np.asarray(gs, dtype=float))
-        return profile(radius) * np.exp(1j * n * (theta1 + theta2))
+        # at radius zero theta2 carries the full angle
+        return _on_radial_support(
+            gs, profile, lambda b, theta1, theta2: b * np.exp(1j * n * (theta1 + theta2)))
 
     return EquivariantFn(n, n, evaluate, support=profile.support)
 
@@ -127,6 +148,21 @@ def _per_element(value, gs):
     return out.reshape(gs.shape[:-2])
 
 
+def _row_concatenation(stack):
+    """The (3, 3k) matrix [g_0 | g_1 | ...] of a (k, 3, 3) stack.
+
+    One 2-D product x @ [g_0 | g_1 | ...] multiplies x by every g_j at once,
+    with the same three-term sums as the batched 3x3 products x @ g_j; see
+    :func:`_product_stack`.
+    """
+    return stack.transpose(1, 0, 2).reshape(3, -1)
+
+
+def _product_stack(x, columns):
+    """The (k, 3, 3) stack of x @ g_j, with columns = _row_concatenation(g)."""
+    return (x @ columns).reshape(3, -1, 3).transpose(1, 0, 2)
+
+
 def project_biequivariant(f, n: int, nodes=None) -> EquivariantFn:
     """Project a function onto bi-type (n, n) by double rotation averaging.
 
@@ -136,10 +172,15 @@ def project_biequivariant(f, n: int, nodes=None) -> EquivariantFn:
     of type (n, n) and annihilates every pure type (m, m) with m != n.
     """
     thetas, rotations = _projection_angles(nodes)
+    count = thetas.size
     phase = np.exp(-1j * n * (thetas[:, None] + thetas[None, :]))
+    rows = rotations.reshape(-1, 3)
+    columns = _row_concatenation(rotations)
 
     def value(g):
-        return np.mean(phase * f(rotations[:, None] @ g @ rotations[None, :]))
+        # (rows @ g) @ columns holds k_a g k_b in block (a, b)
+        translates = ((rows @ g) @ columns).reshape(count, 3, count, 3).transpose(0, 2, 1, 3)
+        return np.mean(phase * f(translates))
 
     return EquivariantFn(n, n, lambda gs: _per_element(value, gs),
                          support=getattr(f, "support", None))
@@ -153,9 +194,10 @@ def right_isotype_project(f, n: int, nodes=None):
     """
     thetas, rotations = _projection_angles(nodes)
     phase = np.exp(-1j * n * thetas)
+    columns = _row_concatenation(rotations)
 
     def value(x):
-        return np.mean(phase * f(x @ rotations))
+        return np.mean(phase * f(_product_stack(x, columns)))
 
     return lambda xs: _per_element(value, xs)
 

@@ -329,27 +329,47 @@ def recompose(c: IwasawaCoords):
 _DEGENERATE_RADIUS = 1e-12
 
 
-def _polar(gs):
-    """Polar coordinates (theta1, r, theta2) of an unvalidated (..., 3, 3) stack.
+def _polar_radius(gs):
+    """Polar radius of an unvalidated (..., 3, 3) stack.
 
     The radius is the arcsinh of the Euclidean norm of (g13, g23), which is
     exact on the subgroup elements and numerically stable near the identity,
-    unlike arcosh(g33).  For positive radius the two angles are pinned by
-    the third column and the third row of g, and the factorization
-    k_theta1 a_r k_theta2 is unique.  Radii below 1e-12 degenerate to a pure
-    rotation, stored as (0, 0, theta2) with theta2 carrying the whole angle.
-    The angles come straight from arctan2, in (-pi, pi]; hot paths that only
-    feed them to periodic functions skip the reduction that :func:`polar`
-    applies.
+    unlike arcosh(g33).  Radii below 1e-12 degenerate to exactly 0.
     """
     r = np.arcsinh(np.hypot(gs[..., 0, 2], gs[..., 1, 2]))
+    flat = r < _DEGENERATE_RADIUS
+    if np.any(flat):
+        r = np.where(flat, 0.0, r)
+    return r
+
+
+def _polar_angles(gs, r):
+    """Polar angles (theta1, theta2) of an unvalidated stack with radii r = _polar_radius(gs).
+
+    For positive radius the two angles are pinned by the third column and
+    the third row of g, and the factorization k_theta1 a_r k_theta2 is
+    unique.  At the degenerate radius 0 the element is a pure rotation,
+    stored as theta1 = 0 with theta2 carrying the whole angle.  The angles
+    come straight from arctan2, in (-pi, pi]; hot paths that only feed them
+    to periodic functions skip the reduction that :func:`polar` applies.
+    """
     theta1 = np.arctan2(gs[..., 1, 2], gs[..., 0, 2])
     theta2 = np.arctan2(-gs[..., 2, 1], gs[..., 2, 0])
-    flat = r < _DEGENERATE_RADIUS
+    flat = r == 0.0
     if np.any(flat):
         theta1 = np.where(flat, 0.0, theta1)
         theta2 = np.where(flat, np.arctan2(gs[..., 1, 0], gs[..., 0, 0]), theta2)
-        r = np.where(flat, 0.0, r)
+    return theta1, theta2
+
+
+def _polar(gs):
+    """Polar coordinates (theta1, r, theta2) of an unvalidated (..., 3, 3) stack.
+
+    See :func:`_polar_radius` and :func:`_polar_angles`; integrands that
+    vanish outside a band of radii compute the angles only on the band.
+    """
+    r = _polar_radius(gs)
+    theta1, theta2 = _polar_angles(gs, r)
     return theta1, r, theta2
 
 
@@ -358,7 +378,7 @@ def polar(gs):
 
     Broadcasts over stacked input; membership is checked first.  Both
     angles lie in [0, 2*pi), and the factorization is unique for r > 0;
-    see :func:`_polar` for the degenerate radius.
+    see :func:`_polar_angles` for the degenerate radius.
     """
     theta1, r, theta2 = _polar(require_member(gs, "polar input"))
     return theta1 % (2.0 * np.pi), r, theta2 % (2.0 * np.pi)

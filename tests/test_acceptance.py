@@ -7,7 +7,7 @@ identity and the full-size Haar certification.
 
 import pytest
 
-from so21 import acceptance
+from so21 import acceptance, reps
 
 CRITERIA = [
     acceptance.criterion_1_covering_homomorphism,
@@ -29,3 +29,15 @@ def test_criterion(criterion):
     result = criterion()
     print(result.line())
     assert result.passed, result.detail
+
+
+def test_criterion_7_fails_on_leakage_above_round_off(monkeypatch):
+    # negative control: a leak of 1e-10 at one truncation is far above
+    # round-off and must fail the gate
+    leakage = reps.discrete_ladder_leakage
+
+    def leaky(m, sign, g, N):
+        return 1e-10 if N == 32 else leakage(m, sign, g, N)
+
+    monkeypatch.setattr(reps, "discrete_ladder_leakage", leaky)
+    assert not acceptance.criterion_7_ladders().passed

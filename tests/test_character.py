@@ -92,6 +92,85 @@ def test_haar_invariance_shared_oracle():
     assert res.worst < 0.005
 
 
+def test_haar_invariance_matches_batched_reference():
+    # 100 rotations per row does not divide 65536, so chunks end inside rows;
+    # the reference slices elements() into chunks and translates with plain
+    # batched 3x3 products, which pins both the chunk slicing and the 2-D
+    # translated products bit for bit
+    grid = character.HaarGrid(nt=40, nu=40, ntheta=100)
+    translations = {"a": groups.make_a(0.3), "n": groups.make_n(0.5), "k": groups.make_k(1.0)}
+    res = character.haar_invariance_check(grid, translations)
+
+    f = character._oracle_test_function
+    elements = grid.elements()
+    base_parts, left_parts, right_parts = [], {}, {}
+    for start in range(0, elements.shape[0], 65536):
+        G = elements[start:start + 65536]
+        base_parts.append(np.sum(f(G)))
+        for name, g0 in translations.items():
+            left_parts.setdefault(name, []).append(np.sum(f(g0 @ G)))
+            right_parts.setdefault(name, []).append(np.sum(f(G @ g0)))
+
+    def total(parts):
+        return grid.node_weight * float(np.real(np.sum(np.asarray(parts))))
+
+    base = total(base_parts)
+    assert res.base_integral == base
+    for name in translations:
+        assert res.per_translation[name] == {
+            "left": abs(total(left_parts[name]) - base) / abs(base),
+            "right": abs(total(right_parts[name]) - base) / abs(base),
+        }
+
+
+def _unmasked_witness(n, profile):
+    def values(gs):
+        theta1, r, theta2 = groups._polar(np.asarray(gs, dtype=float))
+        return profile(r) * np.exp(1j * n * (theta1 + theta2))
+    return values
+
+
+def _unmasked_oracle(gs):
+    theta1, r, theta2 = groups._polar(np.asarray(gs, dtype=float))
+    return (equivariant.bump((r - 0.6) / 0.35) * (1.3 + np.cos(theta1 + theta2))
+            * (0.7 + 0.3 * np.sin(theta2 - 2.0 * theta1)))
+
+
+_ROTATIONS = np.concatenate([
+    np.eye(3)[None],
+    groups.make_k(np.linspace(0.0, 2.0 * np.pi, 13)),
+    groups.make_a([1e-13, 0.2, 0.45]) @ groups.make_k(2.5),
+])
+
+
+@pytest.mark.parametrize("masked, unmasked, gs", [
+    (_witness(3), _unmasked_witness(3, equivariant.BumpProfile(0.6, 0.3)),
+     next(SMALL_GRID.chunks())),
+    (character._oracle_test_function, _unmasked_oracle, next(SMALL_GRID.chunks())),
+    (_witness(-2, 0.0, 0.5), _unmasked_witness(-2, equivariant.BumpProfile(0.0, 0.5)),
+     next(SMALL_GRID.chunks())),
+    (_witness(-2, 0.0, 0.5), _unmasked_witness(-2, equivariant.BumpProfile(0.0, 0.5)),
+     _ROTATIONS),
+    (character._oracle_test_function, _unmasked_oracle, _ROTATIONS),
+], ids=["witness_chunk", "oracle_chunk", "origin_band_chunk", "origin_band_rotations",
+        "oracle_rotations"])
+def test_support_masked_integrands_match_unmasked_polar(masked, unmasked, gs):
+    # the angles are computed only where the profile is nonzero; there the
+    # values agree bit for bit with the formula on _polar at every node.
+    # Elsewhere the masked form is an exact +0, where the unmasked product
+    # 0 * e^{i phi} may carry a signed zero.
+    got, want = masked(gs), unmasked(gs)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    on = want != 0.0
+    assert on.any()
+    assert np.array_equal(got != 0.0, on)
+    assert got[on].tobytes() == want[on].tobytes()
+    assert not np.any(np.signbit(got[~on].view(float)))
+    for g in gs[:3]:
+        one, ref = masked(g), unmasked(g)
+        assert type(one) is type(ref) and one == ref
+
+
 # ---------------------------------------------------------------------------
 # pi(f)
 # ---------------------------------------------------------------------------
