@@ -4,7 +4,8 @@
 Prints one line per refinement level with both sides of the identity, their
 relative gap, the off-row mass of the smoothed operator (the quantity
 that actually converges; the two sides themselves agree to roundoff), the
-active (t, u) rows out of all grid rows, and the seconds the check took.
+(t, u) rows as active/support/grid (rows the cocycle ran on, rows the
+witness was evaluated on, all rows), and the seconds the check took.
 
 Example:
     python scripts/charcheck_convergence.py --s i --n 1 --levels 3
@@ -31,13 +32,14 @@ def main():
 
     grid = character.HaarGrid()
     print(f"{'grid':>16} {'lhs (trace)':>22} {'rhs (integral)':>22} "
-          f"{'rel_err':>10} {'offrow':>10} {'rows':>11} {'secs':>6}")
+          f"{'rel_err':>10} {'offrow':>10} {'rows':>16} {'secs':>6}")
     for _ in range(args.levels):
         res = character.char_identity_check(p, args.n, witness, grid=grid, N=args.trunc)
         label = "x".join(str(v) for v in grid.shape)
         print(f"{label:>16} {res.lhs_trace.real:>22.12f} {res.rhs_integral.real:>22.12f} "
               f"{res.rel_err:>10.1e} {res.offrow_mass:>10.1e} "
-              f"{f'{res.active_rows}/{res.grid_rows}':>11} {res.seconds:>6.2f}")
+              f"{f'{res.active_rows}/{res.support_rows}/{res.grid_rows}':>16} "
+              f"{res.seconds:>6.2f}")
         grid = grid.refine()
 
 

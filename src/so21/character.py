@@ -17,12 +17,14 @@ observed outcome rather than an input assumption.  The trace of that matrix
 is then compared against the integral of f times the diagonal matrix
 coefficient at (-n, -n), which is the character identity under test.
 
-The quadrature runs the cocycle once per (t, u) row rather than once per
-node.  If k_phi a_t n_u = a' n' k_theta', then k_phi (a_t n_u k_theta) =
-a' n' k_{theta' + theta}: every node of a row shares the multiplier of its
-row base a_t n_u and shifts the transported angle by its own theta.  The
-identity holds for every element, so nothing about f is assumed: f is
-evaluated at every grid node, and the range collapse stays observed.
+The quadrature works on whole (t, u) rows.  Every node a_t n_u k_theta of a
+row has the polar radius of its row base, since k_theta fixes the third
+column, so f is evaluated only on the rows inside its declared support band;
+f must vanish at the base of every skipped row, or DomainError is raised.
+The cocycle runs once per row: if k_phi a_t n_u = a' n' k_theta', then
+k_phi (a_t n_u k_theta) = a' n' k_{theta' + theta}.  Both identities hold for
+every element, so f is evaluated at every theta node of every evaluated row,
+and the range collapse stays observed.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SupportWarning, TruncationWarning
-from .groups import IwasawaCoords, haar_density, make_a, make_k, make_n, recompose
+from .groups import (IwasawaCoords, _polar_radius, cartan_radius, haar_density, make_a, make_k,
+                     make_n, recompose)
 from .reps import SpectralParam, _coefficient, _induced_nodes, _node_count, _projector, k_types
 from .equivariant import (BumpProfile, EquivariantFn, _on_radial_support, _product_stack,
                           _row_concatenation)
@@ -43,6 +46,10 @@ BOUNDARY_TOL = 1e-12
 BOUNDARY_SAMPLES = 24
 REFINE_FACTOR = 1.5
 _CHUNK = 65536
+# Widening of a support band: a computed radius arcsinh(hypot(g13, g23)) is
+# off by a few ulps of max|g| (arcsinh has slope <= 1), a translate's by a few
+# more; with entries below 1e4 here that is under 1e-11.
+_BAND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -113,27 +120,32 @@ class HaarGrid:
         T, U = np.meshgrid(ts, us, indexing="ij")
         return make_a(T.ravel()) @ make_n(U.ravel())
 
-    def chunks(self):
-        """The stack of :meth:`elements` in flat-index order, `_CHUNK` nodes at a time.
+    def rows_in_band(self, band):
+        """Flat indices of the rows whose base a_t n_u has polar radius in the closed `band`.
 
-        Each chunk is sliced from the whole (t, u) rows that cover it, built
-        as one broadcast product of those row bases with every rotation; the
-        row bases and the rotations are computed once per call.  Grid
-        reductions sum one partial per chunk, in chunk order, so they hold
-        one chunk of elements (plus at most two partial rows) rather than
-        the whole grid.  The consumers stay whole-array too:
-        :func:`haar_invariance_check` translates a chunk with 2-D products,
-        and the radial integrands compute polar angles only on their support.
+        The band is widened by `_BAND_MARGIN`.  ``base @ make_k(theta)``
+        keeps g13 and g23 exactly, so every node of a row has its base's
+        radius bit for bit.
+        """
+        lo, hi = band
+        radius = _polar_radius(self._row_bases())
+        return np.flatnonzero((radius >= lo - _BAND_MARGIN) & (radius <= hi + _BAND_MARGIN))
+
+    def chunks(self, rows=None):
+        """The elements of the given (t, u) rows (all when None), whole rows at a time.
+
+        Each chunk holds every theta node of the next ``_CHUNK // ntheta``
+        rows (at least one), built as one broadcast product of their bases
+        with every rotation: bit for bit :meth:`elements` on those rows.
+        Grid reductions sum one partial per chunk, in chunk order.  An empty
+        selection gives one empty chunk.
         """
         bases = self._row_bases()
         rotations = make_k(self.coordinate_arrays()[2])
-        count = bases.shape[0] * self.ntheta
-        for start in range(0, count, _CHUNK):
-            stop = min(start + _CHUNK, count)
-            r0, r1 = start // self.ntheta, -(-stop // self.ntheta)
-            rows = (bases[r0:r1, None] @ rotations).reshape(-1, 3, 3)
-            offset = r0 * self.ntheta
-            yield rows[start - offset:stop - offset]
+        rows = np.arange(bases.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
+        step = max(1, _CHUNK // self.ntheta)
+        for start in range(0, max(rows.size, 1), step):
+            yield (bases[rows[start:start + step], None] @ rotations).reshape(-1, 3, 3)
 
     def boundary_elements(self):
         """Elements on the four t/u faces of the box, BOUNDARY_SAMPLES per axis."""
@@ -166,15 +178,34 @@ def _check_support(f, grid: HaarGrid):
         )
 
 
+def _support_rows(f, grid: HaarGrid):
+    """Rows f is evaluated on: those in its `support` band, else all of them.
+
+    The support is checked, not trusted: f is evaluated at the base (theta =
+    0 node) of every skipped row, and a nonzero value raises DomainError.
+    """
+    support = getattr(f, "support", None)
+    if support is None:
+        return np.arange(grid.nt * grid.nu)
+    rows = grid.rows_in_band(support)
+    skipped = np.delete(grid._row_bases(), rows, axis=0)
+    off = np.flatnonzero(np.asarray(f(skipped)) != 0.0)
+    if off.size:
+        raise DomainError(f"f is nonzero at polar radius {_polar_radius(skipped[off[0]]):.6g} "
+                          f"outside its declared support {tuple(support)}")
+    return rows
+
+
 def integrate_G(f, grid: HaarGrid) -> complex:
     """Haar integral of f over the grid box.
 
     f must accept stacked (..., 3, 3) elements and should vanish on the box
     boundary; a non-negligible boundary value triggers a SupportWarning
-    with a crude mass estimate.
+    with a crude mass estimate.  f is evaluated only on the rows of its
+    `support` band, when it has one (see :func:`_support_rows`).
     """
     _check_support(f, grid)
-    partials = [np.sum(f(G)) for G in grid.chunks()]
+    partials = [np.sum(f(G)) for G in grid.chunks(_support_rows(f, grid))]
     return complex(grid.node_weight * np.sum(np.asarray(partials)))
 
 
@@ -201,21 +232,22 @@ class OperatorMatrix:
 
 def _pi_core(s, f, grid, N, nodes, rhs_index=None):
     """Shared quadrature core: the matrix of pi(f), the integral of f times
-    the diagonal matrix coefficient at rhs_index (0 when None), and the
-    number of (t, u) rows the cocycle ran on."""
+    the diagonal matrix coefficient at rhs_index (0 when None), the number
+    of (t, u) rows the cocycle ran on and the number f was evaluated on."""
     _check_support(f, grid)
-    fvals = np.concatenate([np.asarray(f(G), dtype=complex) for G in grid.chunks()])
+    rows = _support_rows(f, grid)
+    fvals = np.concatenate([np.asarray(f(G), dtype=complex) for G in grid.chunks(rows)])
     fvals = fvals.reshape(-1, grid.ntheta)
-    active = np.flatnonzero(np.any(np.abs(fvals) > 0.0, axis=1))
+    on = np.any(np.abs(fvals) > 0.0, axis=1)
     # k_phi a_t n_u = a' n' k_theta' gives k_phi (a_t n_u k_theta) = a' n' k_{theta' + theta}:
     # every node of a row has its row base's multiplier and theta' shifted by
     # theta.  So the cocycle runs once per active row, and the theta sum folds
     # into F[row, n] = sum_k w f(row, k) e^{i n theta_k}.  f is evaluated and
-    # summed at every node, so no symmetry of f is assumed and the range
-    # collapse stays observed.
-    mult, theta_out = _induced_nodes((1.0 + s) / 2.0, grid._row_bases()[active], N, nodes)
+    # summed at every theta node of its support rows, so no angular symmetry
+    # of f is assumed and the range collapse stays observed.
+    mult, theta_out = _induced_nodes((1.0 + s) / 2.0, grid._row_bases()[rows[on]], N, nodes)
     thetas = grid.coordinate_arrays()[2]
-    F = (grid.node_weight * fvals[active]) @ np.exp(1j * np.outer(thetas, np.arange(-N, N + 1)))
+    F = (grid.node_weight * fvals[on]) @ np.exp(1j * np.outer(thetas, np.arange(-N, N + 1)))
     # accumulate S[j, n] = sum_row F[row, n] mult[row, j] e^{i n theta'[row, j]}
     phase = np.exp(1j * theta_out)
     cur = mult * np.exp(-1j * N * theta_out)
@@ -228,7 +260,7 @@ def _pi_core(s, f, grid, N, nodes, rhs_index=None):
     if rhs_index is not None:
         coeffs = _coefficient(mult, theta_out, rhs_index, rhs_index)
         rhs = complex(F[:, rhs_index + N] @ coeffs)
-    return _projector(N, nodes) @ S, rhs, active.size
+    return _projector(N, nodes) @ S, rhs, int(np.count_nonzero(on)), rows.size
 
 
 def pi_of_f(
@@ -250,7 +282,7 @@ def pi_of_f(
     if f.n_left != f.n_right:
         raise DomainError("pi_of_f needs a test function of equal bi-type (n, n)")
     nodes = _node_count(N, nodes)
-    mat, _, _ = _pi_core(p.s, f, grid, N, nodes)
+    mat = _pi_core(p.s, f, grid, N, nodes)[0]
     _warn_on_matrix_truncation(mat)
     return OperatorMatrix(mat, p, f.n_left, grid, N, nodes)
 
@@ -274,8 +306,9 @@ class CharIdentityResult:
 
     For a discrete (ladder) parameter, `block_norm` is the operator 2-norm
     of pi(f) restricted to the ladder subspace; it stays None for induced
-    kinds.  `active_rows` counts the (t, u) grid rows on which f is nonzero
-    at some theta node, which are the rows the cocycle ran on.
+    kinds.  `support_rows` counts the (t, u) grid rows f was evaluated on and
+    `active_rows` those where f is nonzero at some theta node, which are the
+    rows the cocycle ran on.
     """
 
     lhs_trace: complex
@@ -285,6 +318,7 @@ class CharIdentityResult:
     grid: HaarGrid
     N: int
     active_rows: int
+    support_rows: int
     seconds: float
     block_norm: float | None = None
 
@@ -335,8 +369,8 @@ def char_identity_check(
     nodes = _node_count(N, nodes)
     start = time.perf_counter()
     block = k_types(p).contains(np.arange(-N, N + 1))
-    mat, rhs, active_rows = _pi_core(p.induced_s, f, grid, N, nodes,
-                                     rhs_index=-n if block[-n + N] else None)
+    mat, rhs, active_rows, support_rows = _pi_core(p.induced_s, f, grid, N, nodes,
+                                                   rhs_index=-n if block[-n + N] else None)
     restricted = mat[np.ix_(block, block)]
     lhs = complex(np.trace(restricted))
     off = OperatorMatrix(mat, p, n, grid, N, nodes).offrow_mass()
@@ -345,7 +379,7 @@ def char_identity_check(
         block_norm = float(np.linalg.norm(restricted, ord=2)) if restricted.size else 0.0
     seconds = time.perf_counter() - start
     return CharIdentityResult(lhs, rhs, _relative_gap(lhs, rhs), off, grid, N, active_rows,
-                              seconds, block_norm)
+                              support_rows, seconds, block_norm)
 
 
 def corollary_check(
@@ -373,12 +407,14 @@ def corollary_check(
 
 @dataclass(frozen=True)
 class HaarCheckResult:
-    """Worst translation-invariance defects of the implemented Haar measure."""
+    """Worst translation-invariance defects of the implemented Haar measure,
+    and the number of (t, u) grid rows the integrands were evaluated on."""
 
     base_integral: float
     worst_left: float
     worst_right: float
     per_translation: dict
+    evaluated_rows: int | None = None
 
     @property
     def worst(self) -> float:
@@ -389,11 +425,14 @@ _ORACLE_PROFILE = BumpProfile(0.6, 0.35)
 
 
 def _oracle_test_function(gs):
-    """Generic smooth compactly supported function used by the Haar oracle."""
+    """Generic smooth function of no K-type, zero outside the polar radii `.support`."""
     return _on_radial_support(
         gs, _ORACLE_PROFILE,
         lambda b, theta1, theta2:
             b * (1.3 + np.cos(theta1 + theta2)) * (0.7 + 0.3 * np.sin(theta2 - 2.0 * theta1)))
+
+
+_oracle_test_function.support = _ORACLE_PROFILE.support
 
 
 def haar_invariance_check(grid: HaarGrid | None = None, translations=None) -> HaarCheckResult:
@@ -404,23 +443,29 @@ def haar_invariance_check(grid: HaarGrid | None = None, translations=None) -> Ha
     f is a fixed generic bump supported well inside the default box;
     defaults for g0 are a boost, a unipotent, and a rotation.  All the
     integrals are accumulated over one pass through the grid's chunks.
+
+    Only rows whose base B has radius in f's support widened by R = max r(g0)
+    are evaluated: with r(x) = d(o, x.o) and k.o = o, the triangle inequality
+    gives |r(g0 B k) - r(B)| <= r(g0^-1) = r(g0) and |r(B k g0) - r(B)| <= r(g0).
     """
     grid = grid if grid is not None else HaarGrid(nt=96, nu=96, ntheta=128)
     if translations is None:
         translations = {"a(0.3)": make_a(0.3), "n(0.5)": make_n(0.5), "k(1)": make_k(1.0)}
     f = _oracle_test_function
+    reach = max((float(cartan_radius(g0)) for g0 in translations.values()), default=0.0)
+    rows = grid.rows_in_band((f.support[0] - reach, f.support[1] + reach))
     base_parts = []
     left_parts = {name: [] for name in translations}
     right_parts = {name: [] for name in translations}
-    for G in grid.chunks():
+    for G in grid.chunks(rows):
         base_parts.append(np.sum(f(G)))
         # each translate is one 2-D product: G @ g0 on the stacked rows of G,
         # g0 @ G on the row-concatenation of its elements
-        rows = G.reshape(-1, 3)
+        stacked = G.reshape(-1, 3)
         columns = _row_concatenation(G)
         for name, g0 in translations.items():
             left_parts[name].append(np.sum(f(_product_stack(g0, columns))))
-            right_parts[name].append(np.sum(f((rows @ g0).reshape(G.shape))))
+            right_parts[name].append(np.sum(f((stacked @ g0).reshape(G.shape))))
 
     def total(parts):
         return grid.node_weight * float(np.real(np.sum(np.asarray(parts))))
@@ -434,4 +479,4 @@ def haar_invariance_check(grid: HaarGrid | None = None, translations=None) -> Ha
         per[name] = {"left": left, "right": right}
         worst_left = max(worst_left, left)
         worst_right = max(worst_right, right)
-    return HaarCheckResult(base, worst_left, worst_right, per)
+    return HaarCheckResult(base, worst_left, worst_right, per, rows.size)

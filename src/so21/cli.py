@@ -427,6 +427,7 @@ def _handle(args):
                    "worst_left": res.worst_left,
                    "worst_right": res.worst_right,
                    "per_translation": res.per_translation,
+                   "evaluated_rows": res.evaluated_rows,
                    "density_at_origin": groups.haar_density(groups.IwasawaCoords(0.0, 0.0, 0.0)),
                    "coarse_integral": complex(direct)}
         return payload, EXIT_OK if res.worst <= args.tol else EXIT_TOLERANCE
@@ -444,14 +445,15 @@ def _handle(args):
         payload = {"lhs": res.lhs_trace, "rhs": res.rhs_integral,
                    "rel_err": res.rel_err, "offrow_mass": res.offrow_mass,
                    "grid": list(grid.shape), "trunc": res.N,
-                   "active_rows": res.active_rows, "grid_rows": res.grid_rows,
-                   "meta": {"check_seconds": res.seconds}}
+                   "active_rows": res.active_rows, "support_rows": res.support_rows,
+                   "grid_rows": res.grid_rows, "meta": {"check_seconds": res.seconds}}
         if args.refine:
             fine = (character.corollary_check if args.corollary else character.char_identity_check)(
                 p, args.n, f, grid=grid.refine(), N=args.trunc)
             payload["refined"] = {"lhs": fine.lhs_trace, "rhs": fine.rhs_integral,
                                   "rel_err": fine.rel_err, "grid": list(fine.grid.shape),
-                                  "active_rows": fine.active_rows, "grid_rows": fine.grid_rows}
+                                  "active_rows": fine.active_rows,
+                                  "support_rows": fine.support_rows, "grid_rows": fine.grid_rows}
         return payload, EXIT_OK if res.rel_err <= args.tol else EXIT_TOLERANCE
 
     if name == "suite":

@@ -73,8 +73,9 @@ class EquivariantFn:
     """An evaluatable function on the group with declared left/right K-types.
 
     The evaluator must accept stacked (..., 3, 3) input and return an array
-    of matching leading shape; support, when known, is an interval of polar
-    radii outside which the function vanishes.
+    of matching leading shape.  `support`, when known, is a closed interval
+    of polar radii outside which the function vanishes; Haar quadrature
+    evaluates f only on the grid rows inside it and checks the rest.
     """
 
     n_left: int

@@ -32,12 +32,30 @@ def test_grid_elements_are_members():
 
 
 def test_grid_chunks_concatenate_to_elements():
-    # 409600 nodes: six full chunks and a partial seventh
+    # 4096 rows of 100 nodes: six chunks of 655 whole rows and a partial seventh
     grid = character.HaarGrid(nt=64, nu=64, ntheta=100)
     chunks = list(grid.chunks())
     assert len(chunks) == 7
-    assert all(c.shape[0] <= 65536 for c in chunks)
-    assert np.array_equal(np.concatenate(chunks), grid.elements())
+    assert all(c.shape[0] <= 65536 and c.shape[0] % 100 == 0 for c in chunks)
+    elements = grid.elements()
+    assert np.concatenate(chunks).tobytes() == elements.tobytes()
+    # a selection of rows gives elements() restricted to those rows, bit for bit
+    rows = np.flatnonzero(np.arange(64 * 64) % 3 != 1)[5:]
+    selected = np.concatenate(list(grid.chunks(rows)))
+    assert selected.tobytes() == elements.reshape(-1, 100, 3, 3)[rows].reshape(-1, 3, 3).tobytes()
+    assert [c.shape[0] for c in grid.chunks([])] == [0]
+
+
+def test_grid_rows_share_their_base_radius():
+    # k_theta fixes the third column, so every node of a row has the polar
+    # radius of its row base bit for bit; rows_in_band relies on it
+    grid = character.HaarGrid(nt=24, nu=24, ntheta=40)
+    radius = groups._polar_radius(grid.elements()).reshape(-1, grid.ntheta)
+    assert np.array_equal(radius, np.repeat(radius[:, :1], grid.ntheta, axis=1))
+    rows = grid.rows_in_band((0.25, 0.95))
+    inside = (radius[:, 0] >= 0.25) & (radius[:, 0] <= 0.95)
+    assert 0 < rows.size < grid.nt * grid.nu
+    assert np.array_equal(rows, np.flatnonzero(inside))
 
 
 # ---------------------------------------------------------------------------
@@ -92,20 +110,28 @@ def test_haar_invariance_shared_oracle():
     assert res.worst < 0.005
 
 
+def _translation_reach(translations):
+    return max(groups.cartan_radius(g0) for g0 in translations.values())
+
+
 def test_haar_invariance_matches_batched_reference():
-    # 100 rotations per row does not divide 65536, so chunks end inside rows;
-    # the reference slices elements() into chunks and translates with plain
-    # batched 3x3 products, which pins both the chunk slicing and the 2-D
-    # translated products bit for bit
+    # 100 rotations per row does not divide 65536, so a chunk holds 655
+    # whole rows; the reference slices the selected rows of elements() into
+    # such chunks and translates with plain batched 3x3 products, which pins
+    # the row-aligned chunks and the 2-D translated products bit for bit
     grid = character.HaarGrid(nt=40, nu=40, ntheta=100)
     translations = {"a": groups.make_a(0.3), "n": groups.make_n(0.5), "k": groups.make_k(1.0)}
     res = character.haar_invariance_check(grid, translations)
 
     f = character._oracle_test_function
-    elements = grid.elements()
+    lo, hi = f.support
+    reach = _translation_reach(translations)
+    rows = grid.rows_in_band((lo - reach, hi + reach))
+    assert res.evaluated_rows == rows.size
+    selected = grid.elements().reshape(-1, grid.ntheta, 3, 3)[rows]
     base_parts, left_parts, right_parts = [], {}, {}
-    for start in range(0, elements.shape[0], 65536):
-        G = elements[start:start + 65536]
+    for start in range(0, rows.size, 655):
+        G = selected[start:start + 655].reshape(-1, 3, 3)
         base_parts.append(np.sum(f(G)))
         for name, g0 in translations.items():
             left_parts.setdefault(name, []).append(np.sum(f(g0 @ G)))
@@ -121,6 +147,38 @@ def test_haar_invariance_matches_batched_reference():
             "left": abs(total(left_parts[name]) - base) / abs(base),
             "right": abs(total(right_parts[name]) - base) / abs(base),
         }
+
+
+def test_haar_invariance_pruning_loses_no_mass():
+    # the rows outside f's support widened by max r(g0) carry exact zeros in
+    # every stack, left and right translates alike, so the pruned check
+    # equals the full-grid sums up to summation order
+    grid = character.HaarGrid(nt=40, nu=40, ntheta=100)
+    far = groups.make_k(0.4) @ groups.make_a(0.55) @ groups.make_n(0.35)
+    translations = {"a": groups.make_a(0.3), "n": groups.make_n(0.5), "k": groups.make_k(1.0),
+                    "far": far}
+    assert abs(groups.cartan_radius(far) - 0.7) < 0.01
+    res = character.haar_invariance_check(grid, translations)
+
+    f = character._oracle_test_function
+    lo, hi = f.support
+    rows = grid.rows_in_band((lo - _translation_reach(translations),
+                              hi + _translation_reach(translations)))
+    assert 0 < res.evaluated_rows == rows.size < grid.nt * grid.nu
+    skipped = np.ones(grid.nt * grid.nu, dtype=bool)
+    skipped[rows] = False
+    G = grid.elements()
+
+    def full_total(values):
+        assert np.all(values.reshape(-1, grid.ntheta)[skipped] == 0.0)
+        return grid.node_weight * float(np.sum(values))
+
+    base = full_total(f(G))
+    assert abs(res.base_integral - base) <= 1e-13 * abs(base)
+    for name, g0 in translations.items():
+        for side, values in (("left", f(g0 @ G)), ("right", f(G @ g0))):
+            defect = abs(full_total(values) - base) / abs(base)
+            assert abs(res.per_translation[name][side] - defect) <= 2e-13
 
 
 def _unmasked_witness(n, profile):
@@ -266,9 +324,9 @@ def test_pi_core_matches_per_node_reference(off_type, min_offrow):
     f = _off_type(_witness(1)) if off_type else _witness(1)
     s, N, nodes = 1.0j, 8, 36
     grid = character.HaarGrid(nt=16, nu=16, ntheta=40)
-    mat, rhs, active_rows = character._pi_core(s, f, grid, N, nodes, rhs_index=-1)
+    mat, rhs, active_rows, support_rows = character._pi_core(s, f, grid, N, nodes, rhs_index=-1)
     ref_mat, ref_rhs = _pi_per_node(s, f, grid, N, nodes, rhs_index=-1)
-    assert 0 < active_rows < grid.nt * grid.nu
+    assert 0 < active_rows <= support_rows < grid.nt * grid.nu
     assert np.max(np.abs(mat - ref_mat)) < 1e-12 * np.max(np.abs(ref_mat))
     assert abs(rhs - ref_rhs) < 1e-12 * abs(ref_rhs)
     p = reps.SpectralParam.principal(1.0)
@@ -276,6 +334,26 @@ def test_pi_core_matches_per_node_reference(off_type, min_offrow):
     ref_off = character.OperatorMatrix(ref_mat, p, 1, grid, N, nodes).offrow_mass()
     assert abs(off - ref_off) < 1e-12
     assert off > min_offrow
+
+
+def test_declared_support_is_checked():
+    # the witness lives on radii (0.3, 0.9); declaring (0, 0.1) would drop
+    # every row it is nonzero on, and the spot check at the skipped row
+    # bases refuses it instead
+    honest = _witness(1)
+    dishonest = equivariant.EquivariantFn(1, 1, honest.evaluator, support=(0.0, 0.1))
+    p = reps.SpectralParam.principal(1.0)
+    match = "outside its declared support"
+    with pytest.raises(DomainError, match=match):
+        character.pi_of_f(p, dishonest, SMALL_GRID, N=8)
+    with pytest.raises(DomainError, match=match):
+        character.char_identity_check(p, 1, dishonest, grid=SMALL_GRID, N=8)
+    with pytest.raises(DomainError, match=match):
+        character.integrate_G(dishonest, SMALL_GRID)
+    modulus = equivariant.EquivariantFn(0, 0, lambda gs: np.abs(honest(gs)), support=honest.support)
+    pruned = character.integrate_G(modulus, SMALL_GRID)
+    full = character.integrate_G(modulus.evaluator, SMALL_GRID)
+    assert pruned.real > 0.0 and abs(pruned - full) <= 1e-13 * abs(full)
 
 
 def test_pi_validation():

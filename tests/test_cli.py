@@ -193,6 +193,7 @@ def test_haarcheck_small_grid(capsys):
     assert code == 0
     assert payload["density_at_origin"] == 1.0
     assert payload["worst_left"] < 0.005
+    assert 0 < payload["evaluated_rows"] < 48 * 48
 
 
 def test_charcheck_gate(capsys):
@@ -201,7 +202,7 @@ def test_charcheck_gate(capsys):
                              "--tol", "0.05", "--no-meta")
     assert code == 0
     assert payload["rel_err"] < 0.05
-    assert 0 < payload["active_rows"] < payload["grid_rows"] == 24 * 24
+    assert 0 < payload["active_rows"] <= payload["support_rows"] < payload["grid_rows"] == 24 * 24
     # the two sides share the quadrature, so they agree to ~1e-16; the
     # tolerance gate is exercised below that floor
     code, _ = run_json(capsys, "charcheck", "--s", "i", "--n", "1",
