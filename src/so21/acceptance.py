@@ -172,17 +172,17 @@ def criterion_8_projectors(seed=20250108) -> CriterionResult:
     profile = equivariant.BumpProfile(0.8, 0.2)
     probes = groups.random_elements(rng, 4, t_bound=0.9, u_bound=0.5)
     worst_idem = worst_annihilate = 0.0
-    witness_cache = {m: equivariant.separation_witness(m, profile) for m in range(-6, 7)}
-    for n in range(-6, 7):
-        projected = equivariant.project_biequivariant(witness_cache[n], n, nodes=64)
-        worst_idem = max(worst_idem, float(np.max(np.abs(
-            projected(probes) - witness_cache[n](probes)))))
-    for n in range(-6, 7):
-        for m in range(-6, 7):
-            if m == n:
-                continue
-            killed = equivariant.project_biequivariant(witness_cache[m], n, nodes=64)
-            worst_annihilate = max(worst_annihilate, float(np.max(np.abs(killed(probes)))))
+    ns = range(-6, 7)
+    witness_cache = {m: equivariant.separation_witness(m, profile) for m in ns}
+    for m in ns:
+        # every isotype n of witness m from one evaluation per probe
+        isotypes = equivariant._isotype_projector(witness_cache[m], ns, nodes=64)(probes)
+        for n, values in zip(ns, isotypes):
+            if n == m:
+                worst_idem = max(worst_idem, float(np.max(np.abs(
+                    values - witness_cache[m](probes)))))
+            else:
+                worst_annihilate = max(worst_annihilate, float(np.max(np.abs(values))))
     t0, delta = 0.8, 0.2
     witness = witness_cache[1]
     on_orbit = abs(complex(witness(groups.make_a(t0))))

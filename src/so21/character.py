@@ -38,7 +38,8 @@ import numpy as np
 from .errors import DomainError, SupportWarning, TruncationWarning
 from .groups import (IwasawaCoords, _polar_radius, cartan_radius, haar_density, make_a, make_k,
                      make_n, recompose)
-from .reps import SpectralParam, _coefficient, _induced_nodes, _node_count, _projector, k_types
+from .reps import (SpectralParam, _coefficient, _dft_coefficients, _induced_nodes, _mode_ladder,
+                   _node_count, k_types)
 from .equivariant import (BumpProfile, EquivariantFn, _on_radial_support, _product_stack,
                           _row_concatenation)
 
@@ -249,18 +250,14 @@ def _pi_core(s, f, grid, N, nodes, rhs_index=None):
     thetas = grid.coordinate_arrays()[2]
     F = (grid.node_weight * fvals[on]) @ np.exp(1j * np.outer(thetas, np.arange(-N, N + 1)))
     # accumulate S[j, n] = sum_row F[row, n] mult[row, j] e^{i n theta'[row, j]}
-    phase = np.exp(1j * theta_out)
-    cur = mult * np.exp(-1j * N * theta_out)
     S = np.empty((nodes, 2 * N + 1), dtype=complex)
-    for idx in range(2 * N + 1):
-        S[:, idx] = F[:, idx] @ cur
-        if idx < 2 * N:
-            cur *= phase
+    for idx, modes in enumerate(_mode_ladder(mult, theta_out, N)):
+        S[:, idx] = F[:, idx] @ modes
     rhs = 0.0 + 0.0j
     if rhs_index is not None:
         coeffs = _coefficient(mult, theta_out, rhs_index, rhs_index)
         rhs = complex(F[:, rhs_index + N] @ coeffs)
-    return _projector(N, nodes) @ S, rhs, int(np.count_nonzero(on)), rows.size
+    return _dft_coefficients(S, N), rhs, int(np.count_nonzero(on)), rows.size
 
 
 def pi_of_f(

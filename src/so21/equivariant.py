@@ -137,16 +137,18 @@ def _projection_angles(nodes):
 
 
 def _per_element(value, gs):
-    """Apply the scalar `value(g)` to one element or to each element of a stack.
+    """Apply `value(g)` to one element or to each element of a stack.
 
-    Projectors average over nodes^2 (or nodes) translates of each element,
-    so they go one element at a time to bound memory.
+    `value` returns a scalar or a fixed-shape array; the result has the
+    stack's leading shape followed by that shape.  Projectors evaluate f on
+    nodes^2 (or nodes) translates of each element, so they go one element
+    at a time to bound memory.
     """
     gs = np.asarray(gs, dtype=float)
     out = np.array([value(g) for g in gs.reshape(-1, 3, 3)], dtype=complex)
     if gs.ndim == 2:
         return out[0]
-    return out.reshape(gs.shape[:-2])
+    return out.reshape(gs.shape[:-2] + out.shape[1:])
 
 
 def _row_concatenation(stack):
@@ -164,27 +166,43 @@ def _product_stack(x, columns):
     return (x @ columns).reshape(3, -1, 3).transpose(1, 0, 2)
 
 
-def project_biequivariant(f, n: int, nodes=None) -> EquivariantFn:
-    """Project a function onto bi-type (n, n) by double rotation averaging.
+def _isotype_projector(f, ns, nodes=None):
+    """Evaluator of the bi-type (n, n) projections of f for every n in ns.
 
-    F(g) is the mean over both angles of e^{-i n (theta1 + theta2)}
-    f(k_theta1 g k_theta2), computed on a tensor grid of `nodes` x `nodes`
-    uniform angles (periodic trapezoid).  Idempotent on functions already
-    of type (n, n) and annihilates every pure type (m, m) with m != n.
+    The returned function maps one element or a stack of shape (..., 3, 3)
+    to an array of shape (len(ns), ...), whose entry i is the mean over a
+    `nodes` x `nodes` tensor grid of uniform angles (periodic trapezoid) of
+    e^{-i n_i (theta_a + theta_b)} f(k_a g k_b).  f is evaluated once per
+    element on its nodes^2 translates F[a, b] = f(k_a g k_b); each
+    coefficient is then the bilinear form e_n^T F e_n with
+    e_n = e^{-i n theta} / nodes, so every isotype comes from that one
+    evaluation.
     """
     thetas, rotations = _projection_angles(nodes)
     count = thetas.size
-    phase = np.exp(-1j * n * (thetas[:, None] + thetas[None, :]))
+    weights = np.exp(-1j * np.outer(ns, thetas)) / count
     rows = rotations.reshape(-1, 3)
     columns = _row_concatenation(rotations)
 
     def value(g):
         # (rows @ g) @ columns holds k_a g k_b in block (a, b)
         translates = ((rows @ g) @ columns).reshape(count, 3, count, 3).transpose(0, 2, 1, 3)
-        return np.mean(phase * f(translates))
+        return np.sum((weights @ f(translates)) * weights, axis=1)
 
-    return EquivariantFn(n, n, lambda gs: _per_element(value, gs),
-                         support=getattr(f, "support", None))
+    return lambda gs: np.moveaxis(_per_element(value, gs), -1, 0)
+
+
+def project_biequivariant(f, n: int, nodes=None) -> EquivariantFn:
+    """Project a function onto bi-type (n, n) by double rotation averaging.
+
+    F(g) is the mean over both angles of e^{-i n (theta1 + theta2)}
+    f(k_theta1 g k_theta2) on `nodes` x `nodes` uniform angles, the
+    single-isotype case of :func:`_isotype_projector`.  Idempotent on
+    functions already of type (n, n) and annihilates every pure type
+    (m, m) with m != n.
+    """
+    project = _isotype_projector(f, (n,), nodes)
+    return EquivariantFn(n, n, lambda gs: project(gs)[0], support=getattr(f, "support", None))
 
 
 def right_isotype_project(f, n: int, nodes=None):

@@ -301,7 +301,34 @@ def _pi_per_node(s, f, grid, N, nodes, rhs_index):
     for idx, n in enumerate(range(-N, N + 1)):
         S[:, idx] = wf @ (mult * np.exp(1j * n * theta_out))
     rhs = wf @ reps._coefficient(mult, theta_out, rhs_index, rhs_index)
-    return reps._projector(N, nodes) @ S, rhs
+    return _dense_dft(N, nodes) @ S, rhs
+
+
+def _dense_dft(N, nodes):
+    # (2N+1, nodes) matrix from values on the uniform nodes to the
+    # coefficients |n| <= N, written out as the reference for the FFT
+    thetas = 2.0 * np.pi * np.arange(nodes) / nodes
+    return np.exp(-1j * np.outer(np.arange(-N, N + 1), thetas)) / nodes
+
+
+@pytest.mark.parametrize("nodes", [None, 4 * 8 + 5, 8 * 8 + 9])
+def test_pi_of_f_matches_dense_dft_reference(nodes):
+    # every grid node contributes w f(g) rho(g) with rho(g) = P diag(mult) C
+    # built from dense DFT matrices: no phase recurrence, no FFT, no per-row
+    # cocycle
+    s, N = 1.0j, 8
+    f = _witness(1)
+    grid = character.HaarGrid(nt=16, nu=16, ntheta=32)
+    op = character.pi_of_f(reps.SpectralParam.principal(1.0), f, grid, N, nodes=nodes)
+    gs = grid.elements()
+    fvals = np.asarray(f(gs), dtype=complex)
+    active = np.abs(fvals) > 0.0
+    count = 4 * N + 4 if nodes is None else nodes
+    mult, theta_out = reps._induced_nodes((1.0 + s) / 2.0, gs[active], N, count)
+    columns = mult[..., None] * np.exp(1j * theta_out[..., None] * np.arange(-N, N + 1))
+    ref = _dense_dft(N, count) @ np.einsum("g,gjn->jn", grid.node_weight * fvals[active], columns)
+    assert op.nodes == count
+    assert np.max(np.abs(op.mat - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
 def _off_type(f):

@@ -238,6 +238,11 @@ CHARCHECK_SMALL = ["charcheck", "--s", "i", "--n", "1", "--grid", "16,16,32", "-
 def test_byte_identical_output_without_meta(capsys):
     for argv in (["matcoef", "--s", "2i", "--g-iwasawa", "0.7,0.3,1.1",
                   "--n", "1", "--m", "1", "--no-meta"],
+                 ["matcoef", "--s", "i", "--g-iwasawa", "0.7,0.3,1.1", "--n", "0", "--m", "0",
+                  "--trunc", "16", "--vector", "e", "--no-meta"],
+                 ["ladder", "--m", "2", "--sign", "+", "--N", "16", "--no-meta"],
+                 ["separate", "--n", "1", "--t0", "0.8", "--width", "0.2",
+                  "--probe", "0.8,1.4", "--verify-projection", "--no-meta"],
                  CHARCHECK_SMALL + ["--no-meta"],
                  ["haarcheck", "--grid", "24,24,32", "--no-meta"]):
         cli.run(argv)
@@ -269,8 +274,13 @@ def test_text_format(capsys):
 
 
 def test_suite_fast(capsys):
-    code, payload = run_json(capsys, "suite", "--fast", "--no-meta")
-    assert code == 0
+    outputs = []
+    for _ in range(2):
+        assert cli.run(["suite", "--fast", "--no-meta"]) == 0
+        outputs.append(capsys.readouterr().out)
+    # the second run prints the same bytes: --no-meta strips every timing
+    assert outputs[0] == outputs[1]
+    payload = json.loads(outputs[0])
     assert payload["all_passed"] is True
     assert len(payload["criteria"]) == 11
     # timings live in the meta block, which --no-meta strips

@@ -106,6 +106,24 @@ def test_witness_satisfies_equivariance_contract():
 # bi-equivariant projection
 # ---------------------------------------------------------------------------
 
+def _angular(gs):
+    # a bump in the polar radius times a function of the entries, so that
+    # every double-angle mode (n, n) with |n| <= 6 carries a nonzero share
+    gs = np.asarray(gs, dtype=float)
+    r = np.arcsinh(np.hypot(gs[..., 0, 2], gs[..., 1, 2]))
+    entries = gs[..., 0, 0] + 0.5j * gs[..., 0, 1] - 0.3 * gs[..., 1, 0] + 0.2j * gs[..., 1, 1]
+    return equivariant.bump((r - 0.7) / 0.5) * np.exp(entries)
+
+
+def _double_average(f, g, n, nodes):
+    # the double rotation average written out: the mean over a nodes x nodes
+    # angle grid of e^{-i n (theta_a + theta_b)} f(k_a g k_b)
+    thetas = 2 * np.pi * np.arange(nodes) / nodes
+    k = groups.make_k(thetas)
+    phase = np.exp(-1j * n * (thetas[:, None] + thetas[None, :]))
+    return np.mean(phase * f(k[:, None] @ g @ k[None, :]))
+
+
 def test_projection_fixes_equivariant_functions():
     witness = equivariant.separation_witness(2, equivariant.BumpProfile(0.7, 0.3))
     projected = equivariant.project_biequivariant(witness, 2, nodes=64)
@@ -133,8 +151,8 @@ def test_projection_idempotent_on_generic_function():
 
 
 def test_projection_matches_refined_quadrature():
-    # refinement oracle: the same double average recomputed in-line at
-    # twice the resolution
+    # refinement oracle: the same double average, written out at twice the
+    # resolution
     def generic(gs):
         gs = np.asarray(gs, dtype=float)
         r = np.arcsinh(np.hypot(gs[..., 0, 2], gs[..., 1, 2]))
@@ -143,15 +161,34 @@ def test_projection_matches_refined_quadrature():
     n = 1
     g = groups.make_a(0.8)
     projected = equivariant.project_biequivariant(generic, n, nodes=64)
-
-    m = 128
-    thetas = 2 * np.pi * np.arange(m) / m
-    k1 = groups.make_k(thetas)
-    k2 = groups.make_k(thetas)
-    sandwich = k1[:, None] @ g @ k2[None, :]
-    phase = np.exp(-1j * n * (thetas[:, None] + thetas[None, :]))
-    oracle = np.mean(phase * generic(sandwich))
+    oracle = _double_average(generic, g, n, 128)
     assert abs(complex(projected(g)) - oracle) < 1e-8
+
+
+@pytest.mark.parametrize("nodes", [64, 128])
+def test_isotype_projector_matches_per_isotype_average(nodes):
+    ns = range(-6, 7)
+    stack = groups.random_elements(np.random.default_rng(8), 6, t_bound=0.9, u_bound=0.5)
+    stack = stack.reshape(2, 3, 3, 3)
+    project = equivariant._isotype_projector(_angular, ns, nodes=nodes)
+    ref = np.array([[_double_average(_angular, g, n, nodes) for g in stack.reshape(-1, 3, 3)]
+                    for n in ns]).reshape(len(ns), 2, 3)
+    assert np.min(np.abs(ref)) > 1e-8
+    values = project(stack)
+    assert values.shape == (len(ns), 2, 3)
+    assert np.max(np.abs(values - ref)) < 1e-14
+    single = project(stack[1, 2])
+    assert single.shape == (len(ns),)
+    assert np.max(np.abs(single - ref[:, 1, 2])) < 1e-14
+
+
+def test_projection_matches_double_average():
+    stack = groups.random_elements(np.random.default_rng(9), 3, t_bound=0.9, u_bound=0.5)
+    for n in (-2, 0, 3):
+        projected = equivariant.project_biequivariant(_angular, n)
+        ref = np.array([_double_average(_angular, g, n, 128) for g in stack])
+        assert np.max(np.abs(projected(stack) - ref)) < 1e-14
+        assert abs(projected(stack[0]) - ref[0]) < 1e-14
 
 
 def test_projection_node_floor():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -198,6 +200,44 @@ def test_truncation_warning_on_rough_vector():
     rough = reps.KFourierVector(N, 1.0 / (1.0 + np.abs(ns)))
     with pytest.warns(TruncationWarning):
         reps.act_principal(reps.SpectralParam.principal(1.0), groups.make_a(1.5), rough)
+
+
+def _dense_rep_matrix(gamma, g, N, nodes):
+    # reference for the induced action: P diag(mult) C, with the DFT matrix
+    # P and the transported modes C written out as dense exponentials
+    count = 4 * N + 4 if nodes is None else nodes
+    mult, theta_out = reps._induced_nodes(gamma, g[None], N, count)
+    ns = np.arange(-N, N + 1)
+    thetas = 2.0 * np.pi * np.arange(count) / count
+    C = np.exp(1j * np.outer(theta_out[0], ns))
+    P = np.exp(-1j * np.outer(ns, thetas)) / count
+    return P @ (mult[0][:, None] * C)
+
+
+def _rel_err(value, ref):
+    return np.max(np.abs(value - ref)) / np.max(np.abs(ref))
+
+
+# the default node count 4N + 4 and two explicit counts that are not powers of two
+DENSE_CASES = [(N, nodes) for N in (4, 16, 128, 256) for nodes in (None, 4 * N + 5, 8 * N + 9)]
+
+
+@pytest.mark.parametrize("N, nodes", DENSE_CASES)
+def test_induced_action_matches_dense_dft_reference(N, nodes, rng):
+    # a permuted coefficient order such as c[::-1] keeps every norm, so the
+    # unitarity checks cannot see it; the dense reference can
+    g = groups.make_a(0.7) @ groups.make_n(0.3) @ groups.make_k(1.1)
+    p = reps.SpectralParam.principal(1.0)
+    v = reps.KFourierVector.smooth_random(N, rng)
+    unitary = _dense_rep_matrix((1.0 + p.s) / 2.0, g, N, nodes)
+    assert _rel_err(reps.rep_matrix(p, g, N, nodes=nodes).mat, unitary) < 1e-13
+    with warnings.catch_warnings():
+        # the smooth vector reaches the top modes at N = 4
+        warnings.simplefilter("ignore", TruncationWarning)
+        acted = reps.act_principal(p, g, v, nodes=nodes)
+        unshifted = reps.act_induced(1.0 + 1j, g, v, nodes=nodes)
+    assert _rel_err(acted.c, unitary @ v.c) < 1e-13
+    assert _rel_err(unshifted.c, _dense_rep_matrix(1.0 + 1j, g, N, nodes) @ v.c) < 1e-13
 
 
 # ---------------------------------------------------------------------------
