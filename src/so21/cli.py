@@ -335,7 +335,7 @@ def _handle(args):
         if args.ray:
             t0, t1, steps = _parse_floats(args.ray, 3)
             ts = np.linspace(t0, t1, int(steps))
-            values = hyperbolic.phi_along_ray(w, ts, nodes=args.nodes)
+            values = hyperbolic.phi(w, np.exp(ts) * 1j, nodes=args.nodes)
             rows = [[float(t), v.real, v.imag] for t, v in zip(ts, values)]
             return {"columns": ["t", "re_phi", "im_phi"], "rows": rows}, EXIT_OK
         if not args.z:

@@ -14,6 +14,9 @@ an eigenfunction of the hyperbolic Laplacian with eigenvalue w(1 - w), and
 invariant under swapping w for 1 - w.  The spectral parameter s used by the
 induced representations enters through the exponent w = (1 + s)/2, turning
 the eigenvalue into (1 - s^2)/4.
+
+Every function takes a single point or an array of points; an array runs
+through the same code as one batch, and a single point gives a scalar.
 """
 
 from __future__ import annotations
@@ -40,17 +43,17 @@ def _require_hpoint(z):
 
 
 def mobius(m, z):
-    """Fractional linear action of a 2x2 real matrix on complex z."""
-    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+    """Fractional linear action of a 2x2 real matrix, or a (k, 2, 2) stack, on complex z."""
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     return (a * z + b) / (c * z + d)
 
 
 def act(g, z):
-    """Action of a group element on the upper half-plane.
+    """Action of a group element, or of a (k, 3, 3) stack, on the upper half-plane.
 
-    Broadcasts over z (scalar or array); g is a single element, validated
-    for membership by :func:`so21.groups.psi_inv`.  Satisfies
-    act(g1 @ g2, z) = act(g1, act(g2, z)).
+    g is validated for membership by :func:`so21.groups.psi_inv`.  A stack
+    acts like an array of k transformations, broadcast against z by the
+    usual numpy rules.  Satisfies act(g1 @ g2, z) = act(g1, act(g2, z)).
     """
     m = psi_inv(g).matrix
     return mobius(m, _require_hpoint(z))
@@ -80,20 +83,16 @@ def phi(w, z, nodes=None):
     ----------
     w : complex
         Exponent.  phi(w, .) and phi(1 - w, .) agree.
-    z : complex
-        Point with Im z > 0.
+    z : complex or array of complex
+        Points with Im z > 0; an array gives an array of its shape.
     nodes : int, optional
         Quadrature node count, >= 16.  Defaults to 512.
     """
     nodes = DEFAULT_PHI_NODES if nodes is None else int(nodes)
     if nodes < 16:
         raise DomainError("phi requires at least 16 quadrature nodes")
-    z = _require_hpoint(z)
-    if np.ndim(z) != 0:
-        raise DomainError("phi expects a single point")
-    orbit = _rotation_orbit(complex(z), nodes)
-    w = complex(w)
-    return complex(np.mean(np.exp(w * np.log(orbit.imag))))
+    orbit = _rotation_orbit(_require_hpoint(z)[..., None], nodes)
+    return np.mean(np.exp(complex(w) * np.log(orbit.imag)), axis=-1)[()]
 
 
 def laplacian_fd(f, z, h=1e-3):
@@ -101,29 +100,41 @@ def laplacian_fd(f, z, h=1e-3):
 
     The 5-point stencil is O(h^2); one Richardson level makes it O(h^4).
     The stencil must stay inside the half-plane, enforced as h < y/4.
+    z may be a scalar or an array; f is called once, on an array of shape
+    z.shape + (9,) holding each point's stencil, and must broadcast over it
+    as :func:`phi` and :func:`chi` do.
     """
-    z = complex(_require_hpoint(z))
+    z = _require_hpoint(z)
     y = z.imag
-    if not h < y / 4.0:
-        raise DomainError(f"stencil step {h} too large for Im z = {y}")
+    if not np.all(h < y / 4.0):
+        raise DomainError(f"stencil step {h} too large for Im z = {np.min(y)}")
+    half = h / 2.0
+    # center, then east, west, north, south at step h and at step h/2
+    offsets = np.array([0.0, h, -h, 1j * h, -1j * h, half, -half, 1j * half, -1j * half])
+    values = f(z[..., None] + offsets)
+    # on real parts: numpy divides complex by real via the reciprocal, an ulp off
+    parts = np.stack([values.real, values.imag])
+    center = parts[..., 0]
 
-    def stencil(step):
-        horiz = (f(z + step) + f(z - step) - 2.0 * f(z)) / step**2
-        vert = (f(z + 1j * step) + f(z - 1j * step) - 2.0 * f(z)) / step**2
+    def stencil(first, step):
+        east, west, north, south = np.moveaxis(parts[..., first:first + 4], -1, 0)
+        horiz = (east + west - 2.0 * center) / step**2
+        vert = (north + south - 2.0 * center) / step**2
         return -(y * y) * (horiz + vert)
 
-    coarse = stencil(h)
-    fine = stencil(h / 2.0)
-    return (4.0 * fine - coarse) / 3.0
+    coarse = stencil(1, h)
+    fine = stencil(5, half)
+    re, im = (4.0 * fine - coarse) / 3.0
+    return (re + 1j * im)[()]
 
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Both sides of the Laplacian eigenvalue identity and their gap."""
+    """Both sides of the Laplacian eigenvalue identity and their gap, per point."""
 
-    lhs: complex
-    rhs: complex
-    rel_err: float
+    lhs: complex | np.ndarray
+    rhs: complex | np.ndarray
+    rel_err: float | np.ndarray
 
 
 def eigencheck(w, z, h=1e-3, nodes=None) -> EigenResult:
@@ -132,23 +143,10 @@ def eigencheck(w, z, h=1e-3, nodes=None) -> EigenResult:
     The left side is the finite-difference Laplacian applied to the
     quadrature evaluation of phi_w; the relative error is normalized by
     |phi_w(z)| so that the w = 1 case (eigenvalue 0) stays meaningful.
+    Broadcasts over an array z; pass w = (1+s)/2 for a spectral parameter s.
     """
     w = complex(w)
-    value = phi(w, z, nodes=nodes)
+    value = np.asarray(phi(w, z, nodes=nodes))  # one point rounds rhs as an array does
     lhs = laplacian_fd(lambda p: phi(w, p, nodes=nodes), z, h=h)
     rhs = w * (1.0 - w) * value
-    return EigenResult(lhs, rhs, abs(lhs - rhs) / abs(value))
-
-
-def eigencheck_spectral(s, z, h=1e-3, nodes=None) -> EigenResult:
-    """Same identity indexed by the spectral parameter: w = (1+s)/2.
-
-    The eigenvalue w(1-w) then reads (1 - s^2)/4.
-    """
-    s = complex(s)
-    return eigencheck((1.0 + s) / 2.0, z, h=h, nodes=nodes)
-
-
-def phi_along_ray(w, t_values, nodes=None):
-    """phi_w sampled along the geodesic ray t -> a_t . i = e^t i."""
-    return np.array([phi(w, np.exp(t) * 1j, nodes=nodes) for t in np.asarray(t_values, float)])
+    return EigenResult(lhs, rhs, np.abs(lhs - rhs) / np.abs(value))

@@ -1,15 +1,16 @@
 """The acceptance gate: every verification criterion at its stated tolerance.
 
 Each test prints one pass/fail line (visible with `pytest -s` or on failure)
-and asserts the criterion outcome.  Runtimes are led by the spherical
-eigenvalue check (criterion 4) and the full-size Haar certification
-(criterion 11), about 0.13 s each of a 0.43 s battery on a 2-core host,
-followed by the character identity (criterion 10, 0.07 s).
+and asserts the criterion outcome.  Runtimes are led by the full-size Haar
+certification (criterion 11, about 0.10 s of a 0.26 s battery on a 2-core
+host), followed by the character identity (criterion 10, 0.07 s) and the
+spherical eigenvalue check (criterion 4, 0.03 s).
 """
 
+import numpy as np
 import pytest
 
-from so21 import acceptance, equivariant, reps
+from so21 import acceptance, equivariant, hyperbolic, reps
 
 CRITERIA = [
     acceptance.criterion_1_covering_homomorphism,
@@ -59,3 +60,46 @@ def test_criterion_8_fails_on_mixed_isotypes(monkeypatch):
     result = acceptance.criterion_8_projectors()
     print(result.line())
     assert not result.passed
+
+
+def test_criterion_4_fails_on_shifted_exponent(monkeypatch):
+    # negative control: phi evaluated at w + 0.01 is no eigenfunction for
+    # w(1 - w); the residuals reach about 6e-2 and the spectral form 1e-2
+    pure = hyperbolic.phi
+
+    def shifted(w, z, nodes=None):
+        return pure(w + 0.01, z, nodes=nodes)
+
+    monkeypatch.setattr(hyperbolic, "phi", shifted)
+    result = acceptance.criterion_4_spherical_eigenvalue()
+    print(result.line())
+    assert not result.passed
+
+
+def test_criterion_4_fails_on_euclidean_laplacian(monkeypatch):
+    # negative control: the stencil without its -y^2 factor is the
+    # Euclidean Laplacian; the worst residual is about 46
+    pure = hyperbolic.laplacian_fd
+
+    def euclidean(f, z, h=1e-3):
+        return pure(f, z, h=h) / -(np.imag(z) ** 2)
+
+    monkeypatch.setattr(hyperbolic, "laplacian_fd", euclidean)
+    result = acceptance.criterion_4_spherical_eigenvalue()
+    print(result.line())
+    assert not result.passed
+
+
+def test_criterion_4_phi_calls(monkeypatch):
+    # one eigencheck per exponent on the whole point grid (two phi calls
+    # each) and one phi value per spectral parameter
+    pure = hyperbolic.phi
+    calls = []
+
+    def counted(w, z, nodes=None):
+        calls.append(w)
+        return pure(w, z, nodes=nodes)
+
+    monkeypatch.setattr(hyperbolic, "phi", counted)
+    assert acceptance.criterion_4_spherical_eigenvalue().passed
+    assert len(calls) <= 14

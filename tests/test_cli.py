@@ -244,7 +244,9 @@ def test_byte_identical_output_without_meta(capsys):
                  ["separate", "--n", "1", "--t0", "0.8", "--width", "0.2",
                   "--probe", "0.8,1.4", "--verify-projection", "--no-meta"],
                  CHARCHECK_SMALL + ["--no-meta"],
-                 ["haarcheck", "--grid", "24,24,32", "--no-meta"]):
+                 ["haarcheck", "--grid", "24,24,32", "--no-meta"],
+                 ["spherical", "--w", "0.5", "--ray", "0,2,5", "--format", "csv", "--no-meta"],
+                 ["eigencheck", "--w", "0.5", "--z", "1,2", "--no-meta"]):
         cli.run(argv)
         first = capsys.readouterr().out
         cli.run(argv)

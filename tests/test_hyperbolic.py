@@ -51,6 +51,16 @@ def test_action_law(p1, p2, x, y):
     assert abs(direct - staged) < 1e-10 * max(1.0, abs(direct))
 
 
+def test_act_on_stack_matches_elementwise():
+    gs = groups.make_a([0.3, 1.2]) @ groups.make_n([0.5, -0.7])
+    z = 0.4 + 1.1j
+    moved = hyperbolic.act(gs, z)
+    assert moved.shape == (2,)
+    for g, value in zip(gs, moved):
+        assert abs(value - hyperbolic.act(g, z)) < 1e-14
+    assert np.all(moved.imag > 0)
+
+
 def test_act_rejects_lower_half_plane():
     with pytest.raises(DomainError):
         hyperbolic.act(np.eye(3), 1.0 - 1j)
@@ -117,8 +127,25 @@ def test_laplacian_of_chi2_analytic():
 
 
 def test_laplacian_of_constant():
-    value = hyperbolic.laplacian_fd(lambda z: 1.0, 0.5 + 1j)
+    value = hyperbolic.laplacian_fd(lambda z: np.ones_like(z), 0.5 + 1j)
     assert abs(value) < 1e-9
+
+
+def _stencil_reference(f, z, h):
+    # two 5-point stencils and one Richardson step in Python complex arithmetic
+    def stencil(step):
+        horiz = (f(z + step) + f(z - step) - 2.0 * f(z)) / step**2
+        vert = (f(z + 1j * step) + f(z - 1j * step) - 2.0 * f(z)) / step**2
+        return -(z.imag * z.imag) * (horiz + vert)
+
+    return (4.0 * stencil(h / 2.0) - stencil(h)) / 3.0
+
+
+@pytest.mark.parametrize("w", [0.3, 0.5 + 3j, 0.25 - 1j])
+def test_laplacian_matches_scalar_stencil_reference(w):
+    for z in (1j, -1 + 0.5j, 2 + 3j):
+        reference = _stencil_reference(lambda p: complex(hyperbolic.phi(w, p)), z, 1e-3)
+        assert hyperbolic.laplacian_fd(lambda p: hyperbolic.phi(w, p), z) == reference
 
 
 def test_laplacian_stencil_guard():
@@ -147,7 +174,7 @@ def test_eigencheck_at_exponent_one():
 
 def test_eigencheck_spectral_principal_point():
     # s = i: eigenvalue (1 - s^2)/4 = 1/2
-    res = hyperbolic.eigencheck_spectral(1j, 1 + 2j)
+    res = hyperbolic.eigencheck((1 + 1j) / 2, 1 + 2j)
     value = hyperbolic.phi((1 + 1j) / 2, 1 + 2j)
     assert abs(res.rhs - 0.5 * value) < 1e-12
     assert res.rel_err < 1e-5
@@ -165,8 +192,14 @@ def test_eigencheck_grid_sample(w):
         assert hyperbolic.eigencheck(w, z).rel_err < 1e-4
 
 
-def test_phi_along_ray_matches_pointwise():
-    ts = np.array([0.0, 0.5, 1.0])
-    values = hyperbolic.phi_along_ray(0.5 + 1j, ts)
-    for t, v in zip(ts, values):
-        assert abs(v - hyperbolic.phi(0.5 + 1j, np.exp(t) * 1j)) < 1e-14
+@pytest.mark.parametrize("w", [0.5 + 1j, 0.25 - 1j])
+def test_phi_and_eigencheck_broadcast_over_points(w):
+    z = np.array([[1j, 0.5 + 2j, -1 + 0.7j], [2 + 3j, -0.3 + 1.5j, 4j]])
+    values = hyperbolic.phi(w, z)
+    res = hyperbolic.eigencheck(w, z)
+    assert values.shape == res.lhs.shape == res.rhs.shape == res.rel_err.shape == z.shape
+    for index, point in np.ndenumerate(z):
+        assert values[index] == hyperbolic.phi(w, point)
+        single = hyperbolic.eigencheck(w, point)
+        assert (res.lhs[index], res.rhs[index], res.rel_err[index]) == \
+            (single.lhs, single.rhs, single.rel_err)
