@@ -146,7 +146,7 @@ def criterion_6_matcoef_vs_spherical() -> CriterionResult:
     for s in (1j, 0.5):
         p = reps.SpectralParam.from_s(s)
         ph = hyperbolic.phi((1 + complex(s)) / 2.0, np.exp(ts) * 1j)
-        mc = [reps.matcoef(p, groups.make_a(t), 0, 0, nodes=256) for t in ts]
+        mc = reps.matcoef(p, groups.make_a(ts), 0, 0, nodes=256)
         worst = max(worst, float(np.max(np.abs(mc - ph))))
     passed = worst < 1e-7
     return _result(6, "matcoef vs spherical", start, passed,

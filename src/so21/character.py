@@ -1,9 +1,9 @@
 """Haar quadrature over the group, the smoothed operator pi(f), and the
 numerical verification of the character-distribution identity.
 
-The integration grid lives in the coordinates g = a_t n_u k_theta on a box
-[t_min, t_max] x [u_min, u_max] x [0, 2 pi).  Haar measure in these
-coordinates is dt du dtheta/(2 pi) with constant density (see
+The integration grid lives in the coordinates g = a_t n_u k_theta on the box
+T_BOX x U_BOX x [0, 2 pi) = [-3, 3] x [-4, 4] x [0, 2 pi).  Haar measure in
+these coordinates is dt du dtheta/(2 pi) with constant density (see
 :func:`so21.groups.haar_density`); the box is chosen so that the compactly
 supported test functions vanish well inside it.
 
@@ -43,6 +43,9 @@ from .reps import (SpectralParam, _coefficient, _dft_coefficients, _induced_node
 from .equivariant import (BumpProfile, EquivariantFn, _on_radial_support, _product_stack,
                           _row_concatenation)
 
+# The (t, u) box every grid covers; only the node counts vary.
+T_BOX = (-3.0, 3.0)
+U_BOX = (-4.0, 4.0)
 BOUNDARY_TOL = 1e-12
 BOUNDARY_SAMPLES = 24
 REFINE_FACTOR = 1.5
@@ -60,24 +63,16 @@ class HaarGrid:
     Midpoint nodes in t and u (the integrands are compactly supported, so
     the rule converges superalgebraically), uniform periodic nodes in
     theta.  Weights carry the constant Haar density and the normalized
-    rotation measure dtheta/(2 pi).
+    rotation measure dtheta/(2 pi).  The box is T_BOX x U_BOX.
     """
 
-    t_min: float = -3.0
-    t_max: float = 3.0
     nt: int = 48
-    u_min: float = -4.0
-    u_max: float = 4.0
     nu: int = 48
     ntheta: int = 96
 
     def refine(self) -> "HaarGrid":
         """Grid with every node count scaled up by REFINE_FACTOR."""
-        return HaarGrid(
-            self.t_min, self.t_max, int(np.ceil(self.nt * REFINE_FACTOR)),
-            self.u_min, self.u_max, int(np.ceil(self.nu * REFINE_FACTOR)),
-            int(np.ceil(self.ntheta * REFINE_FACTOR)),
-        )
+        return HaarGrid(*(int(np.ceil(count * REFINE_FACTOR)) for count in self.shape))
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -86,8 +81,8 @@ class HaarGrid:
     @property
     def node_weight(self) -> float:
         """Weight of one node: cell volume times density over 2 pi."""
-        dt = (self.t_max - self.t_min) / self.nt
-        du = (self.u_max - self.u_min) / self.nu
+        dt = (T_BOX[1] - T_BOX[0]) / self.nt
+        du = (U_BOX[1] - U_BOX[0]) / self.nu
         base = IwasawaCoords(0.0, 0.0, 0.0)
         return dt * du * haar_density(base) / self.ntheta
 
@@ -96,8 +91,8 @@ class HaarGrid:
         return self.node_weight * self.nt * self.nu * self.ntheta
 
     def coordinate_arrays(self):
-        ts = self.t_min + ((np.arange(self.nt) + 0.5) / self.nt) * (self.t_max - self.t_min)
-        us = self.u_min + ((np.arange(self.nu) + 0.5) / self.nu) * (self.u_max - self.u_min)
+        ts = T_BOX[0] + ((np.arange(self.nt) + 0.5) / self.nt) * (T_BOX[1] - T_BOX[0])
+        us = U_BOX[0] + ((np.arange(self.nu) + 0.5) / self.nu) * (U_BOX[1] - U_BOX[0])
         thetas = 2.0 * np.pi * np.arange(self.ntheta) / self.ntheta
         return ts, us, thetas
 
@@ -150,14 +145,14 @@ class HaarGrid:
 
     def boundary_elements(self):
         """Elements on the four t/u faces of the box, BOUNDARY_SAMPLES per axis."""
-        ts = np.linspace(self.t_min, self.t_max, BOUNDARY_SAMPLES)
-        us = np.linspace(self.u_min, self.u_max, BOUNDARY_SAMPLES)
+        ts = np.linspace(*T_BOX, BOUNDARY_SAMPLES)
+        us = np.linspace(*U_BOX, BOUNDARY_SAMPLES)
         thetas = np.linspace(0.0, 2.0 * np.pi, BOUNDARY_SAMPLES, endpoint=False)
         faces = []
-        for t_edge in (self.t_min, self.t_max):
+        for t_edge in T_BOX:
             T, U, TH = np.meshgrid([t_edge], us, thetas, indexing="ij")
             faces.append((T.ravel(), U.ravel(), TH.ravel()))
-        for u_edge in (self.u_min, self.u_max):
+        for u_edge in U_BOX:
             T, U, TH = np.meshgrid(ts, [u_edge], thetas, indexing="ij")
             faces.append((T.ravel(), U.ravel(), TH.ravel()))
         T = np.concatenate([f[0] for f in faces])
@@ -169,7 +164,7 @@ class HaarGrid:
 def _check_support(f, grid: HaarGrid):
     boundary = np.max(np.abs(f(grid.boundary_elements())))
     if boundary > BOUNDARY_TOL:
-        area = 2.0 * ((grid.u_max - grid.u_min) + (grid.t_max - grid.t_min))
+        area = 2.0 * ((U_BOX[1] - U_BOX[0]) + (T_BOX[1] - T_BOX[0]))
         warnings.warn(
             f"integrand is {boundary:.2e} on the box boundary "
             f"(boundary mass estimate {boundary * area:.2e}); "

@@ -349,26 +349,18 @@ def act_principal(p: SpectralParam, g, v: KFourierVector, nodes=None) -> KFourie
     return act_induced((1.0 + p.s) / 2.0, g, v, nodes=nodes)
 
 
-@dataclass(frozen=True)
-class RepMatrix:
-    """Truncated operator of the induced action on the Fourier basis."""
+def rep_matrix(p: SpectralParam, g, N: int, nodes=None) -> np.ndarray:
+    """Matrix of the induced action of g on the basis e_n, |n| <= N.
 
-    mat: np.ndarray = field(repr=False)
-    s: complex
-    g: np.ndarray = field(repr=False)
-    N: int
-    nodes: int
-
-
-def rep_matrix(p: SpectralParam, g, N: int, nodes=None) -> RepMatrix:
-    """Matrix of the induced action of g on the basis e_n, |n| <= N."""
+    Entry (m + N, n + N) is <rho(g) e_n, e_m>.
+    """
     if not p.is_induced:
         raise DomainError(f"rep_matrix needs an induced kind, got {p.kind}")
     g = require_member(g, "rep_matrix input")
     mult, theta_out = _induced_nodes((1.0 + p.s) / 2.0, g[None], N, nodes)
     # column n + N holds (rho(g) e_n)(theta_j) = mult_j e^{i n theta'_j}
     columns = np.stack(list(_mode_ladder(mult[0], theta_out[0], N)), axis=1)
-    return RepMatrix(_dft_coefficients(columns, N), p.s, g, N, theta_out.shape[1])
+    return _dft_coefficients(columns, N)
 
 
 def _matcoef_batch(s, gs, n, m, nodes):
@@ -380,8 +372,14 @@ def _matcoef_batch(s, gs, n, m, nodes):
 DEFAULT_MATCOEF_NODES = 128
 
 
-def matcoef(p: SpectralParam, g, n: int, m: int, nodes=None, N=None) -> complex:
+def matcoef(p: SpectralParam, g, n: int, m: int, nodes=None, N=None):
     """Matrix coefficient <rho(g) e_n, e_m> in the L2(K) inner product.
+
+    g is one element or a (..., 3, 3) stack of them; the result is a
+    complex scalar for one element and an array of the stack's leading
+    shape for a stack.  Both run one :func:`_matcoef_batch` call, so a
+    stack agrees with its per-element calls to round-off (a few 1e-16),
+    not bit for bit.
 
     Exact up to aliasing in the theta quadrature (no basis truncation
     enters: a single coefficient is a plain integral over the circle).
@@ -397,7 +395,7 @@ def matcoef(p: SpectralParam, g, n: int, m: int, nodes=None, N=None) -> complex:
     g = require_member(g, "matcoef input")
     if nodes is None:
         nodes = max(DEFAULT_MATCOEF_NODES, 4 * max(abs(n), abs(m)) + 4)
-    return complex(_matcoef_batch(p.s, g[None], n, m, nodes)[0])
+    return _matcoef_batch(p.s, g.reshape(-1, 3, 3), n, m, nodes).reshape(g.shape[:-2])[()]
 
 
 # ---------------------------------------------------------------------------
@@ -504,12 +502,11 @@ def discrete_ladder_leakage(m: int, sign: int, g, N: int) -> float:
     if N < m // 2 + LADDER_SOURCE_GUARD:
         raise DomainError(f"need N >= {m // 2 + LADDER_SOURCE_GUARD} for m = {m}")
     ambient = SpectralParam.induced_point(p.induced_s)
-    rep = rep_matrix(ambient, g, N)
     ns = np.arange(-N, N + 1)
     in_ladder = k_types(p).contains(ns)
     guard = np.abs(ns) <= N - LADDER_GUARD
     sources = in_ladder & (np.abs(ns) <= N - LADDER_SOURCE_GUARD)
-    cols = rep.mat[:, sources]
+    cols = rep_matrix(ambient, g, N)[:, sources]
     leaked = np.sum(np.abs(cols[~in_ladder & guard, :]) ** 2)
     total = np.sum(np.abs(cols[guard, :]) ** 2)
     if total == 0.0:

@@ -103,3 +103,45 @@ def test_criterion_4_phi_calls(monkeypatch):
     monkeypatch.setattr(hyperbolic, "phi", counted)
     assert acceptance.criterion_4_spherical_eigenvalue().passed
     assert len(calls) <= 14
+
+
+def test_criterion_6_fails_on_unshifted_exponent(monkeypatch):
+    # negative control: the coefficient at induced point 1 + 2s carries the
+    # exponent 1 + s instead of (1 + s)/2; the worst gap is about 0.93
+    pure = reps.matcoef
+
+    def unshifted(p, g, n, m, nodes=None, N=None):
+        return pure(reps.SpectralParam.induced_point(1 + 2 * p.s), g, n, m, nodes=nodes, N=N)
+
+    monkeypatch.setattr(reps, "matcoef", unshifted)
+    result = acceptance.criterion_6_matcoef_vs_spherical()
+    print(result.line())
+    assert not result.passed
+
+
+def test_criterion_6_fails_on_wrong_coefficient(monkeypatch):
+    # negative control: the (1, 1) coefficient is no spherical function;
+    # the worst gap is about 0.53
+    pure = reps.matcoef
+
+    def off_diagonal_type(p, g, n, m, nodes=None, N=None):
+        return pure(p, g, n + 1, m + 1, nodes=nodes, N=N)
+
+    monkeypatch.setattr(reps, "matcoef", off_diagonal_type)
+    result = acceptance.criterion_6_matcoef_vs_spherical()
+    print(result.line())
+    assert not result.passed
+
+
+def test_criterion_6_matcoef_calls(monkeypatch):
+    # one batched matcoef call per spectral parameter
+    pure = reps.matcoef
+    calls = []
+
+    def counted(p, g, n, m, nodes=None, N=None):
+        calls.append(np.shape(g))
+        return pure(p, g, n, m, nodes=nodes, N=N)
+
+    monkeypatch.setattr(reps, "matcoef", counted)
+    assert acceptance.criterion_6_matcoef_vs_spherical().passed
+    assert calls == [(9, 3, 3), (9, 3, 3)]

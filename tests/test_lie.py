@@ -189,7 +189,7 @@ def test_dpsi_matches_finite_difference_of_psi():
 
 def test_casimir_annihilates_constants():
     g = groups.make_a(0.5)
-    assert abs(lie.casimir_apply(lambda _: 1.0, g)) < 1e-8
+    assert abs(lie.casimir_apply(lambda gs: np.ones(gs.shape[:-2]), g)) < 1e-8
 
 
 def test_casimir_step_validation():
@@ -201,12 +201,34 @@ def test_casimir_step_validation():
 
 def test_casimir_rejects_non_finite_samples():
     with pytest.raises(NumericError):
-        lie.casimir_apply(lambda m: np.inf if m[0, 2] != 0 else 1.0, np.eye(3))
+        lie.casimir_apply(lambda gs: np.where(gs[..., 0, 2] != 0, np.inf, 1.0), np.eye(3))
 
 
 def _coefficient_function(s):
     p = reps.SpectralParam.from_s(s)
     return lambda g: reps.matcoef(p, g, 0, 0)
+
+
+def test_casimir_calls_f_once_and_matches_per_generator_loop():
+    # reference: each second difference from its own exp_matrix pair and
+    # three single-element calls of f
+    f = _coefficient_function(0.5 + 1j)
+    calls = []
+
+    def counted(gs):
+        calls.append(gs.shape)
+        return f(gs)
+
+    g = groups.recompose(groups.IwasawaCoords(0.4, 0.2, 0.3))
+    h = 1e-3
+    value = lie.casimir_apply(counted, g, h=h)
+    assert calls == [(7, 3, 3)]
+    center = f(g)
+    reference = 0.0
+    for x, sign in ((lie.V1, 1.0), (lie.V2, 1.0), (lie.W, -1.0)):
+        plus, minus = f(g @ lie.exp_matrix(h * x)), f(g @ lie.exp_matrix(-h * x))
+        reference += sign * (plus - 2.0 * center + minus) / (h * h)
+    assert abs(value - reference) < 1e-8 * abs(reference)
 
 
 def test_casimir_eigenfunction_constancy():

@@ -230,7 +230,7 @@ def test_induced_action_matches_dense_dft_reference(N, nodes, rng):
     p = reps.SpectralParam.principal(1.0)
     v = reps.KFourierVector.smooth_random(N, rng)
     unitary = _dense_rep_matrix((1.0 + p.s) / 2.0, g, N, nodes)
-    assert _rel_err(reps.rep_matrix(p, g, N, nodes=nodes).mat, unitary) < 1e-13
+    assert _rel_err(reps.rep_matrix(p, g, N, nodes=nodes), unitary) < 1e-13
     with warnings.catch_warnings():
         # the smooth vector reaches the top modes at N = 4
         warnings.simplefilter("ignore", TruncationWarning)
@@ -271,6 +271,22 @@ def test_matcoef_agrees_with_spherical_function():
             assert abs(mc - ph) < 1e-7
 
 
+def test_matcoef_on_stack_matches_per_element_calls():
+    # one batched call agrees with the single calls to round-off, not bit
+    # for bit: numpy's complex product takes another loop on a stack
+    rng = np.random.default_rng(91)
+    gs = groups.random_elements(rng, 6).reshape(2, 3, 3, 3)
+    for s in (1j, 0.5):
+        p = reps.SpectralParam.from_s(s)
+        for n, m in ((0, 0), (1, 1), (-2, 3)):
+            stacked = reps.matcoef(p, gs, n, m)
+            assert stacked.shape == (2, 3)
+            single = np.array([[reps.matcoef(p, g, n, m) for g in row] for row in gs])
+            assert np.max(np.abs(stacked - single)) < 1e-15
+    value = reps.matcoef(reps.SpectralParam.principal(1.0), gs[0, 0], 1, 1)
+    assert np.ndim(value) == 0 and isinstance(value, complex)
+
+
 def test_matcoef_truncation_bound_check():
     p = reps.SpectralParam.principal(1.0)
     with pytest.raises(DomainError):
@@ -283,7 +299,7 @@ def test_matcoef_truncation_bound_check():
 def test_rep_matrix_identity():
     p = reps.SpectralParam.principal(1.5)
     rep = reps.rep_matrix(p, np.eye(3), N=10)
-    assert np.max(np.abs(rep.mat - np.eye(21))) < 1e-12
+    assert np.max(np.abs(rep - np.eye(21))) < 1e-12
 
 
 def test_rep_matrix_matches_action_and_matcoef(rng):
@@ -294,10 +310,10 @@ def test_rep_matrix_matches_action_and_matcoef(rng):
     for p in (reps.SpectralParam.principal(1.0), reps.SpectralParam.complementary(0.3)):
         rep = reps.rep_matrix(p, g, N, nodes=nodes)
         acted = reps.act_principal(p, g, v, nodes=nodes)
-        assert np.max(np.abs(rep.mat @ v.c - acted.c)) < 1e-12
+        assert np.max(np.abs(rep @ v.c - acted.c)) < 1e-12
         for n, m in ((0, 0), (3, -2), (-N, N)):
             coef = reps.matcoef(p, g, n, m, nodes=nodes)
-            assert abs(rep.mat[m + N, n + N] - coef) < 1e-12
+            assert abs(rep[m + N, n + N] - coef) < 1e-12
 
 
 def test_rep_matrix_homomorphism_central_block():
@@ -312,8 +328,8 @@ def test_rep_matrix_homomorphism_central_block():
         a1, a2 = rng.uniform(0, 2 * np.pi, 2)
         g1 = groups.make_a(t1) @ groups.make_n(u1) @ groups.make_k(a1)
         g2 = groups.make_a(t2) @ groups.make_n(u2) @ groups.make_k(a2)
-        product = reps.rep_matrix(p, g1 @ g2, N).mat
-        staged = reps.rep_matrix(p, g1, N).mat @ reps.rep_matrix(p, g2, N).mat
+        product = reps.rep_matrix(p, g1 @ g2, N)
+        staged = reps.rep_matrix(p, g1, N) @ reps.rep_matrix(p, g2, N)
         assert np.max(np.abs((product - staged)[sl, sl])) < 1e-6
 
 
