@@ -32,6 +32,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .groups import (IwasawaCoords, _polar_radius, cartan_radius, haar_density, 
 from .reps import (SpectralParam, _coefficient, _dft_coefficients, _induced_nodes, _mode_ladder,
                    _node_count, k_types)
 from .equivariant import (BumpProfile, EquivariantFn, _on_radial_support, _product_stack,
-                          _row_concatenation)
+                          _read_only, _row_concatenation)
 
 # The (t, u) box every grid covers; only the node counts vary.
 T_BOX = (-3.0, 3.0)
@@ -106,15 +107,17 @@ class HaarGrid:
         """Stack of group elements at all nodes, in flat-index order."""
         return recompose(IwasawaCoords(*self.nodes()))
 
+    @cached_property
     def _row_bases(self):
-        """Elements a_t n_u of the (t, u) rows, in flat row order.
+        """Elements a_t n_u of the (t, u) rows, in flat row order; read-only.
 
-        The node at (row, k) is ``_row_bases()[row] @ make_k(theta_k)``,
-        bit for bit the element :func:`so21.groups.recompose` builds.
+        The node at (row, k) is ``_row_bases[row] @ make_k(theta_k)``,
+        bit for bit the element :func:`so21.groups.recompose` builds.  Built
+        on first use and kept for the life of the grid.
         """
         ts, us, _ = self.coordinate_arrays()
         T, U = np.meshgrid(ts, us, indexing="ij")
-        return make_a(T.ravel()) @ make_n(U.ravel())
+        return _read_only(make_a(T.ravel()) @ make_n(U.ravel()))
 
     def rows_in_band(self, band):
         """Flat indices of the rows whose base a_t n_u has polar radius in the closed `band`.
@@ -124,7 +127,7 @@ class HaarGrid:
         radius bit for bit.
         """
         lo, hi = band
-        radius = _polar_radius(self._row_bases())
+        radius = _polar_radius(self._row_bases)
         return np.flatnonzero((radius >= lo - _BAND_MARGIN) & (radius <= hi + _BAND_MARGIN))
 
     def chunks(self, rows=None):
@@ -136,15 +139,19 @@ class HaarGrid:
         Grid reductions sum one partial per chunk, in chunk order.  An empty
         selection gives one empty chunk.
         """
-        bases = self._row_bases()
+        bases = self._row_bases
         rotations = make_k(self.coordinate_arrays()[2])
         rows = np.arange(bases.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
         step = max(1, _CHUNK // self.ntheta)
         for start in range(0, max(rows.size, 1), step):
             yield (bases[rows[start:start + step], None] @ rotations).reshape(-1, 3, 3)
 
+    @cached_property
     def boundary_elements(self):
-        """Elements on the four t/u faces of the box, BOUNDARY_SAMPLES per axis."""
+        """Elements on the four t/u faces of the box, BOUNDARY_SAMPLES per axis; read-only.
+
+        Built on first use and kept for the life of the grid.
+        """
         ts = np.linspace(*T_BOX, BOUNDARY_SAMPLES)
         us = np.linspace(*U_BOX, BOUNDARY_SAMPLES)
         thetas = np.linspace(0.0, 2.0 * np.pi, BOUNDARY_SAMPLES, endpoint=False)
@@ -158,11 +165,11 @@ class HaarGrid:
         T = np.concatenate([f[0] for f in faces])
         U = np.concatenate([f[1] for f in faces])
         TH = np.concatenate([f[2] for f in faces])
-        return recompose(IwasawaCoords(T, U, TH))
+        return _read_only(recompose(IwasawaCoords(T, U, TH)))
 
 
 def _check_support(f, grid: HaarGrid):
-    boundary = np.max(np.abs(f(grid.boundary_elements())))
+    boundary = np.max(np.abs(f(grid.boundary_elements)))
     if boundary > BOUNDARY_TOL:
         area = 2.0 * ((U_BOX[1] - U_BOX[0]) + (T_BOX[1] - T_BOX[0]))
         warnings.warn(
@@ -184,7 +191,7 @@ def _support_rows(f, grid: HaarGrid):
     if support is None:
         return np.arange(grid.nt * grid.nu)
     rows = grid.rows_in_band(support)
-    skipped = np.delete(grid._row_bases(), rows, axis=0)
+    skipped = np.delete(grid._row_bases, rows, axis=0)
     off = np.flatnonzero(np.asarray(f(skipped)) != 0.0)
     if off.size:
         raise DomainError(f"f is nonzero at polar radius {_polar_radius(skipped[off[0]]):.6g} "
@@ -241,7 +248,7 @@ def _pi_core(s, f, grid, N, nodes, rhs_index=None):
     # into F[row, n] = sum_k w f(row, k) e^{i n theta_k}.  f is evaluated and
     # summed at every theta node of its support rows, so no angular symmetry
     # of f is assumed and the range collapse stays observed.
-    mult, theta_out = _induced_nodes((1.0 + s) / 2.0, grid._row_bases()[rows[on]], N, nodes)
+    mult, theta_out = _induced_nodes((1.0 + s) / 2.0, grid._row_bases[rows[on]], N, nodes)
     thetas = grid.coordinate_arrays()[2]
     F = (grid.node_weight * fvals[on]) @ np.exp(1j * np.outer(thetas, np.arange(-N, N + 1)))
     # accumulate S[j, n] = sum_row F[row, n] mult[row, j] e^{i n theta'[row, j]}

@@ -14,6 +14,7 @@ angles.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .groups import _polar_angles, _polar_radius, make_a, make_k
-from .reps import SpectralParam, _matcoef_batch, k_types
+from .reps import SpectralParam, _cocycle_batch, _coefficient, _dft_nodes, _node_count, k_types
 
 DEFAULT_PROJECTION_NODES = 128
 
@@ -90,22 +91,28 @@ class EquivariantFn:
 def _on_radial_support(gs, profile, value):
     """b(r) times an angular factor on an unvalidated stack, with angles only where b(r) != 0.
 
-    The polar radius r is computed at every node.  The polar angles, and
-    `value(b, theta1, theta2)` on the nonzero profile values b, are computed
-    only where the profile is nonzero, which is a few percent of a Haar
-    grid; every other node is an exact 0.  Hot path: called on large
+    The stack is read in place, never copied whole, so a transposed (...,
+    3, 3) view costs what a contiguous stack does: the polar radius r comes
+    from strided views of g13 and g23 at every node.  When the profile is
+    nonzero at every node, as on a projector's translates k_a g k_b (they
+    all share r(g)), the polar angles and `value(b, theta1, theta2)` run on
+    the whole stack.  Otherwise one boolean mask gathers the nodes with
+    b != 0, a few percent of a Haar grid, for the angles and `value`, and
+    every other node is an exact 0.  Hot path: called on large
     internally-built grids, so the stack is not re-validated.  A single
     (3, 3) element gives a scalar.
     """
     gs = np.asarray(gs, dtype=float)
-    stack = gs.reshape(-1, 3, 3)
+    stack = gs[None] if gs.ndim == 2 else gs
     radius = _polar_radius(stack)
     b = profile(radius)
-    on = np.flatnonzero(b)
-    theta1, theta2 = _polar_angles(stack[on], radius[on])
-    vals = value(b[on], theta1, theta2)
-    out = np.zeros(radius.shape, dtype=vals.dtype)
-    out[on] = vals
+    on = b != 0.0
+    if on.all():
+        out = value(b, *_polar_angles(stack, radius))
+    else:
+        vals = value(b[on], *_polar_angles(stack[on], radius[on]))
+        out = np.zeros(radius.shape, dtype=vals.dtype)
+        out[on] = vals
     return out.reshape(gs.shape[:-2])[()]
 
 
@@ -238,6 +245,18 @@ GRAM_QUAD_NODES = 64
 GRAM_COEF_NODES = 128
 
 
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+@functools.cache
+def _legendre_rule(nq):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per node count, read-only."""
+    xs, ws = np.polynomial.legendre.leggauss(nq)
+    return _read_only(xs), _read_only(ws)
+
+
 def gram_min_eig(
     params: list[SpectralParam],
     n: int,
@@ -251,7 +270,11 @@ def gram_min_eig(
 
         G_jk = 2 pi * int_region phi_j(a_r) conj(phi_k(a_r)) sinh(r) dr,
 
-    evaluated by Gauss-Legendre quadrature.  A positive smallest eigenvalue
+    evaluated by Gauss-Legendre quadrature; each rule is built once per
+    process.  On each rule the cocycle of k_theta a_r runs once, on the
+    stack of boosts, and every parameter applies its own multiplier
+    e^{(1+s) t/2} to that shared (t, theta'), so phi_j is bit for bit
+    ``reps._matcoef_batch`` on those boosts.  A positive smallest eigenvalue
     certifies linear independence of the coefficients on the band (and, the
     functions being analytic, on the whole group); the quadrature is
     validated against one refinement and a disagreement raises
@@ -270,12 +293,15 @@ def gram_min_eig(
     if not 0.0 <= lo < hi:
         raise DomainError("region must be an interval [lo, hi) with 0 <= lo < hi")
 
+    thetas = _dft_nodes(_node_count(abs(n), GRAM_COEF_NODES))
+
     def assemble(nq):
-        xs, ws = np.polynomial.legendre.leggauss(nq)
+        xs, ws = _legendre_rule(nq)
         rs = lo + (hi - lo) * (xs + 1.0) / 2.0
         ws = ws * (hi - lo) / 2.0
-        boosts = make_a(rs)
-        vals = np.array([_matcoef_batch(p.induced_s, boosts, n, n, GRAM_COEF_NODES)
+        # the cocycle of k_theta a_r does not depend on s: one run serves every parameter
+        t, theta_out = _cocycle_batch(thetas, make_a(rs))
+        vals = np.array([_coefficient(np.exp((1.0 + p.induced_s) / 2.0 * t), theta_out, n, n)
                          for p in params])
         weight = ws * np.sinh(rs)
         gram = 2.0 * np.pi * np.einsum("q,jq,kq->jk", weight, vals, np.conj(vals))

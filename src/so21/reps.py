@@ -306,14 +306,8 @@ def _coefficient(mult, theta_out, n, m):
     return (mult * np.exp(1j * n * theta_out)) @ np.exp(-1j * m * _dft_nodes(nodes)) / nodes
 
 
-def act_induced(gamma, g, v: KFourierVector, nodes=None) -> KFourierVector:
-    """Right-translation action with multiplier e^{gamma * t(theta, g)}.
-
-    This is the raw building block: evaluate v on a theta grid, transport
-    through the cocycle, multiply, and project back onto |n| <= N by the
-    discrete Fourier transform.  Callers pick the exponent gamma; the
-    unitary normalization is gamma = (1 + s)/2.
-    """
+def _act(gamma, g, v: KFourierVector, nodes):
+    """The induced action of :func:`act_induced`, without the truncation warning."""
     g = require_member(g, "act_induced input")
     N = v.N
     mult, theta_out = _induced_nodes(gamma, g[None], N, nodes)
@@ -324,12 +318,12 @@ def act_induced(gamma, g, v: KFourierVector, nodes=None) -> KFourierVector:
     for c in v.c[-2::-1]:
         acc = acc * z + c
     values = mult[0] * np.exp(-1j * N * theta_out[0]) * acc
-    out = KFourierVector(N, _dft_coefficients(values, N))
-    _warn_on_top_modes(out)
-    return out
+    return KFourierVector(N, _dft_coefficients(values, N))
 
 
 def _warn_on_top_modes(v: KFourierVector):
+    """Warn when the top modes of v hold energy; called from a public entry, so
+    stacklevel 3 names that entry's caller."""
     total = np.sum(np.abs(v.c) ** 2)
     if total == 0:
         return
@@ -342,11 +336,26 @@ def _warn_on_top_modes(v: KFourierVector):
         )
 
 
+def act_induced(gamma, g, v: KFourierVector, nodes=None) -> KFourierVector:
+    """Right-translation action with multiplier e^{gamma * t(theta, g)}.
+
+    This is the raw building block: evaluate v on a theta grid, transport
+    through the cocycle, multiply, and project back onto |n| <= N by the
+    discrete Fourier transform.  Callers pick the exponent gamma; the
+    unitary normalization is gamma = (1 + s)/2.
+    """
+    out = _act(gamma, g, v, nodes)
+    _warn_on_top_modes(out)
+    return out
+
+
 def act_principal(p: SpectralParam, g, v: KFourierVector, nodes=None) -> KFourierVector:
     """Unitarily normalized induced action of g on a truncated vector."""
     if not p.is_induced:
         raise DomainError(f"act_principal needs an induced kind, got {p.kind}")
-    return act_induced((1.0 + p.s) / 2.0, g, v, nodes=nodes)
+    out = _act((1.0 + p.s) / 2.0, g, v, nodes)
+    _warn_on_top_modes(out)
+    return out
 
 
 def rep_matrix(p: SpectralParam, g, N: int, nodes=None) -> np.ndarray:

@@ -58,6 +58,21 @@ def test_grid_rows_share_their_base_radius():
     assert np.array_equal(rows, np.flatnonzero(inside))
 
 
+def test_grid_constants_are_built_once_per_grid_and_read_only():
+    grid = character.HaarGrid(nt=8, nu=6, ntheta=16)
+    assert grid._row_bases is grid._row_bases
+    assert grid.boundary_elements is grid.boundary_elements
+    assert grid._row_bases.tobytes() == grid.elements()[::grid.ntheta].tobytes()
+    for array in (grid._row_bases, grid.boundary_elements):
+        with pytest.raises(ValueError):
+            array[0, 0, 0] = 0.0
+    # the caches are no fields: a fresh grid of the same shape is equal
+    # and builds its own
+    other = character.HaarGrid(nt=8, nu=6, ntheta=16)
+    assert other == grid and hash(other) == hash(grid)
+    assert other._row_bases is not grid._row_bases
+
+
 # ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
-from so21 import equivariant, groups, reps
+from so21 import character, equivariant, groups, reps
 from so21.errors import DomainError
 
 
@@ -100,6 +102,88 @@ def test_witness_satisfies_equivariance_contract():
         lhs = fn(groups.make_k(t1) @ g @ groups.make_k(t2))
         rhs = np.exp(1j * (-2) * (t1 + t2)) * fn(g)
         assert abs(lhs - rhs) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# radial-support kernel on strided stacks
+# ---------------------------------------------------------------------------
+
+_KERNEL_PROFILE = equivariant.BumpProfile(0.8, 0.3)
+
+
+def _translate_view(g, nodes=128):
+    # the projector's layout: k_a g k_b sits in block (a, b) of one 2-D
+    # product, seen through a transpose, so the (nodes, nodes, 3, 3) stack
+    # is not contiguous
+    _, rotations = equivariant._projection_angles(nodes)
+    product = (rotations.reshape(-1, 3) @ g) @ equivariant._row_concatenation(rotations)
+    return product.reshape(nodes, 3, nodes, 3).transpose(0, 2, 1, 3)
+
+
+def _blocked_view(stack):
+    # any (m, m, 3, 3) stack laid out as the projector lays out its translates
+    return np.ascontiguousarray(stack.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+
+
+def _kernel_functions():
+    witness = equivariant.separation_witness(2, _KERNEL_PROFILE)
+    return (witness, character._oracle_test_function)
+
+
+_ON_SUPPORT = groups.make_a(0.8) @ groups.make_k(0.4)
+_OFF_SUPPORT = groups.make_a(2.0) @ groups.make_n(0.3)
+
+
+def _kernel_stacks():
+    rng = np.random.default_rng(41)
+    mixed = groups.random_elements(rng, 128 * 128, t_bound=1.5, u_bound=1.0)
+    return {"all on": _translate_view(_ON_SUPPORT),
+            "all off": _translate_view(_OFF_SUPPORT),
+            "mixed": _blocked_view(mixed.reshape(128, 128, 3, 3))}
+
+
+def test_radial_support_reads_strided_stacks_bit_for_bit():
+    far = groups.make_a(3.0)
+    for name, view in _kernel_stacks().items():
+        assert not view.flags.c_contiguous
+        for f in _kernel_functions():
+            value = f(view)
+            copy = f(np.ascontiguousarray(view))
+            assert value.shape == (128, 128) and value.dtype == copy.dtype
+            assert value.tobytes() == copy.tobytes(), name
+            # one off-support node forces the gathered path on the same nodes
+            flat = np.concatenate([view.reshape(-1, 3, 3), far[None]])
+            gathered = f(flat)
+            assert gathered[-1] == 0.0
+            assert gathered[:-1].tobytes() == value.tobytes(), name
+            on = np.count_nonzero(value)
+            assert {"all on": on == value.size, "all off": on == 0,
+                    "mixed": 0 < on < value.size}[name]
+
+
+def test_radial_support_single_element_is_a_scalar():
+    for f in _kernel_functions():
+        for g in (_ON_SUPPORT, _OFF_SUPPORT):
+            value = f(g)
+            assert np.ndim(value) == 0
+            assert type(value) is type(f(g[None])[0])
+            assert np.asarray(value).tobytes() == f(g[None]).tobytes()
+
+
+@pytest.mark.parametrize("g, bound", [(_OFF_SUPPORT, 1.0), (_ON_SUPPORT, 1.5)])
+def test_radial_support_does_not_copy_the_view(g, bound):
+    # the translate view of a projector is 1.2 MB; a whole copy of it, plus
+    # the radii and the angles, would take the peak above these bounds
+    view = _translate_view(g)
+    witness = equivariant.separation_witness(2, _KERNEL_PROFILE)
+    witness(view)
+    tracemalloc.start()
+    try:
+        witness(view)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * view.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -300,3 +384,67 @@ def test_gram_nonzero_isotype():
     params = [reps.SpectralParam.from_s(s) for s in (1j, 0.5)]
     res = equivariant.gram_min_eig(params, 2, region=(0.0, 2.0))
     assert res.min_eig > 0.0
+
+
+def _gram_per_parameter(params, n, nq, region=(0.0, 2.0)):
+    # the Gram matrix with one _matcoef_batch call per parameter, each
+    # running its own cocycle on the boosts
+    lo, hi = region
+    xs, ws = np.polynomial.legendre.leggauss(nq)
+    rs = lo + (hi - lo) * (xs + 1.0) / 2.0
+    ws = ws * (hi - lo) / 2.0
+    boosts = groups.make_a(rs)
+    vals = np.array([reps._matcoef_batch(p.induced_s, boosts, n, n, equivariant.GRAM_COEF_NODES)
+                     for p in params])
+    gram = 2.0 * np.pi * np.einsum("q,jq,kq->jk", ws * np.sinh(rs), vals, np.conj(vals))
+    return 0.5 * (gram + gram.conj().T)
+
+
+GRAM_CASES = [(svals, n) for svals in ((1j,), (1j, 2j, 0.5), (1j, 2j, 0.5, 1j)) for n in (0, 2)]
+
+
+@pytest.mark.parametrize("svals, n", GRAM_CASES)
+def test_gram_matches_per_parameter_coefficients(svals, n):
+    params = [reps.SpectralParam.from_s(s) for s in svals]
+    res = equivariant.gram_min_eig(params, n)
+    ref = _gram_per_parameter(params, n, 2 * equivariant.GRAM_QUAD_NODES)
+    assert res.gram.tobytes() == ref.tobytes()
+    assert res.min_eig == float(np.linalg.eigvalsh(ref)[0])
+
+
+@pytest.mark.parametrize("count", [3, 4])
+def test_gram_runs_the_cocycle_once_per_rule(monkeypatch, count):
+    calls = []
+
+    def counted(thetas, gs):
+        calls.append(gs.shape[0])
+        return reps._cocycle_batch(thetas, gs)
+
+    monkeypatch.setattr(equivariant, "_cocycle_batch", counted)
+    params = [reps.SpectralParam.from_s(s) for s in (1j, 2j, 0.5, 1j)[:count]]
+    equivariant.gram_min_eig(params, 0)
+    assert calls == [equivariant.GRAM_QUAD_NODES, 2 * equivariant.GRAM_QUAD_NODES]
+
+
+def test_legendre_rules_are_cached_and_read_only(monkeypatch):
+    counts = {}
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(nq):
+        counts[nq] = counts.get(nq, 0) + 1
+        return leggauss(nq)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    equivariant._legendre_rule.cache_clear()
+    params = [reps.SpectralParam.from_s(s) for s in (1j, 0.5)]
+    for region in ((0.0, 2.0), (0.0, 1.0), (0.5, 2.0)):
+        equivariant.gram_min_eig(params, 0, region=region)
+    nq = equivariant.GRAM_QUAD_NODES
+    assert counts == {nq: 1, 2 * nq: 1}
+    for count in (nq, 2 * nq):
+        xs, ws = equivariant._legendre_rule(count)
+        ref_xs, ref_ws = leggauss(count)
+        assert xs.tobytes() == ref_xs.tobytes() and ws.tobytes() == ref_ws.tobytes()
+        for array in (xs, ws):
+            with pytest.raises(ValueError):
+                array[0] = 0.0

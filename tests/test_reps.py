@@ -202,6 +202,21 @@ def test_truncation_warning_on_rough_vector():
         reps.act_principal(reps.SpectralParam.principal(1.0), groups.make_a(1.5), rough)
 
 
+def test_truncation_warning_names_the_callers_line():
+    # both public entries warn from the same depth, so the warning points at
+    # this file, not into reps.py
+    N = 12
+    ns = np.arange(-N, N + 1)
+    rough = reps.KFourierVector(N, 1.0 / (1.0 + np.abs(ns)))
+    g = groups.make_a(1.5)
+    p = reps.SpectralParam.principal(1.0)
+    for act in (lambda: reps.act_principal(p, g, rough),
+                lambda: reps.act_induced((1.0 + p.s) / 2.0, g, rough)):
+        with pytest.warns(TruncationWarning) as record:
+            act()
+        assert record[0].filename == __file__
+
+
 def _dense_rep_matrix(gamma, g, N, nodes):
     # reference for the induced action: P diag(mult) C, with the DFT matrix
     # P and the transported modes C written out as dense exponentials
