@@ -41,8 +41,8 @@ from .groups import (IwasawaCoords, _polar_radius, cartan_radius, haar_density, 
                      make_n, recompose)
 from .reps import (SpectralParam, _coefficient, _dft_coefficients, _induced_nodes, _mode_ladder,
                    _node_count, k_types)
-from .equivariant import (BumpProfile, EquivariantFn, _on_radial_support, _product_stack,
-                          _read_only, _row_concatenation)
+from .equivariant import (BumpProfile, EquivariantFn, _blocks, _on_radial_support, _read_only,
+                          _row_concatenation)
 
 # The (t, u) box every grid covers; only the node counts vary.
 T_BOX = (-3.0, 3.0)
@@ -51,6 +51,10 @@ BOUNDARY_TOL = 1e-12
 BOUNDARY_SAMPLES = 24
 REFINE_FACTOR = 1.5
 _CHUNK = 65536
+# Column multiple of a chunk's 2-D product, see HaarGrid.chunks; unpadded,
+# OpenBLAS 0.3.31 on AVX-512 gives last-bit differences from elements() at
+# ntheta = 100 and 101.
+_BLAS_COLUMNS = 16
 # Widening of a support band: a computed radius arcsinh(hypot(g13, g23)) is
 # off by a few ulps of max|g| (arcsinh has slope <= 1), a translate's by a few
 # more; with entries below 1e4 here that is under 1e-11.
@@ -134,17 +138,26 @@ class HaarGrid:
         """The elements of the given (t, u) rows (all when None), whole rows at a time.
 
         Each chunk holds every theta node of the next ``_CHUNK // ntheta``
-        rows (at least one), built as one broadcast product of their bases
-        with every rotation: bit for bit :meth:`elements` on those rows.
-        Grid reductions sum one partial per chunk, in chunk order.  An empty
-        selection gives one empty chunk.
+        rows (at least one), as a (rows, ntheta, 3, 3) view of one 2-D
+        product: the chunk's bases stacked row-wise times the
+        row-concatenation [k_0 | k_1 | ...] of every rotation, which holds
+        base_i @ k_j in block (i, j) (see :func:`so21.equivariant._blocks`).
+        That is bit for bit :meth:`elements` on those rows: the rotations
+        are padded with zero columns to a multiple of 16, because BLAS
+        computes a narrower tail of columns with other kernels, whose fused
+        multiply-adds can round differently.  Grid reductions sum one
+        partial per chunk, in chunk order.  An empty selection gives one
+        empty chunk.
         """
         bases = self._row_bases
-        rotations = make_k(self.coordinate_arrays()[2])
+        width = 3 * self.ntheta
+        columns = np.zeros((3, -(-width // _BLAS_COLUMNS) * _BLAS_COLUMNS))
+        columns[:, :width] = _row_concatenation(make_k(self.coordinate_arrays()[2]))
         rows = np.arange(bases.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
         step = max(1, _CHUNK // self.ntheta)
         for start in range(0, max(rows.size, 1), step):
-            yield (bases[rows[start:start + step], None] @ rotations).reshape(-1, 3, 3)
+            chunk = bases[rows[start:start + step]]
+            yield _blocks((chunk.reshape(-1, 3) @ columns)[:, :width], chunk.shape[0])
 
     @cached_property
     def boundary_elements(self):
@@ -446,6 +459,14 @@ def haar_invariance_check(grid: HaarGrid | None = None, translations=None) -> Ha
     Only rows whose base B has radius in f's support widened by R = max r(g0)
     are evaluated: with r(x) = d(o, x.o) and k.o = o, the triangle inequality
     gives |r(g0 B k) - r(B)| <= r(g0^-1) = r(g0) and |r(B k g0) - r(B)| <= r(g0).
+    Each translate of a chunk is one product on the chunk's block matrix Y
+    (node (i, j) in block (i, j), see :meth:`HaarGrid.chunks`), seen as a
+    (rows, ntheta, 3, 3) view like the chunk: ``g0 @ Y`` on its (rows, 3,
+    3 ntheta) block rows for the left translate, ``Y.reshape(-1, 3) @ g0``
+    for the right one.  No per-chunk copy of the elements is made (the
+    right translate makes one when the chunk's columns were padded, 3
+    ntheta not a multiple of 16), and f evaluates its radial bump and
+    angles only inside its band.
     """
     grid = grid if grid is not None else HaarGrid(nt=96, nu=96, ntheta=128)
     if translations is None:
@@ -458,13 +479,15 @@ def haar_invariance_check(grid: HaarGrid | None = None, translations=None) -> Ha
     right_parts = {name: [] for name in translations}
     for G in grid.chunks(rows):
         base_parts.append(np.sum(f(G)))
-        # each translate is one 2-D product: G @ g0 on the stacked rows of G,
-        # g0 @ G on the row-concatenation of its elements
-        stacked = G.reshape(-1, 3)
-        columns = _row_concatenation(G)
+        # each translate is one product on the chunk's block matrix Y, in
+        # its (rows, 3, 3 ntheta) layout: g0 times each block row on the
+        # left, the 3-wide rows of Y times g0 on the right
+        k = G.shape[0]
+        Y = G.transpose(0, 2, 1, 3).reshape(k, 3, 3 * grid.ntheta)
         for name, g0 in translations.items():
-            left_parts[name].append(np.sum(f(_product_stack(g0, columns))))
-            right_parts[name].append(np.sum(f((stacked @ g0).reshape(G.shape))))
+            left_parts[name].append(np.sum(f(_blocks(g0 @ Y, k))))
+            right = (Y.reshape(-1, 3) @ g0).reshape(Y.shape)
+            right_parts[name].append(np.sum(f(_blocks(right, k))))
 
     def total(parts):
         return grid.node_weight * float(np.real(np.sum(np.asarray(parts))))

@@ -51,6 +51,8 @@ class BumpProfile:
     width: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.center) and np.isfinite(self.width)):
+            raise DomainError("bump center and width must be finite")
         if self.width <= 0:
             raise DomainError("bump width must be positive")
         if self.center < 0:
@@ -88,31 +90,58 @@ class EquivariantFn:
         return self.evaluator(np.asarray(g, dtype=float))
 
 
-def _on_radial_support(gs, profile, value):
-    """b(r) times an angular factor on an unvalidated stack, with angles only where b(r) != 0.
+# Relative widening of a band test on g13^2 + g23^2 against sinh^2 of the
+# band edges.  Both sides are off by a few ulps at most, and the bump is
+# exactly 0 for |x| > 0.9994 (its exponent passes the underflow of exp), so
+# every node where it is nonzero lies well inside the widened band.
+_SQUARED_BAND_MARGIN = 1e-9
 
-    The stack is read in place, never copied whole, so a transposed (...,
-    3, 3) view costs what a contiguous stack does: the polar radius r comes
-    from strided views of g13 and g23 at every node.  When the profile is
-    nonzero at every node, as on a projector's translates k_a g k_b (they
-    all share r(g)), the polar angles and `value(b, theta1, theta2)` run on
-    the whole stack.  Otherwise one boolean mask gathers the nodes with
-    b != 0, a few percent of a Haar grid, for the angles and `value`, and
-    every other node is an exact 0.  Hot path: called on large
-    internally-built grids, so the stack is not re-validated.  A single
-    (3, 3) element gives a scalar.
+
+def _near_band(stack, band):
+    """Mask of the nodes of a (..., 3, 3) stack whose polar radius may lie in `band`.
+
+    Compares g13^2 + g23^2 = sinh^2 r with sinh^2 of the band edges, widened
+    by `_SQUARED_BAND_MARGIN`; no arcsinh runs.  Radii are >= 0, so a lower
+    edge <= 0 admits every node from below.
+    """
+    lo, hi = band
+    g13, g23 = stack[..., 0, 2], stack[..., 1, 2]
+    squared = g13 * g13 + g23 * g23
+    return ((squared >= np.sinh(max(lo, 0.0)) ** 2 * (1.0 - _SQUARED_BAND_MARGIN))
+            & (squared <= np.sinh(hi) ** 2 * (1.0 + _SQUARED_BAND_MARGIN)))
+
+
+def _on_radial_support(gs, profile, value):
+    """b(r) times an angular factor on an unvalidated stack, evaluated only inside b's band.
+
+    `profile` is b, a callable on radii with a finite `support` band outside
+    which it vanishes.  The stack is read in place, never copied whole, so a
+    transposed (..., 3, 3) view, such as a Haar chunk or a projector's
+    translates, costs what a contiguous stack does.  The band test
+    (:func:`_near_band`) picks the candidate nodes from g13 and g23 alone;
+    the radius, b, and then the polar angles and `value(b, theta1, theta2)`
+    run only on the candidates where b != 0, gathered by one boolean mask
+    on the entry views: g13, g23, g31 and g32 (and g11 and g21 when some
+    radius is 0), never the whole 3x3 stack.  Every other node is an exact
+    0.  When b is nonzero at every node, as on a projector's translates k_a
+    g k_b (they all share r(g)), everything runs on the whole stack with no
+    gather.  Hot path: called on large internally-built grids, so the stack
+    is not re-validated.  A single (3, 3) element gives a scalar.
     """
     gs = np.asarray(gs, dtype=float)
     stack = gs[None] if gs.ndim == 2 else gs
-    radius = _polar_radius(stack)
+    near = _near_band(stack, profile.support)
+    whole = near.all()
+    radius = _polar_radius(stack, at=... if whole else near)
     b = profile(radius)
-    on = b != 0.0
-    if on.all():
-        out = value(b, *_polar_angles(stack, radius))
-    else:
-        vals = value(b[on], *_polar_angles(stack[on], radius[on]))
-        out = np.zeros(radius.shape, dtype=vals.dtype)
-        out[on] = vals
+    nonzero = b != 0.0
+    if whole and nonzero.all():
+        return value(b, *_polar_angles(stack, radius)).reshape(gs.shape[:-2])[()]
+    on = near
+    on[near] = nonzero.ravel()
+    vals = value(b[nonzero], *_polar_angles(stack, radius[nonzero], at=on))
+    out = np.zeros(on.shape, dtype=vals.dtype)
+    out[on] = vals
     return out.reshape(gs.shape[:-2])[()]
 
 
@@ -163,14 +192,23 @@ def _row_concatenation(stack):
 
     One 2-D product x @ [g_0 | g_1 | ...] multiplies x by every g_j at once,
     with the same three-term sums as the batched 3x3 products x @ g_j; see
-    :func:`_product_stack`.
+    :func:`_blocks`.
     """
     return stack.transpose(1, 0, 2).reshape(3, -1)
 
 
-def _product_stack(x, columns):
-    """The (k, 3, 3) stack of x @ g_j, with columns = _row_concatenation(g)."""
-    return (x @ columns).reshape(3, -1, 3).transpose(1, 0, 2)
+def _blocks(product, rows):
+    """The (rows, m, 3, 3) view of the 3x3 blocks of a (..., 3 m) block matrix.
+
+    `product` holds `rows` block rows of 3 matrix rows each, in either
+    layout (3 rows, 3 m) or (rows, 3, 3 m); block (i, j) is entry [i, j] of
+    the view, and no data is copied.  With rows = [x_0; x_1; ...] stacked
+    and columns = :func:`_row_concatenation` of g, the 2-D product
+    rows @ columns has x_i @ g_j in block (i, j), from the same three-term
+    sums as the batched 3x3 product (see :meth:`so21.character.HaarGrid.chunks`
+    on when BLAS rounds them alike).
+    """
+    return product.reshape(rows, 3, product.shape[-1] // 3, 3).transpose(0, 2, 1, 3)
 
 
 def _isotype_projector(f, ns, nodes=None):
@@ -193,7 +231,7 @@ def _isotype_projector(f, ns, nodes=None):
 
     def value(g):
         # (rows @ g) @ columns holds k_a g k_b in block (a, b)
-        translates = ((rows @ g) @ columns).reshape(count, 3, count, 3).transpose(0, 2, 1, 3)
+        translates = _blocks((rows @ g) @ columns, count)
         return np.sum((weights @ f(translates)) * weights, axis=1)
 
     return lambda gs: np.moveaxis(_per_element(value, gs), -1, 0)
@@ -223,7 +261,7 @@ def right_isotype_project(f, n: int, nodes=None):
     columns = _row_concatenation(rotations)
 
     def value(x):
-        return np.mean(phase * f(_product_stack(x, columns)))
+        return np.mean(phase * f(_blocks(x @ columns, 1)[0]))
 
     return lambda xs: _per_element(value, xs)
 

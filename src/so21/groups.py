@@ -329,22 +329,24 @@ def recompose(c: IwasawaCoords):
 _DEGENERATE_RADIUS = 1e-12
 
 
-def _polar_radius(gs):
-    """Polar radius of an unvalidated (..., 3, 3) stack.
+def _polar_radius(gs, at=...):
+    """Polar radius of an unvalidated (..., 3, 3) stack, at the nodes `at` selects.
 
     The radius is the arcsinh of the Euclidean norm of (g13, g23), which is
     exact on the subgroup elements and numerically stable near the identity,
-    unlike arcosh(g33).  Radii below 1e-12 degenerate to exactly 0.
+    unlike arcosh(g33).  Radii below 1e-12 degenerate to exactly 0.  `at`
+    indexes the leading shape (a boolean mask gathers only the selected
+    nodes' entries); the default reads the whole stack in place.
     """
-    r = np.arcsinh(np.hypot(gs[..., 0, 2], gs[..., 1, 2]))
+    r = np.arcsinh(np.hypot(gs[..., 0, 2][at], gs[..., 1, 2][at]))
     flat = r < _DEGENERATE_RADIUS
     if np.any(flat):
         r = np.where(flat, 0.0, r)
     return r
 
 
-def _polar_angles(gs, r):
-    """Polar angles (theta1, theta2) of an unvalidated stack with radii r = _polar_radius(gs).
+def _polar_angles(gs, r, at=...):
+    """Polar angles (theta1, theta2) of an unvalidated stack with radii r = _polar_radius(gs, at).
 
     For positive radius the two angles are pinned by the third column and
     the third row of g, and the factorization k_theta1 a_r k_theta2 is
@@ -352,13 +354,18 @@ def _polar_angles(gs, r):
     stored as theta1 = 0 with theta2 carrying the whole angle.  The angles
     come straight from arctan2, in (-pi, pi]; hot paths that only feed them
     to periodic functions skip the reduction that :func:`polar` applies.
+    Only the entries read are gathered at `at`: g13, g23, g31 and g32, and
+    g11 and g21 when some radius is 0.
     """
-    theta1 = np.arctan2(gs[..., 1, 2], gs[..., 0, 2])
-    theta2 = np.arctan2(-gs[..., 2, 1], gs[..., 2, 0])
+    def entry(i, j):
+        return gs[..., i, j][at]
+
+    theta1 = np.arctan2(entry(1, 2), entry(0, 2))
+    theta2 = np.arctan2(-entry(2, 1), entry(2, 0))
     flat = r == 0.0
     if np.any(flat):
         theta1 = np.where(flat, 0.0, theta1)
-        theta2 = np.where(flat, np.arctan2(gs[..., 1, 0], gs[..., 0, 0]), theta2)
+        theta2 = np.where(flat, np.arctan2(entry(1, 0), entry(0, 0)), theta2)
     return theta1, theta2
 
 

@@ -32,18 +32,20 @@ def test_grid_elements_are_members():
 
 
 def test_grid_chunks_concatenate_to_elements():
-    # 4096 rows of 100 nodes: six chunks of 655 whole rows and a partial seventh
+    # 4096 rows of 100 nodes: six chunks of 655 whole rows and a partial
+    # seventh, each a (rows, ntheta, 3, 3) view of one 2-D block product
     grid = character.HaarGrid(nt=64, nu=64, ntheta=100)
     chunks = list(grid.chunks())
-    assert len(chunks) == 7
-    assert all(c.shape[0] <= 65536 and c.shape[0] % 100 == 0 for c in chunks)
+    assert [c.shape for c in chunks] == [(655, 100, 3, 3)] * 6 + [(166, 100, 3, 3)]
+    assert all(c.size <= 9 * 65536 and not c.flags.c_contiguous for c in chunks)
     elements = grid.elements()
     assert np.concatenate(chunks).tobytes() == elements.tobytes()
     # a selection of rows gives elements() restricted to those rows, bit for bit
     rows = np.flatnonzero(np.arange(64 * 64) % 3 != 1)[5:]
     selected = np.concatenate(list(grid.chunks(rows)))
-    assert selected.tobytes() == elements.reshape(-1, 100, 3, 3)[rows].reshape(-1, 3, 3).tobytes()
-    assert [c.shape[0] for c in grid.chunks([])] == [0]
+    assert selected.shape == (rows.size, 100, 3, 3)
+    assert selected.tobytes() == elements.reshape(-1, 100, 3, 3)[rows].tobytes()
+    assert [c.shape for c in grid.chunks([])] == [(0, 100, 3, 3)]
 
 
 def test_grid_rows_share_their_base_radius():
@@ -216,6 +218,51 @@ _ROTATIONS = np.concatenate([
 ])
 
 
+def _ulp_radii(edge, count=6):
+    # the 2 * count + 1 floats nearest to `edge`
+    return edge + np.spacing(edge) * np.arange(-count, count + 1)
+
+
+def _rotated_boosts(radii, angles=(0.0, 0.7, 2.9)):
+    # k_a a_r k_b for every radius and pair of angles: g13, g23 come out
+    # rounded differently from sinh(r), so the computed radius scatters
+    # by a few ulps around r
+    k = groups.make_k(np.asarray(angles))
+    stack = k[:, None, None] @ groups.make_a(np.asarray(radii))[None, :, None] @ k[None, None]
+    return stack.reshape(-1, 3, 3)
+
+
+class _BoxProfile:
+    """1 on the closed band of radii, 0 outside: nonzero right up to its edges."""
+
+    support = (0.25, 0.95)
+
+    def __call__(self, r):
+        lo, hi = self.support
+        return ((r >= lo) & (r <= hi)).astype(float)
+
+
+def _box_kernel(gs):
+    return equivariant._on_radial_support(
+        gs, _BoxProfile(), lambda b, theta1, theta2: b * np.exp(1j * (theta1 - 2.0 * theta2)))
+
+
+def _unmasked_box(gs):
+    theta1, r, theta2 = groups._polar(np.asarray(gs, dtype=float))
+    return _BoxProfile()(r) * np.exp(1j * (theta1 - 2.0 * theta2))
+
+
+# radii within a few ulps of each edge of the box band and of the oracle's
+# band (0.25, 0.95), plus interior ones
+_EDGES = _rotated_boosts(np.concatenate([_ulp_radii(0.25), _ulp_radii(0.95), [0.4, 0.6, 0.9]]))
+# r = 0 nodes (exact and degenerate) among nodes on and off the band
+# (-0.5, 0.5), laid out as a strided (rows, ntheta, 3, 3) view
+_ORIGIN_MIXED = (
+    np.concatenate([groups.make_k([0.0, 1.0, 4.0]), groups.make_a([1e-13, 0.3, 0.8])])
+    .reshape(-1, 3) @ equivariant._row_concatenation(groups.make_k(np.linspace(0.0, 6.0, 5)))
+).reshape(6, 3, 5, 3).transpose(0, 2, 1, 3)
+
+
 @pytest.mark.parametrize("masked, unmasked, gs", [
     (_witness(3), _unmasked_witness(3, equivariant.BumpProfile(0.6, 0.3)),
      next(SMALL_GRID.chunks())),
@@ -225,23 +272,67 @@ _ROTATIONS = np.concatenate([
     (_witness(-2, 0.0, 0.5), _unmasked_witness(-2, equivariant.BumpProfile(0.0, 0.5)),
      _ROTATIONS),
     (character._oracle_test_function, _unmasked_oracle, _ROTATIONS),
+    (_box_kernel, _unmasked_box, _EDGES),
+    (character._oracle_test_function, _unmasked_oracle, _EDGES),
+    (_witness(-2, 0.0, 0.5), _unmasked_witness(-2, equivariant.BumpProfile(0.0, 0.5)),
+     _ORIGIN_MIXED),
 ], ids=["witness_chunk", "oracle_chunk", "origin_band_chunk", "origin_band_rotations",
-        "oracle_rotations"])
+        "oracle_rotations", "box_band_edges", "oracle_band_edges", "origin_band_zero_radius"])
 def test_support_masked_integrands_match_unmasked_polar(masked, unmasked, gs):
     # the angles are computed only where the profile is nonzero; there the
     # values agree bit for bit with the formula on _polar at every node.
     # Elsewhere the masked form is an exact +0, where the unmasked product
     # 0 * e^{i phi} may carry a signed zero.
     got, want = masked(gs), unmasked(gs)
-    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.shape == want.shape == gs.shape[:-2] and got.dtype == want.dtype
     on = want != 0.0
     assert on.any()
     assert np.array_equal(got != 0.0, on)
     assert got[on].tobytes() == want[on].tobytes()
     assert not np.any(np.signbit(got[~on].view(float)))
-    for g in gs[:3]:
+    for g in gs.reshape(-1, 3, 3)[:3]:
         one, ref = masked(g), unmasked(g)
         assert type(one) is type(ref) and one == ref
+
+
+def test_support_masked_cases_reach_the_edges_and_the_origin():
+    # the edge stack straddles both band edges by a few ulps, in the
+    # computed radius the kernel compares; the origin case has r = 0 nodes
+    # inside the band next to nodes outside it
+    radius = groups._polar_radius(_EDGES)
+    for edge in _BoxProfile.support:
+        near = np.abs(radius - edge) <= 8 * np.spacing(edge)
+        assert np.any(near & (radius < edge)) and np.any(near & (radius == edge))
+        assert np.any(near & (radius > edge))
+    radius = groups._polar_radius(_ORIGIN_MIXED)
+    assert radius.shape == (6, 5) and not _ORIGIN_MIXED.flags.c_contiguous
+    assert np.count_nonzero(radius == 0.0) == 20 and np.any(radius > 0.5)
+
+
+def test_radial_kernel_evaluates_the_profile_on_band_candidates_only():
+    # cost guard: on a Haar chunk the profile sees only the radii the
+    # squared-norm band test admits, not every node
+    seen = []
+    bump = equivariant.BumpProfile(0.6, 0.35)
+
+    class Recording:
+        support = bump.support
+
+        def __call__(self, r):
+            seen.append(np.array(r))
+            return bump(r)
+
+    chunk = next(SMALL_GRID.chunks())
+    got = equivariant._on_radial_support(
+        chunk, Recording(), lambda b, theta1, theta2: b * np.cos(theta1 - theta2))
+    radius = groups._polar_radius(chunk)
+    lo, hi = bump.support
+    inside = (radius >= lo - 1e-8) & (radius <= hi + 1e-8)
+    assert len(seen) == 1 and seen[0].ndim == 1
+    assert seen[0].size == np.count_nonzero(inside) < radius.size // 4
+    assert np.array_equal(np.sort(seen[0]), np.sort(radius[inside]))
+    want = _unmasked_witness(0, bump)(chunk)
+    assert np.array_equal(got != 0.0, want != 0.0)
 
 
 # ---------------------------------------------------------------------------

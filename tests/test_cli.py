@@ -221,6 +221,18 @@ def test_charcheck_isotype_outside_truncation(capsys):
     assert "outside the truncation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["charcheck", "--s", "i", "--n", "1", "--t0", "nan", "--grid", "16,16,32", "--trunc", "4"],
+    ["separate", "--n", "1", "--t0", "0.6", "--width", "inf", "--probe", "0.5,1.5"],
+], ids=["charcheck_nan_center", "separate_infinite_width"])
+def test_non_finite_bump_is_a_domain_error(capsys, argv):
+    # without the check, charcheck passed its gate on 0 support rows and
+    # separate reported e^{-1} at every probe
+    assert cli.run(argv + ["--no-meta"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be finite" in captured.err
+
+
 def test_charcheck_corollary_and_refine(capsys):
     code, payload = run_json(capsys, "charcheck", "--s", "i", "--n", "1",
                              "--grid", "24,24,48", "--trunc", "8",

@@ -49,6 +49,11 @@ def test_bump_profile_validation():
         equivariant.BumpProfile(0.5, 0.0)
     with pytest.raises(DomainError):
         equivariant.BumpProfile(-0.1, 0.2)
+    # a non-finite band would make the radial kernel's band test admit no
+    # node (nan) or every node with b = e^{-1} (infinite width)
+    for center, width in [(np.nan, 0.3), (np.inf, 0.3), (0.6, np.nan), (0.6, np.inf)]:
+        with pytest.raises(DomainError, match="finite"):
+            equivariant.BumpProfile(center, width)
 
 
 # ---------------------------------------------------------------------------
