@@ -421,8 +421,10 @@ def _handle(args):
                    "worst_right": res.worst_right,
                    "per_translation": res.per_translation,
                    "evaluated_rows": res.evaluated_rows,
+                   "integrand_rows": res.integrand_rows,
                    "density_at_origin": groups.haar_density(groups.IwasawaCoords(0.0, 0.0, 0.0)),
-                   "coarse_integral": complex(direct)}
+                   "coarse_integral": complex(direct),
+                   "meta": {"check_seconds": res.seconds}}
         return payload, EXIT_OK if res.worst <= args.tol else EXIT_TOLERANCE
 
     if name == "charcheck":

@@ -32,12 +32,12 @@ def test_grid_elements_are_members():
 
 
 def test_grid_chunks_concatenate_to_elements():
-    # 4096 rows of 100 nodes: six chunks of 655 whole rows and a partial
-    # seventh, each a (rows, ntheta, 3, 3) view of one 2-D block product
+    # 4096 rows of 100 nodes: fifty chunks of 81 whole rows and a partial
+    # fifty-first, each a (rows, ntheta, 3, 3) view of one 2-D block product
     grid = character.HaarGrid(nt=64, nu=64, ntheta=100)
     chunks = list(grid.chunks())
-    assert [c.shape for c in chunks] == [(655, 100, 3, 3)] * 6 + [(166, 100, 3, 3)]
-    assert all(c.size <= 9 * 65536 and not c.flags.c_contiguous for c in chunks)
+    assert [c.shape for c in chunks] == [(81, 100, 3, 3)] * 50 + [(46, 100, 3, 3)]
+    assert all(c.size <= 9 * 8192 and not c.flags.c_contiguous for c in chunks)
     elements = grid.elements()
     assert np.concatenate(chunks).tobytes() == elements.tobytes()
     # a selection of rows gives elements() restricted to those rows, bit for bit
@@ -131,39 +131,109 @@ def _translation_reach(translations):
     return max(groups.cartan_radius(g0) for g0 in translations.values())
 
 
+def _band_rows(bases, band):
+    # rows whose base radius lies in the band, widened for round-off
+    radius = groups._polar_radius(bases)
+    margin = character._BAND_MARGIN
+    return np.flatnonzero((radius >= band[0] - margin) & (radius <= band[1] + margin))
+
+
 def test_haar_invariance_matches_batched_reference():
-    # 100 rotations per row does not divide 65536, so a chunk holds 655
-    # whole rows; the reference slices the selected rows of elements() into
-    # such chunks and translates with plain batched 3x3 products, which pins
-    # the row-aligned chunks and the 2-D translated products bit for bit
+    # 100 rotations per row does not divide 8192, so a chunk holds 81
+    # whole rows; the reference slices each integrand's rows into such
+    # chunks and builds the translated grids with plain batched 3x3
+    # products, (g0 @ B) @ k_j on the left and B @ (k_j @ g0) on the right,
+    # which pins the row selections, the chunks and the padded 2-D block
+    # products bit for bit
     grid = character.HaarGrid(nt=40, nu=40, ntheta=100)
     translations = {"a": groups.make_a(0.3), "n": groups.make_n(0.5), "k": groups.make_k(1.0)}
     res = character.haar_invariance_check(grid, translations)
 
     f = character._oracle_test_function
     lo, hi = f.support
-    reach = _translation_reach(translations)
-    rows = grid.rows_in_band((lo - reach, hi + reach))
-    assert res.evaluated_rows == rows.size
-    selected = grid.elements().reshape(-1, grid.ntheta, 3, 3)[rows]
-    base_parts, left_parts, right_parts = [], {}, {}
-    for start in range(0, rows.size, 655):
-        G = selected[start:start + 655].reshape(-1, 3, 3)
-        base_parts.append(np.sum(f(G)))
-        for name, g0 in translations.items():
-            left_parts.setdefault(name, []).append(np.sum(f(g0 @ G)))
-            right_parts.setdefault(name, []).append(np.sum(f(G @ g0)))
+    B = grid._row_bases
+    K = groups.make_k(grid.coordinate_arrays()[2])
+    evaluated = []
 
-    def total(parts):
+    def integral(bases, rotations, rows):
+        evaluated.append(rows)
+        parts = []
+        for start in range(0, rows.size, 81):
+            G = bases[rows[start:start + 81], None] @ rotations
+            parts.append(np.sum(f(G.reshape(-1, 3, 3))))
         return grid.node_weight * float(np.real(np.sum(np.asarray(parts))))
 
-    base = total(base_parts)
+    base = integral(B, K, _band_rows(B, f.support))
     assert res.base_integral == base
-    for name in translations:
-        assert res.per_translation[name] == {
-            "left": abs(total(left_parts[name]) - base) / abs(base),
-            "right": abs(total(right_parts[name]) - base) / abs(base),
-        }
+    for name, g0 in translations.items():
+        left = integral(g0 @ B, K, _band_rows(g0 @ B, f.support))
+        reach = groups.cartan_radius(g0)
+        right = integral(B, K @ g0, _band_rows(B, (lo - reach, hi + reach)))
+        assert res.per_translation[name] == {"left": abs(left - base) / abs(base),
+                                             "right": abs(right - base) / abs(base)}
+    assert res.evaluated_rows == np.unique(np.concatenate(evaluated)).size
+    assert res.integrand_rows == sum(rows.size for rows in evaluated)
+
+
+def test_haar_invariance_evaluates_each_translate_on_its_own_rows(monkeypatch):
+    # cost guard: the left translate is the grid with row bases g0 @ B, and
+    # the oracle sees exactly the rows of those bases inside its band (the
+    # theta = 0 column of a chunk is its bases); the right translate sees
+    # the rows within r(g0) of the band, and the base integral its own band
+    seen = []
+    oracle = character._oracle_test_function
+
+    def recording(gs):
+        seen.append(np.array(gs))
+        return oracle(gs)
+
+    recording.support = oracle.support
+    monkeypatch.setattr(character, "_oracle_test_function", recording)
+    grid = character.HaarGrid(nt=40, nu=40, ntheta=100)
+    g0 = groups.make_n(0.5)
+    res = character.haar_invariance_check(grid, {"n": g0})
+    # in call order: the base's check of its skipped rows (a 3-D stack), its
+    # chunks, the left translate's check, its chunks, the right's chunks
+    first, second = (i for i, gs in enumerate(seen) if gs.ndim == 3)
+    base = np.concatenate(seen[first + 1:second])
+    translates = np.concatenate(seen[second + 1:])
+    B = grid._row_bases
+    lo, hi = oracle.support
+    reach = groups.cartan_radius(g0)
+    base_rows = _band_rows(B, oracle.support)
+    left_rows = _band_rows(g0 @ B, oracle.support)
+    right_rows = _band_rows(B, (lo - reach, hi + reach))
+    assert base[:, 0].tobytes() == B[base_rows].tobytes()
+    assert translates[:left_rows.size, 0].tobytes() == (g0 @ B)[left_rows].tobytes()
+    assert translates.shape[0] == left_rows.size + right_rows.size
+    assert res.integrand_rows == base_rows.size + left_rows.size + right_rows.size
+    assert left_rows.size < right_rows.size < grid.nt * grid.nu
+
+    # criterion 11's grid and translations: 548 base rows and one band per
+    # translate, against 7 x 1496 rows for one pass over the widest band
+    res = character.haar_invariance_check(character.HaarGrid(nt=96, nu=96, ntheta=128))
+    assert abs(res.integrand_rows - 5312) <= 4
+    assert res.evaluated_rows == 1496
+
+
+def test_haar_invariance_checks_the_declared_support(monkeypatch):
+    # an oracle nonzero outside its declared band is refused, not pruned
+    oracle = character._oracle_test_function
+
+    def narrow(gs):
+        return oracle(gs)
+
+    narrow.support = (0.5, oracle.support[1])
+    monkeypatch.setattr(character, "_oracle_test_function", narrow)
+    with pytest.raises(DomainError, match="outside its declared support"):
+        character.haar_invariance_check(SMALL_GRID)
+
+
+def test_haar_invariance_without_band_nodes_is_a_domain_error():
+    # on a 2 x 2 grid every row base lies outside the oracle's band, so the
+    # base integral is 0 and no relative defect exists
+    with pytest.raises(DomainError, match="integrates to 0"):
+        character.haar_invariance_check(character.HaarGrid(nt=2, nu=2, ntheta=8))
 
 
 def test_haar_invariance_pruning_loses_no_mass():
@@ -263,12 +333,17 @@ _ORIGIN_MIXED = (
 ).reshape(6, 3, 5, 3).transpose(0, 2, 1, 3)
 
 
+# rows 512-639 of SMALL_GRID, t in [0.09, 0.66]: one chunk, 128 rows x 64
+# rotations, with nodes inside and outside both the (0.25, 0.95) band and
+# the origin band
+_BAND_CHUNK = list(SMALL_GRID.chunks())[4]
+
+
 @pytest.mark.parametrize("masked, unmasked, gs", [
-    (_witness(3), _unmasked_witness(3, equivariant.BumpProfile(0.6, 0.3)),
-     next(SMALL_GRID.chunks())),
-    (character._oracle_test_function, _unmasked_oracle, next(SMALL_GRID.chunks())),
+    (_witness(3), _unmasked_witness(3, equivariant.BumpProfile(0.6, 0.3)), _BAND_CHUNK),
+    (character._oracle_test_function, _unmasked_oracle, _BAND_CHUNK),
     (_witness(-2, 0.0, 0.5), _unmasked_witness(-2, equivariant.BumpProfile(0.0, 0.5)),
-     next(SMALL_GRID.chunks())),
+     _BAND_CHUNK),
     (_witness(-2, 0.0, 0.5), _unmasked_witness(-2, equivariant.BumpProfile(0.0, 0.5)),
      _ROTATIONS),
     (character._oracle_test_function, _unmasked_oracle, _ROTATIONS),
@@ -322,14 +397,14 @@ def test_radial_kernel_evaluates_the_profile_on_band_candidates_only():
             seen.append(np.array(r))
             return bump(r)
 
-    chunk = next(SMALL_GRID.chunks())
+    chunk = _BAND_CHUNK
     got = equivariant._on_radial_support(
         chunk, Recording(), lambda b, theta1, theta2: b * np.cos(theta1 - theta2))
     radius = groups._polar_radius(chunk)
     lo, hi = bump.support
     inside = (radius >= lo - 1e-8) & (radius <= hi + 1e-8)
     assert len(seen) == 1 and seen[0].ndim == 1
-    assert seen[0].size == np.count_nonzero(inside) < radius.size // 4
+    assert 0 < seen[0].size == np.count_nonzero(inside) < radius.size // 4
     assert np.array_equal(np.sort(seen[0]), np.sort(radius[inside]))
     want = _unmasked_witness(0, bump)(chunk)
     assert np.array_equal(got != 0.0, want != 0.0)

@@ -197,6 +197,22 @@ def test_haarcheck_small_grid(capsys):
     assert 0 < payload["evaluated_rows"] < 48 * 48
 
 
+def test_haarcheck_reports_integrand_rows_and_time(capsys):
+    code, payload = run_json(capsys, "haarcheck", "--grid", "48,48,64")
+    assert code == 0
+    # the base integral and one left and one right translate per translation
+    assert payload["evaluated_rows"] <= payload["integrand_rows"] <= 7 * payload["evaluated_rows"]
+    assert payload["meta"]["check_seconds"] > 0.0
+
+
+def test_haarcheck_without_band_nodes_exit_code(capsys):
+    # a 2 x 2 grid has no row in the oracle's band: a domain error, not a
+    # division by zero
+    assert cli.run(["haarcheck", "--grid", "2,2,8", "--no-meta"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "integrates to 0" in captured.err
+
+
 def test_charcheck_gate(capsys):
     code, payload = run_json(capsys, "charcheck", "--s", "i", "--n", "1",
                              "--grid", "24,24,48", "--trunc", "8",
