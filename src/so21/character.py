@@ -470,7 +470,12 @@ _ORACLE_PROFILE = BumpProfile(0.6, 0.35)
 
 
 def _oracle_test_function(gs):
-    """Generic smooth function of no K-type, zero outside the polar radii `.support`."""
+    """Generic smooth function of no K-type, zero outside the polar radii `.support`.
+
+    The angular factor broadcasts b and theta1, which come per row as
+    (rows, 1) on rows of nodes sharing their third column, against theta2
+    (rows, m); see :func:`so21.equivariant._on_radial_support`.
+    """
     return _on_radial_support(
         gs, _ORACLE_PROFILE,
         lambda b, theta1, theta2:

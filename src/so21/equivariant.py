@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .groups import _polar_angles, _polar_radius, make_a, make_k
+from .groups import _first_polar_angle, _polar_radius, _second_polar_angle, make_a, make_k
 from .reps import SpectralParam, _cocycle_batch, _coefficient, _dft_nodes, _node_count, k_types
 
 DEFAULT_PROJECTION_NODES = 128
@@ -111,6 +111,19 @@ def _near_band(stack, band):
             & (squared <= np.sinh(hi) ** 2 * (1.0 + _SQUARED_BAND_MARGIN)))
 
 
+def _shares_third_column(stack):
+    """Whether every row of a (..., m, 3, 3) stack, m > 1, has one (g13, g23) bit for bit.
+
+    The entries are compared as uint64, a view with no copy: float == would
+    merge -0.0 with +0.0, which arctan2 maps to theta1 = -pi and +pi when
+    g13 < 0.
+    """
+    if stack.shape[-3] < 2:
+        return False
+    column = stack[..., :2, 2].view(np.uint64)
+    return bool((column == column[..., :1, :]).all())
+
+
 def _on_radial_support(gs, profile, value):
     """b(r) times an angular factor on an unvalidated stack, evaluated only inside b's band.
 
@@ -118,29 +131,47 @@ def _on_radial_support(gs, profile, value):
     which it vanishes.  The stack is read in place, never copied whole, so a
     transposed (..., 3, 3) view, such as a Haar chunk or a projector's
     translates, costs what a contiguous stack does.  The band test
-    (:func:`_near_band`) picks the candidate nodes from g13 and g23 alone;
-    the radius, b, and then the polar angles and `value(b, theta1, theta2)`
-    run only on the candidates where b != 0, gathered by one boolean mask
-    on the entry views: g13, g23, g31 and g32 (and g11 and g21 when some
+    (:func:`_near_band`) picks the candidates from g13 and g23 alone; the
+    radius, b, and then the polar angles and `value(b, theta1, theta2)` run
+    only on the candidates where b != 0, gathered by one boolean mask on
+    the entry views: g13, g23, g31 and g32 (and g11 and g21 when some
     radius is 0), never the whole 3x3 stack.  Every other node is an exact
-    0.  When b is nonzero at every node, as on a projector's translates k_a
-    g k_b (they all share r(g)), everything runs on the whole stack with no
-    gather.  Hot path: called on large internally-built grids, so the stack
-    is not re-validated.  A single (3, 3) element gives a scalar.
+    0, and when b is nonzero at every node nothing is gathered.
+
+    A candidate is a row, the m nodes along the last leading axis, when
+    the stack is (..., m, 3, 3) with m > 1 and every row's nodes have one
+    g13 and one g23 bit for bit (:func:`_shares_third_column`).  k_theta
+    fixes the third column, so this holds on a Haar chunk's rows B k_theta,
+    on its left translates and its k right translate, and on a projector's
+    translates k_a g k_b.  There the band test, the radius, b and theta1
+    (with its radius-0 rule) run once per row, and `value` gets b and
+    theta1 as (rows, 1) and theta2 as (rows, m), which it must broadcast.
+    Any other stack is taken node by node, each node a row of its own.
+    Both give the same values bit for bit.  Hot path: called on large
+    internally-built grids, so the stack is not re-validated.  A single
+    (3, 3) element gives a scalar.
     """
     gs = np.asarray(gs, dtype=float)
-    stack = gs[None] if gs.ndim == 2 else gs
-    near = _near_band(stack, profile.support)
+    stack = gs.reshape((1,) * max(0, 4 - gs.ndim) + gs.shape)
+    rows = _shares_third_column(stack)
+    heads = stack[..., 0, :, :] if rows else stack
+    near = _near_band(heads, profile.support)
     whole = near.all()
-    radius = _polar_radius(stack, at=... if whole else near)
+    radius = _polar_radius(heads, at=... if whole else near)
     b = profile(radius)
     nonzero = b != 0.0
-    if whole and nonzero.all():
-        return value(b, *_polar_angles(stack, radius)).reshape(gs.shape[:-2])[()]
-    on = near
-    on[near] = nonzero.ravel()
-    vals = value(b[nonzero], *_polar_angles(stack, radius[nonzero], at=on))
-    out = np.zeros(on.shape, dtype=vals.dtype)
+    on = ...
+    if not (whole and nonzero.all()):
+        on = near
+        on[near] = nonzero.ravel()
+        radius, b = radius[nonzero], b[nonzero]
+    theta1 = _first_polar_angle(heads, radius, at=on)
+    if rows:
+        radius, b, theta1 = radius[..., None], b[..., None], theta1[..., None]
+    vals = value(b, theta1, _second_polar_angle(stack, radius, at=on))
+    if on is ...:
+        return vals.reshape(gs.shape[:-2])[()]
+    out = np.zeros(stack.shape[:-2], dtype=vals.dtype)
     out[on] = vals
     return out.reshape(gs.shape[:-2])[()]
 
@@ -152,7 +183,10 @@ def separation_witness(n: int, profile: BumpProfile) -> EquivariantFn:
     supported, and constant in modulus on each double orbit of the rotation
     subgroup, so it takes different values on orbits inside versus outside
     the band: evaluating at two boosts a_x and a_y with radii on opposite
-    sides of the band edge exhibits the separation directly.
+    sides of the band edge exhibits the separation directly.  The phase
+    broadcasts b and theta1, which come per row as (rows, 1) on rows of
+    nodes sharing their third column, against theta2 (rows, m); see
+    :func:`_on_radial_support`.
     """
 
     def evaluate(gs):

@@ -345,39 +345,52 @@ def _polar_radius(gs, at=...):
     return r
 
 
-def _polar_angles(gs, r, at=...):
-    """Polar angles (theta1, theta2) of an unvalidated stack with radii r = _polar_radius(gs, at).
+def _first_polar_angle(gs, r, at=...):
+    """theta1 = arctan2(g23, g13) of an unvalidated stack, 0 where the radius r is 0.
 
-    For positive radius the two angles are pinned by the third column and
-    the third row of g, and the factorization k_theta1 a_r k_theta2 is
-    unique.  At the degenerate radius 0 the element is a pure rotation,
-    stored as theta1 = 0 with theta2 carrying the whole angle.  The angles
-    come straight from arctan2, in (-pi, pi]; hot paths that only feed them
-    to periodic functions skip the reduction that :func:`polar` applies.
-    Only the entries read are gathered at `at`: g13, g23, g31 and g32, and
-    g11 and g21 when some radius is 0.
+    r is :func:`_polar_radius` at the same nodes.  Only g13 and g23 are
+    gathered at `at`, a boolean mask on the leading shape (by default the
+    whole stack is read in place).
+    """
+    theta1 = np.arctan2(gs[..., 1, 2][at], gs[..., 0, 2][at])
+    flat = r == 0.0
+    if np.any(flat):
+        theta1 = np.where(flat, 0.0, theta1)
+    return theta1
+
+
+def _second_polar_angle(gs, r, at=...):
+    """theta2 = arctan2(-g32, g31) of an unvalidated stack, arctan2(g21, g11) where r is 0.
+
+    Only g31 and g32, and g11 and g21 when some radius is 0, are gathered
+    at `at`.  r broadcasts against those entries, so one radius per row of
+    nodes serves every node of the row.
     """
     def entry(i, j):
         return gs[..., i, j][at]
 
-    theta1 = np.arctan2(entry(1, 2), entry(0, 2))
     theta2 = np.arctan2(-entry(2, 1), entry(2, 0))
     flat = r == 0.0
     if np.any(flat):
-        theta1 = np.where(flat, 0.0, theta1)
         theta2 = np.where(flat, np.arctan2(entry(1, 0), entry(0, 0)), theta2)
-    return theta1, theta2
+    return theta2
 
 
 def _polar(gs):
     """Polar coordinates (theta1, r, theta2) of an unvalidated (..., 3, 3) stack.
 
-    See :func:`_polar_radius` and :func:`_polar_angles`; integrands that
-    vanish outside a band of radii compute the angles only on the band.
+    The radius is :func:`_polar_radius`.  For positive radius the two
+    angles are pinned by the third column and the third row of g, and the
+    factorization k_theta1 a_r k_theta2 is unique.  At the degenerate
+    radius 0 the element is a pure rotation, stored as theta1 = 0 with
+    theta2 carrying the whole angle.  The angles come straight from
+    arctan2, in (-pi, pi]; hot paths that only feed them to periodic
+    functions skip the reduction that :func:`polar` applies, and integrands
+    that vanish outside a band of radii compute the angles only on the
+    band, with :func:`_first_polar_angle` and :func:`_second_polar_angle`.
     """
     r = _polar_radius(gs)
-    theta1, theta2 = _polar_angles(gs, r)
-    return theta1, r, theta2
+    return _first_polar_angle(gs, r), r, _second_polar_angle(gs, r)
 
 
 def polar(gs):
@@ -385,7 +398,7 @@ def polar(gs):
 
     Broadcasts over stacked input; membership is checked first.  Both
     angles lie in [0, 2*pi), and the factorization is unique for r > 0;
-    see :func:`_polar_angles` for the degenerate radius.
+    see :func:`_polar` for the degenerate radius.
     """
     theta1, r, theta2 = _polar(require_member(gs, "polar input"))
     return theta1 % (2.0 * np.pi), r, theta2 % (2.0 * np.pi)

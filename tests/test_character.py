@@ -384,30 +384,171 @@ def test_support_masked_cases_reach_the_edges_and_the_origin():
     assert np.count_nonzero(radius == 0.0) == 20 and np.any(radius > 0.5)
 
 
+class _RecordingProfile:
+    """The oracle's bump, recording every array of radii it is called on."""
+
+    def __init__(self, bump=equivariant.BumpProfile(0.6, 0.35)):
+        self.bump = bump
+        self.support = bump.support
+        self.seen = []
+
+    def __call__(self, r):
+        self.seen.append(np.array(r))
+        return self.bump(r)
+
+
 def test_radial_kernel_evaluates_the_profile_on_band_candidates_only():
-    # cost guard: on a Haar chunk the profile sees only the radii the
-    # squared-norm band test admits, not every node
-    seen = []
-    bump = equivariant.BumpProfile(0.6, 0.35)
-
-    class Recording:
-        support = bump.support
-
-        def __call__(self, r):
-            seen.append(np.array(r))
-            return bump(r)
-
+    # cost guard: every node B k_theta of a Haar chunk's row has its base's
+    # g13 and g23, so the profile sees one radius per row the band test
+    # admits, not one per node
+    profile = _RecordingProfile()
     chunk = _BAND_CHUNK
     got = equivariant._on_radial_support(
-        chunk, Recording(), lambda b, theta1, theta2: b * np.cos(theta1 - theta2))
-    radius = groups._polar_radius(chunk)
-    lo, hi = bump.support
+        chunk, profile, lambda b, theta1, theta2: b * np.cos(theta1 - theta2))
+    radius = groups._polar_radius(chunk[:, 0])
+    lo, hi = profile.support
     inside = (radius >= lo - 1e-8) & (radius <= hi + 1e-8)
-    assert len(seen) == 1 and seen[0].ndim == 1
-    assert 0 < seen[0].size == np.count_nonzero(inside) < radius.size // 4
-    assert np.array_equal(np.sort(seen[0]), np.sort(radius[inside]))
-    want = _unmasked_witness(0, bump)(chunk)
+    assert len(profile.seen) == 1 and profile.seen[0].ndim == 1
+    assert 0 < profile.seen[0].size == np.count_nonzero(inside) < radius.size
+    assert np.array_equal(profile.seen[0], radius[inside])
+    want = _unmasked_witness(0, profile.bump)(chunk)
     assert np.array_equal(got != 0.0, want != 0.0)
+
+
+def test_projector_evaluates_the_profile_once_per_translate_row():
+    # cost guard: the translates k_a g k_b of one row a share k_a g's third
+    # column, so a projection sees `nodes` radii per element, not nodes^2
+    profile = _RecordingProfile()
+    witness = equivariant.separation_witness(1, profile)
+    g = groups.make_k(0.4) @ groups.make_a(0.55) @ groups.make_k(1.3)
+    value = equivariant.project_biequivariant(witness, 1, nodes=64)(g)
+    assert abs(value) > 0.1
+    assert [r.shape for r in profile.seen] == [(64,)]
+    profile.seen.clear()
+    equivariant.right_isotype_project(witness, 1, nodes=64)(np.stack([g, g @ groups.make_a(0.1)]))
+    assert [r.shape for r in profile.seen] == [(1,), (1,)]
+
+
+def _translate_chunk(rotations, translate=None):
+    # the rows of SMALL_GRID near the oracle's band, as a chunk of rows
+    # (translate @ B) @ k_j, or B @ k_j when translate is None
+    B = SMALL_GRID._row_bases
+    bases = B if translate is None else translate @ B
+    rows = character._rows_in_band(bases, (0.0, 1.5))[:100]
+    return next(character._chunks(bases, rotations, rows))
+
+
+def _projector_translates(g, nodes=64):
+    # k_a g k_b in block (a, b), as _isotype_projector builds them
+    rotations = equivariant._projection_angles(nodes)[1]
+    product = (rotations.reshape(-1, 3) @ g) @ equivariant._row_concatenation(rotations)
+    return equivariant._blocks(product, nodes)
+
+
+def _right_isotype_stack(x, nodes=64):
+    # x k_b as one block row, as right_isotype_project builds it
+    rotations = equivariant._projection_angles(nodes)[1]
+    return equivariant._blocks(x @ equivariant._row_concatenation(rotations), 1)
+
+
+_K = SMALL_GRID._rotations
+_G = groups.make_k(0.4) @ groups.make_a(0.55) @ groups.make_k(1.3)
+_ROW_STACKS = {
+    "grid_chunk": _BAND_CHUNK,
+    "left_translate": _translate_chunk(_K, groups.make_a(0.3) @ groups.make_n(-0.2)),
+    "k_right_translate": _translate_chunk(_K @ groups.make_k(1.0)),
+    "projector_translates": _projector_translates(_G),
+    "right_isotype": _right_isotype_stack(_G),
+    "right_isotype_3d": _right_isotype_stack(_G)[0],
+    "one_row_3d": _BAND_CHUNK[46],
+    "zero_radius_rows": _ORIGIN_MIXED,
+}
+_NODE_STACKS = {
+    "a_right_translate": _translate_chunk(_K @ groups.make_a(0.3)),
+    "n_right_translate": _translate_chunk(_K @ groups.make_n(0.5)),
+    "row_bases_3d": SMALL_GRID._row_bases[::7],
+}
+_KERNELS = {
+    "witness": _witness(2),
+    "origin_witness": _witness(-1, 0.0, 0.7),
+    "oracle": character._oracle_test_function,
+}
+
+
+def _node_by_node(f, gs):
+    # the per-node path: each node a row of its own
+    return f(np.ascontiguousarray(gs)[..., None, :, :]).reshape(gs.shape[:-2])
+
+
+def _assert_bit_identical(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kernel", list(_KERNELS))
+@pytest.mark.parametrize("kind", list(_ROW_STACKS) + list(_NODE_STACKS))
+def test_radial_kernel_rows_match_the_node_by_node_path(kind, kernel):
+    # rows sharing g13 and g23 take the row path, every other stack the
+    # node-by-node path; either way every value is bit for bit the value
+    # of the node-by-node path
+    gs = {**_ROW_STACKS, **_NODE_STACKS}[kind]
+    assert equivariant._shares_third_column(gs) == (kind in _ROW_STACKS)
+    f = _KERNELS[kernel]
+    got, want = f(gs), _node_by_node(f, gs)
+    _assert_bit_identical(got, want)
+    assert np.any(want != 0.0) or kernel == "origin_witness"
+
+
+def test_radial_kernel_row_cases_reach_the_band_and_the_origin():
+    # every row kind has band nodes where the oracle is nonzero, and the
+    # zero-radius rows take theta2 from g11 and g21 inside the origin band
+    for kind, gs in _ROW_STACKS.items():
+        assert np.count_nonzero(character._oracle_test_function(gs)) > 0, kind
+    radius = groups._polar_radius(_ORIGIN_MIXED)
+    assert np.all(radius[:4] == 0.0)
+    assert np.count_nonzero(_KERNELS["origin_witness"](_ORIGIN_MIXED)[:4]) == 20
+
+
+def test_radial_kernel_keeps_signed_zero_nodes_apart():
+    # g13 < 0 with g23 = +0.0 at one node and -0.0 at the other: arctan2
+    # gives theta1 = pi and -pi, so the two nodes differ, though float ==
+    # sees one third column
+    row = np.repeat(groups.make_a(-0.5)[None, None], 2, axis=1)
+    row[0, 1, 1, 2] = -0.0
+    column = row[..., :2, 2]
+    assert np.all(column == column[:, :1]) and not equivariant._shares_third_column(row)
+    for f in _KERNELS.values():
+        got, want = f(row), _node_by_node(f, row)
+        _assert_bit_identical(got, want)
+    got = _witness(1)(row)
+    assert got[0, 0].tobytes() != got[0, 1].tobytes()
+
+
+def test_radial_kernel_rows_with_nan():
+    # a NaN entry: at one node's g31 (the row still shares its third
+    # column), in g13 at every node of a row (shared, outside the band), and
+    # in g13 at one node (the stack is taken node by node)
+    nan_theta = np.array(_BAND_CHUNK)
+    nan_theta[46, 5, 2, 0] = np.nan
+    nan_row = np.array(_BAND_CHUNK)
+    nan_row[47, :, 0, 2] = np.nan
+    nan_node = np.array(_BAND_CHUNK)
+    nan_node[48, 7, 0, 2] = np.nan
+    for gs, shared in ((nan_theta, True), (nan_row, True), (nan_node, False)):
+        assert equivariant._shares_third_column(gs) == shared
+        for f in _KERNELS.values():
+            _assert_bit_identical(f(gs), _node_by_node(f, gs))
+    oracle = character._oracle_test_function
+    assert np.isnan(oracle(nan_theta)[46, 5]) and np.count_nonzero(oracle(nan_row)[47]) == 0
+
+
+def test_radial_kernel_single_elements_match_their_stack():
+    # 2-D input is one node and gives a scalar, bit for bit its entry of the stack
+    f = character._oracle_test_function
+    values = f(_BAND_CHUNK[46])
+    for k in (0, 17, 63):
+        one = f(_BAND_CHUNK[46, k])
+        assert type(one) is np.float64 and one.tobytes() == values[k].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -264,24 +264,45 @@ def test_charcheck_corollary_and_refine(capsys):
 CHARCHECK_SMALL = ["charcheck", "--s", "i", "--n", "1", "--grid", "16,16,32", "--trunc", "4"]
 
 
+# the image under psi of the SL(2, R) element (1, 1; 0, 1)
+PSI_IMAGE = "0.5,1,0.5,-1,1,1,-0.5,1,1.5"
+
+
 def test_byte_identical_output_without_meta(capsys):
-    for argv in (["matcoef", "--s", "2i", "--g-iwasawa", "0.7,0.3,1.1",
-                  "--n", "1", "--m", "1", "--no-meta"],
-                 ["matcoef", "--s", "i", "--g-iwasawa", "0.7,0.3,1.1", "--n", "0", "--m", "0",
-                  "--trunc", "16", "--vector", "e", "--no-meta"],
-                 ["ladder", "--m", "2", "--sign", "+", "--N", "16", "--no-meta"],
-                 ["separate", "--n", "1", "--t0", "0.8", "--width", "0.2",
-                  "--probe", "0.8,1.4", "--verify-projection", "--no-meta"],
-                 CHARCHECK_SMALL + ["--no-meta"],
-                 ["haarcheck", "--grid", "24,24,32", "--no-meta"],
-                 ["spherical", "--w", "0.5", "--ray", "0,2,5", "--format", "csv", "--no-meta"],
-                 ["eigencheck", "--w", "0.5", "--z", "1,2", "--no-meta"],
-                 ["casimir", "--s", "i", "--n", "1", "--no-meta"]):
-        cli.run(argv)
+    # two --no-meta runs of every subcommand print the same bytes
+    runs = (["iwasawa", "--matrix", PSI_IMAGE, "--no-meta"],
+            ["iwasawa", "--recompose", "0.7,0.3,1.1", "--no-meta"],
+            ["cartan", "--matrix", PSI_IMAGE, "--no-meta"],
+            ["psi", "--sl2", "1,1,0,1", "--no-meta"],
+            ["psi-inv", "--matrix", PSI_IMAGE, "--no-meta"],
+            ["bracket", "--x", "W", "--y", "V1", "--no-meta"],
+            ["bracket", "--adw-check", "--no-meta"],
+            ["exp", "--algebra", "W", "--no-meta"],
+            ["exp", "--dpsi", "1,0,0,-1", "--no-meta"],
+            ["ktypes", "--rep", "D+4", "--no-meta"],
+            ["ktypes", "--tau-spherical", "1", "--no-meta"],
+            ["gram", "--params", "i,2i,0.5", "--n", "0", "--no-meta"],
+            ["suite", "--fast", "--no-meta"],
+            ["matcoef", "--s", "2i", "--g-iwasawa", "0.7,0.3,1.1",
+             "--n", "1", "--m", "1", "--no-meta"],
+            ["matcoef", "--s", "i", "--g-iwasawa", "0.7,0.3,1.1", "--n", "0", "--m", "0",
+             "--trunc", "16", "--vector", "e", "--no-meta"],
+            ["ladder", "--m", "2", "--sign", "+", "--N", "16", "--no-meta"],
+            ["separate", "--n", "1", "--t0", "0.8", "--width", "0.2",
+             "--probe", "0.8,1.4", "--verify-projection", "--no-meta"],
+            CHARCHECK_SMALL + ["--no-meta"],
+            ["haarcheck", "--grid", "24,24,32", "--no-meta"],
+            ["spherical", "--w", "0.5", "--ray", "0,2,5", "--format", "csv", "--no-meta"],
+            ["eigencheck", "--w", "0.5", "--z", "1,2", "--no-meta"],
+            ["casimir", "--s", "i", "--n", "1", "--no-meta"])
+    subcommands = next(a.choices for a in cli.build_parser()._actions if a.dest == "subcommand")
+    assert {argv[0] for argv in runs} == set(subcommands)
+    for argv in runs:
+        code = cli.run(argv)
         first = capsys.readouterr().out
-        cli.run(argv)
+        assert cli.run(argv) == code
         second = capsys.readouterr().out
-        assert first == second
+        assert first and first == second, argv
 
 
 def test_meta_block_present_by_default(capsys):
