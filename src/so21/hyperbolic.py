@@ -17,6 +17,9 @@ the eigenvalue into (1 - s^2)/4.
 
 Every function takes a single point or an array of points; an array runs
 through the same code as one batch, and a single point gives a scalar.
+:func:`phi` and :func:`eigencheck` also take an array of exponents: the
+result has shape w.shape + z.shape, and the rotation orbit of the points is
+computed once and shared by every exponent.
 """
 
 from __future__ import annotations
@@ -81,18 +84,31 @@ def phi(w, z, nodes=None):
 
     Parameters
     ----------
-    w : complex
-        Exponent.  phi(w, .) and phi(1 - w, .) agree.
+    w : complex or array of complex
+        Exponent.  phi(w, .) and phi(1 - w, .) agree.  An array pairs each
+        exponent with every point, and each value is bit for bit the one a
+        call with that exponent alone gives.
     z : complex or array of complex
-        Points with Im z > 0; an array gives an array of its shape.
+        Points with Im z > 0.
     nodes : int, optional
         Quadrature node count, >= 16.  Defaults to 512.
+
+    Returns
+    -------
+    An array of shape w.shape + z.shape; a scalar when both are scalars.
     """
     nodes = DEFAULT_PHI_NODES if nodes is None else int(nodes)
     if nodes < 16:
         raise DomainError("phi requires at least 16 quadrature nodes")
-    orbit = _rotation_orbit(_require_hpoint(z)[..., None], nodes)
-    return np.mean(np.exp(complex(w) * np.log(orbit.imag)), axis=-1)[()]
+    w = np.asarray(w, dtype=complex)
+    log_y = np.log(_rotation_orbit(_require_hpoint(z)[..., None], nodes).imag)
+    values = np.empty(w.shape + log_y.shape[:-1], dtype=complex)
+    buf = np.empty(log_y.shape, dtype=complex)  # one exponent's integrand at a time
+    for index, wk in np.ndenumerate(w):
+        np.multiply(complex(wk), log_y, out=buf)
+        np.exp(buf, out=buf)
+        values[index] = np.mean(buf, axis=-1)
+    return values[()]
 
 
 def laplacian_fd(f, z, h=1e-3):
@@ -102,7 +118,9 @@ def laplacian_fd(f, z, h=1e-3):
     The stencil must stay inside the half-plane, enforced as h < y/4.
     z may be a scalar or an array; f is called once, on an array of shape
     z.shape + (9,) holding each point's stencil, and must broadcast over it
-    as :func:`phi` and :func:`chi` do.
+    as :func:`phi` and :func:`chi` do.  f may put leading axes of its own in
+    front, as :func:`phi` does for an array of exponents; the result keeps
+    them.
     """
     z = _require_hpoint(z)
     y = z.imag
@@ -130,11 +148,16 @@ def laplacian_fd(f, z, h=1e-3):
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Both sides of the Laplacian eigenvalue identity and their gap, per point."""
+    """Both sides of the Laplacian eigenvalue identity and their gap, per point.
+
+    `value` is phi_w(z), read off the centre of the stencil.  Every field has
+    shape w.shape + z.shape, or is a scalar when w and z both are.
+    """
 
     lhs: complex | np.ndarray
     rhs: complex | np.ndarray
     rel_err: float | np.ndarray
+    value: complex | np.ndarray
 
 
 def eigencheck(w, z, h=1e-3, nodes=None) -> EigenResult:
@@ -143,10 +166,22 @@ def eigencheck(w, z, h=1e-3, nodes=None) -> EigenResult:
     The left side is the finite-difference Laplacian applied to the
     quadrature evaluation of phi_w; the relative error is normalized by
     |phi_w(z)| so that the w = 1 case (eigenvalue 0) stays meaningful.
-    Broadcasts over an array z; pass w = (1+s)/2 for a spectral parameter s.
+    phi runs once, on the stencil, and phi_w(z) is its centre z + 0.0, bit
+    for bit phi(w, z).  Takes an array of exponents and an array of points
+    as :func:`phi` does; pass w = (1+s)/2 for a spectral parameter s.
     """
-    w = complex(w)
-    value = np.asarray(phi(w, z, nodes=nodes))  # one point rounds rhs as an array does
-    lhs = laplacian_fd(lambda p: phi(w, p, nodes=nodes), z, h=h)
-    rhs = w * (1.0 - w) * value
-    return EigenResult(lhs, rhs, np.abs(lhs - rhs) / np.abs(value))
+    w = np.asarray(w, dtype=complex)
+    stencil_values = []
+
+    def f(p):
+        stencil_values.append(phi(w, p, nodes=nodes))
+        return stencil_values[-1]
+
+    lhs = laplacian_fd(f, z, h=h)
+    value = stencil_values[0][..., 0].copy()
+    # in Python complex arithmetic, as a single exponent was: numpy's complex
+    # multiply rounds differently
+    eigenvalue = np.array([wk * (1.0 - wk) for wk in map(complex, w.flat)])
+    eigenvalue = eigenvalue.reshape(w.shape + (1,) * (value.ndim - w.ndim))
+    rhs = (eigenvalue * value)[()]
+    return EigenResult(lhs, rhs, (np.abs(lhs - rhs) / np.abs(value))[()], value[()])

@@ -2,9 +2,10 @@
 
 Each test prints one pass/fail line (visible with `pytest -s` or on failure)
 and asserts the criterion outcome.  Runtimes are led by the full-size Haar
-certification (criterion 11, about 0.10 s of a 0.26 s battery on a 2-core
-host), followed by the character identity (criterion 10, 0.07 s) and the
-spherical eigenvalue check (criterion 4, 0.03 s).
+certification (criterion 11, about 0.05 s of a 0.19 s battery on a 2-core
+host, medians inside a looping run_all()), followed by the character
+identity (criterion 10, 0.05 s) and the spherical eigenvalue check
+(criterion 4, 0.02 s).
 """
 
 import numpy as np
@@ -91,8 +92,8 @@ def test_criterion_4_fails_on_euclidean_laplacian(monkeypatch):
 
 
 def test_criterion_4_phi_calls(monkeypatch):
-    # one eigencheck per exponent on the whole point grid (two phi calls
-    # each) and one phi value per spectral parameter
+    # cost guard: one eigencheck on every exponent and point, whose phi call
+    # also gives the values the spectral form is read against
     pure = hyperbolic.phi
     calls = []
 
@@ -102,7 +103,21 @@ def test_criterion_4_phi_calls(monkeypatch):
 
     monkeypatch.setattr(hyperbolic, "phi", counted)
     assert acceptance.criterion_4_spherical_eigenvalue().passed
-    assert len(calls) <= 14
+    assert len(calls) == 1
+
+
+def test_criterion_4_computes_one_rotation_orbit(monkeypatch):
+    # cost guard: the six exponents share one orbit of the 26 points' stencils
+    pure = hyperbolic._rotation_orbit
+    shapes = []
+
+    def counted(z, nodes):
+        shapes.append(z.shape)
+        return pure(z, nodes)
+
+    monkeypatch.setattr(hyperbolic, "_rotation_orbit", counted)
+    assert acceptance.criterion_4_spherical_eigenvalue().passed
+    assert shapes == [(26, 9, 1)]
 
 
 def test_criterion_6_fails_on_unshifted_exponent(monkeypatch):

@@ -203,3 +203,78 @@ def test_phi_and_eigencheck_broadcast_over_points(w):
         single = hyperbolic.eigencheck(w, point)
         assert (res.lhs[index], res.rhs[index], res.rel_err[index]) == \
             (single.lhs, single.rhs, single.rel_err)
+
+
+# ---------------------------------------------------------------------------
+# arrays of exponents
+# ---------------------------------------------------------------------------
+
+EXPONENTS = {
+    "real": np.array([0.3, 0.5, 1.0, 1.5, -0.25, 2.0]),
+    "complex": np.array([0.3, 0.5, 1.0, 0.5 + 0.5j, 0.5 + 1j, 0.25 - 3j]),
+}
+POINTS = {
+    "scalar": 1.0 + 2.0j,
+    "line": np.linspace(-2.0, 2.0, 26) + 1j * np.linspace(0.5, 4.0, 26),
+    "block": np.array([[1j, 0.5 + 2j, -1 + 0.7j], [2 + 3j, -0.3 + 1.5j, 4j]]),
+}
+
+
+def _exponent_arrays():
+    for kind, ws in EXPONENTS.items():
+        yield pytest.param(ws, id=f"{kind}-6")
+        yield pytest.param(ws[:, None], id=f"{kind}-6x1")
+
+
+@pytest.mark.parametrize("points", POINTS.values(), ids=POINTS.keys())
+@pytest.mark.parametrize("ws", _exponent_arrays())
+def test_phi_over_exponents_is_bit_identical_to_one_exponent_at_a_time(ws, points):
+    values = hyperbolic.phi(ws, points)
+    assert values.shape == ws.shape + np.shape(points)
+    for index, w in np.ndenumerate(ws):
+        single = np.asarray(hyperbolic.phi(w, points))
+        assert values[index].tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("points", POINTS.values(), ids=POINTS.keys())
+@pytest.mark.parametrize("ws", _exponent_arrays())
+def test_eigencheck_over_exponents_is_bit_identical_to_one_exponent_at_a_time(ws, points):
+    res = hyperbolic.eigencheck(ws, points)
+    fields = ("lhs", "rhs", "rel_err", "value")
+    for name in fields:
+        assert getattr(res, name).shape == ws.shape + np.shape(points)
+    for index, w in np.ndenumerate(ws):
+        single = hyperbolic.eigencheck(w, points)
+        for name in fields:
+            assert getattr(res, name)[index].tobytes() == \
+                np.asarray(getattr(single, name)).tobytes(), name
+
+
+@pytest.mark.parametrize("points", POINTS.values(), ids=POINTS.keys())
+@pytest.mark.parametrize("w", [0.3, 0.5 + 3j, EXPONENTS["complex"]])
+def test_eigencheck_value_is_phi(w, points):
+    # the stencil centre z + 0.0 is bit for bit the point itself
+    value = hyperbolic.eigencheck(w, points).value
+    assert np.asarray(value).tobytes() == np.asarray(hyperbolic.phi(w, points)).tobytes()
+
+
+def test_scalar_exponent_and_point_give_numpy_scalars():
+    assert isinstance(hyperbolic.phi(0.5 + 1j, 1 + 2j), np.complex128)
+    res = hyperbolic.eigencheck(0.5 + 1j, 1 + 2j)
+    for field in (res.lhs, res.rhs, res.value):
+        assert isinstance(field, np.complex128)
+    assert isinstance(res.rel_err, np.float64)
+
+
+def test_eigencheck_calls_phi_once(monkeypatch):
+    # cost guard: phi runs on the stencil alone, and phi_w(z) is its centre
+    pure = hyperbolic.phi
+    shapes = []
+
+    def counted(w, z, nodes=None):
+        shapes.append(np.shape(z))
+        return pure(w, z, nodes=nodes)
+
+    monkeypatch.setattr(hyperbolic, "phi", counted)
+    assert hyperbolic.eigencheck(0.5 + 1j, 1 + 2j).rel_err < 1e-5
+    assert shapes == [(9,)]
