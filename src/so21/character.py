@@ -19,12 +19,16 @@ coefficient at (-n, -n), which is the character identity under test.
 
 The quadrature works on whole (t, u) rows.  Every node a_t n_u k_theta of a
 row has the polar radius of its row base, since k_theta fixes the third
-column, so f is evaluated only on the rows inside its declared support band;
-f must vanish at the base of every skipped row, or DomainError is raised.
+column, so f is evaluated only on the rows inside its declared support band,
+picked by :func:`so21.equivariant._near_band`, the band test of f's own
+radial kernel; f must vanish at the base of every skipped row, or
+DomainError is raised.
 The cocycle runs once per row: if k_phi a_t n_u = a' n' k_theta', then
 k_phi (a_t n_u k_theta) = a' n' k_{theta' + theta}.  Both identities hold for
 every element, so f is evaluated at every theta node of every evaluated row,
-and the range collapse stays observed.
+and the range collapse stays observed.  The cocycle, the DFT and the
+multiplier at :attr:`so21.reps.SpectralParam.exponent` are the kernels of
+:mod:`so21.reps`, looked up on that module at each call.
 """
 
 from __future__ import annotations
@@ -36,13 +40,12 @@ from functools import cached_property
 
 import numpy as np
 
+from . import reps
 from .errors import DomainError, SupportWarning, TruncationWarning
 from .groups import (IwasawaCoords, _polar_radius, cartan_radius, haar_density, make_a, make_k,
                      make_n, recompose)
-from .reps import (SpectralParam, _coefficient, _dft_coefficients, _induced_nodes, _mode_ladder,
-                   _node_count, k_types)
-from .equivariant import (BumpProfile, EquivariantFn, _blocks, _on_radial_support, _read_only,
-                          _row_concatenation)
+from .equivariant import (BumpProfile, EquivariantFn, _blocks, _near_band, _on_radial_support,
+                          _read_only, _row_concatenation)
 
 # The (t, u) box every grid covers; only the node counts vary.
 T_BOX = (-3.0, 3.0)
@@ -59,10 +62,6 @@ _CHUNK = 8192
 # OpenBLAS 0.3.31 on AVX-512 gives last-bit differences from elements() at
 # ntheta = 100 and 101.
 _BLAS_COLUMNS = 16
-# Widening of a support band: a computed radius arcsinh(hypot(g13, g23)) is
-# off by a few ulps of max|g| (arcsinh has slope <= 1), a translate's by a few
-# more; with entries below 1e4 here that is under 1e-11.
-_BAND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -136,13 +135,13 @@ class HaarGrid:
         return _read_only(make_k(self.coordinate_arrays()[2]))
 
     def rows_in_band(self, band):
-        """Flat indices of the rows whose base a_t n_u has polar radius in the closed `band`.
+        """Flat indices of the rows whose base a_t n_u may have polar radius in the closed `band`.
 
-        The band is widened by `_BAND_MARGIN`.  ``base @ make_k(theta)``
-        keeps g13 and g23 exactly, so every node of a row has its base's
-        radius bit for bit.
+        The rows :func:`so21.equivariant._near_band` admits.  ``base @
+        make_k(theta)`` keeps g13 and g23 exactly, so every node of a row
+        has its base's radius bit for bit.
         """
-        return _rows_in_band(self._row_bases, band)
+        return np.flatnonzero(_near_band(self._row_bases, band))
 
     def chunks(self, rows=None):
         """The elements of the given (t, u) rows (all when None), whole rows at a time.
@@ -164,16 +163,9 @@ class HaarGrid:
         ts = np.linspace(*T_BOX, BOUNDARY_SAMPLES)
         us = np.linspace(*U_BOX, BOUNDARY_SAMPLES)
         thetas = np.linspace(0.0, 2.0 * np.pi, BOUNDARY_SAMPLES, endpoint=False)
-        faces = []
-        for t_edge in T_BOX:
-            T, U, TH = np.meshgrid([t_edge], us, thetas, indexing="ij")
-            faces.append((T.ravel(), U.ravel(), TH.ravel()))
-        for u_edge in U_BOX:
-            T, U, TH = np.meshgrid(ts, [u_edge], thetas, indexing="ij")
-            faces.append((T.ravel(), U.ravel(), TH.ravel()))
-        T = np.concatenate([f[0] for f in faces])
-        U = np.concatenate([f[1] for f in faces])
-        TH = np.concatenate([f[2] for f in faces])
+        faces = ([np.meshgrid([t_edge], us, thetas, indexing="ij") for t_edge in T_BOX]
+                 + [np.meshgrid(ts, [u_edge], thetas, indexing="ij") for u_edge in U_BOX])
+        T, U, TH = (np.concatenate([face[axis].ravel() for face in faces]) for axis in range(3))
         return _read_only(recompose(IwasawaCoords(T, U, TH)))
 
 
@@ -188,13 +180,6 @@ def _check_support(f, grid: HaarGrid):
             SupportWarning,
             stacklevel=3,
         )
-
-
-def _rows_in_band(bases, band):
-    """Indices of the `bases` with polar radius in the closed `band`, widened by `_BAND_MARGIN`."""
-    lo, hi = band
-    radius = _polar_radius(bases)
-    return np.flatnonzero((radius >= lo - _BAND_MARGIN) & (radius <= hi + _BAND_MARGIN))
 
 
 def _chunks(bases, rotations, rows):
@@ -222,15 +207,17 @@ def _chunks(bases, rotations, rows):
 def _support_rows(f, bases):
     """Rows of `bases` f is evaluated on: those in its `support` band, else all of them.
 
-    The support is checked, not trusted: f is evaluated at every skipped
-    base, and a nonzero value raises DomainError.  A rotation fixes the
-    third column, so on the grid ``bases[row] @ k_theta`` (see
-    :func:`_chunks`) every node of a row has its base's radius.
+    The band test is :func:`so21.equivariant._near_band`, the one f's own
+    radial kernel runs.  The support is checked, not trusted: f is
+    evaluated at every skipped base, and a nonzero value raises
+    DomainError.  A rotation fixes the third column, so on the grid
+    ``bases[row] @ k_theta`` (see :func:`_chunks`) every node of a row has
+    its base's radius.
     """
     support = getattr(f, "support", None)
     if support is None:
         return np.arange(bases.shape[0])
-    rows = _rows_in_band(bases, support)
+    rows = np.flatnonzero(_near_band(bases, support))
     skipped = np.delete(bases, rows, axis=0)
     off = np.flatnonzero(np.asarray(f(skipped)) != 0.0)
     if off.size:
@@ -257,7 +244,7 @@ class OperatorMatrix:
     """Truncated matrix of pi(f) with the metadata that produced it."""
 
     mat: np.ndarray = field(repr=False)
-    param: SpectralParam
+    param: reps.SpectralParam
     n: int
     grid: HaarGrid
     N: int
@@ -273,10 +260,11 @@ class OperatorMatrix:
         return float(1.0 - np.abs(self.mat[-self.n + self.N]).sum() / mass)
 
 
-def _pi_core(s, f, grid, N, nodes, rhs_index=None):
-    """Shared quadrature core: the matrix of pi(f), the integral of f times
-    the diagonal matrix coefficient at rhs_index (0 when None), the number
-    of (t, u) rows the cocycle ran on and the number f was evaluated on."""
+def _pi_core(p, f, grid, N, nodes, rhs_index=None):
+    """Shared quadrature core in the induced space of p: the matrix of pi(f),
+    the integral of f times the diagonal matrix coefficient at rhs_index (0
+    when None), the number of (t, u) rows the cocycle ran on and the number
+    f was evaluated on."""
     _check_support(f, grid)
     rows = _support_rows(f, grid._row_bases)
     fvals = np.concatenate([np.asarray(f(G), dtype=complex) for G in grid.chunks(rows)])
@@ -288,22 +276,22 @@ def _pi_core(s, f, grid, N, nodes, rhs_index=None):
     # into F[row, n] = sum_k w f(row, k) e^{i n theta_k}.  f is evaluated and
     # summed at every theta node of its support rows, so no angular symmetry
     # of f is assumed and the range collapse stays observed.
-    mult, theta_out = _induced_nodes((1.0 + s) / 2.0, grid._row_bases[rows[on]], N, nodes)
+    mult, theta_out = reps._induced_nodes(p.exponent, grid._row_bases[rows[on]], N, nodes)
     thetas = grid.coordinate_arrays()[2]
     F = (grid.node_weight * fvals[on]) @ np.exp(1j * np.outer(thetas, np.arange(-N, N + 1)))
     # accumulate S[j, n] = sum_row F[row, n] mult[row, j] e^{i n theta'[row, j]}
     S = np.empty((nodes, 2 * N + 1), dtype=complex)
-    for idx, modes in enumerate(_mode_ladder(mult, theta_out, N)):
+    for idx, modes in enumerate(reps._mode_ladder(mult, theta_out, N)):
         S[:, idx] = F[:, idx] @ modes
     rhs = 0.0 + 0.0j
     if rhs_index is not None:
-        coeffs = _coefficient(mult, theta_out, rhs_index, rhs_index)
+        coeffs = reps._coefficient(mult, theta_out, rhs_index, rhs_index)
         rhs = complex(F[:, rhs_index + N] @ coeffs)
-    return _dft_coefficients(S, N), rhs, int(np.count_nonzero(on)), rows.size
+    return reps._dft_coefficients(S, N), rhs, int(np.count_nonzero(on)), rows.size
 
 
 def pi_of_f(
-    p: SpectralParam,
+    p: reps.SpectralParam,
     f: EquivariantFn,
     grid: HaarGrid,
     N: int,
@@ -320,23 +308,14 @@ def pi_of_f(
         raise DomainError(f"pi_of_f needs an induced kind, got {p.kind}")
     if f.n_left != f.n_right:
         raise DomainError("pi_of_f needs a test function of equal bi-type (n, n)")
-    nodes = _node_count(N, nodes)
-    mat = _pi_core(p.s, f, grid, N, nodes)[0]
-    _warn_on_matrix_truncation(mat)
-    return OperatorMatrix(mat, p, f.n_left, grid, N, nodes)
-
-
-def _warn_on_matrix_truncation(mat):
+    nodes = reps._node_count(N, nodes)
+    mat = _pi_core(p, f, grid, N, nodes)[0]
     total = np.abs(mat).sum()
-    if total == 0.0:
-        return
-    edge = (np.abs(mat[:2]).sum() + np.abs(mat[-2:]).sum()) / total
+    edge = (np.abs(mat[:2]).sum() + np.abs(mat[-2:]).sum()) / total if total else 0.0
     if edge > 1e-3:
-        warnings.warn(
-            f"top-mode rows carry fraction {edge:.2e} of pi(f); increase the truncation",
-            TruncationWarning,
-            stacklevel=3,
-        )
+        warnings.warn(f"top-mode rows carry fraction {edge:.2e} of pi(f); increase the truncation",
+                      TruncationWarning, stacklevel=2)
+    return OperatorMatrix(mat, p, f.n_left, grid, N, nodes)
 
 
 @dataclass(frozen=True)
@@ -379,7 +358,7 @@ def _relative_gap(lhs: complex, rhs: complex) -> float:
 
 
 def char_identity_check(
-    p: SpectralParam,
+    p: reps.SpectralParam,
     n: int,
     f: EquivariantFn,
     grid: HaarGrid | None = None,
@@ -405,10 +384,10 @@ def char_identity_check(
     if p.kind == "trivial":
         raise DomainError("the trivial representation is not modeled as an operator here")
     grid = grid if grid is not None else HaarGrid()
-    nodes = _node_count(N, nodes)
+    nodes = reps._node_count(N, nodes)
     start = time.perf_counter()
-    block = k_types(p).contains(np.arange(-N, N + 1))
-    mat, rhs, active_rows, support_rows = _pi_core(p.induced_s, f, grid, N, nodes,
+    block = reps.k_types(p).contains(np.arange(-N, N + 1))
+    mat, rhs, active_rows, support_rows = _pi_core(p, f, grid, N, nodes,
                                                    rhs_index=-n if block[-n + N] else None)
     restricted = mat[np.ix_(block, block)]
     lhs = complex(np.trace(restricted))
@@ -422,7 +401,7 @@ def char_identity_check(
 
 
 def corollary_check(
-    p: SpectralParam,
+    p: reps.SpectralParam,
     n: int,
     f: EquivariantFn,
     grid: HaarGrid | None = None,

@@ -58,6 +58,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _refuse_with(args, flag, *dests):
+    """Refuse the options `dests` next to `flag`, which would ignore them."""
+    given = [f"--{dest.replace('_', '-')}" for dest in dests if getattr(args, dest) is not None]
+    if given:
+        raise UsageError(f"{flag} cannot be combined with {', '.join(given)}")
+
+
 def _parse_floats(text, count=None):
     parts = [p for p in text.replace("[", "").replace("]", "").split(",") if p.strip()]
     try:
@@ -149,8 +156,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("iwasawa", help="decompose g = a_t n_u k_theta, or rebuild from coordinates")
-    p.add_argument("--matrix")
-    p.add_argument("--recompose", help="t,u,theta to rebuild instead of decompose")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--matrix")
+    source.add_argument("--recompose", help="t,u,theta to rebuild instead of decompose")
     _common_flags(p)
 
     p = sub.add_parser("cartan", help="polar coordinates k_theta1 a_t k_theta2 and the radius")
@@ -172,8 +180,9 @@ def build_parser() -> _Parser:
     _common_flags(p)
 
     p = sub.add_parser("exp", help="matrix exponential; --dpsi for the differential of the covering map")
-    p.add_argument("--algebra", help="9 numbers or a basis name")
-    p.add_argument("--dpsi", help="a,b,c,d of a traceless 2x2 matrix")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--algebra", help="9 numbers or a basis name")
+    source.add_argument("--dpsi", help="a,b,c,d of a traceless 2x2 matrix")
     _common_flags(p)
 
     p = sub.add_parser("casimir", help="Casimir ratio on a diagonal matrix coefficient")
@@ -206,7 +215,8 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--trunc", type=int, default=None)
     p.add_argument("--nodes", type=int, default=None)
-    p.add_argument("--vector", help="apply the action to e_n and report the coefficients up to --trunc")
+    p.add_argument("--vector", action="store_true",
+                   help="also apply the action to e_n and report the coefficients up to --trunc")
     p.add_argument("--cocycle-at", type=float, default=None,
                    help="report the cocycle (t, theta') at this angle")
     _common_flags(p)
@@ -270,15 +280,20 @@ def _algebra_from_text(text):
     return np.array(_parse_floats(text, 9)).reshape(3, 3)
 
 
+def _char_sides(res):
+    """Both sides of a character check and its row counts, as the JSON reports them."""
+    return {"lhs": res.lhs_trace, "rhs": res.rhs_integral, "rel_err": res.rel_err,
+            "grid": list(res.grid.shape), "active_rows": res.active_rows,
+            "support_rows": res.support_rows, "grid_rows": res.grid_rows}
+
+
 def _handle(args):
     """Dispatch to the library; returns (payload, exit_code)."""
     name = args.subcommand
 
     if name == "iwasawa":
-        if args.recompose:
+        if args.recompose is not None:
             return {"matrix": _parse_element(args.recompose)}, EXIT_OK
-        if not args.matrix:
-            raise UsageError("iwasawa needs --matrix (or --recompose)")
         c = groups.iwasawa(_parse_matrix3(args.matrix))
         return {"t": c.t, "u": c.u, "theta": c.theta}, EXIT_OK
 
@@ -303,6 +318,7 @@ def _handle(args):
 
     if name == "bracket":
         if args.adw_check:
+            _refuse_with(args, "--adw-check", "x", "y")
             dplus, dminus = lie.ad_w_eigencheck()
             return {"defect_plus": dplus, "defect_minus": dminus}, EXIT_OK
         if not args.x or not args.y:
@@ -311,11 +327,8 @@ def _handle(args):
                                       _algebra_from_text(args.y))}, EXIT_OK
 
     if name == "exp":
-        if args.dpsi:
-            x = _parse_matrix2(args.dpsi)
-            return {"matrix": lie.dpsi(x)}, EXIT_OK
-        if not args.algebra:
-            raise UsageError("exp needs --algebra (or --dpsi)")
+        if args.dpsi is not None:
+            return {"matrix": lie.dpsi(_parse_matrix2(args.dpsi))}, EXIT_OK
         return {"matrix": lie.exp_matrix(_algebra_from_text(args.algebra))}, EXIT_OK
 
     if name == "casimir":
@@ -327,7 +340,8 @@ def _handle(args):
 
     if name == "spherical":
         w = reps.parse_complex(args.w)
-        if args.ray:
+        if args.ray is not None:
+            _refuse_with(args, "--ray", "z", "act")
             t0, t1, steps = _parse_floats(args.ray, 3)
             ts = np.linspace(t0, t1, int(steps))
             values = hyperbolic.phi(w, np.exp(ts) * 1j, nodes=args.nodes)
@@ -356,7 +370,7 @@ def _handle(args):
         value = reps.matcoef(p, g, args.n, args.m, nodes=args.nodes, N=args.trunc)
         payload = {"value": value, "s": args.s, "n": args.n, "m": args.m}
         if args.vector:
-            N = args.trunc if args.trunc else max(abs(args.n), abs(args.m)) + 8
+            N = args.trunc if args.trunc is not None else max(abs(args.n), abs(args.m)) + 8
             moved = reps.act_principal(p, g, reps.KFourierVector.basis(N, args.n),
                                        nodes=args.nodes)
             payload["acted_coefficients"] = moved.c
@@ -430,25 +444,14 @@ def _handle(args):
     if name == "charcheck":
         p = _parse_spectral(args.s)
         grid = _parse_grid(args.grid)
-        profile = equivariant.BumpProfile(args.t0, args.width)
-        if args.corollary:
-            f = equivariant.separation_witness(-args.n, profile)
-            res = character.corollary_check(p, args.n, f, grid=grid, N=args.trunc)
-        else:
-            f = equivariant.separation_witness(args.n, profile)
-            res = character.char_identity_check(p, args.n, f, grid=grid, N=args.trunc)
-        payload = {"lhs": res.lhs_trace, "rhs": res.rhs_integral,
-                   "rel_err": res.rel_err, "offrow_mass": res.offrow_mass,
-                   "grid": list(grid.shape), "trunc": res.N,
-                   "active_rows": res.active_rows, "support_rows": res.support_rows,
-                   "grid_rows": res.grid_rows, "meta": {"check_seconds": res.seconds}}
+        check = character.corollary_check if args.corollary else character.char_identity_check
+        f = equivariant.separation_witness(-args.n if args.corollary else args.n,
+                                           equivariant.BumpProfile(args.t0, args.width))
+        res = check(p, args.n, f, grid=grid, N=args.trunc)
+        payload = {**_char_sides(res), "offrow_mass": res.offrow_mass, "trunc": res.N,
+                   "meta": {"check_seconds": res.seconds}}
         if args.refine:
-            fine = (character.corollary_check if args.corollary else character.char_identity_check)(
-                p, args.n, f, grid=grid.refine(), N=args.trunc)
-            payload["refined"] = {"lhs": fine.lhs_trace, "rhs": fine.rhs_integral,
-                                  "rel_err": fine.rel_err, "grid": list(fine.grid.shape),
-                                  "active_rows": fine.active_rows,
-                                  "support_rows": fine.support_rows, "grid_rows": fine.grid_rows}
+            payload["refined"] = _char_sides(check(p, args.n, f, grid=grid.refine(), N=args.trunc))
         return payload, EXIT_OK if res.rel_err <= args.tol else EXIT_TOLERANCE
 
     if name == "suite":

@@ -20,9 +20,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import reps
 from .errors import DomainError, NumericError
 from .groups import _first_polar_angle, _polar_radius, _second_polar_angle, make_a, make_k
-from .reps import SpectralParam, _cocycle_batch, _coefficient, _dft_nodes, _node_count, k_types
 
 DEFAULT_PROJECTION_NODES = 128
 
@@ -132,11 +132,12 @@ def _on_radial_support(gs, profile, value):
     transposed (..., 3, 3) view, such as a Haar chunk or a projector's
     translates, costs what a contiguous stack does.  The band test
     (:func:`_near_band`) picks the candidates from g13 and g23 alone; the
-    radius, b, and then the polar angles and `value(b, theta1, theta2)` run
-    only on the candidates where b != 0, gathered by one boolean mask on
-    the entry views: g13, g23, g31 and g32 (and g11 and g21 when some
-    radius is 0), never the whole 3x3 stack.  Every other node is an exact
-    0, and when b is nonzero at every node nothing is gathered.
+    radius, b, the polar angles and `value(b, theta1, theta2)` run only on
+    the candidates, gathered by one boolean mask on the entry views: g13,
+    g23, g31 and g32 (and g11 and g21 when some radius is 0), never the
+    whole 3x3 stack.  Every other node is an exact +0, and when every node
+    is a candidate nothing is gathered.  A candidate where b is 0 gets
+    `value(0, theta1, theta2)`, a zero that may carry a sign.
 
     A candidate is a row, the m nodes along the last leading axis, when
     the stack is (..., m, 3, 3) with m > 1 and every row's nodes have one
@@ -156,15 +157,9 @@ def _on_radial_support(gs, profile, value):
     rows = _shares_third_column(stack)
     heads = stack[..., 0, :, :] if rows else stack
     near = _near_band(heads, profile.support)
-    whole = near.all()
-    radius = _polar_radius(heads, at=... if whole else near)
+    on = ... if near.all() else near
+    radius = _polar_radius(heads, at=on)
     b = profile(radius)
-    nonzero = b != 0.0
-    on = ...
-    if not (whole and nonzero.all()):
-        on = near
-        on[near] = nonzero.ravel()
-        radius, b = radius[nonzero], b[nonzero]
     theta1 = _first_polar_angle(heads, radius, at=on)
     if rows:
         radius, b, theta1 = radius[..., None], b[..., None], theta1[..., None]
@@ -330,7 +325,7 @@ def _legendre_rule(nq):
 
 
 def gram_min_eig(
-    params: list[SpectralParam],
+    params: list[reps.SpectralParam],
     n: int,
     region: tuple[float, float] = (0.0, 2.0),
 ) -> GramResult:
@@ -343,14 +338,14 @@ def gram_min_eig(
         G_jk = 2 pi * int_region phi_j(a_r) conj(phi_k(a_r)) sinh(r) dr,
 
     evaluated by Gauss-Legendre quadrature; each rule is built once per
-    process.  On each rule the cocycle of k_theta a_r runs once, on the
-    stack of boosts, and every parameter applies its own multiplier
-    e^{(1+s) t/2} to that shared (t, theta'), so phi_j is bit for bit
-    ``reps._matcoef_batch`` on those boosts.  A positive smallest eigenvalue
-    certifies linear independence of the coefficients on the band (and, the
-    functions being analytic, on the whole group); the quadrature is
-    validated against one refinement and a disagreement raises
-    NumericError.
+    process.  On each rule one ``reps._matcoef_batch`` call gives every
+    phi_j on the stack of boosts: the cocycle of k_theta a_r runs once, and
+    each parameter applies its own multiplier e^{gamma t}, gamma its
+    :attr:`~so21.reps.SpectralParam.exponent`, to that shared (t, theta').
+    A positive smallest eigenvalue certifies linear independence of the
+    coefficients on the band (and, the functions being analytic, on the
+    whole group); the quadrature is validated against one refinement and a
+    disagreement raises NumericError.
 
     Parameters are required to carry the K-type tau_n; pairwise
     inequivalence is the caller's responsibility (a repeated entry is the
@@ -359,22 +354,19 @@ def gram_min_eig(
     if not params:
         raise DomainError("need at least one spectral parameter")
     for p in params:
-        if not k_types(p).contains(n):
+        if not reps.k_types(p).contains(n):
             raise DomainError(f"{p.label} does not carry the K-type tau_{n}")
     lo, hi = float(region[0]), float(region[1])
     if not 0.0 <= lo < hi:
         raise DomainError("region must be an interval [lo, hi) with 0 <= lo < hi")
 
-    thetas = _dft_nodes(_node_count(abs(n), GRAM_COEF_NODES))
+    exponents = [p.exponent for p in params]
 
     def assemble(nq):
         xs, ws = _legendre_rule(nq)
         rs = lo + (hi - lo) * (xs + 1.0) / 2.0
         ws = ws * (hi - lo) / 2.0
-        # the cocycle of k_theta a_r does not depend on s: one run serves every parameter
-        t, theta_out = _cocycle_batch(thetas, make_a(rs))
-        vals = np.array([_coefficient(np.exp((1.0 + p.induced_s) / 2.0 * t), theta_out, n, n)
-                         for p in params])
+        vals = reps._matcoef_batch(exponents, make_a(rs), n, n, GRAM_COEF_NODES)
         weight = ws * np.sinh(rs)
         gram = 2.0 * np.pi * np.einsum("q,jq,kq->jk", weight, vals, np.conj(vals))
         return 0.5 * (gram + gram.conj().T)

@@ -11,9 +11,9 @@ the compact-picture formula
 The exponent carries the half shift (1+s)/2 rather than (1+s): the modular
 function of the upper-triangular subgroup scales as e^t in these
 coordinates, and the half shift is exactly what makes the action unitary
-for imaginary s.  That normalization is certified by tests (norm
-preservation for s in iR, measurable failure for the unshifted exponent),
-not assumed.
+for imaginary s; :attr:`SpectralParam.exponent` holds it.  That normalization
+is certified by tests (norm preservation for s in iR, measurable failure
+for the unshifted exponent), not assumed.
 
 Discrete series with even parameter m live inside V(m-1) as one-sided
 ladders of K-types; they are modeled here only through those invariant
@@ -122,6 +122,11 @@ class SpectralParam:
         raise DomainError("the trivial representation has no induced realization here")
 
     @property
+    def exponent(self) -> complex:
+        """Unitary exponent (1 + s)/2 of the induced action, s = :attr:`induced_s`."""
+        return (1.0 + self.induced_s) / 2.0
+
+    @property
     def label(self) -> str:
         if self.kind == "trivial":
             return "trivial"
@@ -228,13 +233,20 @@ def _cocycle_batch(thetas, gs):
     return t, theta_out
 
 
+def _require_element(g, what):
+    """One validated element; a stack of them raises DomainError naming `what`."""
+    if np.shape(g) != (3, 3):
+        raise DomainError(f"{what} must be a single 3x3 element, got shape {np.shape(g)}")
+    return require_member(g, what)
+
+
 def cocycle(theta, g):
     """Boost and rotation parts (t, theta') of k_theta g = a_t n_u k_theta'.
 
     theta may be a scalar or an array; g is a single validated element.
     theta' is reduced to [0, 2 pi).
     """
-    g = require_member(g, "cocycle input")
+    g = _require_element(g, "cocycle input")
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
     t, theta_out = _cocycle_batch(theta_arr, g[None])
     theta_out = theta_out % (2.0 * np.pi)
@@ -306,9 +318,10 @@ def _coefficient(mult, theta_out, n, m):
     return (mult * np.exp(1j * n * theta_out)) @ np.exp(-1j * m * _dft_nodes(nodes)) / nodes
 
 
-def _act(gamma, g, v: KFourierVector, nodes):
-    """The induced action of :func:`act_induced`, without the truncation warning."""
-    g = require_member(g, "act_induced input")
+def _act(gamma, g, v: KFourierVector, nodes, what):
+    """The induced action for the public entry `what`, warning (at its caller's line)
+    when the top modes of the result hold energy."""
+    g = _require_element(g, what)
     N = v.N
     mult, theta_out = _induced_nodes(gamma, g[None], N, nodes)
     # v(theta') = e^{-i N theta'} sum_k c_{k-N} z^k with z = e^{i theta'},
@@ -318,22 +331,16 @@ def _act(gamma, g, v: KFourierVector, nodes):
     for c in v.c[-2::-1]:
         acc = acc * z + c
     values = mult[0] * np.exp(-1j * N * theta_out[0]) * acc
-    return KFourierVector(N, _dft_coefficients(values, N))
-
-
-def _warn_on_top_modes(v: KFourierVector):
-    """Warn when the top modes of v hold energy; called from a public entry, so
-    stacklevel 3 names that entry's caller."""
-    total = np.sum(np.abs(v.c) ** 2)
-    if total == 0:
-        return
-    top = abs(v.c[0]) ** 2 + abs(v.c[-1]) ** 2
-    if top / total > TOP_MODE_ENERGY_TOL:
+    out = KFourierVector(N, _dft_coefficients(values, N))
+    total = np.sum(np.abs(out.c) ** 2)
+    top = abs(out.c[0]) ** 2 + abs(out.c[-1]) ** 2
+    if total > 0 and top / total > TOP_MODE_ENERGY_TOL:
         warnings.warn(
             f"top-mode energy fraction {top / total:.2e} exceeds {TOP_MODE_ENERGY_TOL}",
             TruncationWarning,
             stacklevel=3,
         )
+    return out
 
 
 def act_induced(gamma, g, v: KFourierVector, nodes=None) -> KFourierVector:
@@ -342,20 +349,16 @@ def act_induced(gamma, g, v: KFourierVector, nodes=None) -> KFourierVector:
     This is the raw building block: evaluate v on a theta grid, transport
     through the cocycle, multiply, and project back onto |n| <= N by the
     discrete Fourier transform.  Callers pick the exponent gamma; the
-    unitary normalization is gamma = (1 + s)/2.
+    unitary normalization is gamma = :attr:`SpectralParam.exponent`.
     """
-    out = _act(gamma, g, v, nodes)
-    _warn_on_top_modes(out)
-    return out
+    return _act(gamma, g, v, nodes, "act_induced input")
 
 
 def act_principal(p: SpectralParam, g, v: KFourierVector, nodes=None) -> KFourierVector:
     """Unitarily normalized induced action of g on a truncated vector."""
     if not p.is_induced:
         raise DomainError(f"act_principal needs an induced kind, got {p.kind}")
-    out = _act((1.0 + p.s) / 2.0, g, v, nodes)
-    _warn_on_top_modes(out)
-    return out
+    return _act(p.exponent, g, v, nodes, "act_principal input")
 
 
 def rep_matrix(p: SpectralParam, g, N: int, nodes=None) -> np.ndarray:
@@ -365,17 +368,26 @@ def rep_matrix(p: SpectralParam, g, N: int, nodes=None) -> np.ndarray:
     """
     if not p.is_induced:
         raise DomainError(f"rep_matrix needs an induced kind, got {p.kind}")
-    g = require_member(g, "rep_matrix input")
-    mult, theta_out = _induced_nodes((1.0 + p.s) / 2.0, g[None], N, nodes)
+    return _rep_matrix(p, g, N, nodes, "rep_matrix input")
+
+
+def _rep_matrix(p, g, N, nodes, what):
+    """:func:`rep_matrix` in the induced space of p, for the public entry `what`."""
+    g = _require_element(g, what)
+    mult, theta_out = _induced_nodes(p.exponent, g[None], N, nodes)
     # column n + N holds (rho(g) e_n)(theta_j) = mult_j e^{i n theta'_j}
     columns = np.stack(list(_mode_ladder(mult[0], theta_out[0], N)), axis=1)
     return _dft_coefficients(columns, N)
 
 
-def _matcoef_batch(s, gs, n, m, nodes):
-    """<rho_s(g) e_n, e_m> for a stack of elements, one (n, m) pair."""
-    mult, theta_out = _induced_nodes((1.0 + s) / 2.0, gs, max(abs(n), abs(m)), nodes)
-    return _coefficient(mult, theta_out, n, m)
+def _matcoef_batch(exponents, gs, n, m, nodes):
+    """<rho(g) e_n, e_m> for a stack of B elements, one (n, m) pair: (len(exponents), B).
+
+    One cocycle run serves every exponent gamma, which applies its own
+    multiplier e^{gamma t}.
+    """
+    t, theta_out = _cocycle_batch(_dft_nodes(_node_count(max(abs(n), abs(m)), nodes)), gs)
+    return np.array([_coefficient(np.exp(gamma * t), theta_out, n, m) for gamma in exponents])
 
 
 DEFAULT_MATCOEF_NODES = 128
@@ -395,7 +407,8 @@ def matcoef(p: SpectralParam, g, n: int, m: int, nodes=None, N=None):
     For g in the rotation subgroup this reduces to the character values,
     and the diagonal (n, n) coefficient transforms under k_theta1 g k_theta2
     by the phase e^{i n (theta1 + theta2)}.  The default node count is 128,
-    raised to the floor 4 max(|n|, |m|) + 4 when that is larger.
+    raised to the floor of :func:`_node_count` for max(|n|, |m|) when that
+    is larger.
     """
     if not p.is_induced:
         raise DomainError(f"matcoef needs an induced kind, got {p.kind}")
@@ -403,8 +416,9 @@ def matcoef(p: SpectralParam, g, n: int, m: int, nodes=None, N=None):
         raise DomainError(f"indices ({n}, {m}) outside truncation {N}")
     g = require_member(g, "matcoef input")
     if nodes is None:
-        nodes = max(DEFAULT_MATCOEF_NODES, 4 * max(abs(n), abs(m)) + 4)
-    return _matcoef_batch(p.s, g.reshape(-1, 3, 3), n, m, nodes).reshape(g.shape[:-2])[()]
+        nodes = max(DEFAULT_MATCOEF_NODES, _node_count(max(abs(n), abs(m)), None))
+    values = _matcoef_batch((p.exponent,), g.reshape(-1, 3, 3), n, m, nodes)[0]
+    return values.reshape(g.shape[:-2])[()]
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +430,20 @@ class KTypeSet:
     """Which rotation characters tau_n occur in a representation."""
 
     param: SpectralParam
-    description: str
+
+    @property
+    def _edge(self) -> int:
+        """The K-type m/2 where a discrete-series ladder starts."""
+        return self.param.m // 2
+
+    @property
+    def description(self) -> str:
+        p = self.param
+        if p.kind == "trivial":
+            return "{0}"
+        if p.kind == "discrete":
+            return f"{{n >= {self._edge}}}" if p.sign > 0 else f"{{n <= {-self._edge}}}"
+        return "all integers"
 
     def contains(self, n) -> bool | np.ndarray:
         n = np.asarray(n)
@@ -424,12 +451,10 @@ class KTypeSet:
         if p.kind == "trivial":
             result = n == 0
         elif p.kind == "discrete":
-            result = n >= p.m // 2 if p.sign > 0 else n <= -(p.m // 2)
+            result = p.sign * n >= self._edge
         else:
             result = np.ones_like(n, dtype=bool)
-        if result.ndim == 0:
-            return bool(result)
-        return result
+        return bool(result) if result.ndim == 0 else result
 
     def __contains__(self, n) -> bool:
         return bool(self.contains(int(n)))
@@ -443,14 +468,7 @@ def k_types(p: SpectralParam) -> KTypeSet:
     parameter (m, +) carries the upward ladder n = m/2 + j, j >= 0, and its
     mirror (m, -) the downward ladder n = -m/2 - j.
     """
-    if p.kind == "trivial":
-        desc = "{0}"
-    elif p.kind == "discrete":
-        edge = p.m // 2
-        desc = f"{{n >= {edge}}}" if p.sign > 0 else f"{{n <= {-edge}}}"
-    else:
-        desc = "all integers"
-    return KTypeSet(p, desc)
+    return KTypeSet(p)
 
 
 @dataclass(frozen=True)
@@ -462,30 +480,34 @@ class SpectralFamily:
     sign: int = 1
 
     @property
-    def label(self) -> str:
+    def _representative(self) -> SpectralParam:
+        """A member of the family; all members share its K-types."""
         if self.kind == "trivial":
-            return "trivial"
+            return SpectralParam.trivial()
         if self.kind == "discrete":
-            return f"D{'+' if self.sign > 0 else '-'}{self.m}"
-        return "rho_s (principal and complementary)"
+            return SpectralParam.discrete(self.m, self.sign)
+        return SpectralParam.principal(0.0)
+
+    @property
+    def label(self) -> str:
+        if self.kind == "rho":
+            return "rho_s (principal and complementary)"
+        return self._representative.label
 
 
 def tau_spherical_set(n: int) -> list[SpectralFamily]:
     """All families of irreducible unitary representations containing tau_n.
 
-    Derived from the K-type supports: every rho_s family always qualifies;
-    the trivial representation only at n = 0; for n != 0 the discrete
-    ladders D(m, sign n) with m = 2, 4, ..., 2|n| reach down to |n|.
+    Keeps the candidates whose :func:`k_types` contain n: the trivial
+    representation, the ladders D(m, +-) with m = 2, 4, ..., 2|n| + 2, and
+    the rho_s family.  That gives every rho_s family, the trivial one only at
+    n = 0, and for n != 0 the ladders D(m, sign n) with m <= 2|n|.
     """
-    families: list[SpectralFamily] = []
-    if n == 0:
-        families.append(SpectralFamily("trivial"))
-    else:
-        sign = 1 if n > 0 else -1
-        for m in range(2, 2 * abs(n) + 1, 2):
-            families.append(SpectralFamily("discrete", m=m, sign=sign))
-    families.append(SpectralFamily("rho"))
-    return families
+    candidates = [SpectralFamily("trivial")]
+    candidates += [SpectralFamily("discrete", m=m, sign=sign)
+                   for m in range(2, 2 * abs(n) + 3, 2) for sign in (1, -1)]
+    candidates.append(SpectralFamily("rho"))
+    return [family for family in candidates if k_types(family._representative).contains(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -508,14 +530,14 @@ def discrete_ladder_leakage(m: int, sign: int, g, N: int) -> float:
     this to round-off, so criterion 7 holds it below 1e-12 at every N.
     """
     p = SpectralParam.discrete(m, sign)
-    if N < m // 2 + LADDER_SOURCE_GUARD:
-        raise DomainError(f"need N >= {m // 2 + LADDER_SOURCE_GUARD} for m = {m}")
-    ambient = SpectralParam.induced_point(p.induced_s)
+    types = k_types(p)
+    if N < types._edge + LADDER_SOURCE_GUARD:
+        raise DomainError(f"need N >= {types._edge + LADDER_SOURCE_GUARD} for m = {m}")
     ns = np.arange(-N, N + 1)
-    in_ladder = k_types(p).contains(ns)
+    in_ladder = types.contains(ns)
     guard = np.abs(ns) <= N - LADDER_GUARD
     sources = in_ladder & (np.abs(ns) <= N - LADDER_SOURCE_GUARD)
-    cols = rep_matrix(ambient, g, N)[:, sources]
+    cols = _rep_matrix(p, g, N, None, "discrete_ladder_leakage input")[:, sources]
     leaked = np.sum(np.abs(cols[~in_ladder & guard, :]) ** 2)
     total = np.sum(np.abs(cols[guard, :]) ** 2)
     if total == 0.0:

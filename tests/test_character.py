@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from so21 import character, equivariant, groups, reps
-from so21.errors import DomainError, SupportWarning
+from so21.errors import DomainError, SupportWarning, TruncationWarning
 
 
 SMALL_GRID = character.HaarGrid(nt=32, nu=32, ntheta=64)
@@ -132,9 +132,10 @@ def _translation_reach(translations):
 
 
 def _band_rows(bases, band):
-    # rows whose base radius lies in the band, widened for round-off
+    # rows whose base radius lies in the band, widened for round-off: an
+    # arcsinh reference, independent of the library's squared band test
     radius = groups._polar_radius(bases)
-    margin = character._BAND_MARGIN
+    margin = 1e-9
     return np.flatnonzero((radius >= band[0] - margin) & (radius <= band[1] + margin))
 
 
@@ -317,6 +318,9 @@ def _box_kernel(gs):
         gs, _BoxProfile(), lambda b, theta1, theta2: b * np.exp(1j * (theta1 - 2.0 * theta2)))
 
 
+_box_kernel.support = _BoxProfile.support
+
+
 def _unmasked_box(gs):
     theta1, r, theta2 = groups._polar(np.asarray(gs, dtype=float))
     return _BoxProfile()(r) * np.exp(1j * (theta1 - 2.0 * theta2))
@@ -354,17 +358,18 @@ _BAND_CHUNK = list(SMALL_GRID.chunks())[4]
 ], ids=["witness_chunk", "oracle_chunk", "origin_band_chunk", "origin_band_rotations",
         "oracle_rotations", "box_band_edges", "oracle_band_edges", "origin_band_zero_radius"])
 def test_support_masked_integrands_match_unmasked_polar(masked, unmasked, gs):
-    # the angles are computed only where the profile is nonzero; there the
-    # values agree bit for bit with the formula on _polar at every node.
-    # Elsewhere the masked form is an exact +0, where the unmasked product
-    # 0 * e^{i phi} may carry a signed zero.
+    # the angles are computed only on the band test's candidates; there the
+    # values agree bit for bit with the formula on _polar, the signed zeros
+    # 0 * e^{i phi} of candidates where the profile is 0 included.  Every
+    # other node is an exact +0.
     got, want = masked(gs), unmasked(gs)
     assert got.shape == want.shape == gs.shape[:-2] and got.dtype == want.dtype
     on = want != 0.0
     assert on.any()
     assert np.array_equal(got != 0.0, on)
-    assert got[on].tobytes() == want[on].tobytes()
-    assert not np.any(np.signbit(got[~on].view(float)))
+    near = equivariant._near_band(gs, masked.support)
+    assert got[near].tobytes() == want[near].tobytes()
+    assert not np.any(np.signbit(got[~near].view(float)))
     for g in gs.reshape(-1, 3, 3)[:3]:
         one, ref = masked(g), unmasked(g)
         assert type(one) is type(ref) and one == ref
@@ -434,7 +439,7 @@ def _translate_chunk(rotations, translate=None):
     # (translate @ B) @ k_j, or B @ k_j when translate is None
     B = SMALL_GRID._row_bases
     bases = B if translate is None else translate @ B
-    rows = character._rows_in_band(bases, (0.0, 1.5))[:100]
+    rows = _band_rows(bases, (0.0, 1.5))[:100]
     return next(character._chunks(bases, rotations, rows))
 
 
@@ -672,17 +677,24 @@ def test_pi_core_matches_per_node_reference(off_type, min_offrow):
     # here, against 0.02 for the witness alone).
     f = _off_type(_witness(1)) if off_type else _witness(1)
     s, N, nodes = 1.0j, 8, 36
+    p = reps.SpectralParam.principal(1.0)
     grid = character.HaarGrid(nt=16, nu=16, ntheta=40)
-    mat, rhs, active_rows, support_rows = character._pi_core(s, f, grid, N, nodes, rhs_index=-1)
+    mat, rhs, active_rows, support_rows = character._pi_core(p, f, grid, N, nodes, rhs_index=-1)
     ref_mat, ref_rhs = _pi_per_node(s, f, grid, N, nodes, rhs_index=-1)
     assert 0 < active_rows <= support_rows < grid.nt * grid.nu
     assert np.max(np.abs(mat - ref_mat)) < 1e-12 * np.max(np.abs(ref_mat))
     assert abs(rhs - ref_rhs) < 1e-12 * abs(ref_rhs)
-    p = reps.SpectralParam.principal(1.0)
     off = character.OperatorMatrix(mat, p, 1, grid, N, nodes).offrow_mass()
     ref_off = character.OperatorMatrix(ref_mat, p, 1, grid, N, nodes).offrow_mass()
     assert abs(off - ref_off) < 1e-12
     assert off > min_offrow
+
+
+def test_pi_of_f_truncation_warning_names_the_caller():
+    # at N = 1 the witness's isotype -1 is an edge row of the truncation
+    with pytest.warns(TruncationWarning, match="top-mode rows") as record:
+        character.pi_of_f(reps.SpectralParam.principal(1.0), _witness(1), SMALL_GRID, 1)
+    assert record[0].filename == __file__
 
 
 def test_declared_support_is_checked():

@@ -142,10 +142,37 @@ def test_csv_rejected_for_non_sweep(capsys):
 def test_matcoef_with_action_and_cocycle(capsys):
     code, payload = run_json(capsys, "matcoef", "--s", "i", "--g-iwasawa", "1,0,0",
                              "--n", "0", "--m", "0", "--trunc", "8",
-                             "--vector", "e", "--cocycle-at", "0.0", "--no-meta")
+                             "--vector", "--cocycle-at", "0.0", "--no-meta")
     assert code == 0
     assert payload["cocycle"]["t"] == pytest.approx(1.0)
     assert len(payload["acted_coefficients"]) == 17
+
+
+def test_matcoef_vector_at_truncation_zero(capsys):
+    # --trunc 0 is a truncation, not an unset flag: one coefficient, e_0
+    with pytest.warns(so21.TruncationWarning):
+        code, payload = run_json(capsys, "matcoef", "--s", "i", "--g-iwasawa", "1,0,0",
+                                 "--n", "0", "--m", "0", "--trunc", "0", "--vector", "--no-meta")
+    assert code == 0
+    assert len(payload["acted_coefficients"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["spherical", "--w", "0.5", "--ray", "0,2,5", "--z", "1,2"],
+    ["spherical", "--w", "0.5", "--ray", "0,2,5", "--z", "junk"],
+    ["spherical", "--w", "0.5", "--ray", "0,2,5", "--act", "junk"],
+    ["iwasawa", "--recompose", "0.5,1,2", "--matrix", IDENTITY],
+    ["bracket", "--adw-check", "--x", "W"],
+    ["bracket", "--adw-check", "--y", "V1"],
+    ["exp", "--dpsi", "1,0,0,-1", "--algebra", "W"],
+    ["matcoef", "--s", "i", "--g-iwasawa", "1,0,0", "--n", "0", "--m", "0", "--vector", "e"],
+], ids=["ray_with_z", "ray_with_bad_z", "ray_with_bad_act", "recompose_with_matrix",
+        "adw_check_with_x", "adw_check_with_y", "dpsi_with_algebra", "vector_with_value"])
+def test_ignored_option_is_a_usage_error(capsys, argv):
+    # every option given is read: one the subcommand would ignore is refused
+    assert cli.run(argv + ["--no-meta"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error:")
 
 
 def test_ktypes_listing(capsys):
@@ -286,7 +313,7 @@ def test_byte_identical_output_without_meta(capsys):
             ["matcoef", "--s", "2i", "--g-iwasawa", "0.7,0.3,1.1",
              "--n", "1", "--m", "1", "--no-meta"],
             ["matcoef", "--s", "i", "--g-iwasawa", "0.7,0.3,1.1", "--n", "0", "--m", "0",
-             "--trunc", "16", "--vector", "e", "--no-meta"],
+             "--trunc", "16", "--vector", "--no-meta"],
             ["ladder", "--m", "2", "--sign", "+", "--N", "16", "--no-meta"],
             ["separate", "--n", "1", "--t0", "0.8", "--width", "0.2",
              "--probe", "0.8,1.4", "--verify-projection", "--no-meta"],

@@ -392,15 +392,15 @@ def test_gram_nonzero_isotype():
 
 
 def _gram_per_parameter(params, n, nq, region=(0.0, 2.0)):
-    # the Gram matrix with one _matcoef_batch call per parameter, each
-    # running its own cocycle on the boosts
+    # the Gram matrix with one single-exponent _matcoef_batch call per
+    # parameter, each running its own cocycle on the boosts
     lo, hi = region
     xs, ws = np.polynomial.legendre.leggauss(nq)
     rs = lo + (hi - lo) * (xs + 1.0) / 2.0
     ws = ws * (hi - lo) / 2.0
     boosts = groups.make_a(rs)
-    vals = np.array([reps._matcoef_batch(p.induced_s, boosts, n, n, equivariant.GRAM_COEF_NODES)
-                     for p in params])
+    vals = np.array([reps._matcoef_batch(((1.0 + p.induced_s) / 2.0,), boosts, n, n,
+                                         equivariant.GRAM_COEF_NODES)[0] for p in params])
     gram = 2.0 * np.pi * np.einsum("q,jq,kq->jk", ws * np.sinh(rs), vals, np.conj(vals))
     return 0.5 * (gram + gram.conj().T)
 
@@ -423,9 +423,10 @@ def test_gram_runs_the_cocycle_once_per_rule(monkeypatch, count):
 
     def counted(thetas, gs):
         calls.append(gs.shape[0])
-        return reps._cocycle_batch(thetas, gs)
+        return cocycle(thetas, gs)
 
-    monkeypatch.setattr(equivariant, "_cocycle_batch", counted)
+    cocycle = reps._cocycle_batch
+    monkeypatch.setattr(reps, "_cocycle_batch", counted)
     params = [reps.SpectralParam.from_s(s) for s in (1j, 2j, 0.5, 1j)[:count]]
     equivariant.gram_min_eig(params, 0)
     assert calls == [equivariant.GRAM_QUAD_NODES, 2 * equivariant.GRAM_QUAD_NODES]

@@ -1,0 +1,123 @@
+"""Each numerical convention has one home, and every consumer reaches it.
+
+A plant is a one-line change at a convention's home: the unitary exponent,
+the sign of the cocycle's theta', the order of the DFT coefficients, the
+Haar node weight and the discrete-series ladder edge.  Every consumer listed
+for a home must give a different output under its plant; a consumer that
+kept a copy of the convention, or imported a kernel by value, gives the old
+output and fails here.  Whether a criterion's verdict notices the plant is
+not asserted here.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from so21 import character, equivariant, groups, reps
+
+_RHO_I = reps.SpectralParam.principal(1.0)
+_D2 = reps.SpectralParam.discrete(2, 1)
+_G = groups.recompose(groups.IwasawaCoords(0.7, 0.3, 1.1))
+_GRID = character.HaarGrid(nt=16, nu=16, ntheta=32)
+_PROFILE = equivariant.BumpProfile(0.6, 0.3)
+
+
+def _char_sides(p, n):
+    res = character.char_identity_check(p, n, equivariant.separation_witness(n, _PROFILE),
+                                        grid=_GRID, N=6)
+    return [res.lhs_trace, res.rhs_integral]
+
+
+CONSUMERS = {
+    "cocycle": lambda: reps.cocycle(0.3, _G),
+    "matcoef": lambda: reps.matcoef(_RHO_I, _G, 1, 1),
+    "rep_matrix": lambda: reps.rep_matrix(_RHO_I, _G, 4),
+    "act_principal": lambda: reps.act_principal(
+        _RHO_I, _G, reps.KFourierVector.smooth_random(6, np.random.default_rng(5), 1.0)).c,
+    "pi_of_f": lambda: character.pi_of_f(
+        _RHO_I, equivariant.separation_witness(1, _PROFILE), _GRID, 6).mat,
+    "char_identity_check": lambda: _char_sides(_RHO_I, 1),
+    "char_identity_check_discrete": lambda: _char_sides(_D2, -1),
+    "gram_min_eig": lambda: equivariant.gram_min_eig(
+        [_RHO_I, reps.SpectralParam.complementary(0.5)], 1).gram,
+    "integrate_G": lambda: character.integrate_G(character._oracle_test_function, _GRID),
+    "haar_invariance_check": lambda: character.haar_invariance_check(
+        character.HaarGrid(nt=24, nu=24, ntheta=32)).base_integral,
+    "k_types": lambda: [reps.k_types(_D2).description,
+                        reps.k_types(reps.SpectralParam.discrete(4, -1)).contains(-2)],
+    "tau_spherical_set": lambda: [family.label for family in reps.tau_spherical_set(2)],
+    "discrete_ladder_leakage": lambda: reps.discrete_ladder_leakage(2, 1, _G, 16),
+}
+
+
+def _exponent_plant(monkeypatch):
+    monkeypatch.setattr(reps.SpectralParam, "exponent",
+                        property(lambda p: (1.0 + p.induced_s) / 2.0 + 0.125))
+
+
+def _theta_sign_plant(monkeypatch):
+    cocycle = reps._cocycle_batch
+
+    def flipped(thetas, gs):
+        t, theta_out = cocycle(thetas, gs)
+        return t, -theta_out
+
+    monkeypatch.setattr(reps, "_cocycle_batch", flipped)
+
+
+def _dft_order_plant(monkeypatch):
+    dft = reps._dft_coefficients
+    monkeypatch.setattr(reps, "_dft_coefficients", lambda values, N: dft(values, N)[::-1])
+
+
+def _haar_weight_plant(monkeypatch):
+    weight = character.HaarGrid.node_weight
+    monkeypatch.setattr(character.HaarGrid, "node_weight",
+                        property(lambda grid: 1.5 * weight.fget(grid)))
+
+
+def _ladder_edge_plant(monkeypatch):
+    monkeypatch.setattr(reps.KTypeSet, "_edge", property(lambda types: types.param.m // 2 + 1))
+
+
+# (home, plant, consumers that must see it)
+PLANTS = [
+    ("SpectralParam.exponent", _exponent_plant,
+     ("matcoef", "rep_matrix", "act_principal", "pi_of_f", "char_identity_check",
+      "char_identity_check_discrete", "gram_min_eig", "discrete_ladder_leakage")),
+    ("reps._cocycle_batch", _theta_sign_plant,
+     ("cocycle", "matcoef", "rep_matrix", "act_principal", "pi_of_f", "char_identity_check",
+      "gram_min_eig", "discrete_ladder_leakage")),
+    ("reps._dft_coefficients", _dft_order_plant,
+     ("rep_matrix", "act_principal", "pi_of_f", "char_identity_check",
+      "discrete_ladder_leakage")),
+    ("HaarGrid.node_weight", _haar_weight_plant,
+     ("pi_of_f", "char_identity_check", "integrate_G", "haar_invariance_check")),
+    ("KTypeSet._edge", _ladder_edge_plant,
+     ("k_types", "tau_spherical_set", "discrete_ladder_leakage",
+      "char_identity_check_discrete")),
+]
+
+
+def _fingerprint(consumer):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        value = CONSUMERS[consumer]()
+    if isinstance(value, list) and any(isinstance(v, (str, bool)) for v in value):
+        return repr(value)
+    return np.asarray(value).tobytes()
+
+
+@pytest.mark.parametrize("home, plant, consumer", [
+    pytest.param(home, plant, consumer, id=f"{home}-{consumer}")
+    for home, plant, consumers in PLANTS for consumer in consumers])
+def test_plant_reaches_consumer(monkeypatch, home, plant, consumer):
+    before = _fingerprint(consumer)
+    plant(monkeypatch)
+    assert _fingerprint(consumer) != before, f"{consumer} does not reach {home}"
+
+
+def test_every_consumer_is_planted():
+    planted = {consumer for _, _, consumers in PLANTS for consumer in consumers}
+    assert planted == set(CONSUMERS)

@@ -431,3 +431,25 @@ def test_ladder_higher_weight():
 def test_ladder_validates_truncation():
     with pytest.raises(DomainError):
         reps.discrete_ladder_leakage(2, 1, np.eye(3), 6)
+
+
+
+_STACK = np.stack([groups.make_a(0.4), groups.make_n(0.3)])
+_RHO_I = reps.SpectralParam.principal(1.0)
+_SINGLE_ELEMENT_ENTRIES = {
+    "cocycle": lambda g: reps.cocycle(0.3, g),
+    "rep_matrix": lambda g: reps.rep_matrix(_RHO_I, g, 4),
+    "act_principal": lambda g: reps.act_principal(_RHO_I, g, reps.KFourierVector.basis(4, 0)),
+    "act_induced": lambda g: reps.act_induced(0.5, g, reps.KFourierVector.basis(4, 0)),
+    "discrete_ladder_leakage": lambda g: reps.discrete_ladder_leakage(2, 1, g, 16),
+}
+
+
+@pytest.mark.parametrize("entry", list(_SINGLE_ELEMENT_ENTRIES))
+def test_single_element_entries_refuse_stacks(entry):
+    # a (k, 3, 3) stack is a domain error naming the entry, raised before
+    # any arithmetic runs on it, so no RuntimeWarning escapes either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"{entry} input must be a single 3x3 element"):
+            _SINGLE_ELEMENT_ENTRIES[entry](_STACK)
