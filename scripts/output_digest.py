@@ -1,0 +1,53 @@
+#!/usr/bin/env python3
+"""Digest of the deterministic CLI output, for byte-identity checks across revisions.
+
+Runs a fixed list of ``so21 ... --no-meta`` invocations in-process and
+prints one ``sha256 argv`` line per invocation.  The digest covers the exit
+code and everything printed to stdout; stderr, which carries timings and
+warnings, is left out.  A change that should leave every number bit for
+bit unchanged is checked by running the script against both source trees
+and diffing the output:
+
+    PYTHONPATH=src python scripts/output_digest.py > new.txt
+    PYTHONPATH=/path/to/other/checkout/src python scripts/output_digest.py > old.txt
+    diff old.txt new.txt
+"""
+
+import contextlib
+import hashlib
+import io
+
+from so21 import cli
+
+INVOCATIONS = (
+    "suite",
+    "suite --fast",
+    "charcheck --s i --n 1 --refine",
+    "charcheck --s 0.5 --n 0 --corollary",
+    "charcheck --s 2i --n -2 --grid 37,41,100 --trunc 12",
+    "charcheck --s 0.3 --n -1 --grid 20,30,101 --trunc 8",
+    "haarcheck --grid 96,96,128",
+    "haarcheck --grid 40,44,37",
+    "separate --n 1 --t0 0.8 --width 0.2 --probe 0.8,1.4 --verify-projection",
+    "gram --params i,2i,0.5 --n 0 --tmax 2",
+    "matcoef --s 0.5+2i --g-iwasawa 0.4,-0.3,1.1 --n 2 --m -1 --vector --cocycle-at 0.7",
+    "spherical --w 0.5+3i --ray 0,4,9",
+    "ladder --m 4 --g-iwasawa 0.8,0.2,0.5",
+)
+
+
+def digest(argv):
+    """sha256 of the exit code and stdout of ``so21 argv --no-meta``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.run(argv + ["--no-meta"])
+    return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+
+
+def main():
+    for line in INVOCATIONS:
+        print(digest(line.split()), line)
+
+
+if __name__ == "__main__":
+    main()

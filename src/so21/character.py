@@ -17,12 +17,13 @@ observed outcome rather than an input assumption.  The trace of that matrix
 is then compared against the integral of f times the diagonal matrix
 coefficient at (-n, -n), which is the character identity under test.
 
-The quadrature works on whole (t, u) rows.  Every node a_t n_u k_theta of a
-row has the polar radius of its row base, since k_theta fixes the third
-column, so f is evaluated only on the rows inside its declared support band,
-picked by :func:`so21.equivariant._near_band`, the band test of f's own
-radial kernel; f must vanish at the base of every skipped row, or
-DomainError is raised.
+The quadrature works on whole (t, u) rows: :func:`_chunks` builds their
+nodes from the row bases a_t n_u and the rotations k_theta, and
+:func:`_grid_sum` sums f over them.  Every node of a row has the polar
+radius of its row base, since k_theta fixes the third column, so f is
+evaluated only on the rows inside its declared support band, picked by
+:func:`so21.equivariant._near_band`, the band test of f's own radial kernel;
+f must vanish at the base of every skipped row, or DomainError is raised.
 The cocycle runs once per row: if k_phi a_t n_u = a' n' k_theta', then
 k_phi (a_t n_u k_theta) = a' n' k_{theta' + theta}.  Both identities hold for
 every element, so f is evaluated at every theta node of every evaluated row,
@@ -44,8 +45,8 @@ from . import reps
 from .errors import DomainError, SupportWarning, TruncationWarning
 from .groups import (IwasawaCoords, _polar_radius, cartan_radius, haar_density, make_a, make_k,
                      make_n, recompose)
-from .equivariant import (BumpProfile, EquivariantFn, _blocks, _near_band, _on_radial_support,
-                          _read_only, _row_concatenation)
+from .equivariant import (BumpProfile, EquivariantFn, _near_band, _on_radial_support, _products,
+                          _read_only)
 
 # The (t, u) box every grid covers; only the node counts vary.
 T_BOX = (-3.0, 3.0)
@@ -58,10 +59,6 @@ REFINE_FACTOR = 1.5
 # AVX-512 Xeon, one BLAS thread, the 96x96x128 Haar oracle took 74 ms with
 # 8192-node chunks against 103-112 ms with 65536 (median of 9 calls).
 _CHUNK = 8192
-# Column multiple of a chunk's 2-D product, see HaarGrid.chunks; unpadded,
-# OpenBLAS 0.3.31 on AVX-512 gives last-bit differences from elements() at
-# ntheta = 100 and 101.
-_BLAS_COLUMNS = 16
 
 
 @dataclass(frozen=True)
@@ -71,12 +68,17 @@ class HaarGrid:
     Midpoint nodes in t and u (the integrands are compactly supported, so
     the rule converges superalgebraically), uniform periodic nodes in
     theta.  Weights carry the constant Haar density and the normalized
-    rotation measure dtheta/(2 pi).  The box is T_BOX x U_BOX.
+    rotation measure dtheta/(2 pi).  The box is T_BOX x U_BOX.  Every node
+    count must be at least 1.
     """
 
     nt: int = 48
     nu: int = 48
     ntheta: int = 96
+
+    def __post_init__(self):
+        if min(self.shape) < 1:
+            raise DomainError(f"grid node counts must be >= 1, got {self.shape}")
 
     def refine(self) -> "HaarGrid":
         """Grid with every node count scaled up by REFINE_FACTOR."""
@@ -134,26 +136,6 @@ class HaarGrid:
         """
         return _read_only(make_k(self.coordinate_arrays()[2]))
 
-    def rows_in_band(self, band):
-        """Flat indices of the rows whose base a_t n_u may have polar radius in the closed `band`.
-
-        The rows :func:`so21.equivariant._near_band` admits.  ``base @
-        make_k(theta)`` keeps g13 and g23 exactly, so every node of a row
-        has its base's radius bit for bit.
-        """
-        return np.flatnonzero(_near_band(self._row_bases, band))
-
-    def chunks(self, rows=None):
-        """The elements of the given (t, u) rows (all when None), whole rows at a time.
-
-        The chunks of :func:`_chunks` on the row bases a_t n_u and the
-        rotations k_theta: bit for bit :meth:`elements` on those rows.
-        Grid reductions sum one partial per chunk, in chunk order.  An empty
-        selection gives one empty chunk.
-        """
-        rows = np.arange(self.nt * self.nu) if rows is None else np.asarray(rows, dtype=np.intp)
-        return _chunks(self._row_bases, self._rotations, rows)
-
     @cached_property
     def boundary_elements(self):
         """Elements on the four t/u faces of the box, BOUNDARY_SAMPLES per axis; read-only.
@@ -186,22 +168,21 @@ def _chunks(bases, rotations, rows):
     """The elements ``bases[row] @ rotations[k]`` of the given rows, whole rows at a time.
 
     Each chunk holds every rotation of the next ``_CHUNK // len(rotations)``
-    rows (at least one), as a (rows, len(rotations), 3, 3) view of one 2-D
-    product: the chunk's bases stacked row-wise times the row-concatenation
-    [k_0 | k_1 | ...] of the rotations, which holds base_i @ k_j in block
-    (i, j) (see :func:`so21.equivariant._blocks`).  That is bit for bit the
-    batched 3x3 product: the rotations are padded with zero columns to a
-    multiple of 16, because BLAS computes a narrower tail of columns with
-    other kernels, whose fused multiply-adds can round differently.  An
-    empty selection gives one empty chunk.
+    rows (at least one): the (rows, len(rotations), 3, 3) view
+    :func:`so21.equivariant._products` gives, bit for bit the batched 3x3
+    products.  On the row bases a_t n_u and the rotations k_theta of a grid
+    that is :meth:`HaarGrid.elements` on those rows.  An empty selection
+    gives one empty chunk.
     """
-    width = 3 * rotations.shape[0]
-    columns = np.zeros((3, -(-width // _BLAS_COLUMNS) * _BLAS_COLUMNS))
-    columns[:, :width] = _row_concatenation(rotations)
     step = max(1, _CHUNK // rotations.shape[0])
     for start in range(0, max(rows.size, 1), step):
-        chunk = bases[rows[start:start + step]]
-        yield _blocks((chunk.reshape(-1, 3) @ columns)[:, :width], chunk.shape[0])
+        yield _products(bases[rows[start:start + step]], rotations)
+
+
+def _grid_sum(f, grid, bases, rotations, rows):
+    """Node weight times the sum of f over the :func:`_chunks` of `rows`, in chunk order."""
+    partials = [np.sum(f(G)) for G in _chunks(bases, rotations, rows)]
+    return grid.node_weight * np.sum(np.asarray(partials))
 
 
 def _support_rows(f, bases):
@@ -235,8 +216,8 @@ def integrate_G(f, grid: HaarGrid) -> complex:
     `support` band, when it has one (see :func:`_support_rows`).
     """
     _check_support(f, grid)
-    partials = [np.sum(f(G)) for G in grid.chunks(_support_rows(f, grid._row_bases))]
-    return complex(grid.node_weight * np.sum(np.asarray(partials)))
+    bases = grid._row_bases
+    return complex(_grid_sum(f, grid, bases, grid._rotations, _support_rows(f, bases)))
 
 
 @dataclass(frozen=True)
@@ -248,7 +229,6 @@ class OperatorMatrix:
     n: int
     grid: HaarGrid
     N: int
-    nodes: int
 
     def offrow_mass(self) -> float:
         """Fraction of entry mass outside the row indexed -n."""
@@ -260,14 +240,15 @@ class OperatorMatrix:
         return float(1.0 - np.abs(self.mat[-self.n + self.N]).sum() / mass)
 
 
-def _pi_core(p, f, grid, N, nodes, rhs_index=None):
+def _pi_core(p, f, grid, N, rhs_index=None):
     """Shared quadrature core in the induced space of p: the matrix of pi(f),
     the integral of f times the diagonal matrix coefficient at rhs_index (0
     when None), the number of (t, u) rows the cocycle ran on and the number
     f was evaluated on."""
     _check_support(f, grid)
     rows = _support_rows(f, grid._row_bases)
-    fvals = np.concatenate([np.asarray(f(G), dtype=complex) for G in grid.chunks(rows)])
+    fvals = np.concatenate([np.asarray(f(G), dtype=complex)
+                            for G in _chunks(grid._row_bases, grid._rotations, rows)])
     fvals = fvals.reshape(-1, grid.ntheta)
     on = np.any(np.abs(fvals) > 0.0, axis=1)
     # k_phi a_t n_u = a' n' k_theta' gives k_phi (a_t n_u k_theta) = a' n' k_{theta' + theta}:
@@ -276,11 +257,11 @@ def _pi_core(p, f, grid, N, nodes, rhs_index=None):
     # into F[row, n] = sum_k w f(row, k) e^{i n theta_k}.  f is evaluated and
     # summed at every theta node of its support rows, so no angular symmetry
     # of f is assumed and the range collapse stays observed.
-    mult, theta_out = reps._induced_nodes(p.exponent, grid._row_bases[rows[on]], N, nodes)
+    mult, theta_out = reps._induced_nodes(p.exponent, grid._row_bases[rows[on]], N, None)
     thetas = grid.coordinate_arrays()[2]
     F = (grid.node_weight * fvals[on]) @ np.exp(1j * np.outer(thetas, np.arange(-N, N + 1)))
     # accumulate S[j, n] = sum_row F[row, n] mult[row, j] e^{i n theta'[row, j]}
-    S = np.empty((nodes, 2 * N + 1), dtype=complex)
+    S = np.empty((theta_out.shape[1], 2 * N + 1), dtype=complex)
     for idx, modes in enumerate(reps._mode_ladder(mult, theta_out, N)):
         S[:, idx] = F[:, idx] @ modes
     rhs = 0.0 + 0.0j
@@ -295,27 +276,30 @@ def pi_of_f(
     f: EquivariantFn,
     grid: HaarGrid,
     N: int,
-    nodes=None,
 ) -> OperatorMatrix:
     """Matrix of the smoothed operator pi(f) on the truncated Fourier basis.
 
-    Requires an induced kind and a test function of equal bi-type (n, n)
-    supported inside the grid box.  The columns of the result concentrate
-    on the row indexed -n; :meth:`OperatorMatrix.offrow_mass` quantifies
-    the leftover.
+    Requires an induced kind, a truncation N >= 0 and a test function of
+    equal bi-type (n, n) supported inside the grid box.  The columns of the
+    result concentrate on the row indexed -n;
+    :meth:`OperatorMatrix.offrow_mass` quantifies the leftover.  The
+    quadrature runs on the 4N + 4 nodes of :func:`so21.reps._node_count`.
     """
     if not p.is_induced:
         raise DomainError(f"pi_of_f needs an induced kind, got {p.kind}")
     if f.n_left != f.n_right:
         raise DomainError("pi_of_f needs a test function of equal bi-type (n, n)")
-    nodes = reps._node_count(N, nodes)
-    mat = _pi_core(p, f, grid, N, nodes)[0]
+    if N < 0:
+        raise DomainError(f"truncation N must be >= 0, got {N}")
+    mat = _pi_core(p, f, grid, N)[0]
     total = np.abs(mat).sum()
-    edge = (np.abs(mat[:2]).sum() + np.abs(mat[-2:]).sum()) / total if total else 0.0
+    # the rows of the modes |n| >= N - 1, each counted once
+    top = np.abs(np.arange(-N, N + 1)) >= N - 1
+    edge = np.abs(mat[top]).sum() / total if total else 0.0
     if edge > 1e-3:
         warnings.warn(f"top-mode rows carry fraction {edge:.2e} of pi(f); increase the truncation",
                       TruncationWarning, stacklevel=2)
-    return OperatorMatrix(mat, p, f.n_left, grid, N, nodes)
+    return OperatorMatrix(mat, p, f.n_left, grid, N)
 
 
 @dataclass(frozen=True)
@@ -363,7 +347,6 @@ def char_identity_check(
     f: EquivariantFn,
     grid: HaarGrid | None = None,
     N: int = 16,
-    nodes=None,
 ) -> CharIdentityResult:
     """Verify trace pi(f) = integral of f times the (-n, -n) matrix coefficient.
 
@@ -373,25 +356,26 @@ def char_identity_check(
     kind, the ladder for a discrete one) is compared with the independent
     quadrature of f times <rho(g) e_{-n}, e_{-n}>.  When the K-types miss
     the isotype -n both sides must come out numerically zero.  The isotype
-    -n must lie inside the truncation, |n| <= N.
+    -n must lie inside the truncation, |n| <= N, with N >= 0.
     """
     if f.n_left != f.n_right:
         raise DomainError("character identity needs a test function of bi-type (n, n)")
     if f.n_left != n:
         raise DomainError(f"test function has bi-type ({f.n_left}, {f.n_right}), expected ({n}, {n})")
+    if N < 0:
+        raise DomainError(f"truncation N must be >= 0, got {N}")
     if abs(n) > N:
         raise DomainError(f"isotype {-n} lies outside the truncation [-{N}, {N}]")
     if p.kind == "trivial":
         raise DomainError("the trivial representation is not modeled as an operator here")
     grid = grid if grid is not None else HaarGrid()
-    nodes = reps._node_count(N, nodes)
     start = time.perf_counter()
     block = reps.k_types(p).contains(np.arange(-N, N + 1))
-    mat, rhs, active_rows, support_rows = _pi_core(p, f, grid, N, nodes,
+    mat, rhs, active_rows, support_rows = _pi_core(p, f, grid, N,
                                                    rhs_index=-n if block[-n + N] else None)
     restricted = mat[np.ix_(block, block)]
     lhs = complex(np.trace(restricted))
-    off = OperatorMatrix(mat, p, n, grid, N, nodes).offrow_mass()
+    off = OperatorMatrix(mat, p, n, grid, N).offrow_mass()
     block_norm = None
     if not p.is_induced:
         block_norm = float(np.linalg.norm(restricted, ord=2)) if restricted.size else 0.0
@@ -406,7 +390,6 @@ def corollary_check(
     f: EquivariantFn,
     grid: HaarGrid | None = None,
     N: int = 16,
-    nodes=None,
 ) -> CharIdentityResult:
     """Character identity for a tau_n-spherical p against a bi-type (-n, -n) f.
 
@@ -416,7 +399,7 @@ def corollary_check(
     """
     if f.n_left != f.n_right or f.n_left != -n:
         raise DomainError(f"corollary needs a test function of bi-type ({-n}, {-n})")
-    return char_identity_check(p, -n, f, grid=grid, N=N, nodes=nodes)
+    return char_identity_check(p, -n, f, grid=grid, N=N)
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +479,7 @@ def haar_invariance_check(grid: HaarGrid | None = None, translations=None) -> Ha
 
     def integral(row_bases, row_rotations, rows):
         evaluated.append(rows)
-        parts = [np.sum(f(G)) for G in _chunks(row_bases, row_rotations, rows)]
-        return grid.node_weight * float(np.real(np.sum(np.asarray(parts))))
+        return float(np.real(_grid_sum(f, grid, row_bases, row_rotations, rows)))
 
     base = integral(bases, rotations, _support_rows(f, bases))
     if base == 0.0:
@@ -509,7 +491,8 @@ def haar_invariance_check(grid: HaarGrid | None = None, translations=None) -> Ha
         left_bases = g0 @ bases
         left = integral(left_bases, rotations, _support_rows(f, left_bases))
         reach = float(cartan_radius(g0))
-        right = integral(bases, rotations @ g0, grid.rows_in_band((lo - reach, hi + reach)))
+        right = integral(bases, rotations @ g0,
+                         np.flatnonzero(_near_band(bases, (lo - reach, hi + reach))))
         per[name] = {"left": abs(left - base) / abs(base), "right": abs(right - base) / abs(base)}
     # a mask, not np.unique: numpy 2.4's unique imports numpy.ma on first use
     union = np.zeros(grid.nt * grid.nu, dtype=bool)

@@ -93,8 +93,15 @@ def _parse_spectral(text):
     return reps.SpectralParam.from_s(reps.parse_complex(text))
 
 
+def _count(value, what):
+    """`value` as an int, refused unless it is a non-negative integer."""
+    if value < 0 or not value.is_integer():
+        raise UsageError(f"{what} must be a non-negative integer, got {value:g}")
+    return int(value)
+
+
 def _parse_grid(text):
-    nt, nu, ntheta = (int(v) for v in _parse_floats(text, 3))
+    nt, nu, ntheta = (_count(v, "--grid count") for v in _parse_floats(text, 3))
     return character.HaarGrid(nt=nt, nu=nu, ntheta=ntheta)
 
 
@@ -343,7 +350,7 @@ def _handle(args):
         if args.ray is not None:
             _refuse_with(args, "--ray", "z", "act")
             t0, t1, steps = _parse_floats(args.ray, 3)
-            ts = np.linspace(t0, t1, int(steps))
+            ts = np.linspace(t0, t1, _count(steps, "--ray steps"))
             values = hyperbolic.phi(w, np.exp(ts) * 1j, nodes=args.nodes)
             rows = [[float(t), v.real, v.imag] for t, v in zip(ts, values)]
             return {"columns": ["t", "re_phi", "im_phi"], "rows": rows}, EXIT_OK

@@ -216,28 +216,27 @@ def _per_element(value, gs):
     return out.reshape(gs.shape[:-2] + out.shape[1:])
 
 
-def _row_concatenation(stack):
-    """The (3, 3k) matrix [g_0 | g_1 | ...] of a (k, 3, 3) stack.
+# Column multiple of the 2-D product in :func:`_products`; unpadded,
+# OpenBLAS 0.3.31 gave last-bit differences from the batched 3x3 products at
+# 100 and 101 right factors on one AVX-512 host (not on every one).
+_BLAS_COLUMNS = 16
 
-    One 2-D product x @ [g_0 | g_1 | ...] multiplies x by every g_j at once,
-    with the same three-term sums as the batched 3x3 products x @ g_j; see
-    :func:`_blocks`.
+
+def _products(left, right):
+    """Every left[i] @ right[j] of a (k, 3, 3) and an (m, 3, 3) stack, as a (k, m, 3, 3) view.
+
+    The view reads in place the 3x3 blocks of one 2-D product, the left
+    factors stacked row-wise times the row-concatenation [r_0 | r_1 | ...] of
+    the right ones.  Each block is bit for bit the batched 3x3 product: the
+    columns are padded with zeros to a multiple of `_BLAS_COLUMNS`, because
+    BLAS computes a narrower tail of columns with other kernels, whose fused
+    multiply-adds can round differently.
     """
-    return stack.transpose(1, 0, 2).reshape(3, -1)
-
-
-def _blocks(product, rows):
-    """The (rows, m, 3, 3) view of the 3x3 blocks of a (..., 3 m) block matrix.
-
-    `product` holds `rows` block rows of 3 matrix rows each, in either
-    layout (3 rows, 3 m) or (rows, 3, 3 m); block (i, j) is entry [i, j] of
-    the view, and no data is copied.  With rows = [x_0; x_1; ...] stacked
-    and columns = :func:`_row_concatenation` of g, the 2-D product
-    rows @ columns has x_i @ g_j in block (i, j), from the same three-term
-    sums as the batched 3x3 product (see :meth:`so21.character.HaarGrid.chunks`
-    on when BLAS rounds them alike).
-    """
-    return product.reshape(rows, 3, product.shape[-1] // 3, 3).transpose(0, 2, 1, 3)
+    width = 3 * right.shape[0]
+    columns = np.zeros((3, -(-width // _BLAS_COLUMNS) * _BLAS_COLUMNS))
+    columns[:, :width] = right.transpose(1, 0, 2).reshape(3, -1)
+    product = (left.reshape(-1, 3) @ columns)[:, :width]
+    return product.reshape(left.shape[0], 3, right.shape[0], 3).transpose(0, 2, 1, 3)
 
 
 def _isotype_projector(f, ns, nodes=None):
@@ -247,20 +246,17 @@ def _isotype_projector(f, ns, nodes=None):
     to an array of shape (len(ns), ...), whose entry i is the mean over a
     `nodes` x `nodes` tensor grid of uniform angles (periodic trapezoid) of
     e^{-i n_i (theta_a + theta_b)} f(k_a g k_b).  f is evaluated once per
-    element on its nodes^2 translates F[a, b] = f(k_a g k_b); each
+    element on its nodes^2 translates F[a, b] = f(k_a g k_b), the
+    :func:`_products` of the k_a g and the k_b; each
     coefficient is then the bilinear form e_n^T F e_n with
     e_n = e^{-i n theta} / nodes, so every isotype comes from that one
     evaluation.
     """
     thetas, rotations = _projection_angles(nodes)
-    count = thetas.size
-    weights = np.exp(-1j * np.outer(ns, thetas)) / count
-    rows = rotations.reshape(-1, 3)
-    columns = _row_concatenation(rotations)
+    weights = np.exp(-1j * np.outer(ns, thetas)) / thetas.size
 
     def value(g):
-        # (rows @ g) @ columns holds k_a g k_b in block (a, b)
-        translates = _blocks((rows @ g) @ columns, count)
+        translates = _products(rotations @ g, rotations)
         return np.sum((weights @ f(translates)) * weights, axis=1)
 
     return lambda gs: np.moveaxis(_per_element(value, gs), -1, 0)
@@ -287,10 +283,9 @@ def right_isotype_project(f, n: int, nodes=None):
     """
     thetas, rotations = _projection_angles(nodes)
     phase = np.exp(-1j * n * thetas)
-    columns = _row_concatenation(rotations)
 
     def value(x):
-        return np.mean(phase * f(_blocks(x @ columns, 1)[0]))
+        return np.mean(phase * f(_products(x[None], rotations)[0]))
 
     return lambda xs: _per_element(value, xs)
 

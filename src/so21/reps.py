@@ -333,7 +333,8 @@ def _act(gamma, g, v: KFourierVector, nodes, what):
     values = mult[0] * np.exp(-1j * N * theta_out[0]) * acc
     out = KFourierVector(N, _dft_coefficients(values, N))
     total = np.sum(np.abs(out.c) ** 2)
-    top = abs(out.c[0]) ** 2 + abs(out.c[-1]) ** 2
+    # the top modes -N and N, one entry when N = 0
+    top = np.sum(np.abs(out.c[[0, -1]] if N else out.c) ** 2)
     if total > 0 and top / total > TOP_MODE_ENERGY_TOL:
         warnings.warn(
             f"top-mode energy fraction {top / total:.2e} exceeds {TOP_MODE_ENERGY_TOL}",

@@ -25,36 +25,54 @@ def test_grid_refinement_scales_counts():
     assert grid.shape == (72, 72, 144)
 
 
+@pytest.mark.parametrize("shape", [(0, 48, 96), (48, -4, 96), (48, 48, 0)])
+def test_grid_refuses_counts_below_one(shape):
+    with pytest.raises(DomainError, match="node counts must be >= 1"):
+        character.HaarGrid(*shape)
+
+
 def test_grid_elements_are_members():
     grid = character.HaarGrid(nt=4, nu=4, ntheta=4)
     for g in grid.elements():
         assert groups.so21_check(g).accepted
 
 
+def _grid_chunks(grid, rows=None):
+    # the chunks of the given rows of a grid (all when None)
+    rows = np.arange(grid.nt * grid.nu) if rows is None else np.asarray(rows, dtype=np.intp)
+    return character._chunks(grid._row_bases, grid._rotations, rows)
+
+
+def _rows_in_band(grid, band):
+    # flat indices of the rows whose base the band test admits
+    return np.flatnonzero(equivariant._near_band(grid._row_bases, band))
+
+
 def test_grid_chunks_concatenate_to_elements():
     # 4096 rows of 100 nodes: fifty chunks of 81 whole rows and a partial
     # fifty-first, each a (rows, ntheta, 3, 3) view of one 2-D block product
     grid = character.HaarGrid(nt=64, nu=64, ntheta=100)
-    chunks = list(grid.chunks())
+    chunks = list(_grid_chunks(grid))
     assert [c.shape for c in chunks] == [(81, 100, 3, 3)] * 50 + [(46, 100, 3, 3)]
     assert all(c.size <= 9 * 8192 and not c.flags.c_contiguous for c in chunks)
     elements = grid.elements()
     assert np.concatenate(chunks).tobytes() == elements.tobytes()
     # a selection of rows gives elements() restricted to those rows, bit for bit
     rows = np.flatnonzero(np.arange(64 * 64) % 3 != 1)[5:]
-    selected = np.concatenate(list(grid.chunks(rows)))
+    selected = np.concatenate(list(_grid_chunks(grid, rows)))
     assert selected.shape == (rows.size, 100, 3, 3)
     assert selected.tobytes() == elements.reshape(-1, 100, 3, 3)[rows].tobytes()
-    assert [c.shape for c in grid.chunks([])] == [(0, 100, 3, 3)]
+    assert [c.shape for c in _grid_chunks(grid, [])] == [(0, 100, 3, 3)]
 
 
 def test_grid_rows_share_their_base_radius():
     # k_theta fixes the third column, so every node of a row has the polar
-    # radius of its row base bit for bit; rows_in_band relies on it
+    # radius of its row base bit for bit; the band test on the row bases
+    # relies on it
     grid = character.HaarGrid(nt=24, nu=24, ntheta=40)
     radius = groups._polar_radius(grid.elements()).reshape(-1, grid.ntheta)
     assert np.array_equal(radius, np.repeat(radius[:, :1], grid.ntheta, axis=1))
-    rows = grid.rows_in_band((0.25, 0.95))
+    rows = _rows_in_band(grid, (0.25, 0.95))
     inside = (radius[:, 0] >= 0.25) & (radius[:, 0] <= 0.95)
     assert 0 < rows.size < grid.nt * grid.nu
     assert np.array_equal(rows, np.flatnonzero(inside))
@@ -250,8 +268,8 @@ def test_haar_invariance_pruning_loses_no_mass():
 
     f = character._oracle_test_function
     lo, hi = f.support
-    rows = grid.rows_in_band((lo - _translation_reach(translations),
-                              hi + _translation_reach(translations)))
+    rows = _rows_in_band(grid, (lo - _translation_reach(translations),
+                                hi + _translation_reach(translations)))
     assert 0 < res.evaluated_rows == rows.size < grid.nt * grid.nu
     skipped = np.ones(grid.nt * grid.nu, dtype=bool)
     skipped[rows] = False
@@ -331,16 +349,15 @@ def _unmasked_box(gs):
 _EDGES = _rotated_boosts(np.concatenate([_ulp_radii(0.25), _ulp_radii(0.95), [0.4, 0.6, 0.9]]))
 # r = 0 nodes (exact and degenerate) among nodes on and off the band
 # (-0.5, 0.5), laid out as a strided (rows, ntheta, 3, 3) view
-_ORIGIN_MIXED = (
-    np.concatenate([groups.make_k([0.0, 1.0, 4.0]), groups.make_a([1e-13, 0.3, 0.8])])
-    .reshape(-1, 3) @ equivariant._row_concatenation(groups.make_k(np.linspace(0.0, 6.0, 5)))
-).reshape(6, 3, 5, 3).transpose(0, 2, 1, 3)
+_ORIGIN_MIXED = equivariant._products(
+    np.concatenate([groups.make_k([0.0, 1.0, 4.0]), groups.make_a([1e-13, 0.3, 0.8])]),
+    groups.make_k(np.linspace(0.0, 6.0, 5)))
 
 
 # rows 512-639 of SMALL_GRID, t in [0.09, 0.66]: one chunk, 128 rows x 64
 # rotations, with nodes inside and outside both the (0.25, 0.95) band and
 # the origin band
-_BAND_CHUNK = list(SMALL_GRID.chunks())[4]
+_BAND_CHUNK = list(_grid_chunks(SMALL_GRID))[4]
 
 
 @pytest.mark.parametrize("masked, unmasked, gs", [
@@ -446,14 +463,13 @@ def _translate_chunk(rotations, translate=None):
 def _projector_translates(g, nodes=64):
     # k_a g k_b in block (a, b), as _isotype_projector builds them
     rotations = equivariant._projection_angles(nodes)[1]
-    product = (rotations.reshape(-1, 3) @ g) @ equivariant._row_concatenation(rotations)
-    return equivariant._blocks(product, nodes)
+    return equivariant._products(rotations @ g, rotations)
 
 
 def _right_isotype_stack(x, nodes=64):
     # x k_b as one block row, as right_isotype_project builds it
     rotations = equivariant._projection_angles(nodes)[1]
-    return equivariant._blocks(x @ equivariant._row_concatenation(rotations), 1)
+    return equivariant._products(x[None], rotations)
 
 
 _K = SMALL_GRID._rotations
@@ -638,23 +654,21 @@ def _dense_dft(N, nodes):
     return np.exp(-1j * np.outer(np.arange(-N, N + 1), thetas)) / nodes
 
 
-@pytest.mark.parametrize("nodes", [None, 4 * 8 + 5, 8 * 8 + 9])
-def test_pi_of_f_matches_dense_dft_reference(nodes):
+def test_pi_of_f_matches_dense_dft_reference():
     # every grid node contributes w f(g) rho(g) with rho(g) = P diag(mult) C
     # built from dense DFT matrices: no phase recurrence, no FFT, no per-row
     # cocycle
     s, N = 1.0j, 8
     f = _witness(1)
     grid = character.HaarGrid(nt=16, nu=16, ntheta=32)
-    op = character.pi_of_f(reps.SpectralParam.principal(1.0), f, grid, N, nodes=nodes)
+    op = character.pi_of_f(reps.SpectralParam.principal(1.0), f, grid, N)
     gs = grid.elements()
     fvals = np.asarray(f(gs), dtype=complex)
     active = np.abs(fvals) > 0.0
-    count = 4 * N + 4 if nodes is None else nodes
+    count = 4 * N + 4
     mult, theta_out = reps._induced_nodes((1.0 + s) / 2.0, gs[active], N, count)
     columns = mult[..., None] * np.exp(1j * theta_out[..., None] * np.arange(-N, N + 1))
     ref = _dense_dft(N, count) @ np.einsum("g,gjn->jn", grid.node_weight * fvals[active], columns)
-    assert op.nodes == count
     assert np.max(np.abs(op.mat - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
@@ -679,13 +693,13 @@ def test_pi_core_matches_per_node_reference(off_type, min_offrow):
     s, N, nodes = 1.0j, 8, 36
     p = reps.SpectralParam.principal(1.0)
     grid = character.HaarGrid(nt=16, nu=16, ntheta=40)
-    mat, rhs, active_rows, support_rows = character._pi_core(p, f, grid, N, nodes, rhs_index=-1)
+    mat, rhs, active_rows, support_rows = character._pi_core(p, f, grid, N, rhs_index=-1)
     ref_mat, ref_rhs = _pi_per_node(s, f, grid, N, nodes, rhs_index=-1)
     assert 0 < active_rows <= support_rows < grid.nt * grid.nu
     assert np.max(np.abs(mat - ref_mat)) < 1e-12 * np.max(np.abs(ref_mat))
     assert abs(rhs - ref_rhs) < 1e-12 * abs(ref_rhs)
-    off = character.OperatorMatrix(mat, p, 1, grid, N, nodes).offrow_mass()
-    ref_off = character.OperatorMatrix(ref_mat, p, 1, grid, N, nodes).offrow_mass()
+    off = character.OperatorMatrix(mat, p, 1, grid, N).offrow_mass()
+    ref_off = character.OperatorMatrix(ref_mat, p, 1, grid, N).offrow_mass()
     assert abs(off - ref_off) < 1e-12
     assert off > min_offrow
 
@@ -695,6 +709,14 @@ def test_pi_of_f_truncation_warning_names_the_caller():
     with pytest.warns(TruncationWarning, match="top-mode rows") as record:
         character.pi_of_f(reps.SpectralParam.principal(1.0), _witness(1), SMALL_GRID, 1)
     assert record[0].filename == __file__
+
+
+@pytest.mark.parametrize("N", [0, 1])
+def test_pi_of_f_top_mode_fraction_counts_each_row_once(N):
+    # at N <= 1 the rows of the modes |n| >= N - 1 are all of pi(f), each
+    # counted once: fraction 1, not the 2 of overlapping edge slices
+    with pytest.warns(TruncationWarning, match=r"fraction 1\.00e\+00"):
+        character.pi_of_f(reps.SpectralParam.principal(1.0), _witness(0), SMALL_GRID, N)
 
 
 def test_declared_support_is_checked():
@@ -724,8 +746,8 @@ def test_pi_validation():
     lopsided = equivariant.EquivariantFn(1, 2, lambda gs: np.ones(np.asarray(gs).shape[:-2]))
     with pytest.raises(DomainError):
         character.pi_of_f(reps.SpectralParam.principal(1.0), lopsided, SMALL_GRID, N=8)
-    with pytest.raises(DomainError):
-        character.pi_of_f(reps.SpectralParam.principal(1.0), f, SMALL_GRID, N=8, nodes=16)
+    with pytest.raises(DomainError, match="truncation N must be >= 0"):
+        character.pi_of_f(reps.SpectralParam.principal(1.0), f, SMALL_GRID, N=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -781,16 +803,6 @@ def test_corollary_type_validation():
     with pytest.raises(DomainError):
         character.corollary_check(reps.SpectralParam.principal(1.0), 1,
                                   _witness(1), grid=SMALL_GRID, N=8)
-
-
-def test_char_identity_node_floor():
-    # 8 nodes alias the products of modes up to N = 16; both checks must
-    # refuse them, as pi_of_f does, instead of agreeing on aliased sums
-    p = reps.SpectralParam.principal(1.0)
-    with pytest.raises(DomainError):
-        character.char_identity_check(p, 1, _witness(1), grid=SMALL_GRID, N=16, nodes=8)
-    with pytest.raises(DomainError):
-        character.corollary_check(p, 1, _witness(-1), grid=SMALL_GRID, N=16, nodes=8)
 
 
 def test_char_identity_isotype_outside_truncation():

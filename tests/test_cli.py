@@ -276,6 +276,26 @@ def test_non_finite_bump_is_a_domain_error(capsys, argv):
     assert captured.out == "" and "must be finite" in captured.err
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["charcheck", "--s", "i", "--n", "1", "--grid", "0,48,96"], 2, "node counts must be >= 1"),
+    (["charcheck", "--s", "i", "--n", "1", "--grid", "48,48,-4"], 1, "non-negative integer"),
+    (["charcheck", "--s", "i", "--n", "1", "--grid", "48.7,48,96"], 1, "non-negative integer"),
+    (["haarcheck", "--grid", "48,48,0"], 2, "node counts must be >= 1"),
+    (["charcheck", "--s", "i", "--n", "0", "--trunc", "-1", "--grid", "16,16,32"], 2,
+     "truncation N must be >= 0"),
+    (["spherical", "--w", "0.5", "--ray", "0,1,-3"], 1, "non-negative integer"),
+    (["spherical", "--w", "0.5", "--ray", "0,1,2.5"], 1, "non-negative integer"),
+], ids=["charcheck_zero_count", "charcheck_negative_count", "charcheck_fractional_count",
+        "haarcheck_zero_count", "charcheck_negative_trunc", "ray_negative_steps",
+        "ray_fractional_steps"])
+def test_malformed_counts_are_clean_errors(capsys, argv, code, message):
+    # each used to print a traceback, run a truncated count, or name the
+    # truncation [--1, -1]
+    assert cli.run(argv + ["--no-meta"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_charcheck_corollary_and_refine(capsys):
     code, payload = run_json(capsys, "charcheck", "--s", "i", "--n", "1",
                              "--grid", "24,24,48", "--trunc", "8",

@@ -110,6 +110,27 @@ def test_witness_satisfies_equivariance_contract():
 
 
 # ---------------------------------------------------------------------------
+# block products
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("count", [1, 5, 37, 100, 101])
+@pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "transposed"])
+def test_products_match_batched_products(count, transposed):
+    # every block of the one 2-D product is bit for bit the batched 3x3
+    # product, at widths 3 * count below, at and off a multiple of the
+    # column padding
+    rng = np.random.default_rng(count)
+    left = groups.random_elements(rng, 7, t_bound=2.0, u_bound=1.5)
+    if transposed:
+        left = left.transpose(0, 2, 1)
+    right = groups.random_elements(rng, count, t_bound=2.0, u_bound=1.5)
+    got = equivariant._products(left, right)
+    want = left[:, None] @ right[None]
+    assert got.shape == want.shape == (7, count, 3, 3)
+    assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # radial-support kernel on strided stacks
 # ---------------------------------------------------------------------------
 
@@ -121,8 +142,7 @@ def _translate_view(g, nodes=128):
     # product, seen through a transpose, so the (nodes, nodes, 3, 3) stack
     # is not contiguous
     _, rotations = equivariant._projection_angles(nodes)
-    product = (rotations.reshape(-1, 3) @ g) @ equivariant._row_concatenation(rotations)
-    return product.reshape(nodes, 3, nodes, 3).transpose(0, 2, 1, 3)
+    return equivariant._products(rotations @ g, rotations)
 
 
 def _blocked_view(stack):

@@ -202,6 +202,14 @@ def test_truncation_warning_on_rough_vector():
         reps.act_principal(reps.SpectralParam.principal(1.0), groups.make_a(1.5), rough)
 
 
+def test_top_mode_energy_counts_the_single_mode_once():
+    # at N = 0 the modes -N and N are one entry, so the whole vector is top
+    # mode: fraction 1, not 2
+    p = reps.SpectralParam.principal(1.0)
+    with pytest.warns(TruncationWarning, match=r"fraction 1\.00e\+00"):
+        reps.act_principal(p, groups.make_a(0.5), reps.KFourierVector.basis(0, 0))
+
+
 def test_truncation_warning_names_the_callers_line():
     # both public entries warn from the same depth, so the warning points at
     # this file, not into reps.py

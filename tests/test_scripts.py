@@ -3,16 +3,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+from so21 import cli
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def test_charcheck_convergence_script_prints_one_row_per_level():
     # the script runs char_identity_check on the default grid, so it goes
     # through the Haar chunks
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "charcheck_convergence.py"),
-                           "--levels", "1"], capture_output=True, text=True, env=env, timeout=120)
+    done = _run_script("charcheck_convergence.py", "--levels", "1")
     assert done.returncode == 0, done.stderr
     header, *rows = done.stdout.splitlines()
     assert header.split()[:2] == ["grid", "lhs"]
@@ -22,3 +28,17 @@ def test_charcheck_convergence_script_prints_one_row_per_level():
     assert float(fields[3]) < 1e-6  # rel_err: both sides share the quadrature
     active, support, grid_rows = (int(v) for v in fields[5].split("/"))
     assert 0 < active <= support < grid_rows == 48 * 48
+
+
+def test_output_digest_script_is_deterministic():
+    # two runs print the same digest for every invocation, so a diff of the
+    # output across revisions shows only changed output
+    first, second = _run_script("output_digest.py"), _run_script("output_digest.py")
+    assert first.returncode == second.returncode == 0, first.stderr + second.stderr
+    lines = first.stdout.splitlines()
+    assert first.stdout == second.stdout and len(lines) >= 10
+    for line in lines:
+        digest, argv = line.split(" ", 1)
+        assert len(digest) == 64 and argv.split()[0] in cli.OPERATION_COVERAGE
+    assert {"suite", "suite --fast", "haarcheck --grid 96,96,128"} <= {
+        line.split(" ", 1)[1] for line in lines}
