@@ -48,9 +48,9 @@ def criterion_1_covering_homomorphism() -> CriterionResult:
     defect = float(np.max(np.abs(groups.psi(m1 @ m2) - groups.psi(m1) @ groups.psi(m2))))
     gs = groups.make_a(t1) @ groups.make_n(u1) @ groups.make_k(a1)
     round_trip = float(np.max(np.abs(groups.psi(groups.psi_inv(gs).matrix) - gs)))
-    passed = defect < 1e-11 and round_trip < 1e-9
+    passed = defect < 1e-11 and round_trip < 1e-13
     return _result(1, "covering homomorphism", start, passed,
-                   f"hom defect {defect:.2e} (<1e-11), round trip {round_trip:.2e} (<1e-9)")
+                   f"hom defect {defect:.2e} (<1e-11), round trip {round_trip:.2e} (<1e-13)")
 
 
 def criterion_2_decompositions() -> CriterionResult:
@@ -66,9 +66,9 @@ def criterion_2_decompositions() -> CriterionResult:
     sample = groups.random_elements(rng, 200)
     inv_err = float(np.max(np.abs(
         groups.cartan_radius(k1 @ sample @ k2) - groups.cartan_radius(sample))))
-    passed = iw_err < 1e-10 and ck_err < 1e-9 and inv_err < 1e-10
+    passed = iw_err < 1e-13 and ck_err < 1e-9 and inv_err < 1e-10
     return _result(2, "Iwasawa/Cartan", start, passed,
-                   f"iwasawa {iw_err:.2e} (<1e-10), cartan {ck_err:.2e} (<1e-9), "
+                   f"iwasawa {iw_err:.2e} (<1e-13), cartan {ck_err:.2e} (<1e-9), "
                    f"radius invariance {inv_err:.2e} (<1e-10)")
 
 

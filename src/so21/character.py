@@ -34,6 +34,7 @@ multiplier at :attr:`so21.reps.SpectralParam.exponent` are the kernels of
 
 from __future__ import annotations
 
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -69,7 +70,7 @@ class HaarGrid:
     the rule converges superalgebraically), uniform periodic nodes in
     theta.  Weights carry the constant Haar density and the normalized
     rotation measure dtheta/(2 pi).  The box is T_BOX x U_BOX.  Every node
-    count must be at least 1.
+    count must be an integer (Python or numpy) of at least 1.
     """
 
     nt: int = 48
@@ -77,6 +78,8 @@ class HaarGrid:
     ntheta: int = 96
 
     def __post_init__(self):
+        if not all(isinstance(count, numbers.Integral) for count in self.shape):
+            raise DomainError(f"grid node counts must be integers, got {self.shape}")
         if min(self.shape) < 1:
             raise DomainError(f"grid node counts must be >= 1, got {self.shape}")
 

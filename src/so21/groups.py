@@ -114,14 +114,14 @@ def so21_check(mat) -> So21Diagnostic:
     >= 1 (identity component).  Elements with entries <= 1 are judged on
     absolute defects.
 
-    Relative defects do not bound the size of g, so the domain also ends
-    where the Iwasawa boost can no longer be read off g.  For every rotation
-    k_theta g, e^{-t} = p3 - p1' is at least e^{-r} = p3 - |(p1, p2)| on the
-    third column, r the Cartan radius, and the entries carry rounding errors
-    of size max|g| eps.  ``boost_error`` is max(1, max|g|) eps / e^{-r} (about
+    Relative defects do not bound the size of g, so membership also bounds
+    the Cartan radius r: ``boost_error`` is max(1, max|g|) eps / e^{-r}, the
+    relative error of e^{-r} = p3 - |(p1, p2)| on the third column (about
     e^{2r} eps; infinite when e^{-r} <= 0), and members keep it below
-    BOOST_TOL, about r < 9.  Accepts any input and never raises; malformed
-    shapes come back with infinite defects.
+    BOOST_TOL, about r < 9.1.  That is the stated domain of the library, not
+    a limit of :func:`_iwasawa`; matrix coefficients on their fixed node
+    counts are not converged past it.  Accepts any input and never raises;
+    malformed shapes come back with infinite defects.
     """
     m = np.asarray(mat, dtype=float)
     if m.shape[-2:] != (3, 3):
@@ -279,42 +279,35 @@ class CartanCoords:
     theta2: float
 
 
-def _iwasawa(q1, q2, q3, p1, p2, p3):
-    """Raw coordinates (t, u, theta) of g = a_t n_u k_theta from two columns.
+def _iwasawa(r1, r2, p1, p2, p3):
+    """Raw coordinates (t, u, theta) of g = a_t n_u k_theta, free of cancellation.
 
-    Takes the first column (q1, q2, q3) and the third column (p1, p2, p3)
-    of an unvalidated member, as arrays that broadcast together.  The point
-    z = x + iy that g moves the hyperbolic base point to is read off the
-    third column: y = 1/(p3 - p1) and x = p2 * y.  The boost is t = ln y.
-    Swapping the order of the boost and unipotent factors rescales the
-    unipotent parameter by e^{-t} (= 1/y), so with x = u e^t the
-    decomposition lands on u = x / y = p2.  The angle is read off the first
-    column of the residual rotation (a_t n_u)^{-1} g, assembled from the
-    rows of n_{-u} a_{-t} without building any 3x3 products; it comes
-    straight from arctan2, in (-pi, pi].
+    Takes the first two entries (r1, r2) = (g21, g22) of the middle row and
+    the third column (p1, p2, p3) of an unvalidated member, as arrays that
+    broadcast together.  a_t leaves the middle row of n_u alone, so the
+    middle row of g is (-u, 1, u) k_theta = (-u cos + sin, u sin + cos, u):
+    u = p2, and (r1 + u r2, r2 - u r1) = (1 + u^2)(sin, cos), a scaled
+    rotation of (r1, r2) that cannot cancel.  k_theta fixes the third column
+    a_t n_u e_3, which is J-unit: (p3 - p1)(p3 + p1) = e^{-t} e^t (1 + u^2).
+    With d = p3 + |p1| >= 1, a sum of non-negative terms, e^t is d / (1 + u^2)
+    when p1 > 0 and 1 / d otherwise, so t = 0.0 exactly (never -0.0) at
+    the identity.  theta comes straight from arctan2, in (-pi, pi].
     """
-    t = -np.log(p3 - p1)
     u = p2
-    ch, sh = np.cosh(t), np.sinh(t)
-    half_u2 = u * u / 2.0
-    k00 = ((1.0 - half_u2) * ch - half_u2 * sh) * q1 - u * q2 \
-        + (-(1.0 - half_u2) * sh + half_u2 * ch) * q3
-    u_et = u * np.exp(t)
-    k10 = u_et * q1 + q2 - u_et * q3
-    return t, u, np.arctan2(k10, k00)
+    d = p3 + np.abs(p1)
+    t = np.log(np.where(p1 > 0.0, d / (1.0 + u * u), 1.0 / d))
+    return t, u, np.arctan2(r1 + u * r2, r2 - u * r1)
 
 
 def iwasawa(g) -> IwasawaCoords:
     """Decompose g = a_t n_u k_theta, with theta in [0, 2*pi).
 
-    See :func:`_iwasawa` for the closed form.  Broadcasts over stacked
-    input; membership is checked first, and keeps p3 - p1 well above its
-    rounding error (see :func:`so21_check`).
+    See :func:`_iwasawa` for the closed form, read off g's middle row and
+    third column.  Broadcasts over stacked input; membership is checked
+    first (see :func:`so21_check` for the domain).
     """
     g = require_member(g, "iwasawa input")
-    t, u, theta = _iwasawa(g[..., 0, 0], g[..., 1, 0], g[..., 2, 0],
-                           g[..., 0, 2], g[..., 1, 2], g[..., 2, 2])
-    t = t + 0.0  # avoid negative zero at the identity
+    t, u, theta = _iwasawa(g[..., 1, 0], g[..., 1, 1], g[..., 0, 2], g[..., 1, 2], g[..., 2, 2])
     theta = theta % (2.0 * np.pi)
     if g.ndim == 2:
         return IwasawaCoords(float(t), float(u), float(theta))

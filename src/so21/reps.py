@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import groups
 from .errors import DomainError, TruncationWarning
-from .groups import _iwasawa, require_member
 
 TOP_MODE_ENERGY_TOL = 1e-6
 
@@ -221,15 +221,16 @@ def _cocycle_batch(thetas, gs):
         theta_out comes straight from arctan2, in (-pi, pi]: every internal
         consumer uses it only through e^{i n theta'}.
 
-    Runs :func:`so21.groups._iwasawa` on the first and third columns of
-    k_theta g, which rotates only their first two entries.
+    Runs :func:`so21.groups._iwasawa`, looked up on that module at each call,
+    on the middle row sin theta (row 1) + cos theta (row 2) of k_theta g and
+    on its third column, whose first two entries k_theta rotates.
     """
     c = np.cos(thetas)[None, :]
     s = np.sin(thetas)[None, :]
-    q1, q2, q3 = (gs[:, i, 0, None] for i in range(3))
-    p1, p2, p3 = (gs[:, i, 2, None] for i in range(3))
-    t, _, theta_out = _iwasawa(q1 * c - q2 * s, q1 * s + q2 * c, q3,
-                               p1 * c - p2 * s, p1 * s + p2 * c, p3)
+    g11, g12, p1 = (gs[:, 0, j, None] for j in range(3))
+    g21, g22, p2 = (gs[:, 1, j, None] for j in range(3))
+    t, _, theta_out = groups._iwasawa(s * g11 + c * g21, s * g12 + c * g22,
+                                      c * p1 - s * p2, s * p1 + c * p2, gs[:, 2, 2, None])
     return t, theta_out
 
 
@@ -237,7 +238,7 @@ def _require_element(g, what):
     """One validated element; a stack of them raises DomainError naming `what`."""
     if np.shape(g) != (3, 3):
         raise DomainError(f"{what} must be a single 3x3 element, got shape {np.shape(g)}")
-    return require_member(g, what)
+    return groups.require_member(g, what)
 
 
 def cocycle(theta, g):
@@ -415,7 +416,7 @@ def matcoef(p: SpectralParam, g, n: int, m: int, nodes=None, N=None):
         raise DomainError(f"matcoef needs an induced kind, got {p.kind}")
     if N is not None and (abs(n) > N or abs(m) > N):
         raise DomainError(f"indices ({n}, {m}) outside truncation {N}")
-    g = require_member(g, "matcoef input")
+    g = groups.require_member(g, "matcoef input")
     if nodes is None:
         nodes = max(DEFAULT_MATCOEF_NODES, _node_count(max(abs(n), abs(m)), None))
     values = _matcoef_batch((p.exponent,), g.reshape(-1, 3, 3), n, m, nodes)[0]

@@ -31,6 +31,19 @@ def test_grid_refuses_counts_below_one(shape):
         character.HaarGrid(*shape)
 
 
+@pytest.mark.parametrize("shape", [(48.7, 48, 96), (48, 48.0, 96)])
+def test_grid_refuses_non_integral_counts(shape):
+    # 48.7 t-nodes used to build 49 nodes, each weighted 6/48.7
+    with pytest.raises(DomainError, match="node counts must be integers"):
+        character.HaarGrid(*shape)
+
+
+def test_grid_accepts_numpy_integer_counts():
+    grid = character.HaarGrid(np.int64(8), np.int32(6), np.uint16(16))
+    assert grid.node_weight == character.HaarGrid(8, 6, 16).node_weight
+    assert grid.refine().shape == (12, 9, 24)
+
+
 def test_grid_elements_are_members():
     grid = character.HaarGrid(nt=4, nu=4, ntheta=4)
     for g in grid.elements():

@@ -213,6 +213,7 @@ def test_psi_inv_rejects_non_member():
 def test_iwasawa_identity():
     c = groups.iwasawa(I3)
     assert (c.t, c.u, c.theta) == (0.0, 0.0, 0.0)
+    assert not np.any(np.signbit([c.t, c.u, c.theta]))  # no -0.0
 
 
 def test_iwasawa_recovers_parameters():
@@ -227,11 +228,29 @@ def test_iwasawa_pure_rotation():
 
 
 @given(iwasawa_params(t_bound=3.0, u_bound=3.0))
+@example((2.9867595229750696, 2.697423923836264, 5.75))
+@example((np.nextafter(3.0, 0.0), 3.0, 0.0))
 def test_iwasawa_round_trip(params):
+    # the two examples round-tripped to 1.25e-10 and 1.65e-10 when t was
+    # -log(p3 - p1) and theta was read off cancelling sums of size |g|^2
     t, u, theta = params
     g = groups.make_a(t) @ groups.make_n(u) @ groups.make_k(theta)
     c = groups.iwasawa(g)
     assert np.max(np.abs(groups.recompose(c) - g)) < 1e-10
+
+
+@given(iwasawa_params(t_bound=20.0, u_bound=20.0))
+@example((20.0, 20.0, 2.0))
+@example((-20.0, -20.0, 5.0))
+@example((20.0, -20.0, 0.0))
+def test_iwasawa_kernel_round_trip_far_outside_the_domain(params):
+    # the raw kernel, past the membership domain (Cartan radius about 9.1):
+    # it has nothing to cancel, so it stays at round-off relative to max|g|
+    t, u, theta = params
+    g = groups.make_a(t) @ groups.make_n(u) @ groups.make_k(theta)
+    c = groups.IwasawaCoords(*groups._iwasawa(g[1, 0], g[1, 1], g[0, 2], g[1, 2], g[2, 2]))
+    assert np.isfinite(c.t) and np.isfinite(c.theta)
+    assert np.max(np.abs(groups.recompose(c) - g)) / np.max(np.abs(g)) < 2e-13
 
 
 def test_iwasawa_batched_matches_scalar():

@@ -1,12 +1,12 @@
 """Each numerical convention has one home, and every consumer reaches it.
 
-A plant is a one-line change at a convention's home: the unitary exponent,
-the sign of the cocycle's theta', the order of the DFT coefficients, the
-Haar node weight and the discrete-series ladder edge.  Every consumer listed
-for a home must give a different output under its plant; a consumer that
-kept a copy of the convention, or imported a kernel by value, gives the old
-output and fails here.  Whether a criterion's verdict notices the plant is
-not asserted here.
+A plant is a one-line change at a convention's home: the Iwasawa kernel's
+boost, the unitary exponent, the sign of the cocycle's theta', the order of
+the DFT coefficients, the Haar node weight and the discrete-series ladder
+edge.  Every consumer listed for a home must give a different output under
+its plant; a consumer that kept a copy of the convention, or imported a
+kernel by value, gives the old output and fails here.  Whether a
+criterion's verdict notices the plant is not asserted here.
 """
 
 import warnings
@@ -30,6 +30,8 @@ def _char_sides(p, n):
 
 
 CONSUMERS = {
+    "iwasawa": lambda: list(vars(groups.iwasawa(_G)).values()),
+    "psi_inv": lambda: groups.psi_inv(_G).matrix,
     "cocycle": lambda: reps.cocycle(0.3, _G),
     "matcoef": lambda: reps.matcoef(_RHO_I, _G, 1, 1),
     "rep_matrix": lambda: reps.rep_matrix(_RHO_I, _G, 4),
@@ -54,6 +56,16 @@ CONSUMERS = {
 def _exponent_plant(monkeypatch):
     monkeypatch.setattr(reps.SpectralParam, "exponent",
                         property(lambda p: (1.0 + p.induced_s) / 2.0 + 0.125))
+
+
+def _iwasawa_boost_plant(monkeypatch):
+    kernel = groups._iwasawa
+
+    def shifted(*columns):
+        t, u, theta = kernel(*columns)
+        return t + 0.125, u, theta
+
+    monkeypatch.setattr(groups, "_iwasawa", shifted)
 
 
 def _theta_sign_plant(monkeypatch):
@@ -83,6 +95,10 @@ def _ladder_edge_plant(monkeypatch):
 
 # (home, plant, consumers that must see it)
 PLANTS = [
+    ("groups._iwasawa", _iwasawa_boost_plant,
+     ("iwasawa", "psi_inv", "cocycle", "matcoef", "rep_matrix", "act_principal", "pi_of_f",
+      "char_identity_check", "char_identity_check_discrete", "gram_min_eig",
+      "discrete_ladder_leakage")),
     ("SpectralParam.exponent", _exponent_plant,
      ("matcoef", "rep_matrix", "act_principal", "pi_of_f", "char_identity_check",
       "char_identity_check_discrete", "gram_min_eig", "discrete_ladder_leakage")),

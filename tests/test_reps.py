@@ -113,16 +113,14 @@ def test_cocycle_recomposes_rotated_element(params, theta):
     h = groups.make_k(theta) @ g
     t, theta_out = reps.cocycle(theta, g)
     rebuilt = groups.recompose(groups.IwasawaCoords(t, h[1, 2], theta_out))
-    # theta' sums terms of size |h|^2 that cancel to cos and sin theta', so it
-    # carries up to about 50 |h|^2 eps: (2, 1.875, 0) at theta = 2 is 2.3e-12
-    scale = np.max(np.abs(h))
-    assert np.max(np.abs(rebuilt - h)) / scale < 1e-13 * scale**2
+    assert np.max(np.abs(rebuilt - h)) / np.max(np.abs(h)) < 1e-13
 
 
 @pytest.mark.parametrize("t", [12.0, 40.0])
 def test_cocycle_and_matcoef_reject_boost_beyond_precision(t):
-    # e^{-t} of a_t is unreadable here (0 after rounding at t = 40, which
-    # made the cocycle's t infinite and matcoef NaN); membership rejects it
+    # a_t lies past the stated domain, Cartan radius about 9.1 (see
+    # so21_check): the Iwasawa kernel reads its t to round-off, but matcoef's
+    # fixed node count is far from converged there; membership rejects it
     g = groups.make_a(t)
     with pytest.raises(DomainError):
         reps.cocycle(0.0, g)
