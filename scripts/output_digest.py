@@ -33,6 +33,12 @@ INVOCATIONS = (
     "matcoef --s 0.5+2i --g-iwasawa 0.4,-0.3,1.1 --n 2 --m -1 --vector --cocycle-at 0.7",
     "spherical --w 0.5+3i --ray 0,4,9",
     "ladder --m 4 --g-iwasawa 0.8,0.2,0.5",
+    # a_0.7 n_0.3 k_1.1, every entry printed to round-trip
+    "cartan --matrix 1.066636794167345,-0.7638265251127709,0.8492025736757048,"
+    "0.7551285236337623,0.720958329444008,0.3,"
+    "0.8413876264106195,-0.32126604747552284,1.3457878774671144",
+    "spherical --w 0.5+3i --z 1,2 --act 0.3,0.2,0.1",
+    "eigencheck --w 0.5+1i --z 0.5,1.5",
 )
 
 

@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 # table maps each of these to exactly one subcommand.
 OPERATIONS = {
     "groups": ("make_a", "make_n", "make_k", "so21_check", "psi", "psi_inv",
-               "iwasawa", "recompose", "cartan", "cartan_radius", "polar",
+               "iwasawa", "recompose", "cartan", "cartan_radius",
                "haar_density"),
     "lie": ("bracket", "ad_w_eigencheck", "exp_matrix", "dpsi", "casimir_apply"),
     "hyperbolic": ("act", "chi", "phi", "laplacian_fd", "eigencheck"),

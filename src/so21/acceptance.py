@@ -130,8 +130,10 @@ def criterion_5_unitarity() -> CriterionResult:
     dev_nonunitary = max(
         abs(reps.act_principal(bad, groups.make_a(t), v).norm() - 1.0) for t in (0.7, 2.0)
     )
+    # the unshifted exponent 1 + s at s = i, reached as the point 1 + 2i
+    unshifted = reps.SpectralParam.induced_point(1 + 2j)
     dev_unnormalized = max(
-        abs(reps.act_induced(1.0 + 1j, groups.make_a(t), v).norm() - 1.0) for t in (0.7, 2.0)
+        abs(reps.act_principal(unshifted, groups.make_a(t), v).norm() - 1.0) for t in (0.7, 2.0)
     )
     passed = worst_dev < 1e-7 and dev_nonunitary > 0.1 and dev_unnormalized > 0.1
     return _result(5, "unitarity discrimination", start, passed,

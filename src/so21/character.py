@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import reps
+from . import groups, reps
 from .errors import DomainError, SupportWarning, TruncationWarning
 from .groups import (IwasawaCoords, _polar_radius, cartan_radius, haar_density, make_a, make_k,
                      make_n, recompose)
@@ -106,8 +106,7 @@ class HaarGrid:
     def coordinate_arrays(self):
         ts = T_BOX[0] + ((np.arange(self.nt) + 0.5) / self.nt) * (T_BOX[1] - T_BOX[0])
         us = U_BOX[0] + ((np.arange(self.nu) + 0.5) / self.nu) * (U_BOX[1] - U_BOX[0])
-        thetas = 2.0 * np.pi * np.arange(self.ntheta) / self.ntheta
-        return ts, us, thetas
+        return ts, us, groups._uniform_angles(self.ntheta)
 
     def nodes(self):
         """Flattened coordinate arrays (T, U, TH) of all grid nodes."""

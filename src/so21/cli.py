@@ -30,7 +30,7 @@ EXIT_TOLERANCE = 3
 # the parser registers.
 OPERATION_COVERAGE = {
     "iwasawa": ("iwasawa", "recompose", "make_a", "make_n", "make_k"),
-    "cartan": ("cartan", "cartan_radius", "polar"),
+    "cartan": ("cartan", "cartan_radius"),
     "psi": ("psi",),
     "psi-inv": ("psi_inv", "so21_check"),
     "bracket": ("bracket", "ad_w_eigencheck"),

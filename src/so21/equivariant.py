@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import reps
+from . import groups, reps
 from .errors import DomainError, NumericError
 from .groups import _first_polar_angle, _polar_radius, _second_polar_angle, make_a, make_k
 
@@ -197,7 +197,7 @@ def _projection_angles(nodes):
     nodes = DEFAULT_PROJECTION_NODES if nodes is None else int(nodes)
     if nodes < 64:
         raise DomainError("projection needs at least 64 nodes per angle")
-    thetas = 2.0 * np.pi * np.arange(nodes) / nodes
+    thetas = groups._uniform_angles(nodes)
     return thetas, make_k(thetas)
 
 
@@ -304,7 +304,6 @@ class GramResult:
 
 
 GRAM_QUAD_NODES = 64
-GRAM_COEF_NODES = 128
 
 
 def _read_only(array):
@@ -361,7 +360,7 @@ def gram_min_eig(
         xs, ws = _legendre_rule(nq)
         rs = lo + (hi - lo) * (xs + 1.0) / 2.0
         ws = ws * (hi - lo) / 2.0
-        vals = reps._matcoef_batch(exponents, make_a(rs), n, n, GRAM_COEF_NODES)
+        vals = reps._matcoef_batch(exponents, make_a(rs), n, n, None)
         weight = ws * np.sinh(rs)
         gram = 2.0 * np.pi * np.einsum("q,jq,kq->jk", weight, vals, np.conj(vals))
         return 0.5 * (gram + gram.conj().T)

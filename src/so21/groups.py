@@ -40,6 +40,14 @@ def _require_finite(*values):
             raise DomainError("non-finite parameter")
 
 
+def _uniform_angles(count):
+    """The angles 2 pi k / count, 0 <= k < count: the nodes of every trapezoid rule on K.
+
+    Every rotation average and DFT looks it up on this module at each call.
+    """
+    return 2.0 * np.pi * np.arange(count) / count
+
+
 def make_a(t):
     """Boost a_t = exp(t V2); broadcasts over array-valued t."""
     t = np.asarray(t, dtype=float)
@@ -378,7 +386,7 @@ def _polar(gs):
     radius 0 the element is a pure rotation, stored as theta1 = 0 with
     theta2 carrying the whole angle.  The angles come straight from
     arctan2, in (-pi, pi]; hot paths that only feed them to periodic
-    functions skip the reduction that :func:`polar` applies, and integrands
+    functions skip the reduction that :func:`cartan` applies, and integrands
     that vanish outside a band of radii compute the angles only on the
     band, with :func:`_first_polar_angle` and :func:`_second_polar_angle`.
     """
@@ -386,25 +394,19 @@ def _polar(gs):
     return _first_polar_angle(gs, r), r, _second_polar_angle(gs, r)
 
 
-def polar(gs):
-    """Polar (K-A-K) coordinates (theta1, r, theta2) of g = k_theta1 a_r k_theta2.
-
-    Broadcasts over stacked input; membership is checked first.  Both
-    angles lie in [0, 2*pi), and the factorization is unique for r > 0;
-    see :func:`_polar` for the degenerate radius.
-    """
-    theta1, r, theta2 = _polar(require_member(gs, "polar input"))
-    return theta1 % (2.0 * np.pi), r, theta2 % (2.0 * np.pi)
-
-
 def cartan_radius(g):
-    """Radius r >= 0 of the polar factorization; invariant under K on both sides."""
-    return polar(g)[1]
+    """Radius r >= 0 of the polar factorization, no angle computed; K-bi-invariant."""
+    return _polar_radius(require_member(g, "cartan input"))
 
 
 def cartan(g) -> CartanCoords:
-    """Polar coordinates of g as :class:`CartanCoords`; broadcasts like iwasawa."""
-    theta1, t, theta2 = polar(g)
+    """Polar coordinates of g = k_theta1 a_t k_theta2 as :class:`CartanCoords`.
+
+    Broadcasts like :func:`iwasawa`.  Both angles are reduced to [0, 2*pi);
+    see :func:`_polar` for the degenerate radius t = 0.
+    """
+    theta1, t, theta2 = _polar(require_member(g, "cartan input"))
+    theta1, theta2 = theta1 % (2.0 * np.pi), theta2 % (2.0 * np.pi)
     if np.ndim(t) == 0:
         return CartanCoords(float(theta1), float(t), float(theta2))
     return CartanCoords(theta1, t, theta2)

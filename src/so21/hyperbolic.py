@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import groups
 from .errors import DomainError
-from .groups import psi_inv
 
 Y_MIN = 1e-12
 
@@ -46,9 +46,17 @@ def _require_hpoint(z):
 
 
 def mobius(m, z):
-    """Fractional linear action of a 2x2 real matrix, or a (k, 2, 2) stack, on complex z."""
+    """Fractional linear action of a 2x2 real matrix, or a (k, 2, 2) stack, on complex z.
+
+    Numerator and denominator are built in place: two result-sized arrays.
+    """
     a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    return (a * z + b) / (c * z + d)
+    num = a * z
+    num += b
+    den = c * z
+    den += d
+    num /= den
+    return num
 
 
 def act(g, z):
@@ -58,7 +66,7 @@ def act(g, z):
     acts like an array of k transformations, broadcast against z by the
     usual numpy rules.  Satisfies act(g1 @ g2, z) = act(g1, act(g2, z)).
     """
-    m = psi_inv(g).matrix
+    m = groups.psi_inv(g).matrix
     return mobius(m, _require_hpoint(z))
 
 
@@ -69,11 +77,8 @@ def chi(w, z):
 
 
 def _rotation_orbit(z, nodes):
-    """Points k_theta . z on `nodes` uniform rotation angles theta in [0, 2*pi)."""
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    half = theta / 2.0  # the SL(2,R) representative of k_theta rotates by theta/2
-    c, s = np.cos(half), np.sin(half)
-    return (c * z - s) / (s * z + c)
+    """Points k_theta . z, on the uniform angles theta, broadcast against z."""
+    return mobius(groups.sl2_k(groups._uniform_angles(nodes)), z)
 
 
 def phi(w, z, nodes=None):

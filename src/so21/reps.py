@@ -256,10 +256,6 @@ def cocycle(theta, g):
     return t[0], theta_out[0]
 
 
-def _dft_nodes(nodes):
-    return 2.0 * np.pi * np.arange(nodes) / nodes
-
-
 def _node_count(N, nodes):
     """Quadrature node count for truncation N: `nodes`, else the floor 4N + 4.
 
@@ -276,13 +272,13 @@ def _node_count(N, nodes):
 def _induced_nodes(gamma, gs, N, nodes):
     """The induced action on the DFT nodes, for a stack of elements.
 
-    Runs the cocycle k_theta g = a_t n_u k_theta' on the nodes theta_j
+    Runs the cocycle k_theta g = a_t n_u k_theta' on the uniform nodes theta_j
     (count checked by :func:`_node_count`) and returns the multiplier
     e^{gamma t} and the transported angle theta', both of shape
     (B, nodes).  Every induced-action quantity is assembled from these two
     arrays: (rho(g) v)(theta_j) = mult_j v(theta'_j).
     """
-    t, theta_out = _cocycle_batch(_dft_nodes(_node_count(N, nodes)), gs)
+    t, theta_out = _cocycle_batch(groups._uniform_angles(_node_count(N, nodes)), gs)
     return np.exp(gamma * t), theta_out
 
 
@@ -316,15 +312,23 @@ def _mode_ladder(mult, theta_out, N):
 def _coefficient(mult, theta_out, n, m):
     """<rho(g) e_n, e_m> for each row of the induced-action node data."""
     nodes = theta_out.shape[-1]
-    return (mult * np.exp(1j * n * theta_out)) @ np.exp(-1j * m * _dft_nodes(nodes)) / nodes
+    phases = np.exp(-1j * m * groups._uniform_angles(nodes))
+    return (mult * np.exp(1j * n * theta_out)) @ phases / nodes
 
 
-def _act(gamma, g, v: KFourierVector, nodes, what):
-    """The induced action for the public entry `what`, warning (at its caller's line)
-    when the top modes of the result hold energy."""
-    g = _require_element(g, what)
+def act_principal(p: SpectralParam, g, v: KFourierVector, nodes=None) -> KFourierVector:
+    """Induced action of g on a truncated vector, with multiplier e^{gamma t(theta, g)}.
+
+    gamma is :attr:`SpectralParam.exponent`, unitary on the unitary points;
+    any other gamma is that of ``SpectralParam.induced_point(2 gamma - 1)``.
+    Nodes default to the floor 4N + 4; a TruncationWarning at the caller's
+    line flags energy in the top modes of the result.
+    """
+    if not p.is_induced:
+        raise DomainError(f"act_principal needs an induced kind, got {p.kind}")
+    g = _require_element(g, "act_principal input")
     N = v.N
-    mult, theta_out = _induced_nodes(gamma, g[None], N, nodes)
+    mult, theta_out = _induced_nodes(p.exponent, g[None], N, nodes)
     # v(theta') = e^{-i N theta'} sum_k c_{k-N} z^k with z = e^{i theta'},
     # summed by Horner's rule; the FFT then projects back onto |n| <= N
     z = np.exp(1j * theta_out[0])
@@ -340,59 +344,46 @@ def _act(gamma, g, v: KFourierVector, nodes, what):
         warnings.warn(
             f"top-mode energy fraction {top / total:.2e} exceeds {TOP_MODE_ENERGY_TOL}",
             TruncationWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     return out
 
 
-def act_induced(gamma, g, v: KFourierVector, nodes=None) -> KFourierVector:
-    """Right-translation action with multiplier e^{gamma * t(theta, g)}.
-
-    This is the raw building block: evaluate v on a theta grid, transport
-    through the cocycle, multiply, and project back onto |n| <= N by the
-    discrete Fourier transform.  Callers pick the exponent gamma; the
-    unitary normalization is gamma = :attr:`SpectralParam.exponent`.
-    """
-    return _act(gamma, g, v, nodes, "act_induced input")
-
-
-def act_principal(p: SpectralParam, g, v: KFourierVector, nodes=None) -> KFourierVector:
-    """Unitarily normalized induced action of g on a truncated vector."""
-    if not p.is_induced:
-        raise DomainError(f"act_principal needs an induced kind, got {p.kind}")
-    return _act(p.exponent, g, v, nodes, "act_principal input")
-
-
-def rep_matrix(p: SpectralParam, g, N: int, nodes=None) -> np.ndarray:
+def rep_matrix(p: SpectralParam, g, N: int) -> np.ndarray:
     """Matrix of the induced action of g on the basis e_n, |n| <= N.
 
-    Entry (m + N, n + N) is <rho(g) e_n, e_m>.
+    Entry (m + N, n + N) is <rho(g) e_n, e_m>, on the 4N + 4 nodes of
+    :func:`_node_count`.
     """
     if not p.is_induced:
         raise DomainError(f"rep_matrix needs an induced kind, got {p.kind}")
-    return _rep_matrix(p, g, N, nodes, "rep_matrix input")
+    return _rep_matrix(p, g, N, "rep_matrix input")
 
 
-def _rep_matrix(p, g, N, nodes, what):
+def _rep_matrix(p, g, N, what):
     """:func:`rep_matrix` in the induced space of p, for the public entry `what`."""
     g = _require_element(g, what)
-    mult, theta_out = _induced_nodes(p.exponent, g[None], N, nodes)
+    mult, theta_out = _induced_nodes(p.exponent, g[None], N, None)
     # column n + N holds (rho(g) e_n)(theta_j) = mult_j e^{i n theta'_j}
     columns = np.stack(list(_mode_ladder(mult[0], theta_out[0], N)), axis=1)
     return _dft_coefficients(columns, N)
+
+
+DEFAULT_MATCOEF_NODES = 128
 
 
 def _matcoef_batch(exponents, gs, n, m, nodes):
     """<rho(g) e_n, e_m> for a stack of B elements, one (n, m) pair: (len(exponents), B).
 
     One cocycle run serves every exponent gamma, which applies its own
-    multiplier e^{gamma t}.
+    multiplier e^{gamma t}.  `nodes` None takes 128 nodes, or the floor of
+    :func:`_node_count` for max(|n|, |m|) when that is larger.
     """
-    t, theta_out = _cocycle_batch(_dft_nodes(_node_count(max(abs(n), abs(m)), nodes)), gs)
+    count = _node_count(max(abs(n), abs(m)), nodes)
+    if nodes is None:
+        count = max(DEFAULT_MATCOEF_NODES, count)
+    t, theta_out = _cocycle_batch(groups._uniform_angles(count), gs)
     return np.array([_coefficient(np.exp(gamma * t), theta_out, n, m) for gamma in exponents])
-
-
-DEFAULT_MATCOEF_NODES = 128
 
 
 def matcoef(p: SpectralParam, g, n: int, m: int, nodes=None, N=None):
@@ -408,17 +399,14 @@ def matcoef(p: SpectralParam, g, n: int, m: int, nodes=None, N=None):
     enters: a single coefficient is a plain integral over the circle).
     For g in the rotation subgroup this reduces to the character values,
     and the diagonal (n, n) coefficient transforms under k_theta1 g k_theta2
-    by the phase e^{i n (theta1 + theta2)}.  The default node count is 128,
-    raised to the floor of :func:`_node_count` for max(|n|, |m|) when that
-    is larger.
+    by the phase e^{i n (theta1 + theta2)}.  The node count defaults as in
+    :func:`_matcoef_batch`.
     """
     if not p.is_induced:
         raise DomainError(f"matcoef needs an induced kind, got {p.kind}")
     if N is not None and (abs(n) > N or abs(m) > N):
         raise DomainError(f"indices ({n}, {m}) outside truncation {N}")
     g = groups.require_member(g, "matcoef input")
-    if nodes is None:
-        nodes = max(DEFAULT_MATCOEF_NODES, _node_count(max(abs(n), abs(m)), None))
     values = _matcoef_batch((p.exponent,), g.reshape(-1, 3, 3), n, m, nodes)[0]
     return values.reshape(g.shape[:-2])[()]
 
@@ -457,9 +445,6 @@ class KTypeSet:
         else:
             result = np.ones_like(n, dtype=bool)
         return bool(result) if result.ndim == 0 else result
-
-    def __contains__(self, n) -> bool:
-        return bool(self.contains(int(n)))
 
 
 def k_types(p: SpectralParam) -> KTypeSet:
@@ -539,7 +524,7 @@ def discrete_ladder_leakage(m: int, sign: int, g, N: int) -> float:
     in_ladder = types.contains(ns)
     guard = np.abs(ns) <= N - LADDER_GUARD
     sources = in_ladder & (np.abs(ns) <= N - LADDER_SOURCE_GUARD)
-    cols = _rep_matrix(p, g, N, None, "discrete_ladder_leakage input")[:, sources]
+    cols = _rep_matrix(p, g, N, "discrete_ladder_leakage input")[:, sources]
     leaked = np.sum(np.abs(cols[~in_ladder & guard, :]) ** 2)
     total = np.sum(np.abs(cols[guard, :]) ** 2)
     if total == 0.0:

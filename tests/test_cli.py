@@ -215,6 +215,14 @@ def test_gram_subcommand(capsys):
     assert payload["min_eig"] > 1e-4
 
 
+def test_gram_subcommand_above_the_default_node_count(capsys):
+    # tau_40 needs 4 * 40 + 4 = 164 nodes, more than the 128 default: the
+    # coefficients take the floor instead of refusing the truncation
+    code, payload = run_json(capsys, "gram", "--params", "i,2i", "--n", "40", "--no-meta")
+    assert code == 0
+    assert payload["min_eig"] > 1e-3
+
+
 def test_haarcheck_small_grid(capsys):
     code, payload = run_json(capsys, "haarcheck", "--grid", "48,48,64",
                              "--tol", "0.005", "--no-meta")

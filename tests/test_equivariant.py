@@ -419,8 +419,8 @@ def _gram_per_parameter(params, n, nq, region=(0.0, 2.0)):
     rs = lo + (hi - lo) * (xs + 1.0) / 2.0
     ws = ws * (hi - lo) / 2.0
     boosts = groups.make_a(rs)
-    vals = np.array([reps._matcoef_batch(((1.0 + p.induced_s) / 2.0,), boosts, n, n,
-                                         equivariant.GRAM_COEF_NODES)[0] for p in params])
+    vals = np.array([reps._matcoef_batch(((1.0 + p.induced_s) / 2.0,), boosts, n, n, None)[0]
+                     for p in params])
     gram = 2.0 * np.pi * np.einsum("q,jq,kq->jk", ws * np.sinh(rs), vals, np.conj(vals))
     return 0.5 * (gram + gram.conj().T)
 

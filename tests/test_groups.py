@@ -332,9 +332,9 @@ def test_cartan_degenerates_to_rotation():
     c = groups.cartan(groups.make_k(2.5))
     assert c.theta1 == 0.0 and c.t == 0.0
     assert_allclose(c.theta2, 2.5)
-    theta1, r, theta2 = groups.polar(groups.make_k(np.array([2.5, 5.0])))
-    assert np.all(theta1 == 0.0) and np.all(r == 0.0)
-    assert_allclose(theta2, [2.5, 5.0])
+    c = groups.cartan(groups.make_k(np.array([2.5, 5.0])))
+    assert np.all(c.theta1 == 0.0) and np.all(c.t == 0.0)
+    assert_allclose(c.theta2, [2.5, 5.0])
 
 
 # ---------------------------------------------------------------------------

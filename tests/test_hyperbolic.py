@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -267,6 +269,32 @@ def test_scalar_exponent_and_point_give_numpy_scalars():
     for field in (res.lhs, res.rhs, res.value):
         assert isinstance(field, np.complex128)
     assert isinstance(res.rel_err, np.float64)
+
+
+def test_rotation_orbit_is_the_rotation_formula_bit_for_bit():
+    # mobius of the SL(2,R) rotations by theta/2, numerator and denominator
+    # built in place, against the orbit written out as one expression
+    z = np.array([1.0 + 2.0j, -0.3 + 0.05j, 4.0 + 9.0j])[:, None]
+    half = groups._uniform_angles(64) / 2.0
+    c, s = np.cos(half), np.sin(half)
+    expected = (c * z - s) / (s * z + c)
+    assert hyperbolic._rotation_orbit(z, 64).tobytes() == expected.tobytes()
+
+
+def test_phi_peak_memory_is_about_two_orbits():
+    # memory guard: the orbit's numerator and denominator are the only two
+    # orbit-sized arrays alive at phi's peak (2.15 orbits on this stencil-sized
+    # batch; 3.08 with a third temporary for the quotient)
+    z = np.linspace(-2.0, 2.0, 26)[:, None] + 1j * np.linspace(0.5, 4.0, 9)
+    orbit_bytes = z.size * hyperbolic.DEFAULT_PHI_NODES * 16
+    hyperbolic.phi(0.5 + 3j, z)
+    tracemalloc.start()
+    try:
+        hyperbolic.phi(0.5 + 3j, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * orbit_bytes
 
 
 def test_eigencheck_calls_phi_once(monkeypatch):

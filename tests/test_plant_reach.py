@@ -1,12 +1,13 @@
 """Each numerical convention has one home, and every consumer reaches it.
 
 A plant is a one-line change at a convention's home: the Iwasawa kernel's
-boost, the unitary exponent, the sign of the cocycle's theta', the order of
-the DFT coefficients, the Haar node weight and the discrete-series ladder
-edge.  Every consumer listed for a home must give a different output under
-its plant; a consumer that kept a copy of the convention, or imported a
-kernel by value, gives the old output and fails here.  Whether a
-criterion's verdict notices the plant is not asserted here.
+boost, the uniform angles on K, the unitary exponent, the sign of the
+cocycle's theta', the order of the DFT coefficients, the Haar node weight
+and the discrete-series ladder edge.  Every consumer listed for a home must
+give a different output under its plant; a consumer that kept a copy of
+the convention, or imported a kernel by value, gives the old output and
+fails here.  Whether a criterion's verdict notices the plant is not
+asserted here.
 """
 
 import warnings
@@ -14,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from so21 import character, equivariant, groups, reps
+from so21 import character, equivariant, groups, hyperbolic, reps
 
 _RHO_I = reps.SpectralParam.principal(1.0)
 _D2 = reps.SpectralParam.discrete(2, 1)
@@ -31,6 +32,7 @@ def _char_sides(p, n):
 
 CONSUMERS = {
     "iwasawa": lambda: list(vars(groups.iwasawa(_G)).values()),
+    "phi": lambda: hyperbolic.phi(0.5 + 1j, np.array([1.0 + 2.0j, 0.3 + 0.7j])),
     "psi_inv": lambda: groups.psi_inv(_G).matrix,
     "cocycle": lambda: reps.cocycle(0.3, _G),
     "matcoef": lambda: reps.matcoef(_RHO_I, _G, 1, 1),
@@ -43,7 +45,16 @@ CONSUMERS = {
     "char_identity_check_discrete": lambda: _char_sides(_D2, -1),
     "gram_min_eig": lambda: equivariant.gram_min_eig(
         [_RHO_I, reps.SpectralParam.complementary(0.5)], 1).gram,
-    "integrate_G": lambda: character.integrate_G(character._oracle_test_function, _GRID),
+    "project_biequivariant": lambda: equivariant.project_biequivariant(
+        character._oracle_test_function, 1, nodes=64)(_G),
+    "right_isotype_project": lambda: equivariant.right_isotype_project(
+        character._oracle_test_function, 1, nodes=64)(_G),
+    # on a new grid, since a grid builds its rotations once and keeps them.
+    # The 32 theta nodes integrate every low angular mode exactly, on any
+    # rotation of the nodes; mode 32 aliases to mode 0 and keeps a phase
+    "integrate_G": lambda: character.integrate_G(
+        equivariant.separation_witness(32, _PROFILE),
+        character.HaarGrid(nt=16, nu=16, ntheta=32)),
     "haar_invariance_check": lambda: character.haar_invariance_check(
         character.HaarGrid(nt=24, nu=24, ntheta=32)).base_integral,
     "k_types": lambda: [reps.k_types(_D2).description,
@@ -51,6 +62,11 @@ CONSUMERS = {
     "tau_spherical_set": lambda: [family.label for family in reps.tau_spherical_set(2)],
     "discrete_ladder_leakage": lambda: reps.discrete_ladder_leakage(2, 1, _G, 16),
 }
+
+
+def _uniform_angles_plant(monkeypatch):
+    angles = groups._uniform_angles
+    monkeypatch.setattr(groups, "_uniform_angles", lambda count: angles(count) + 1e-3)
 
 
 def _exponent_plant(monkeypatch):
@@ -98,6 +114,10 @@ PLANTS = [
     ("groups._iwasawa", _iwasawa_boost_plant,
      ("iwasawa", "psi_inv", "cocycle", "matcoef", "rep_matrix", "act_principal", "pi_of_f",
       "char_identity_check", "char_identity_check_discrete", "gram_min_eig",
+      "discrete_ladder_leakage")),
+    ("groups._uniform_angles", _uniform_angles_plant,
+     ("phi", "matcoef", "rep_matrix", "act_principal", "pi_of_f", "char_identity_check",
+      "integrate_G", "project_biequivariant", "right_isotype_project", "gram_min_eig",
       "discrete_ladder_leakage")),
     ("SpectralParam.exponent", _exponent_plant,
      ("matcoef", "rep_matrix", "act_principal", "pi_of_f", "char_identity_check",

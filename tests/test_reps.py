@@ -188,8 +188,10 @@ def test_unitarity_negative_controls(rng):
     # a non-unitary spectral point
     bad = reps.SpectralParam.induced_point(1 + 1j)
     assert abs(reps.act_principal(bad, g, v).norm() - 1.0) > 0.1
-    # the unshifted exponent at a unitary point
-    assert abs(reps.act_induced(1.0 + 1j, g, v).norm() - 1.0) > 0.1
+    # the unshifted exponent 1 + s at the unitary point s = i, whose exponent
+    # is the unitary one of the point 1 + 2s
+    unshifted = reps.SpectralParam.induced_point(1 + 2j)
+    assert abs(reps.act_principal(unshifted, g, v).norm() - 1.0) > 0.1
 
 
 def test_truncation_warning_on_rough_vector():
@@ -209,18 +211,15 @@ def test_top_mode_energy_counts_the_single_mode_once():
 
 
 def test_truncation_warning_names_the_callers_line():
-    # both public entries warn from the same depth, so the warning points at
-    # this file, not into reps.py
+    # the warning points at this file, not into reps.py
     N = 12
     ns = np.arange(-N, N + 1)
     rough = reps.KFourierVector(N, 1.0 / (1.0 + np.abs(ns)))
     g = groups.make_a(1.5)
     p = reps.SpectralParam.principal(1.0)
-    for act in (lambda: reps.act_principal(p, g, rough),
-                lambda: reps.act_induced((1.0 + p.s) / 2.0, g, rough)):
-        with pytest.warns(TruncationWarning) as record:
-            act()
-        assert record[0].filename == __file__
+    with pytest.warns(TruncationWarning) as record:
+        reps.act_principal(p, g, rough)
+    assert record[0].filename == __file__
 
 
 def _dense_rep_matrix(gamma, g, N, nodes):
@@ -251,12 +250,16 @@ def test_induced_action_matches_dense_dft_reference(N, nodes, rng):
     p = reps.SpectralParam.principal(1.0)
     v = reps.KFourierVector.smooth_random(N, rng)
     unitary = _dense_rep_matrix((1.0 + p.s) / 2.0, g, N, nodes)
-    assert _rel_err(reps.rep_matrix(p, g, N, nodes=nodes), unitary) < 1e-13
+    if nodes is None:
+        # rep_matrix runs on the default node count only
+        assert _rel_err(reps.rep_matrix(p, g, N), unitary) < 1e-13
     with warnings.catch_warnings():
         # the smooth vector reaches the top modes at N = 4
         warnings.simplefilter("ignore", TruncationWarning)
         acted = reps.act_principal(p, g, v, nodes=nodes)
-        unshifted = reps.act_induced(1.0 + 1j, g, v, nodes=nodes)
+        # the unshifted exponent 1 + i, the unitary one of the point 1 + 2i
+        unshifted = reps.act_principal(reps.SpectralParam.induced_point(1 + 2j), g, v,
+                                       nodes=nodes)
     assert _rel_err(acted.c, unitary @ v.c) < 1e-13
     assert _rel_err(unshifted.c, _dense_rep_matrix(1.0 + 1j, g, N, nodes) @ v.c) < 1e-13
 
@@ -317,6 +320,15 @@ def test_matcoef_truncation_bound_check():
         reps.matcoef(p, np.eye(3), 5, 0, nodes=20)
 
 
+def test_matcoef_batch_default_nodes():
+    # None takes 128 nodes, or the floor 4 max(|n|, |m|) + 4 when larger
+    gs = groups.make_a(np.array([0.3, 1.2]))
+    for n, m, count in ((2, 2, 128), (31, -3, 128), (0, 40, 164)):
+        default = reps._matcoef_batch((0.5 + 0.5j,), gs, n, m, None)
+        explicit = reps._matcoef_batch((0.5 + 0.5j,), gs, n, m, count)
+        assert default.tobytes() == explicit.tobytes()
+
+
 def test_rep_matrix_identity():
     p = reps.SpectralParam.principal(1.5)
     rep = reps.rep_matrix(p, np.eye(3), N=10)
@@ -324,12 +336,14 @@ def test_rep_matrix_identity():
 
 
 def test_rep_matrix_matches_action_and_matcoef(rng):
-    # the matrix, the action and the single coefficient share one kernel
-    N, nodes = 12, 64
+    # the matrix, the action and the single coefficient share one kernel,
+    # here on the matrix's 4N + 4 nodes
+    N = 12
+    nodes = 4 * N + 4
     g = groups.make_a(0.4) @ groups.make_n(-0.3) @ groups.make_k(2.2)
     v = reps.KFourierVector.smooth_random(N, rng, decay=1.0)
     for p in (reps.SpectralParam.principal(1.0), reps.SpectralParam.complementary(0.3)):
-        rep = reps.rep_matrix(p, g, N, nodes=nodes)
+        rep = reps.rep_matrix(p, g, N)
         acted = reps.act_principal(p, g, v, nodes=nodes)
         assert np.max(np.abs(rep @ v.c - acted.c)) < 1e-12
         for n, m in ((0, 0), (3, -2), (-N, N)):
@@ -446,7 +460,6 @@ _SINGLE_ELEMENT_ENTRIES = {
     "cocycle": lambda g: reps.cocycle(0.3, g),
     "rep_matrix": lambda g: reps.rep_matrix(_RHO_I, g, 4),
     "act_principal": lambda g: reps.act_principal(_RHO_I, g, reps.KFourierVector.basis(4, 0)),
-    "act_induced": lambda g: reps.act_induced(0.5, g, reps.KFourierVector.basis(4, 0)),
     "discrete_ladder_leakage": lambda g: reps.discrete_ladder_leakage(2, 1, g, 16),
 }
 
