@@ -39,6 +39,10 @@ INVOCATIONS = (
     "0.8413876264106195,-0.32126604747552284,1.3457878774671144",
     "spherical --w 0.5+3i --z 1,2 --act 0.3,0.2,0.1",
     "eigencheck --w 0.5+1i --z 0.5,1.5",
+    # values with a leading minus, written without `=`
+    "spherical --w 0.5 --ray -2,2,9 --format csv",
+    "eigencheck --w 0.3 --z -1,0.7",
+    "matcoef --s -0.5+2i --g-iwasawa -0.4,0.3,-1.1 --n 2 --m -1 --vector",
 )
 
 

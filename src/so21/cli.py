@@ -1,9 +1,11 @@
 """Command-line interface: every library operation behind one executable.
 
-Output is machine-readable JSON by default (stable key order, so identical
-configurations produce byte-identical output once `--no-meta` strips the
-timing block).  Exit codes: 0 success, 1 usage error, 2 domain error,
-3 tolerance failure on a check subcommand.
+Every subcommand takes the output flags --format (json, text, or csv for
+`spherical --ray`), --no-meta and --out.  JSON is the default, in stable key
+order, so identical configurations print byte-identical output once
+--no-meta strips the timing block.  A value that starts with a minus and a
+digit needs no `=`: `--z -1,0.7`, `--s -2i`.  Exit codes: 0 success,
+1 usage error, 2 domain error, 3 tolerance failure on a check subcommand.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 import time
 
@@ -54,6 +57,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # `-` or `-.` then a digit starts a value (`--z -1,0.7`, `--s -2i`, `--h -1e-3`)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -135,87 +143,80 @@ def _emit(payload, args, started: float) -> None:
     if args.format == "json":
         text = json.dumps(_jsonable(payload), sort_keys=True)
     elif args.format == "csv":
-        rows = payload.get("rows")
-        if rows is None:
-            raise UsageError("csv output is only available for 1-D sweeps")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(payload["columns"])
-        writer.writerows(rows)
+        writer.writerows(payload["rows"])
         text = buf.getvalue().rstrip("\n")
     else:
         text = "\n".join(f"{k}: {v}" for k, v in _jsonable(payload).items())
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     else:
         print(text)
-
-
-def _common_flags(parser):
-    parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    parser.add_argument("--no-meta", action="store_true")
-    parser.add_argument("--out", default=None)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="so21", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    output.add_argument("--no-meta", action="store_true")
+    output.add_argument("--out", default=None)
 
-    p = sub.add_parser("iwasawa", help="decompose g = a_t n_u k_theta, or rebuild from coordinates")
+    def command(name, summary):
+        return sub.add_parser(name, help=summary, parents=[output])
+
+    p = command("iwasawa", "decompose g = a_t n_u k_theta, or rebuild from coordinates")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--matrix")
     source.add_argument("--recompose", help="t,u,theta to rebuild instead of decompose")
-    _common_flags(p)
 
-    p = sub.add_parser("cartan", help="polar coordinates k_theta1 a_t k_theta2 and the radius")
+    p = command("cartan", "polar coordinates k_theta1 a_t k_theta2 and the radius")
     p.add_argument("--matrix", required=True)
-    _common_flags(p)
 
-    p = sub.add_parser("psi", help="apply the covering map to an SL(2,R) matrix")
+    p = command("psi", "apply the covering map to an SL(2,R) matrix")
     p.add_argument("--sl2", required=True, help="a,b,c,d")
-    _common_flags(p)
 
-    p = sub.add_parser("psi-inv", help="canonical SL(2,R) representative of a group element")
+    p = command("psi-inv", "canonical SL(2,R) representative of a group element")
     p.add_argument("--matrix", required=True)
-    _common_flags(p)
 
-    p = sub.add_parser("bracket", help="commutator of algebra elements; --adw-check for the eigenvector defects")
+    p = command("bracket", "commutator of algebra elements; --adw-check for the eigenvector defects")
     p.add_argument("--x", help="9 numbers or a basis name (V1, V2, W)")
     p.add_argument("--y", help="9 numbers or a basis name")
     p.add_argument("--adw-check", action="store_true")
-    _common_flags(p)
 
-    p = sub.add_parser("exp", help="matrix exponential; --dpsi for the differential of the covering map")
+    p = command("exp", "matrix exponential; --dpsi for the differential of the covering map")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--algebra", help="9 numbers or a basis name")
     source.add_argument("--dpsi", help="a,b,c,d of a traceless 2x2 matrix")
-    _common_flags(p)
 
-    p = sub.add_parser("casimir", help="Casimir ratio on a diagonal matrix coefficient")
+    p = command("casimir", "Casimir ratio on a diagonal matrix coefficient")
     p.add_argument("--s", required=True, help="spectral parameter, e.g. i, 2i, 0.5")
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--g-iwasawa", default="0.4,0.2,0.3")
     p.add_argument("--h", type=float, default=1e-3)
-    _common_flags(p)
 
-    p = sub.add_parser("spherical", help="evaluate phi_w; --ray sweeps a geodesic (csv-able)")
+    p = command("spherical", "evaluate phi_w; --ray sweeps a geodesic (csv-able)")
     p.add_argument("--w", required=True, help="complex exponent, e.g. 0.5+3i")
-    p.add_argument("--z", help="x,y with y > 0")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--z", help="x,y with y > 0")
+    source.add_argument("--ray", help="t0,t1,steps: sweep phi_w(a_t . i)")
     p.add_argument("--nodes", type=int, default=None)
-    p.add_argument("--ray", help="t0,t1,steps: sweep phi_w(a_t . i)")
     p.add_argument("--act", help="t,u,theta: also report the moved point g . z")
-    _common_flags(p)
 
-    p = sub.add_parser("eigencheck", help="Laplacian eigenvalue residual of phi_w")
+    p = command("eigencheck", "Laplacian eigenvalue residual of phi_w")
     p.add_argument("--w", required=True)
     p.add_argument("--z", required=True)
     p.add_argument("--h", type=float, default=1e-3)
     p.add_argument("--nodes", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-4)
-    _common_flags(p)
 
-    p = sub.add_parser("matcoef", help="matrix coefficient <rho(g) e_n, e_m>")
+    p = command("matcoef", "matrix coefficient <rho(g) e_n, e_m>")
     p.add_argument("--s", required=True)
     p.add_argument("--g-iwasawa", required=True)
     p.add_argument("--n", type=int, required=True)
@@ -226,42 +227,36 @@ def build_parser() -> _Parser:
                    help="also apply the action to e_n and report the coefficients up to --trunc")
     p.add_argument("--cocycle-at", type=float, default=None,
                    help="report the cocycle (t, theta') at this angle")
-    _common_flags(p)
 
-    p = sub.add_parser("ktypes", help="K-type support of a representation / tau_n-spherical families")
+    p = command("ktypes", "K-type support of a representation / tau_n-spherical families")
     p.add_argument("--rep", help="trivial | D+4 | D-2 | rho | rho:i | rho:0.5")
     p.add_argument("--tau-spherical", type=int, default=None)
-    _common_flags(p)
 
-    p = sub.add_parser("ladder", help="invariant-subspace leakage of a discrete-series ladder")
+    p = command("ladder", "invariant-subspace leakage of a discrete-series ladder")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--sign", choices=("+", "-"), default="+")
     p.add_argument("--g-iwasawa", default="1,0,0")
     p.add_argument("--N", type=int, default=24)
     p.add_argument("--tol", type=float, default=None)
-    _common_flags(p)
 
-    p = sub.add_parser("separate", help="separation witness on polar orbits")
+    p = command("separate", "separation witness on polar orbits")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t0", type=float, required=True)
     p.add_argument("--width", type=float, required=True)
     p.add_argument("--probe", required=True, help="t1,t2: radii of the two orbits to separate")
     p.add_argument("--verify-projection", action="store_true",
                    help="also re-project the witness and report the defects")
-    _common_flags(p)
 
-    p = sub.add_parser("gram", help="Gram-matrix independence certificate")
+    p = command("gram", "Gram-matrix independence certificate")
     p.add_argument("--params", required=True, help="comma-separated spectral parameters, e.g. i,2i,0.5")
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--tmax", type=float, default=2.0)
-    _common_flags(p)
 
-    p = sub.add_parser("haarcheck", help="translation-invariance oracle for the Haar weights")
+    p = command("haarcheck", "translation-invariance oracle for the Haar weights")
     p.add_argument("--grid", default="96,96,128")
     p.add_argument("--tol", type=float, default=0.005)
-    _common_flags(p)
 
-    p = sub.add_parser("charcheck", help="character-distribution identity check")
+    p = command("charcheck", "character-distribution identity check")
     p.add_argument("--s", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--grid", default="48,48,96")
@@ -272,11 +267,9 @@ def build_parser() -> _Parser:
     p.add_argument("--corollary", action="store_true",
                    help="test against a function of the opposite bi-type")
     p.add_argument("--tol", type=float, default=0.02)
-    _common_flags(p)
 
-    p = sub.add_parser("suite", help="run the full acceptance battery")
+    p = command("suite", "run the full acceptance battery")
     p.add_argument("--fast", action="store_true")
-    _common_flags(p)
 
     return parser
 
@@ -284,7 +277,7 @@ def build_parser() -> _Parser:
 def _algebra_from_text(text):
     if text in lie.BASIS:
         return lie.BASIS[text]
-    return np.array(_parse_floats(text, 9)).reshape(3, 3)
+    return _parse_matrix3(text)
 
 
 def _char_sides(res):
@@ -348,14 +341,12 @@ def _handle(args):
     if name == "spherical":
         w = reps.parse_complex(args.w)
         if args.ray is not None:
-            _refuse_with(args, "--ray", "z", "act")
+            _refuse_with(args, "--ray", "act")
             t0, t1, steps = _parse_floats(args.ray, 3)
             ts = np.linspace(t0, t1, _count(steps, "--ray steps"))
             values = hyperbolic.phi(w, np.exp(ts) * 1j, nodes=args.nodes)
             rows = [[float(t), v.real, v.imag] for t, v in zip(ts, values)]
             return {"columns": ["t", "re_phi", "im_phi"], "rows": rows}, EXIT_OK
-        if not args.z:
-            raise UsageError("spherical needs --z (or --ray)")
         x, y = _parse_floats(args.z, 2)
         z = complex(x, y)
         payload = {"phi": hyperbolic.phi(w, z, nodes=args.nodes),
@@ -407,9 +398,7 @@ def _handle(args):
         sign = 1 if args.sign == "+" else -1
         leak = reps.discrete_ladder_leakage(args.m, sign, _parse_element(args.g_iwasawa), args.N)
         payload = {"leakage": leak, "m": args.m, "sign": args.sign, "N": args.N}
-        if args.tol is not None and leak > args.tol:
-            return payload, EXIT_TOLERANCE
-        return payload, EXIT_OK
+        return payload, EXIT_TOLERANCE if args.tol is not None and leak > args.tol else EXIT_OK
 
     if name == "separate":
         profile = equivariant.BumpProfile(args.t0, args.width)
@@ -454,12 +443,14 @@ def _handle(args):
         check = character.corollary_check if args.corollary else character.char_identity_check
         f = equivariant.separation_witness(-args.n if args.corollary else args.n,
                                            equivariant.BumpProfile(args.t0, args.width))
-        res = check(p, args.n, f, grid=grid, N=args.trunc)
+        grids = [grid, grid.refine()] if args.refine else [grid]
+        res, *refined = (check(p, args.n, f, grid=g, N=args.trunc) for g in grids)
         payload = {**_char_sides(res), "offrow_mass": res.offrow_mass, "trunc": res.N,
                    "meta": {"check_seconds": res.seconds}}
-        if args.refine:
-            payload["refined"] = _char_sides(check(p, args.n, f, grid=grid.refine(), N=args.trunc))
-        return payload, EXIT_OK if res.rel_err <= args.tol else EXIT_TOLERANCE
+        if refined:
+            payload["refined"] = _char_sides(refined[0])
+        passed = all(r.rel_err <= args.tol for r in (res, *refined))
+        return payload, EXIT_OK if passed else EXIT_TOLERANCE
 
     if name == "suite":
         results = acceptance.run_all(fast=args.fast)
@@ -478,13 +469,10 @@ def _handle(args):
 def run(argv=None) -> int:
     """Parse argv, execute, print; returns the process exit code."""
     started = time.perf_counter()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
+        if args.format == "csv" and (args.subcommand != "spherical" or args.ray is None):
+            raise UsageError("csv output is only available for 1-D sweeps (spherical --ray)")
         payload, code = _handle(args)
         _emit(payload, args, started)
     except UsageError as exc:

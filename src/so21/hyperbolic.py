@@ -120,7 +120,8 @@ def laplacian_fd(f, z, h=1e-3):
     """Hyperbolic Laplacian -y^2 (d^2/dx^2 + d^2/dy^2) by central differences.
 
     The 5-point stencil is O(h^2); one Richardson level makes it O(h^4).
-    The stencil must stay inside the half-plane, enforced as h < y/4.
+    The step must be positive, and the stencil must stay inside the
+    half-plane, enforced as h < y/4.
     z may be a scalar or an array; f is called once, on an array of shape
     z.shape + (9,) holding each point's stencil, and must broadcast over it
     as :func:`phi` and :func:`chi` do.  f may put leading axes of its own in
@@ -129,6 +130,8 @@ def laplacian_fd(f, z, h=1e-3):
     """
     z = _require_hpoint(z)
     y = z.imag
+    if not h > 0:
+        raise DomainError(f"stencil step must be > 0, got {h}")
     if not np.all(h < y / 4.0):
         raise DomainError(f"stencil step {h} too large for Im z = {np.min(y)}")
     half = h / 2.0

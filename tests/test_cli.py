@@ -1,11 +1,12 @@
 import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import so21
-from so21 import cli
+from so21 import acceptance, character, cli, hyperbolic
 
 
 def run_json(capsys, *argv):
@@ -304,6 +305,31 @@ def test_malformed_counts_are_clean_errors(capsys, argv, code, message):
     assert captured.out == "" and message in captured.err
 
 
+def test_eigencheck_non_positive_step_is_a_domain_error(capsys):
+    # h = 0 used to print NaN and fail the tolerance gate, and h < 0 would run
+    # the +h stencil
+    for h in ("0", "-1e-3"):
+        assert cli.run(["eigencheck", "--w", "0.5", "--z", "1,2", "--h", h, "--no-meta"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "stencil step must be > 0" in captured.err
+
+
+def test_charcheck_refine_gates_the_refined_grid(capsys, monkeypatch):
+    real = character.char_identity_check
+    calls = []
+
+    def refined_fails(p, n, f, grid, N):
+        res = real(p, n, f, grid=grid, N=N)
+        calls.append(grid)
+        return dataclasses.replace(res, rel_err=1.0) if len(calls) == 2 else res
+
+    monkeypatch.setattr(character, "char_identity_check", refined_fails)
+    code, payload = run_json(capsys, *CHARCHECK_SMALL, "--refine", "--no-meta")
+    assert calls[1] == calls[0].refine()
+    assert payload["rel_err"] < 1e-12 and payload["refined"]["rel_err"] == 1.0
+    assert code == 3
+
+
 def test_charcheck_corollary_and_refine(capsys):
     code, payload = run_json(capsys, "charcheck", "--s", "i", "--n", "1",
                              "--grid", "24,24,48", "--trunc", "8",
@@ -375,6 +401,29 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text()) == {"t": 0.0, "u": 0.0, "theta": 0.0}
 
 
+def test_unwritable_output_file_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    assert cli.run(["iwasawa", "--matrix", IDENTITY, "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(target) in captured.err
+
+
+@pytest.mark.parametrize("argv, module, work", [
+    (["suite"], acceptance, "run_all"),
+    (["haarcheck", "--grid", "24,24,32"], character, "haar_invariance_check"),
+    (CHARCHECK_SMALL, character, "char_identity_check"),
+    (["spherical", "--w", "0.5", "--z", "1,2"], hyperbolic, "phi"),
+], ids=["suite", "haarcheck", "charcheck", "spherical_point"])
+def test_csv_refused_before_any_work(capsys, monkeypatch, argv, module, work):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(module, work, refuse)
+    assert cli.run(argv + ["--format", "csv", "--no-meta"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error: csv output")
+
+
 def test_text_format(capsys):
     code = cli.run(["iwasawa", "--matrix", IDENTITY, "--no-meta", "--format", "text"])
     assert code == 0
@@ -418,3 +467,59 @@ def test_registry_names_exist():
         module = pkg if module_name == "" else getattr(pkg, module_name)
         for op in ops:
             assert callable(getattr(module, op)), f"{module_name}.{op} missing"
+
+
+# ---------------------------------------------------------------------------
+# values with a leading minus
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, option", [
+    (["eigencheck", "--w", "0.5", "--z", "-1,0.7"], "--z"),
+    (["matcoef", "--s", "i", "--g-iwasawa", "-0.4,0.1,0", "--n", "0", "--m", "0"], "--g-iwasawa"),
+    (["spherical", "--w", "0.5+3i", "--z", "0,1", "--act", "-0.3,0.2,0.1"], "--act"),
+    (["spherical", "--w", "0.5", "--ray", "-2,2,9"], "--ray"),
+    (["cartan", "--matrix", "-1,0,0,0,-1,0,0,0,1"], "--matrix"),
+    (["spherical", "--w", "-0.5+3i", "--z", "1,2"], "--w"),
+    (["casimir", "--s", "-2i"], "--s"),
+], ids=["z", "g_iwasawa", "act", "ray", "matrix_k_pi", "complex_w", "complex_s"])
+def test_leading_minus_value_needs_no_equals(capsys, argv, option):
+    at = argv.index(option)
+    joined = argv[:at] + [f"{option}={argv[at + 1]}"] + argv[at + 2:]
+    printed = []
+    for form in (argv, joined):
+        code = cli.run(form + ["--no-meta"])
+        printed.append((code, capsys.readouterr().out))
+    assert printed[0] == printed[1]
+    assert printed[0][0] == 0 and printed[0][1]
+
+
+def test_matcoef_spectral_sign_symmetry(capsys):
+    # rho_s and rho_{-s} are equivalent, and the spherical vector's
+    # coefficient is the same function
+    values = []
+    for s in ("-2i", "2i"):
+        code, payload = run_json(capsys, "matcoef", "--s", s, "--g-iwasawa", "0.7,0.3,1.1",
+                                 "--n", "0", "--m", "0", "--no-meta")
+        assert code == 0
+        values.append(complex(payload["value"]["re"], payload["value"]["im"]))
+    assert abs(values[0] - values[1]) < 1e-14
+
+
+def test_spherical_exponent_symmetry(capsys):
+    # phi_w = phi_{1 - w}
+    values = []
+    for w in ("-0.5+3i", "1.5-3i"):
+        code, payload = run_json(capsys, "spherical", "--w", w, "--z", "-1,0.7", "--no-meta")
+        assert code == 0
+        values.append(complex(payload["phi"]["re"], payload["phi"]["im"]))
+    assert values[0] == pytest.approx(values[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigencheck", "--w", "0.5", "--z", "-junk"],
+    ["spherical", "--w", "0.5", "--z", "-x,1"],
+], ids=["eigencheck", "spherical"])
+def test_leading_minus_before_a_letter_is_an_option(capsys, argv):
+    assert cli.run(argv + ["--no-meta"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error:")

@@ -158,6 +158,12 @@ def test_laplacian_stencil_guard():
         hyperbolic.laplacian_fd(lambda z: 1.0, 0.1j, h=0.05)
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-3, float("nan")])
+def test_laplacian_refuses_non_positive_step(h):
+    with pytest.raises(DomainError, match="must be > 0"):
+        hyperbolic.laplacian_fd(lambda z: np.ones_like(z), 1j, h=h)
+
+
 def test_laplacian_on_phi_matches_eigenvalue():
     w = 0.5 + 3j
     z = 1 + 2j
