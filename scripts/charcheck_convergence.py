@@ -11,20 +11,24 @@ Example:
     python scripts/charcheck_convergence.py --s i --n 1 --levels 3
 """
 
-import argparse
+import sys
 
-from so21 import character, equivariant, reps
+from so21 import character, cli, equivariant, reps
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    # the CLI's parser, so a value with a leading minus needs no `=` (`--s -2i`)
+    parser = cli._Parser(description=__doc__)
     parser.add_argument("--s", default="i")
     parser.add_argument("--n", type=int, default=1)
     parser.add_argument("--trunc", type=int, default=16)
     parser.add_argument("--levels", type=int, default=3)
     parser.add_argument("--t0", type=float, default=0.6)
     parser.add_argument("--width", type=float, default=0.3)
-    args = parser.parse_args()
+    try:
+        args = parser.parse_args()
+    except cli.UsageError as exc:
+        sys.exit(f"usage error: {exc}")
 
     p = reps.SpectralParam.from_s(reps.parse_complex(args.s))
     witness = equivariant.separation_witness(

@@ -43,6 +43,7 @@ INVOCATIONS = (
     "spherical --w 0.5 --ray -2,2,9 --format csv",
     "eigencheck --w 0.3 --z -1,0.7",
     "matcoef --s -0.5+2i --g-iwasawa -0.4,0.3,-1.1 --n 2 --m -1 --vector",
+    "gram --params -i,2i --n 0",
 )
 
 

@@ -20,8 +20,10 @@ coefficient at (-n, -n), which is the character identity under test.
 The quadrature works on whole (t, u) rows: :func:`_chunks` builds their
 nodes from the row bases a_t n_u and the rotations k_theta, and
 :func:`_grid_sum` sums f over them.  Every node of a row has the polar
-radius of its row base, since k_theta fixes the third column, so f is
-evaluated only on the rows inside its declared support band, picked by
+radius and the phase e^{i theta1} of its row base, since k_theta fixes the
+third column, and a radial integrand reads both once per row and
+e^{i theta2} by a few products per node, with no angle.  f is evaluated
+only on the rows inside its declared support band, picked by
 :func:`so21.equivariant._near_band`, the band test of f's own radial kernel;
 f must vanish at the base of every skipped row, or DomainError is raised.
 The cocycle runs once per row: if k_phi a_t n_u = a' n' k_theta', then
@@ -436,14 +438,16 @@ _ORACLE_PROFILE = BumpProfile(0.6, 0.35)
 def _oracle_test_function(gs):
     """Generic smooth function of no K-type, zero outside the polar radii `.support`.
 
-    The angular factor broadcasts b and theta1, which come per row as
-    (rows, 1) on rows of nodes sharing their third column, against theta2
-    (rows, m); see :func:`so21.equivariant._on_radial_support`.
+    b(r) (1.3 + Re(z1 z2)) (0.7 + 0.3 Im(conj(z1)^2 z2)) of the polar phases,
+    b and z1 per row as (rows, 1) and z2 as (rows, m); see
+    :func:`so21.equivariant._on_radial_support`.  conj(z1)^2 goes left:
+    numpy swaps a temporary right operand to the left to reuse it, which
+    with fused multiply-adds can move the last bit of a complex product.
     """
     return _on_radial_support(
         gs, _ORACLE_PROFILE,
-        lambda b, theta1, theta2:
-            b * (1.3 + np.cos(theta1 + theta2)) * (0.7 + 0.3 * np.sin(theta2 - 2.0 * theta1)))
+        lambda b, z1, z2:
+            b * (1.3 + (z1 * z2).real) * (0.7 + 0.3 * (np.conj(z1) ** 2 * z2).imag))
 
 
 _oracle_test_function.support = _ORACLE_PROFILE.support

@@ -4,8 +4,8 @@ Every subcommand takes the output flags --format (json, text, or csv for
 `spherical --ray`), --no-meta and --out.  JSON is the default, in stable key
 order, so identical configurations print byte-identical output once
 --no-meta strips the timing block.  A value that starts with a minus and a
-digit needs no `=`: `--z -1,0.7`, `--s -2i`.  Exit codes: 0 success,
-1 usage error, 2 domain error, 3 tolerance failure on a check subcommand.
+digit or -i needs no `=`: `--z -1,0.7`, `--s -2i`, `--params -i,2i`.  Exit codes:
+0 success, 1 usage error, 2 domain error, 3 tolerance failure on a check subcommand.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # `-` or `-.` then a digit starts a value (`--z -1,0.7`, `--s -2i`, `--h -1e-3`)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # `-` or `-.` then a digit, or `-i` or `-j` ending a list entry, starts a value
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|[ij](,|$))")
 
     def error(self, message):
         raise UsageError(message)
@@ -489,3 +489,7 @@ def run(argv=None) -> int:
 
 def main():
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -8,8 +8,8 @@ A function f is of bi-type (n_left, n_right) when
 The equal-type case n_left = n_right = n is the natural test-function space
 for the character identities.  Such functions are determined by their
 values on the boost subgroup, which is how the separation witnesses are
-built: a smooth bump in the polar radius times the phase in the two polar
-angles.
+built: a smooth bump in the polar radius times a power of the two polar
+phases e^{i theta1} e^{i theta2}.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import groups, reps
 from .errors import DomainError, NumericError
-from .groups import _first_polar_angle, _polar_radius, _second_polar_angle, make_a, make_k
+from .groups import make_a, make_k
 
 DEFAULT_PROJECTION_NODES = 128
 
@@ -115,8 +115,8 @@ def _shares_third_column(stack):
     """Whether every row of a (..., m, 3, 3) stack, m > 1, has one (g13, g23) bit for bit.
 
     The entries are compared as uint64, a view with no copy: float == would
-    merge -0.0 with +0.0, which arctan2 maps to theta1 = -pi and +pi when
-    g13 < 0.
+    merge -0.0 with +0.0, whose phases z1 differ in the sign of a zero, so
+    a row taken whole would not give the node-by-node values bit for bit.
     """
     if stack.shape[-3] < 2:
         return False
@@ -132,38 +132,33 @@ def _on_radial_support(gs, profile, value):
     transposed (..., 3, 3) view, such as a Haar chunk or a projector's
     translates, costs what a contiguous stack does.  The band test
     (:func:`_near_band`) picks the candidates from g13 and g23 alone; the
-    radius, b, the polar angles and `value(b, theta1, theta2)` run only on
+    radius, b, the polar phases z1 = e^{i theta1} and z2 = e^{i theta2}
+    (:func:`so21.groups._polar_phases`) and `value(b, z1, z2)` run only on
     the candidates, gathered by one boolean mask on the entry views: g13,
     g23, g31 and g32 (and g11 and g21 when some radius is 0), never the
     whole 3x3 stack.  Every other node is an exact +0, and when every node
     is a candidate nothing is gathered.  A candidate where b is 0 gets
-    `value(0, theta1, theta2)`, a zero that may carry a sign.
+    `value(0, z1, z2)`, a zero that may carry a sign.
 
-    A candidate is a row, the m nodes along the last leading axis, when
-    the stack is (..., m, 3, 3) with m > 1 and every row's nodes have one
-    g13 and one g23 bit for bit (:func:`_shares_third_column`).  k_theta
+    The kernel works on rows of nodes with one third column: b and z1 come
+    once per row as (rows, 1), z2 once per node as (rows, m), and `value`
+    broadcasts them.  A (..., m, 3, 3) stack whose rows share g13 and g23
+    bit for bit (:func:`_shares_third_column`) is taken row by row: k_theta
     fixes the third column, so this holds on a Haar chunk's rows B k_theta,
-    on its left translates and its k right translate, and on a projector's
-    translates k_a g k_b.  There the band test, the radius, b and theta1
-    (with its radius-0 rule) run once per row, and `value` gets b and
-    theta1 as (rows, 1) and theta2 as (rows, m), which it must broadcast.
-    Any other stack is taken node by node, each node a row of its own.
-    Both give the same values bit for bit.  Hot path: called on large
-    internally-built grids, so the stack is not re-validated.  A single
-    (3, 3) element gives a scalar.
+    its left translates and k right translate, and a projector's translates
+    k_a g k_b.  Any other stack is taken node by node (m = 1), with the same
+    values bit for bit.  Hot path on internally-built grids: the stack is
+    not re-validated.  A single (3, 3) element gives a scalar.
     """
     gs = np.asarray(gs, dtype=float)
     stack = gs.reshape((1,) * max(0, 4 - gs.ndim) + gs.shape)
-    rows = _shares_third_column(stack)
-    heads = stack[..., 0, :, :] if rows else stack
+    if not _shares_third_column(stack):
+        stack = stack[..., None, :, :]
+    heads = stack[..., 0, :, :]
     near = _near_band(heads, profile.support)
     on = ... if near.all() else near
-    radius = _polar_radius(heads, at=on)
-    b = profile(radius)
-    theta1 = _first_polar_angle(heads, radius, at=on)
-    if rows:
-        radius, b, theta1 = radius[..., None], b[..., None], theta1[..., None]
-    vals = value(b, theta1, _second_polar_angle(stack, radius, at=on))
+    radius = groups._polar_radius(heads, at=on)
+    vals = value(profile(radius)[..., None], *groups._polar_phases(stack, radius, at=on))
     if on is ...:
         return vals.reshape(gs.shape[:-2])[()]
     out = np.zeros(stack.shape[:-2], dtype=vals.dtype)
@@ -174,20 +169,19 @@ def _on_radial_support(gs, profile, value):
 def separation_witness(n: int, profile: BumpProfile) -> EquivariantFn:
     """A bi-type (n, n) bump supported on a band of polar radii.
 
-    F(g) = b(radius(g)) e^{i n (theta1(g) + theta2(g))} is smooth, compactly
-    supported, and constant in modulus on each double orbit of the rotation
-    subgroup, so it takes different values on orbits inside versus outside
-    the band: evaluating at two boosts a_x and a_y with radii on opposite
-    sides of the band edge exhibits the separation directly.  The phase
-    broadcasts b and theta1, which come per row as (rows, 1) on rows of
-    nodes sharing their third column, against theta2 (rows, m); see
-    :func:`_on_radial_support`.
+    F(g) = b(radius(g)) (z1(g) z2(g))^n, with z1 = e^{i theta1} and
+    z2 = e^{i theta2} the polar phases, is smooth, compactly supported, and
+    constant in modulus on each double orbit of the rotation subgroup, so
+    it takes different values on orbits inside versus outside the band:
+    evaluating at two boosts a_x and a_y with radii on opposite sides of
+    the band edge exhibits the separation directly.  For n < 0 it takes
+    conj(z1 z2)^|n|, as numpy's negative powers are slow.  b and z1 come per
+    row as (rows, 1), z2 as (rows, m); see :func:`_on_radial_support`.
     """
 
     def evaluate(gs):
-        # at radius zero theta2 carries the full angle
         return _on_radial_support(
-            gs, profile, lambda b, theta1, theta2: b * np.exp(1j * n * (theta1 + theta2)))
+            gs, profile, lambda b, z1, z2: b * (z1 * z2 if n >= 0 else np.conj(z1 * z2)) ** abs(n))
 
     return EquivariantFn(n, n, evaluate, support=profile.support)
 

@@ -333,48 +333,54 @@ _DEGENERATE_RADIUS = 1e-12
 def _polar_radius(gs, at=...):
     """Polar radius of an unvalidated (..., 3, 3) stack, at the nodes `at` selects.
 
-    The radius is the arcsinh of the Euclidean norm of (g13, g23), which is
-    exact on the subgroup elements and numerically stable near the identity,
-    unlike arcosh(g33).  Radii below 1e-12 degenerate to exactly 0.  `at`
-    indexes the leading shape (a boolean mask gathers only the selected
-    nodes' entries); the default reads the whole stack in place.
+    The radius is arcsinh sqrt(g13^2 + g23^2), the band test's sum of
+    squares, exact on the subgroup elements and stable near the identity,
+    unlike arcosh(g33); in the membership domain (entries below 1e4) the sum
+    neither overflows nor underflows above 1e-154.  Radii below 1e-12 are
+    exactly 0.  `at` indexes the leading shape (a boolean mask gathers only
+    the selected nodes' entries); the default reads the stack in place.
     """
-    r = np.arcsinh(np.hypot(gs[..., 0, 2][at], gs[..., 1, 2][at]))
+    g13, g23 = gs[..., 0, 2][at], gs[..., 1, 2][at]
+    r = np.arcsinh(np.sqrt(g13 * g13 + g23 * g23))
     flat = r < _DEGENERATE_RADIUS
-    if np.any(flat):
+    if flat.any():
         r = np.where(flat, 0.0, r)
     return r
 
 
-def _first_polar_angle(gs, r, at=...):
-    """theta1 = arctan2(g23, g13) of an unvalidated stack, 0 where the radius r is 0.
+def _polar_phases(gs, r, at=...):
+    """Unit phases z1 = e^{i theta1}, z2 = e^{i theta2} of the rows of an unvalidated stack.
 
-    r is :func:`_polar_radius` at the same nodes.  Only g13 and g23 are
-    gathered at `at`, a boolean mask on the leading shape (by default the
-    whole stack is read in place).
+    gs is (..., m, 3, 3), each row m nodes with one third column, and r is
+    :func:`_polar_radius` of the rows' first nodes at `at`, a boolean mask
+    (or ...) on the rows.  With sinh r = sqrt(g13^2 + g23^2), z1 =
+    (g13 + i g23) / sinh r comes once per row, shape (..., 1), and z2 =
+    (g31 - i g32) / sinh r once per node, (..., m): no angle.  At radius 0
+    they are (1, g11 + i g21).  Single nodes are rows gs[..., None, :, :].
     """
-    theta1 = np.arctan2(gs[..., 1, 2][at], gs[..., 0, 2][at])
-    flat = r == 0.0
-    if np.any(flat):
-        theta1 = np.where(flat, 0.0, theta1)
-    return theta1
-
-
-def _second_polar_angle(gs, r, at=...):
-    """theta2 = arctan2(-g32, g31) of an unvalidated stack, arctan2(g21, g11) where r is 0.
-
-    Only g31 and g32, and g11 and g21 when some radius is 0, are gathered
-    at `at`.  r broadcasts against those entries, so one radius per row of
-    nodes serves every node of the row.
-    """
-    def entry(i, j):
+    def entry(i, j, first=False):
+        if first or gs.shape[-3] == 1:  # a mask gathers single nodes fast off a node axis
+            return gs[..., 0, i, j][at][..., None]
         return gs[..., i, j][at]
 
-    theta2 = np.arctan2(-entry(2, 1), entry(2, 0))
-    flat = r == 0.0
-    if np.any(flat):
-        theta2 = np.where(flat, np.arctan2(entry(1, 0), entry(0, 0)), theta2)
-    return theta2
+    g13, g23 = entry(0, 2, first=True), entry(1, 2, first=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = 1.0 / np.sqrt(g13 * g13 + g23 * g23)
+        z1 = _complex(g13, g23, scale, scale)
+        z2 = _complex(entry(2, 0), entry(2, 1), scale, -scale)
+    flat = np.asarray(r == 0.0)[..., None]
+    if flat.any():
+        z1 = np.where(flat, 1.0, z1)
+        z2 = np.where(flat, _complex(entry(0, 0), entry(1, 0), 1.0, 1.0), z2)
+    return z1, z2
+
+
+def _complex(re, im, re_scale, im_scale):
+    """re * re_scale + i im * im_scale, each part written by one real product."""
+    z = np.empty(re.shape, dtype=complex)
+    np.multiply(re, re_scale, out=z.real)
+    np.multiply(im, im_scale, out=z.imag)
+    return z
 
 
 def _polar(gs):
@@ -384,14 +390,12 @@ def _polar(gs):
     angles are pinned by the third column and the third row of g, and the
     factorization k_theta1 a_r k_theta2 is unique.  At the degenerate
     radius 0 the element is a pure rotation, stored as theta1 = 0 with
-    theta2 carrying the whole angle.  The angles come straight from
-    arctan2, in (-pi, pi]; hot paths that only feed them to periodic
-    functions skip the reduction that :func:`cartan` applies, and integrands
-    that vanish outside a band of radii compute the angles only on the
-    band, with :func:`_first_polar_angle` and :func:`_second_polar_angle`.
+    theta2 carrying the whole angle.  The angles are the arguments of
+    :func:`_polar_phases`, in (-pi, pi]; radial integrands take the phases.
     """
     r = _polar_radius(gs)
-    return _first_polar_angle(gs, r), r, _second_polar_angle(gs, r)
+    z1, z2 = _polar_phases(gs[..., None, :, :], r)
+    return np.angle(z1[..., 0]), r, np.angle(z2[..., 0])
 
 
 def cartan_radius(g):

@@ -300,15 +300,49 @@ def test_haar_invariance_pruning_loses_no_mass():
             assert abs(res.per_translation[name][side] - defect) <= 2e-13
 
 
+def _unmasked_polar(gs):
+    # the radius and the polar phases of every node, each node a row of its
+    # own: the kernels' polar data with no band test and no shared rows, as
+    # (..., 1) arrays, so a single element runs array arithmetic too
+    nodes = np.asarray(gs, dtype=float)[..., None, :, :]
+    r = groups._polar_radius(nodes)
+    return (r, *groups._polar_phases(nodes, r[..., 0]))
+
+
 def _unmasked_witness(n, profile):
     def values(gs):
-        theta1, r, theta2 = groups._polar(np.asarray(gs, dtype=float))
-        return profile(r) * np.exp(1j * n * (theta1 + theta2))
+        r, z1, z2 = _unmasked_polar(gs)
+        phase = (z1 * z2 if n >= 0 else np.conj(z1 * z2)) ** abs(n)
+        return (profile(r) * phase)[..., 0][()]
     return values
 
 
 def _unmasked_oracle(gs):
-    theta1, r, theta2 = groups._polar(np.asarray(gs, dtype=float))
+    r, z1, z2 = _unmasked_polar(gs)
+    return (equivariant.bump((r - 0.6) / 0.35) * (1.3 + (z1 * z2).real)
+            * (0.7 + 0.3 * (np.conj(z1) ** 2 * z2).imag))[..., 0][()]
+
+
+def _angle_polar(gs):
+    # the polar radius and angles by hypot and arctan2, theta1 = 0 at radius 0
+    gs = np.asarray(gs, dtype=float)
+    r = np.arcsinh(np.hypot(gs[..., 0, 2], gs[..., 1, 2]))
+    flat = r < 1e-12
+    theta1 = np.where(flat, 0.0, np.arctan2(gs[..., 1, 2], gs[..., 0, 2]))
+    theta2 = np.where(flat, np.arctan2(gs[..., 1, 0], gs[..., 0, 0]),
+                      np.arctan2(-gs[..., 2, 1], gs[..., 2, 0]))
+    return theta1, np.where(flat, 0.0, r), theta2
+
+
+def _angle_witness(n, profile):
+    def values(gs):
+        theta1, r, theta2 = _angle_polar(gs)
+        return profile(r) * np.exp(1j * n * (theta1 + theta2))
+    return values
+
+
+def _angle_oracle(gs):
+    theta1, r, theta2 = _angle_polar(gs)
     return (equivariant.bump((r - 0.6) / 0.35) * (1.3 + np.cos(theta1 + theta2))
             * (0.7 + 0.3 * np.sin(theta2 - 2.0 * theta1)))
 
@@ -345,16 +379,18 @@ class _BoxProfile:
 
 
 def _box_kernel(gs):
+    # e^{i (theta1 - 2 theta2)}, the per-node factor on the left (see
+    # character._oracle_test_function)
     return equivariant._on_radial_support(
-        gs, _BoxProfile(), lambda b, theta1, theta2: b * np.exp(1j * (theta1 - 2.0 * theta2)))
+        gs, _BoxProfile(), lambda b, z1, z2: b * (np.conj(z2) ** 2 * z1))
 
 
 _box_kernel.support = _BoxProfile.support
 
 
 def _unmasked_box(gs):
-    theta1, r, theta2 = groups._polar(np.asarray(gs, dtype=float))
-    return _BoxProfile()(r) * np.exp(1j * (theta1 - 2.0 * theta2))
+    r, z1, z2 = _unmasked_polar(gs)
+    return (_BoxProfile()(r) * (np.conj(z2) ** 2 * z1))[..., 0][()]
 
 
 # radii within a few ulps of each edge of the box band and of the oracle's
@@ -388,10 +424,10 @@ _BAND_CHUNK = list(_grid_chunks(SMALL_GRID))[4]
 ], ids=["witness_chunk", "oracle_chunk", "origin_band_chunk", "origin_band_rotations",
         "oracle_rotations", "box_band_edges", "oracle_band_edges", "origin_band_zero_radius"])
 def test_support_masked_integrands_match_unmasked_polar(masked, unmasked, gs):
-    # the angles are computed only on the band test's candidates; there the
-    # values agree bit for bit with the formula on _polar, the signed zeros
-    # 0 * e^{i phi} of candidates where the profile is 0 included.  Every
-    # other node is an exact +0.
+    # the phases are computed only on the band test's candidates; there the
+    # values agree bit for bit with the formula on the radius and phases of
+    # every node, the signed zeros 0 * z of candidates where the profile is
+    # 0 included.  Every other node is an exact +0.
     got, want = masked(gs), unmasked(gs)
     assert got.shape == want.shape == gs.shape[:-2] and got.dtype == want.dtype
     on = want != 0.0
@@ -417,6 +453,42 @@ def test_support_masked_cases_reach_the_edges_and_the_origin():
     radius = groups._polar_radius(_ORIGIN_MIXED)
     assert radius.shape == (6, 5) and not _ORIGIN_MIXED.flags.c_contiguous
     assert np.count_nonzero(radius == 0.0) == 20 and np.any(radius > 0.5)
+
+
+def _signed_zero_stack(rng, count):
+    # boosts a_r, r of either sign, times k_0, k_(pi/2), k_pi or k_(-pi/2):
+    # g13 < 0 next to g23 = 0 puts the angle formula on arctan2's branch
+    # cut, and every zero entry gets a random sign
+    g = groups.make_a(rng.uniform(-1.2, 1.2, count)) @ groups.make_k(
+        rng.choice([0.0, np.pi / 2, np.pi, -np.pi / 2], count))
+    return np.where(g == 0.0, np.where(rng.random(g.shape) < 0.5, -0.0, 0.0), g)
+
+
+_PHASE_STACKS = {
+    "edges": _EDGES,
+    "origin_mixed": _ORIGIN_MIXED,
+    "random": groups.random_elements(np.random.default_rng(3), 20000, t_bound=1.0, u_bound=1.0),
+    "signed_zeros": _signed_zero_stack(np.random.default_rng(4), 4000),
+}
+
+
+@pytest.mark.parametrize("kind", list(_PHASE_STACKS))
+def test_phase_kernels_match_the_angle_formula(kind):
+    # the witness and the oracle read their phases off the third column and
+    # row; the hypot/arctan2/exp formula gives the same values to a few ulps
+    # per unit of angular degree.  Worst measured over 1M random and
+    # signed-zero elements: 2.6 eps * max(1, |n|) for the witness, 5.4 eps
+    # for the oracle
+    gs = _PHASE_STACKS[kind]
+    eps = np.finfo(float).eps
+    for profile in (equivariant.BumpProfile(0.6, 0.35), equivariant.BumpProfile(0.0, 0.7)):
+        for n in (-3, -2, -1, 0, 1, 2, 5):
+            got = equivariant.separation_witness(n, profile)(gs)
+            want = _angle_witness(n, profile)(gs)
+            assert np.max(np.abs(got - want)) <= 8 * eps * max(1, abs(n)), (profile, n)
+    got, want = character._oracle_test_function(gs), _angle_oracle(gs)
+    assert np.count_nonzero(want) > 0
+    assert np.max(np.abs(got - want)) <= 8 * eps
 
 
 class _RecordingProfile:
@@ -544,9 +616,10 @@ def test_radial_kernel_row_cases_reach_the_band_and_the_origin():
 
 
 def test_radial_kernel_keeps_signed_zero_nodes_apart():
-    # g13 < 0 with g23 = +0.0 at one node and -0.0 at the other: arctan2
-    # gives theta1 = pi and -pi, so the two nodes differ, though float ==
-    # sees one third column
+    # g13 < 0 with g23 = +0.0 at one node and -0.0 at the other: their
+    # phases z1 = -1 + 0i and -1 - 0i differ in the sign of a zero, though
+    # float == sees one third column, so the row is taken node by node.
+    # The phase rule has no branch cut there: the two values agree to 1 ulp
     row = np.repeat(groups.make_a(-0.5)[None, None], 2, axis=1)
     row[0, 1, 1, 2] = -0.0
     column = row[..., :2, 2]
@@ -555,7 +628,7 @@ def test_radial_kernel_keeps_signed_zero_nodes_apart():
         got, want = f(row), _node_by_node(f, row)
         _assert_bit_identical(got, want)
     got = _witness(1)(row)
-    assert got[0, 0].tobytes() != got[0, 1].tobytes()
+    assert abs(got[0, 0] - got[0, 1]) <= np.spacing(abs(got[0, 0]))
 
 
 def test_radial_kernel_rows_with_nan():

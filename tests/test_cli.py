@@ -1,6 +1,10 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ def run_json(capsys, *argv):
 
 
 IDENTITY = "1,0,0,0,1,0,0,0,1"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +486,12 @@ def test_registry_names_exist():
     (["cartan", "--matrix", "-1,0,0,0,-1,0,0,0,1"], "--matrix"),
     (["spherical", "--w", "-0.5+3i", "--z", "1,2"], "--w"),
     (["casimir", "--s", "-2i"], "--s"),
-], ids=["z", "g_iwasawa", "act", "ray", "matrix_k_pi", "complex_w", "complex_s"])
+    (["casimir", "--s", "-i"], "--s"),
+    (["spherical", "--w", "-i", "--z", "1,2"], "--w"),
+    (["gram", "--params", "-i,2i", "--n", "0"], "--params"),
+    (["gram", "--params", "-j,2j", "--n", "0"], "--params"),
+], ids=["z", "g_iwasawa", "act", "ray", "matrix_k_pi", "complex_w", "complex_s",
+        "minus_i_s", "minus_i_w", "minus_i_params", "minus_j_params"])
 def test_leading_minus_value_needs_no_equals(capsys, argv, option):
     at = argv.index(option)
     joined = argv[:at] + [f"{option}={argv[at + 1]}"] + argv[at + 2:]
@@ -518,8 +528,36 @@ def test_spherical_exponent_symmetry(capsys):
 @pytest.mark.parametrize("argv", [
     ["eigencheck", "--w", "0.5", "--z", "-junk"],
     ["spherical", "--w", "0.5", "--z", "-x,1"],
-], ids=["eigencheck", "spherical"])
+    ["casimir", "--s", "-ix"],
+], ids=["eigencheck", "spherical", "minus_i_then_letter"])
 def test_leading_minus_before_a_letter_is_an_option(capsys, argv):
     assert cli.run(argv + ["--no-meta"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("usage error:")
+
+
+def test_help_flag_still_prints_help(capsys):
+    # -h starts with a minus and a letter, so it stays an option
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["casimir", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: so21 casimir")
+
+
+# ---------------------------------------------------------------------------
+# python -m
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("module", ["so21", "so21.cli"])
+@pytest.mark.parametrize("argv", [
+    ["casimir", "--s", "-i", "--n", "0", "--no-meta"],
+    ["eigencheck", "--w", "0.5", "--z", "-junk"],
+], ids=["ok", "usage_error"])
+def test_python_m_runs_the_cli(capsys, module, argv):
+    code = cli.run(argv)
+    printed = capsys.readouterr().out
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (code, printed)

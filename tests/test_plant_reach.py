@@ -1,7 +1,7 @@
 """Each numerical convention has one home, and every consumer reaches it.
 
 A plant is a one-line change at a convention's home: the Iwasawa kernel's
-boost, the uniform angles on K, the unitary exponent, the sign of the
+boost, the polar phases, the uniform angles on K, the unitary exponent, the sign of the
 cocycle's theta', the order of the DFT coefficients, the Haar node weight
 and the discrete-series ladder edge.  Every consumer listed for a home must
 give a different output under its plant; a consumer that kept a copy of
@@ -30,8 +30,14 @@ def _char_sides(p, n):
     return [res.lhs_trace, res.rhs_integral]
 
 
+def _haar_sides(grid):
+    res = character.haar_invariance_check(grid)
+    return [res.base_integral, res.worst_right]
+
+
 CONSUMERS = {
     "iwasawa": lambda: list(vars(groups.iwasawa(_G)).values()),
+    "cartan": lambda: list(vars(groups.cartan(_G)).values()),
     "phi": lambda: hyperbolic.phi(0.5 + 1j, np.array([1.0 + 2.0j, 0.3 + 0.7j])),
     "psi_inv": lambda: groups.psi_inv(_G).matrix,
     "cocycle": lambda: reps.cocycle(0.3, _G),
@@ -55,8 +61,10 @@ CONSUMERS = {
     "integrate_G": lambda: character.integrate_G(
         equivariant.separation_witness(32, _PROFILE),
         character.HaarGrid(nt=16, nu=16, ntheta=32)),
-    "haar_invariance_check": lambda: character.haar_invariance_check(
-        character.HaarGrid(nt=24, nu=24, ntheta=32)).base_integral,
+    # the base integral and the worst right defect: a right rotation of
+    # every node keeps the integral of the low-mode oracle over 32 theta
+    # nodes, a right boost does not
+    "haar_invariance_check": lambda: _haar_sides(character.HaarGrid(nt=24, nu=24, ntheta=32)),
     "k_types": lambda: [reps.k_types(_D2).description,
                         reps.k_types(reps.SpectralParam.discrete(4, -1)).contains(-2)],
     "tau_spherical_set": lambda: [family.label for family in reps.tau_spherical_set(2)],
@@ -67,6 +75,16 @@ CONSUMERS = {
 def _uniform_angles_plant(monkeypatch):
     angles = groups._uniform_angles
     monkeypatch.setattr(groups, "_uniform_angles", lambda count: angles(count) + 1e-3)
+
+
+def _polar_phase_plant(monkeypatch):
+    phases = groups._polar_phases
+
+    def turned(*args, **kwargs):
+        z1, z2 = phases(*args, **kwargs)
+        return z1, z2 * np.exp(1e-3j)
+
+    monkeypatch.setattr(groups, "_polar_phases", turned)
 
 
 def _exponent_plant(monkeypatch):
@@ -119,6 +137,9 @@ PLANTS = [
      ("phi", "matcoef", "rep_matrix", "act_principal", "pi_of_f", "char_identity_check",
       "integrate_G", "project_biequivariant", "right_isotype_project", "gram_min_eig",
       "discrete_ladder_leakage")),
+    ("groups._polar_phases", _polar_phase_plant,
+     ("cartan", "pi_of_f", "char_identity_check", "integrate_G", "haar_invariance_check",
+      "project_biequivariant", "right_isotype_project")),
     ("SpectralParam.exponent", _exponent_plant,
      ("matcoef", "rep_matrix", "act_principal", "pi_of_f", "char_identity_check",
       "char_identity_check_discrete", "gram_min_eig", "discrete_ladder_leakage")),

@@ -30,6 +30,17 @@ def test_charcheck_convergence_script_prints_one_row_per_level():
     assert 0 < active <= support < grid_rows == 48 * 48
 
 
+def test_charcheck_convergence_script_takes_a_leading_minus_value():
+    # the script parses with the CLI's parser: `--s -2i` is the value -2i
+    printed = []
+    for argv in (["--s", "-2i"], ["--s=-2i"]):
+        done = _run_script("charcheck_convergence.py", *argv, "--levels", "1")
+        assert done.returncode == 0, done.stderr
+        printed.append([line.split()[:-1] for line in done.stdout.splitlines()])  # not secs
+    assert printed[0] == printed[1] and len(printed[0]) == 2
+    assert _run_script("charcheck_convergence.py", "--levels", "x").returncode == 1
+
+
 def test_output_digest_script_is_deterministic():
     # two runs print the same digest for every invocation, so a diff of the
     # output across revisions shows only changed output
