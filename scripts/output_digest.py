@@ -44,6 +44,10 @@ INVOCATIONS = (
     "eigencheck --w 0.3 --z -1,0.7",
     "matcoef --s -0.5+2i --g-iwasawa -0.4,0.3,-1.1 --n 2 --m -1 --vector",
     "gram --params -i,2i --n 0",
+    # real exponents (a real exp) and, at --trunc 64, 129 coefficients summed
+    # in 11 blocks of 12
+    "matcoef --s 0.5 --g-iwasawa 0.4,-0.3,1.1 --n 1 --m 1 --vector --trunc 64",
+    "gram --params 0.3,0.5,0.7 --n 0",
 )
 
 

@@ -13,7 +13,7 @@ tolerances; run the `suite` CLI subcommand or the acceptance tests to see
 the full battery.
 """
 
-from . import character, cli, equivariant, groups, hyperbolic, lie, reps
+from . import character, equivariant, groups, hyperbolic, lie, reps
 from .errors import DomainError, NumericError, SupportWarning, TruncationWarning
 
 __version__ = "0.1.0"
@@ -40,3 +40,13 @@ __all__ = [
     "DomainError", "NumericError", "SupportWarning", "TruncationWarning",
     "OPERATIONS",
 ]
+
+
+def __getattr__(name):
+    # `cli` loads on first use: imported here, it would load argparse, csv and
+    # json with every `import so21`, and `python -m so21.cli` would find it in
+    # sys.modules before running it as __main__ (runpy warns)
+    if name == "cli":
+        from importlib import import_module
+        return import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -218,6 +218,9 @@ def criterion_10_character_identity(fast=False) -> CriterionResult:
         ("corollary rho_i n=1", reps.SpectralParam.principal(1.0), 1,
          equivariant.separation_witness(-1, equivariant.BumpProfile(0.6, 0.3)), "corollary"),
     ]
+    # one refined grid for every case, so its row bases, rotations and
+    # boundary samples are built once
+    fine_grid = None if fast else base.refine()
     details = []
     ok = True
     for name, p, n, f, mode in cases:
@@ -227,7 +230,7 @@ def criterion_10_character_identity(fast=False) -> CriterionResult:
         if fast:
             details.append(f"{name}: {coarse.rel_err:.1e}")
             continue
-        fine = runner(p, n, f, grid=base.refine(), N=16)
+        fine = runner(p, n, f, grid=fine_grid, N=16)
         ok = ok and fine.rel_err < 0.01
         details.append(f"{name}: {coarse.rel_err:.1e}/{fine.rel_err:.1e}")
     zero_case = character.char_identity_check(

@@ -48,6 +48,20 @@ def _uniform_angles(count):
     return 2.0 * np.pi * np.arange(count) / count
 
 
+def _a_character(gamma, t):
+    """e^{gamma t} on a real array t: the character a_t -> e^{gamma t} of A, as a new array.
+
+    A real gamma (zero imaginary part) takes a real exp, an order of
+    magnitude cheaper than numpy's complex exp, and gives a real array; a
+    complex gamma gives ``np.exp(gamma * t)`` bit for bit.  The induced
+    multiplier e^{gamma t} and the power y^w = e^{w log y} look it up on this
+    module at each call.
+    """
+    gamma = complex(gamma)
+    out = gamma.real * t if gamma.imag == 0.0 else gamma * t
+    return np.exp(out, out=out)
+
+
 def make_a(t):
     """Boost a_t = exp(t V2); broadcasts over array-valued t."""
     t = np.asarray(t, dtype=float)

@@ -274,12 +274,13 @@ def _induced_nodes(gamma, gs, N, nodes):
 
     Runs the cocycle k_theta g = a_t n_u k_theta' on the uniform nodes theta_j
     (count checked by :func:`_node_count`) and returns the multiplier
-    e^{gamma t} and the transported angle theta', both of shape
-    (B, nodes).  Every induced-action quantity is assembled from these two
-    arrays: (rho(g) v)(theta_j) = mult_j v(theta'_j).
+    e^{gamma t} of :func:`so21.groups._a_character` (real-typed for a real
+    gamma) and the transported angle theta', both of shape (B, nodes).
+    Every induced-action quantity is assembled from these two arrays:
+    (rho(g) v)(theta_j) = mult_j v(theta'_j).
     """
     t, theta_out = _cocycle_batch(groups._uniform_angles(_node_count(N, nodes)), gs)
-    return np.exp(gamma * t), theta_out
+    return groups._a_character(gamma, t), theta_out
 
 
 def _dft_coefficients(values, N):
@@ -309,11 +310,50 @@ def _mode_ladder(mult, theta_out, N):
             cur = cur * phase
 
 
+def _coefficients(mults, theta_out, n, m):
+    """<rho(g) e_n, e_m> for each row of the node data, one result row per multiplier.
+
+    The modes e^{i n theta'} and the DFT phases e^{-i m theta_j} are built
+    once and shared by every multiplier in the iterable `mults`; each row is
+    (mult * e^{i n theta'}) @ phases / nodes.
+    """
+    nodes = theta_out.shape[-1]
+    modes = np.exp(1j * n * theta_out)
+    phases = np.exp(-1j * m * groups._uniform_angles(nodes))
+    # the named modes keep mult on the left at every size: numpy moves a
+    # temporary right operand of 256 KiB or more to the left to reuse it, and
+    # with fused multiply-adds that order can move a complex product's last bit
+    return np.array([(mult * modes) @ phases / nodes for mult in mults])
+
+
 def _coefficient(mult, theta_out, n, m):
     """<rho(g) e_n, e_m> for each row of the induced-action node data."""
-    nodes = theta_out.shape[-1]
-    phases = np.exp(-1j * m * groups._uniform_angles(nodes))
-    return (mult * np.exp(1j * n * theta_out)) @ phases / nodes
+    return _coefficients((mult,), theta_out, n, m)[0]
+
+
+def _blocked_series(c, z):
+    """sum_k c[k] z^k at every entry of z, summed in blocks of width ceil(sqrt(len(c))).
+
+    The powers z^0 ... z^{w-1} come from w - 1 in-place products (complex
+    cumprod is slower), the zero-padded coefficients reshaped to
+    (blocks, w) multiply them in one matrix product, and Horner's rule in
+    z^w sums the block rows.
+    """
+    width = int(np.ceil(np.sqrt(c.size)))
+    blocks = -(-c.size // width)
+    powers = np.empty((width, z.size), dtype=complex)
+    powers[0] = 1.0
+    for k in range(1, width):
+        np.multiply(powers[k - 1], z, out=powers[k])
+    step = powers[-1] * z
+    padded = np.zeros(blocks * width, dtype=complex)
+    padded[:c.size] = c
+    rows = padded.reshape(blocks, width) @ powers
+    acc = rows[-1]
+    for row in rows[-2::-1]:
+        acc *= step
+        acc += row
+    return acc
 
 
 def act_principal(p: SpectralParam, g, v: KFourierVector, nodes=None) -> KFourierVector:
@@ -323,19 +363,22 @@ def act_principal(p: SpectralParam, g, v: KFourierVector, nodes=None) -> KFourie
     any other gamma is that of ``SpectralParam.induced_point(2 gamma - 1)``.
     Nodes default to the floor 4N + 4; a TruncationWarning at the caller's
     line flags energy in the top modes of the result.
+
+    v(theta') is summed in blocks (Paterson-Stockmeyer): with z = e^{i theta'}
+    and width w = ceil(sqrt(2N + 1)), one (blocks x w) @ (w x nodes) matrix
+    product against the powers z^0 ... z^{w-1} gives every block's partial
+    sum, and Horner's rule in z^w combines the blocks.  Python loops over
+    about sqrt(2N + 1) powers and blocks, not over the coefficients.
     """
     if not p.is_induced:
         raise DomainError(f"act_principal needs an induced kind, got {p.kind}")
     g = _require_element(g, "act_principal input")
     N = v.N
     mult, theta_out = _induced_nodes(p.exponent, g[None], N, nodes)
-    # v(theta') = e^{-i N theta'} sum_k c_{k-N} z^k with z = e^{i theta'},
-    # summed by Horner's rule; the FFT then projects back onto |n| <= N
+    # v(theta') = e^{-i N theta'} sum_k c_{k-N} z^k with z = e^{i theta'};
+    # the FFT then projects back onto |n| <= N
     z = np.exp(1j * theta_out[0])
-    acc = np.full_like(z, v.c[-1])
-    for c in v.c[-2::-1]:
-        acc = acc * z + c
-    values = mult[0] * np.exp(-1j * N * theta_out[0]) * acc
+    values = mult[0] * np.exp(-1j * N * theta_out[0]) * _blocked_series(v.c, z)
     out = KFourierVector(N, _dft_coefficients(values, N))
     total = np.sum(np.abs(out.c) ** 2)
     # the top modes -N and N, one entry when N = 0
@@ -375,15 +418,19 @@ DEFAULT_MATCOEF_NODES = 128
 def _matcoef_batch(exponents, gs, n, m, nodes):
     """<rho(g) e_n, e_m> for a stack of B elements, one (n, m) pair: (len(exponents), B).
 
-    One cocycle run serves every exponent gamma, which applies its own
-    multiplier e^{gamma t}.  `nodes` None takes 128 nodes, or the floor of
-    :func:`_node_count` for max(|n|, |m|) when that is larger.
+    One cocycle run, one e^{i n theta'} and one set of DFT phases serve
+    every exponent gamma, which applies its own multiplier e^{gamma t}
+    (:func:`so21.groups._a_character`, a real exp for a real gamma); each
+    exponent's row is bit for bit that of a call with it alone.  `nodes`
+    None takes 128 nodes, or the floor of :func:`_node_count` for
+    max(|n|, |m|) when that is larger.
     """
     count = _node_count(max(abs(n), abs(m)), nodes)
     if nodes is None:
         count = max(DEFAULT_MATCOEF_NODES, count)
     t, theta_out = _cocycle_batch(groups._uniform_angles(count), gs)
-    return np.array([_coefficient(np.exp(gamma * t), theta_out, n, m) for gamma in exponents])
+    return _coefficients((groups._a_character(gamma, t) for gamma in exponents),
+                         theta_out, n, m)
 
 
 def matcoef(p: SpectralParam, g, n: int, m: int, nodes=None, N=None):

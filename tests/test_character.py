@@ -511,7 +511,7 @@ def test_radial_kernel_evaluates_the_profile_on_band_candidates_only():
     profile = _RecordingProfile()
     chunk = _BAND_CHUNK
     got = equivariant._on_radial_support(
-        chunk, profile, lambda b, theta1, theta2: b * np.cos(theta1 - theta2))
+        chunk, profile, lambda b, z1, z2: b * (z1 * np.conj(z2)).real)
     radius = groups._polar_radius(chunk[:, 0])
     lo, hi = profile.support
     inside = (radius >= lo - 1e-8) & (radius <= hi + 1e-8)

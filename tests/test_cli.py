@@ -561,3 +561,23 @@ def test_python_m_runs_the_cli(capsys, module, argv):
     done = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
                           text=True, env=env, timeout=120)
     assert (done.returncode, done.stdout) == (code, printed)
+
+
+def test_python_m_so21_cli_prints_nothing_on_stderr():
+    # `import so21` leaves cli unloaded, so runpy finds no copy of it to warn about
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "so21.cli", "casimir", "--s=-i", "--n", "0"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0 and done.stdout
+    assert done.stderr == ""
+
+
+def test_import_so21_leaves_the_cli_unloaded():
+    code = ("import sys, so21; loaded = [m for m in ('so21.cli', 'argparse', 'csv', 'json') "
+            "if m in sys.modules]; print(loaded, so21.cli.__name__, 'run' in so21.OPERATIONS['cli'])")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.stdout.split() == ["[]", "so21.cli", "True"]

@@ -352,3 +352,17 @@ def test_haar_invariance_oracle_moderate_grid():
 
     res = character.haar_invariance_check(character.HaarGrid(nt=64, nu=64, ntheta=96))
     assert res.worst < 0.005, res.per_translation
+
+
+def test_a_character_at_a_complex_exponent_is_the_complex_exp_bit_for_bit():
+    t = np.linspace(-3.0, 3.0, 101)
+    for gamma in (0.5 + 1j, 2j, 0.25 - 0.5j):
+        assert groups._a_character(gamma, t).tobytes() == np.exp(gamma * t).tobytes()
+
+
+def test_a_character_at_a_real_exponent_is_a_real_exp():
+    t = np.linspace(-3.0, 3.0, 101)
+    for gamma in (0.75, 0.5 + 0j, complex(1.5, -0.0), np.complex128(0.3)):
+        value = groups._a_character(gamma, t)
+        assert value.dtype == np.float64
+        assert value.tobytes() == np.exp(complex(gamma).real * t).tobytes()

@@ -287,6 +287,31 @@ def test_rotation_orbit_is_the_rotation_formula_bit_for_bit():
     assert hyperbolic._rotation_orbit(z, 64).tobytes() == expected.tobytes()
 
 
+def _phi_reference(w, z, nodes):
+    # the rotation average of y^w with numpy's complex exp, on the orbit
+    # written out as in the test above
+    half = 2.0 * np.pi * np.arange(nodes) / nodes / 2.0
+    c, s = np.cos(half), np.sin(half)
+    orbit = (c * z[..., None] - s) / (s * z[..., None] + c)
+    return np.mean(np.exp(complex(w) * np.log(orbit.imag)), axis=-1)
+
+
+@pytest.mark.parametrize("w", [0.3, 0.5, 1.0, 0.75, -1.5])
+def test_phi_at_a_real_exponent_matches_the_complex_exp_within_4_eps(w):
+    z = np.linspace(-2.0, 2.0, 13) + 1j * np.linspace(0.5, 4.0, 13)
+    value = hyperbolic.phi(w, z)
+    reference = _phi_reference(w, z, hyperbolic.DEFAULT_PHI_NODES)
+    assert np.all(np.abs(value - reference) <= 4 * np.finfo(float).eps * np.abs(reference))
+    assert not np.any(value.imag)
+
+
+def test_phi_at_a_complex_exponent_is_the_complex_exp_bit_for_bit():
+    z = np.linspace(-2.0, 2.0, 13) + 1j * np.linspace(0.5, 4.0, 13)
+    for w in (0.5 + 1j, 0.25 - 3j):
+        reference = _phi_reference(w, z, hyperbolic.DEFAULT_PHI_NODES)
+        assert hyperbolic.phi(w, z).tobytes() == reference.tobytes()
+
+
 def test_phi_peak_memory_is_about_two_orbits():
     # memory guard: the orbit's numerator and denominator are the only two
     # orbit-sized arrays alive at phi's peak (2.15 orbits on this stencil-sized

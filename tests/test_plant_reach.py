@@ -1,13 +1,14 @@
 """Each numerical convention has one home, and every consumer reaches it.
 
 A plant is a one-line change at a convention's home: the Iwasawa kernel's
-boost, the polar phases, the uniform angles on K, the unitary exponent, the sign of the
-cocycle's theta', the order of the DFT coefficients, the Haar node weight
-and the discrete-series ladder edge.  Every consumer listed for a home must
-give a different output under its plant; a consumer that kept a copy of
-the convention, or imported a kernel by value, gives the old output and
-fails here.  Whether a criterion's verdict notices the plant is not
-asserted here.
+boost, the polar phases, the uniform angles on K, the character e^{gamma t}
+of A, the unitary exponent, the sign of the cocycle's theta', the order of
+the DFT coefficients, the Haar node weight and the discrete-series ladder
+edge.  Every consumer listed for a home must move its output under its
+plant by more than 1e-10 relative, far above round-off; a consumer that kept
+a copy of the convention, or imported a kernel by value, gives the old
+output and fails here.  Whether a criterion's verdict notices the plant is
+not asserted here.
 """
 
 import warnings
@@ -38,10 +39,14 @@ def _haar_sides(grid):
 CONSUMERS = {
     "iwasawa": lambda: list(vars(groups.iwasawa(_G)).values()),
     "cartan": lambda: list(vars(groups.cartan(_G)).values()),
-    "phi": lambda: hyperbolic.phi(0.5 + 1j, np.array([1.0 + 2.0j, 0.3 + 0.7j])),
+    # on 16 nodes the far point's integrand aliases, so the values see where
+    # the nodes sit; a complex and a real exponent
+    "phi": lambda: hyperbolic.phi(np.array([0.5 + 1j, 0.3]), np.array([3.0 + 5.0j, 0.3 + 0.7j]),
+                                  nodes=16),
     "psi_inv": lambda: groups.psi_inv(_G).matrix,
     "cocycle": lambda: reps.cocycle(0.3, _G),
-    "matcoef": lambda: reps.matcoef(_RHO_I, _G, 1, 1),
+    # on the 8-node floor the integrand aliases
+    "matcoef": lambda: reps.matcoef(_RHO_I, _G, 1, 1, nodes=8),
     "rep_matrix": lambda: reps.rep_matrix(_RHO_I, _G, 4),
     "act_principal": lambda: reps.act_principal(
         _RHO_I, _G, reps.KFourierVector.smooth_random(6, np.random.default_rng(5), 1.0)).c,
@@ -49,12 +54,14 @@ CONSUMERS = {
         _RHO_I, equivariant.separation_witness(1, _PROFILE), _GRID, 6).mat,
     "char_identity_check": lambda: _char_sides(_RHO_I, 1),
     "char_identity_check_discrete": lambda: _char_sides(_D2, -1),
+    # out to radius 4 the coefficients alias on their 128 nodes
     "gram_min_eig": lambda: equivariant.gram_min_eig(
-        [_RHO_I, reps.SpectralParam.complementary(0.5)], 1).gram,
+        [_RHO_I, reps.SpectralParam.complementary(0.5)], 1, region=(0.0, 4.0)).gram,
+    # mode 65 aliases to mode 1 on 64 nodes, and keeps a phase of their placement
     "project_biequivariant": lambda: equivariant.project_biequivariant(
-        character._oracle_test_function, 1, nodes=64)(_G),
+        equivariant.separation_witness(65, _PROFILE), 1, nodes=64)(_G),
     "right_isotype_project": lambda: equivariant.right_isotype_project(
-        character._oracle_test_function, 1, nodes=64)(_G),
+        equivariant.separation_witness(65, _PROFILE), 1, nodes=64)(_G),
     # on a new grid, since a grid builds its rotations once and keeps them.
     # The 32 theta nodes integrate every low angular mode exactly, on any
     # rotation of the nodes; mode 32 aliases to mode 0 and keeps a phase
@@ -85,6 +92,11 @@ def _polar_phase_plant(monkeypatch):
         return z1, z2 * np.exp(1e-3j)
 
     monkeypatch.setattr(groups, "_polar_phases", turned)
+
+
+def _a_character_plant(monkeypatch):
+    kernel = groups._a_character
+    monkeypatch.setattr(groups, "_a_character", lambda gamma, t: kernel(gamma + 0.125, t))
 
 
 def _exponent_plant(monkeypatch):
@@ -140,6 +152,9 @@ PLANTS = [
     ("groups._polar_phases", _polar_phase_plant,
      ("cartan", "pi_of_f", "char_identity_check", "integrate_G", "haar_invariance_check",
       "project_biequivariant", "right_isotype_project")),
+    ("groups._a_character", _a_character_plant,
+     ("phi", "matcoef", "rep_matrix", "act_principal", "pi_of_f", "char_identity_check",
+      "char_identity_check_discrete", "gram_min_eig", "discrete_ladder_leakage")),
     ("SpectralParam.exponent", _exponent_plant,
      ("matcoef", "rep_matrix", "act_principal", "pi_of_f", "char_identity_check",
       "char_identity_check_discrete", "gram_min_eig", "discrete_ladder_leakage")),
@@ -163,7 +178,14 @@ def _fingerprint(consumer):
         value = CONSUMERS[consumer]()
     if isinstance(value, list) and any(isinstance(v, (str, bool)) for v in value):
         return repr(value)
-    return np.asarray(value).tobytes()
+    return np.asarray(value, dtype=complex).ravel()
+
+
+def _move(before, after):
+    """Relative move of a numeric fingerprint; a changed label counts as 1."""
+    if isinstance(before, str):
+        return float(after != before)
+    return float(np.linalg.norm(after - before) / np.linalg.norm(before))
 
 
 @pytest.mark.parametrize("home, plant, consumer", [
@@ -172,7 +194,7 @@ def _fingerprint(consumer):
 def test_plant_reaches_consumer(monkeypatch, home, plant, consumer):
     before = _fingerprint(consumer)
     plant(monkeypatch)
-    assert _fingerprint(consumer) != before, f"{consumer} does not reach {home}"
+    assert _move(before, _fingerprint(consumer)) > 1e-10, f"{consumer} does not reach {home}"
 
 
 def test_every_consumer_is_planted():

@@ -264,6 +264,26 @@ def test_induced_action_matches_dense_dft_reference(N, nodes, rng):
     assert _rel_err(unshifted.c, _dense_rep_matrix(1.0 + 1j, g, N, nodes) @ v.c) < 1e-13
 
 
+# one block, and lengths one below and one above a square
+@pytest.mark.parametrize("length", [1, 3, 5, 15, 17, 257, 513])
+def test_blocked_series_matches_direct_sum(length):
+    rng = np.random.default_rng(length)
+    c = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    thetas = rng.uniform(-np.pi, np.pi, 97)
+    direct = np.exp(1j * np.outer(thetas, np.arange(length))) @ c
+    assert _rel_err(reps._blocked_series(c, np.exp(1j * thetas)), direct) < 1e-13
+
+
+def test_induced_multiplier_is_real_for_a_real_exponent():
+    g = groups.make_a(0.7)[None]
+    for p in (reps.SpectralParam.complementary(0.5), reps.SpectralParam.discrete(4),
+              reps.SpectralParam.induced_point(1.5)):
+        mult, _ = reps._induced_nodes(p.exponent, g, 4, None)
+        assert mult.dtype == np.float64
+    mult, _ = reps._induced_nodes(reps.SpectralParam.principal(1.0).exponent, g, 4, None)
+    assert mult.dtype == np.complex128
+
+
 # ---------------------------------------------------------------------------
 # matrix coefficients
 # ---------------------------------------------------------------------------
@@ -327,6 +347,28 @@ def test_matcoef_batch_default_nodes():
         default = reps._matcoef_batch((0.5 + 0.5j,), gs, n, m, None)
         explicit = reps._matcoef_batch((0.5 + 0.5j,), gs, n, m, count)
         assert default.tobytes() == explicit.tobytes()
+
+
+_EXPONENTS = (0.5 + 0.5j, 0.75, 0.5 + 1j, 1.5, 0.5 + 0.5j)
+
+
+def test_matcoef_batch_over_exponents_is_bit_identical_to_one_exponent_at_a_time():
+    gs = groups.random_elements(np.random.default_rng(17), 5)
+    for n, m in ((0, 0), (2, -1)):
+        batch = reps._matcoef_batch(_EXPONENTS, gs, n, m, None)
+        for row, gamma in zip(batch, _EXPONENTS):
+            assert row.tobytes() == reps._matcoef_batch((gamma,), gs, n, m, None)[0].tobytes()
+
+
+def test_matcoef_batch_at_a_complex_exponent_is_the_complex_formula_bit_for_bit():
+    gs = groups.random_elements(np.random.default_rng(18), 5)
+    gamma, n, m = 0.5 + 1.5j, 2, -1
+    t, theta_out = reps._cocycle_batch(groups._uniform_angles(128), gs)
+    mult = np.exp(gamma * t)
+    modes = np.exp(1j * n * theta_out)
+    phases = np.exp(-1j * m * groups._uniform_angles(128))
+    expected = (mult * modes) @ phases / 128
+    assert reps._matcoef_batch((gamma,), gs, n, m, None)[0].tobytes() == expected.tobytes()
 
 
 def test_rep_matrix_identity():
