@@ -48,6 +48,21 @@ INVOCATIONS = (
     # in 11 blocks of 12
     "matcoef --s 0.5 --g-iwasawa 0.4,-0.3,1.1 --n 1 --m 1 --vector --trunc 64",
     "gram --params 0.3,0.5,0.7 --n 0",
+    # the subcommands not run above, so that every one is covered
+    "iwasawa --matrix 1.066636794167345,-0.7638265251127709,0.8492025736757048,"
+    "0.7551285236337623,0.720958329444008,0.3,"
+    "0.8413876264106195,-0.32126604747552284,1.3457878774671144",
+    "iwasawa --recompose 0.7,0.3,1.1",
+    "psi --sl2 2,1,1,1",
+    "psi-inv --matrix 1.066636794167345,-0.7638265251127709,0.8492025736757048,"
+    "0.7551285236337623,0.720958329444008,0.3,"
+    "0.8413876264106195,-0.32126604747552284,1.3457878774671144",
+    "bracket --x V1 --y W",
+    "bracket --adw-check",
+    "exp --algebra W",
+    "exp --dpsi 0.1,0.2,0.3,-0.1",
+    "casimir --s i --n 1",
+    "ktypes --rep D+4 --tau-spherical 1",
 )
 
 

@@ -37,6 +37,7 @@ multiplier at :attr:`so21.reps.SpectralParam.exponent` are the kernels of
 from __future__ import annotations
 
 import numbers
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -155,6 +156,14 @@ class HaarGrid:
         return _read_only(recompose(IwasawaCoords(T, U, TH)))
 
 
+def _caller_stacklevel():
+    """The warnings `stacklevel` of the first frame outside this module above the caller."""
+    frame, level = sys._getframe(2), 2
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _check_support(f, grid: HaarGrid):
     boundary = np.max(np.abs(f(grid.boundary_elements)))
     if boundary > BOUNDARY_TOL:
@@ -164,7 +173,7 @@ def _check_support(f, grid: HaarGrid):
             f"(boundary mass estimate {boundary * area:.2e}); "
             "enlarge the grid box or shrink the support",
             SupportWarning,
-            stacklevel=3,
+            stacklevel=_caller_stacklevel(),
         )
 
 
@@ -226,13 +235,22 @@ def integrate_G(f, grid: HaarGrid) -> complex:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Truncated matrix of pi(f) with the metadata that produced it."""
+    """Truncated matrix of pi(f) with the metadata that produced it.
+
+    `coefficient_integral` is the integral of f times <rho(g) e_{-n}, e_{-n}>
+    on the node data of the matrix, None when |n| > N.  `support_rows`
+    counts the (t, u) grid rows f was evaluated on and `active_rows` those
+    where f is nonzero at some theta node, the rows the cocycle ran on.
+    """
 
     mat: np.ndarray = field(repr=False)
     param: reps.SpectralParam
     n: int
     grid: HaarGrid
     N: int
+    coefficient_integral: complex | None
+    support_rows: int
+    active_rows: int
 
     def offrow_mass(self) -> float:
         """Fraction of entry mass outside the row indexed -n."""
@@ -244,11 +262,29 @@ class OperatorMatrix:
         return float(1.0 - np.abs(self.mat[-self.n + self.N]).sum() / mass)
 
 
-def _pi_core(p, f, grid, N, rhs_index=None):
-    """Shared quadrature core in the induced space of p: the matrix of pi(f),
-    the integral of f times the diagonal matrix coefficient at rhs_index (0
-    when None), the number of (t, u) rows the cocycle ran on and the number
-    f was evaluated on."""
+def pi_of_f(
+    p: reps.SpectralParam,
+    f: EquivariantFn,
+    grid: HaarGrid,
+    N: int,
+) -> OperatorMatrix:
+    """Matrix of the smoothed operator pi(f) on the truncated Fourier basis.
+
+    Works in the induced space of any non-trivial p: V(m - 1) for D(m, +-).
+    Requires a truncation N >= 0 and a test function of equal bi-type (n, n)
+    supported inside the grid box.  The columns of the result concentrate
+    on the row indexed -n; :meth:`OperatorMatrix.offrow_mass` quantifies the
+    leftover.  The quadrature runs on the 4N + 4 nodes of
+    :func:`so21.reps._node_count`.  A TruncationWarning, at the first line
+    outside this module, flags top-mode rows with over 1e-3 of the mass.
+    """
+    if p.kind == "trivial":
+        raise DomainError("the trivial representation is not modeled as an operator here")
+    if f.n_left != f.n_right:
+        raise DomainError("pi_of_f needs a test function of equal bi-type (n, n)")
+    if N < 0:
+        raise DomainError(f"truncation N must be >= 0, got {N}")
+    n = f.n_left
     _check_support(f, grid)
     rows = _support_rows(f, grid._row_bases)
     fvals = np.concatenate([np.asarray(f(G), dtype=complex)
@@ -261,49 +297,25 @@ def _pi_core(p, f, grid, N, rhs_index=None):
     # into F[row, n] = sum_k w f(row, k) e^{i n theta_k}.  f is evaluated and
     # summed at every theta node of its support rows, so no angular symmetry
     # of f is assumed and the range collapse stays observed.
-    mult, theta_out = reps._induced_nodes(p.exponent, grid._row_bases[rows[on]], N, None)
+    (mult,), theta_out = reps._induced_nodes((p.exponent,), grid._row_bases[rows[on]],
+                                             reps._node_count(N, None))
     thetas = grid.coordinate_arrays()[2]
     F = (grid.node_weight * fvals[on]) @ np.exp(1j * np.outer(thetas, np.arange(-N, N + 1)))
     # accumulate S[j, n] = sum_row F[row, n] mult[row, j] e^{i n theta'[row, j]}
     S = np.empty((theta_out.shape[1], 2 * N + 1), dtype=complex)
     for idx, modes in enumerate(reps._mode_ladder(mult, theta_out, N)):
         S[:, idx] = F[:, idx] @ modes
-    rhs = 0.0 + 0.0j
-    if rhs_index is not None:
-        coeffs = reps._coefficient(mult, theta_out, rhs_index, rhs_index)
-        rhs = complex(F[:, rhs_index + N] @ coeffs)
-    return reps._dft_coefficients(S, N), rhs, int(np.count_nonzero(on)), rows.size
-
-
-def pi_of_f(
-    p: reps.SpectralParam,
-    f: EquivariantFn,
-    grid: HaarGrid,
-    N: int,
-) -> OperatorMatrix:
-    """Matrix of the smoothed operator pi(f) on the truncated Fourier basis.
-
-    Requires an induced kind, a truncation N >= 0 and a test function of
-    equal bi-type (n, n) supported inside the grid box.  The columns of the
-    result concentrate on the row indexed -n;
-    :meth:`OperatorMatrix.offrow_mass` quantifies the leftover.  The
-    quadrature runs on the 4N + 4 nodes of :func:`so21.reps._node_count`.
-    """
-    if not p.is_induced:
-        raise DomainError(f"pi_of_f needs an induced kind, got {p.kind}")
-    if f.n_left != f.n_right:
-        raise DomainError("pi_of_f needs a test function of equal bi-type (n, n)")
-    if N < 0:
-        raise DomainError(f"truncation N must be >= 0, got {N}")
-    mat = _pi_core(p, f, grid, N)[0]
+    integral = (complex(F[:, -n + N] @ reps._coefficients((mult,), theta_out, -n, -n)[0])
+                if abs(n) <= N else None)
+    mat = reps._dft_coefficients(S, N)
     total = np.abs(mat).sum()
     # the rows of the modes |n| >= N - 1, each counted once
     top = np.abs(np.arange(-N, N + 1)) >= N - 1
     edge = np.abs(mat[top]).sum() / total if total else 0.0
     if edge > 1e-3:
         warnings.warn(f"top-mode rows carry fraction {edge:.2e} of pi(f); increase the truncation",
-                      TruncationWarning, stacklevel=2)
-    return OperatorMatrix(mat, p, f.n_left, grid, N)
+                      TruncationWarning, stacklevel=_caller_stacklevel())
+    return OperatorMatrix(mat, p, n, grid, N, integral, rows.size, int(np.count_nonzero(on)))
 
 
 @dataclass(frozen=True)
@@ -312,9 +324,7 @@ class CharIdentityResult:
 
     For a discrete (ladder) parameter, `block_norm` is the operator 2-norm
     of pi(f) restricted to the ladder subspace; it stays None for induced
-    kinds.  `support_rows` counts the (t, u) grid rows f was evaluated on and
-    `active_rows` those where f is nonzero at some theta node, which are the
-    rows the cocycle ran on.
+    kinds.  `support_rows` and `active_rows` are those of :class:`OperatorMatrix`.
     """
 
     lhs_trace: complex
@@ -354,38 +364,31 @@ def char_identity_check(
 ) -> CharIdentityResult:
     """Verify trace pi(f) = integral of f times the (-n, -n) matrix coefficient.
 
-    f must be of bi-type (n, n).  The operator is assembled in the ambient
-    induced space (s = m - 1 for a discrete parameter), and its trace over
-    the K-types of p inside the truncation (all of them for an induced
-    kind, the ladder for a discrete one) is compared with the independent
-    quadrature of f times <rho(g) e_{-n}, e_{-n}>.  When the K-types miss
-    the isotype -n both sides must come out numerically zero.  The isotype
-    -n must lie inside the truncation, |n| <= N, with N >= 0.
+    f must be of bi-type (n, n).  The trace of :func:`pi_of_f` over the
+    K-types of p inside the truncation (all of them for an induced kind, the
+    ladder for a discrete one) is compared with its
+    :attr:`~OperatorMatrix.coefficient_integral`.  When the K-types miss the
+    isotype -n the right side is 0 and the trace must come out numerically
+    zero.  The isotype -n must lie inside the truncation, |n| <= N, with
+    N >= 0.
     """
-    if f.n_left != f.n_right:
-        raise DomainError("character identity needs a test function of bi-type (n, n)")
-    if f.n_left != n:
+    if (f.n_left, f.n_right) != (n, n):
         raise DomainError(f"test function has bi-type ({f.n_left}, {f.n_right}), expected ({n}, {n})")
-    if N < 0:
-        raise DomainError(f"truncation N must be >= 0, got {N}")
-    if abs(n) > N:
+    if abs(n) > N >= 0:
         raise DomainError(f"isotype {-n} lies outside the truncation [-{N}, {N}]")
-    if p.kind == "trivial":
-        raise DomainError("the trivial representation is not modeled as an operator here")
     grid = grid if grid is not None else HaarGrid()
     start = time.perf_counter()
+    op = pi_of_f(p, f, grid, N)
     block = reps.k_types(p).contains(np.arange(-N, N + 1))
-    mat, rhs, active_rows, support_rows = _pi_core(p, f, grid, N,
-                                                   rhs_index=-n if block[-n + N] else None)
-    restricted = mat[np.ix_(block, block)]
+    rhs = op.coefficient_integral if block[-n + N] else 0.0 + 0.0j
+    restricted = op.mat[np.ix_(block, block)]
     lhs = complex(np.trace(restricted))
-    off = OperatorMatrix(mat, p, n, grid, N).offrow_mass()
     block_norm = None
     if not p.is_induced:
         block_norm = float(np.linalg.norm(restricted, ord=2)) if restricted.size else 0.0
     seconds = time.perf_counter() - start
-    return CharIdentityResult(lhs, rhs, _relative_gap(lhs, rhs), off, grid, N, active_rows,
-                              support_rows, seconds, block_norm)
+    return CharIdentityResult(lhs, rhs, _relative_gap(lhs, rhs), op.offrow_mass(), grid, N,
+                              op.active_rows, op.support_rows, seconds, block_norm)
 
 
 def corollary_check(

@@ -365,7 +365,9 @@ def _handle(args):
     if name == "matcoef":
         p = _parse_spectral(args.s)
         g = _parse_element(args.g_iwasawa)
-        value = reps.matcoef(p, g, args.n, args.m, nodes=args.nodes, N=args.trunc)
+        if args.trunc is not None and max(abs(args.n), abs(args.m)) > args.trunc:
+            raise DomainError(f"indices ({args.n}, {args.m}) outside truncation {args.trunc}")
+        value = reps.matcoef(p, g, args.n, args.m, nodes=args.nodes)
         payload = {"value": value, "s": args.s, "n": args.n, "m": args.m}
         if args.vector:
             N = args.trunc if args.trunc is not None else max(abs(args.n), abs(args.m)) + 8

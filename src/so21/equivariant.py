@@ -210,26 +210,16 @@ def _per_element(value, gs):
     return out.reshape(gs.shape[:-2] + out.shape[1:])
 
 
-# Column multiple of the 2-D product in :func:`_products`; unpadded,
-# OpenBLAS 0.3.31 gave last-bit differences from the batched 3x3 products at
-# 100 and 101 right factors on one AVX-512 host (not on every one).
-_BLAS_COLUMNS = 16
-
-
 def _products(left, right):
     """Every left[i] @ right[j] of a (k, 3, 3) and an (m, 3, 3) stack, as a (k, m, 3, 3) view.
 
     The view reads in place the 3x3 blocks of one 2-D product, the left
     factors stacked row-wise times the row-concatenation [r_0 | r_1 | ...] of
-    the right ones.  Each block is bit for bit the batched 3x3 product: the
-    columns are padded with zeros to a multiple of `_BLAS_COLUMNS`, because
-    BLAS computes a narrower tail of columns with other kernels, whose fused
-    multiply-adds can round differently.
+    the right ones.  Each block is bit for bit the batched 3x3 product, at
+    every right-factor count the tests try (1 to 199, either layout).
     """
-    width = 3 * right.shape[0]
-    columns = np.zeros((3, -(-width // _BLAS_COLUMNS) * _BLAS_COLUMNS))
-    columns[:, :width] = right.transpose(1, 0, 2).reshape(3, -1)
-    product = (left.reshape(-1, 3) @ columns)[:, :width]
+    columns = right.transpose(1, 0, 2).reshape(3, -1)
+    product = left.reshape(-1, 3) @ columns
     return product.reshape(left.shape[0], 3, right.shape[0], 3).transpose(0, 2, 1, 3)
 
 

@@ -256,31 +256,32 @@ def cocycle(theta, g):
     return t[0], theta_out[0]
 
 
-def _node_count(N, nodes):
-    """Quadrature node count for truncation N: `nodes`, else the floor 4N + 4.
+def _node_count(N, nodes, least=0):
+    """Quadrature node count for truncation N: `nodes`, else the larger of `least` and 4N + 4.
 
     Fewer than 4N + 4 nodes alias the products of modes up to N, so an
-    explicit count below the floor raises DomainError.
+    explicit count below that floor raises DomainError.
     """
     floor = 4 * N + 4
-    nodes = floor if nodes is None else int(nodes)
-    if nodes < floor:
+    if nodes is None:
+        return max(floor, least)
+    if int(nodes) < floor:
         raise DomainError(f"need at least {floor} nodes for truncation {N}")
-    return nodes
+    return int(nodes)
 
 
-def _induced_nodes(gamma, gs, N, nodes):
-    """The induced action on the DFT nodes, for a stack of elements.
+def _induced_nodes(gammas, gs, count):
+    """The induced action on `count` uniform nodes, for a stack of elements and several exponents.
 
-    Runs the cocycle k_theta g = a_t n_u k_theta' on the uniform nodes theta_j
-    (count checked by :func:`_node_count`) and returns the multiplier
-    e^{gamma t} of :func:`so21.groups._a_character` (real-typed for a real
-    gamma) and the transported angle theta', both of shape (B, nodes).
-    Every induced-action quantity is assembled from these two arrays:
+    Runs the cocycle k_theta g = a_t n_u k_theta' once on the nodes theta_j
+    and returns the multipliers e^{gamma t} of :func:`so21.groups._a_character`
+    (real-typed for a real gamma), one per gamma, formed as they are
+    iterated, and the transported angle theta', all of shape (B, count).
+    Every induced-action quantity is assembled from these arrays:
     (rho(g) v)(theta_j) = mult_j v(theta'_j).
     """
-    t, theta_out = _cocycle_batch(groups._uniform_angles(_node_count(N, nodes)), gs)
-    return groups._a_character(gamma, t), theta_out
+    t, theta_out = _cocycle_batch(groups._uniform_angles(count), gs)
+    return (groups._a_character(gamma, t) for gamma in gammas), theta_out
 
 
 def _dft_coefficients(values, N):
@@ -326,11 +327,6 @@ def _coefficients(mults, theta_out, n, m):
     return np.array([(mult * modes) @ phases / nodes for mult in mults])
 
 
-def _coefficient(mult, theta_out, n, m):
-    """<rho(g) e_n, e_m> for each row of the induced-action node data."""
-    return _coefficients((mult,), theta_out, n, m)[0]
-
-
 def _blocked_series(c, z):
     """sum_k c[k] z^k at every entry of z, summed in blocks of width ceil(sqrt(len(c))).
 
@@ -374,7 +370,7 @@ def act_principal(p: SpectralParam, g, v: KFourierVector, nodes=None) -> KFourie
         raise DomainError(f"act_principal needs an induced kind, got {p.kind}")
     g = _require_element(g, "act_principal input")
     N = v.N
-    mult, theta_out = _induced_nodes(p.exponent, g[None], N, nodes)
+    (mult,), theta_out = _induced_nodes((p.exponent,), g[None], _node_count(N, nodes))
     # v(theta') = e^{-i N theta'} sum_k c_{k-N} z^k with z = e^{i theta'};
     # the FFT then projects back onto |n| <= N
     z = np.exp(1j * theta_out[0])
@@ -406,7 +402,7 @@ def rep_matrix(p: SpectralParam, g, N: int) -> np.ndarray:
 def _rep_matrix(p, g, N, what):
     """:func:`rep_matrix` in the induced space of p, for the public entry `what`."""
     g = _require_element(g, what)
-    mult, theta_out = _induced_nodes(p.exponent, g[None], N, None)
+    (mult,), theta_out = _induced_nodes((p.exponent,), g[None], _node_count(N, None))
     # column n + N holds (rho(g) e_n)(theta_j) = mult_j e^{i n theta'_j}
     columns = np.stack(list(_mode_ladder(mult[0], theta_out[0], N)), axis=1)
     return _dft_coefficients(columns, N)
@@ -418,22 +414,17 @@ DEFAULT_MATCOEF_NODES = 128
 def _matcoef_batch(exponents, gs, n, m, nodes):
     """<rho(g) e_n, e_m> for a stack of B elements, one (n, m) pair: (len(exponents), B).
 
-    One cocycle run, one e^{i n theta'} and one set of DFT phases serve
-    every exponent gamma, which applies its own multiplier e^{gamma t}
-    (:func:`so21.groups._a_character`, a real exp for a real gamma); each
-    exponent's row is bit for bit that of a call with it alone.  `nodes`
-    None takes 128 nodes, or the floor of :func:`_node_count` for
-    max(|n|, |m|) when that is larger.
+    One :func:`_induced_nodes` run, one e^{i n theta'} and one set of DFT
+    phases serve every exponent gamma, which applies its own multiplier
+    e^{gamma t}; each exponent's row is bit for bit that of a call with it
+    alone.  `nodes` None takes 128 nodes, or the floor of
+    :func:`_node_count` for max(|n|, |m|) when that is larger.
     """
-    count = _node_count(max(abs(n), abs(m)), nodes)
-    if nodes is None:
-        count = max(DEFAULT_MATCOEF_NODES, count)
-    t, theta_out = _cocycle_batch(groups._uniform_angles(count), gs)
-    return _coefficients((groups._a_character(gamma, t) for gamma in exponents),
-                         theta_out, n, m)
+    count = _node_count(max(abs(n), abs(m)), nodes, DEFAULT_MATCOEF_NODES)
+    return _coefficients(*_induced_nodes(exponents, gs, count), n, m)
 
 
-def matcoef(p: SpectralParam, g, n: int, m: int, nodes=None, N=None):
+def matcoef(p: SpectralParam, g, n: int, m: int, nodes=None):
     """Matrix coefficient <rho(g) e_n, e_m> in the L2(K) inner product.
 
     g is one element or a (..., 3, 3) stack of them; the result is a
@@ -451,8 +442,6 @@ def matcoef(p: SpectralParam, g, n: int, m: int, nodes=None, N=None):
     """
     if not p.is_induced:
         raise DomainError(f"matcoef needs an induced kind, got {p.kind}")
-    if N is not None and (abs(n) > N or abs(m) > N):
-        raise DomainError(f"indices ({n}, {m}) outside truncation {N}")
     g = groups.require_member(g, "matcoef input")
     values = _matcoef_batch((p.exponent,), g.reshape(-1, 3, 3), n, m, nodes)[0]
     return values.reshape(g.shape[:-2])[()]

@@ -125,8 +125,8 @@ def test_criterion_6_fails_on_unshifted_exponent(monkeypatch):
     # exponent 1 + s instead of (1 + s)/2; the worst gap is about 0.93
     pure = reps.matcoef
 
-    def unshifted(p, g, n, m, nodes=None, N=None):
-        return pure(reps.SpectralParam.induced_point(1 + 2 * p.s), g, n, m, nodes=nodes, N=N)
+    def unshifted(p, g, n, m, nodes=None):
+        return pure(reps.SpectralParam.induced_point(1 + 2 * p.s), g, n, m, nodes=nodes)
 
     monkeypatch.setattr(reps, "matcoef", unshifted)
     result = acceptance.criterion_6_matcoef_vs_spherical()
@@ -139,8 +139,8 @@ def test_criterion_6_fails_on_wrong_coefficient(monkeypatch):
     # the worst gap is about 0.53
     pure = reps.matcoef
 
-    def off_diagonal_type(p, g, n, m, nodes=None, N=None):
-        return pure(p, g, n + 1, m + 1, nodes=nodes, N=N)
+    def off_diagonal_type(p, g, n, m, nodes=None):
+        return pure(p, g, n + 1, m + 1, nodes=nodes)
 
     monkeypatch.setattr(reps, "matcoef", off_diagonal_type)
     result = acceptance.criterion_6_matcoef_vs_spherical()
@@ -153,9 +153,9 @@ def test_criterion_6_matcoef_calls(monkeypatch):
     pure = reps.matcoef
     calls = []
 
-    def counted(p, g, n, m, nodes=None, N=None):
+    def counted(p, g, n, m, nodes=None):
         calls.append(np.shape(g))
-        return pure(p, g, n, m, nodes=nodes, N=N)
+        return pure(p, g, n, m, nodes=nodes)
 
     monkeypatch.setattr(reps, "matcoef", counted)
     assert acceptance.criterion_6_matcoef_vs_spherical().passed

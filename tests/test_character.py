@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from so21 import character, equivariant, groups, reps
@@ -149,8 +152,17 @@ def test_integrate_warns_on_boundary_support():
         r = np.arcsinh(np.hypot(gs[..., 0, 2], gs[..., 1, 2]))
         return np.exp(-0.1 * r)
 
-    with pytest.warns(SupportWarning):
-        character.integrate_G(broad, SMALL_GRID)
+    # the warning names the caller's line, also through pi(f) and the check
+    p = reps.SpectralParam.principal(1.0)
+    f = equivariant.EquivariantFn(0, 0, broad)
+    for call in (lambda: character.integrate_G(broad, SMALL_GRID),
+                 lambda: character.pi_of_f(p, f, SMALL_GRID, 8),
+                 lambda: character.char_identity_check(p, 0, f, grid=SMALL_GRID, N=8)):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            call()
+        support = [w for w in record if issubclass(w.category, SupportWarning)]
+        assert len(support) == 1 and support[0].filename == __file__
 
 
 def test_haar_invariance_shared_oracle():
@@ -719,17 +731,17 @@ def test_pi_adjoint_for_unitary_parameter():
 
 
 def _pi_per_node(s, f, grid, N, nodes, rhs_index):
-    # reference for character._pi_core: the cocycle runs on every grid
+    # reference for character.pi_of_f: the cocycle runs on every grid
     # element, and each node contributes w f(g) <rho(g) e_n, e_m> directly
     gs = grid.elements()
     fvals = np.asarray(f(gs), dtype=complex)
     active = np.abs(fvals) > 0.0
-    mult, theta_out = reps._induced_nodes((1.0 + s) / 2.0, gs[active], N, nodes)
+    (mult,), theta_out = reps._induced_nodes(((1.0 + s) / 2.0,), gs[active], nodes)
     wf = grid.node_weight * fvals[active]
     S = np.empty((nodes, 2 * N + 1), dtype=complex)
     for idx, n in enumerate(range(-N, N + 1)):
         S[:, idx] = wf @ (mult * np.exp(1j * n * theta_out))
-    rhs = wf @ reps._coefficient(mult, theta_out, rhs_index, rhs_index)
+    rhs = wf @ reps._coefficients((mult,), theta_out, rhs_index, rhs_index)[0]
     return _dense_dft(N, nodes) @ S, rhs
 
 
@@ -752,7 +764,7 @@ def test_pi_of_f_matches_dense_dft_reference():
     fvals = np.asarray(f(gs), dtype=complex)
     active = np.abs(fvals) > 0.0
     count = 4 * N + 4
-    mult, theta_out = reps._induced_nodes((1.0 + s) / 2.0, gs[active], N, count)
+    (mult,), theta_out = reps._induced_nodes(((1.0 + s) / 2.0,), gs[active], count)
     columns = mult[..., None] * np.exp(1j * theta_out[..., None] * np.arange(-N, N + 1))
     ref = _dense_dft(N, count) @ np.einsum("g,gjn->jn", grid.node_weight * fvals[active], columns)
     assert np.max(np.abs(op.mat - ref)) < 1e-13 * np.max(np.abs(ref))
@@ -770,8 +782,8 @@ def _off_type(f):
 
 @pytest.mark.parametrize("off_type, min_offrow", [(False, 0.0), (True, 0.05)],
                          ids=["witness", "off_type"])
-def test_pi_core_matches_per_node_reference(off_type, min_offrow):
-    # _pi_core runs the cocycle once per (t, u) row; the per-node reference
+def test_pi_of_f_matches_per_node_reference(off_type, min_offrow):
+    # pi_of_f runs the cocycle once per (t, u) row; the per-node reference
     # runs it on every element, so agreement pins the row identity without
     # any assumption on f.  The off-type case keeps its off-row mass (0.09
     # here, against 0.02 for the witness alone).
@@ -779,22 +791,27 @@ def test_pi_core_matches_per_node_reference(off_type, min_offrow):
     s, N, nodes = 1.0j, 8, 36
     p = reps.SpectralParam.principal(1.0)
     grid = character.HaarGrid(nt=16, nu=16, ntheta=40)
-    mat, rhs, active_rows, support_rows = character._pi_core(p, f, grid, N, rhs_index=-1)
+    op = character.pi_of_f(p, f, grid, N)
     ref_mat, ref_rhs = _pi_per_node(s, f, grid, N, nodes, rhs_index=-1)
-    assert 0 < active_rows <= support_rows < grid.nt * grid.nu
-    assert np.max(np.abs(mat - ref_mat)) < 1e-12 * np.max(np.abs(ref_mat))
-    assert abs(rhs - ref_rhs) < 1e-12 * abs(ref_rhs)
-    off = character.OperatorMatrix(mat, p, 1, grid, N).offrow_mass()
-    ref_off = character.OperatorMatrix(ref_mat, p, 1, grid, N).offrow_mass()
+    assert 0 < op.active_rows <= op.support_rows < grid.nt * grid.nu
+    assert np.max(np.abs(op.mat - ref_mat)) < 1e-12 * np.max(np.abs(ref_mat))
+    assert abs(op.coefficient_integral - ref_rhs) < 1e-12 * abs(ref_rhs)
+    off = op.offrow_mass()
+    ref_off = dataclasses.replace(op, mat=ref_mat).offrow_mass()
     assert abs(off - ref_off) < 1e-12
     assert off > min_offrow
 
 
 def test_pi_of_f_truncation_warning_names_the_caller():
-    # at N = 1 the witness's isotype -1 is an edge row of the truncation
-    with pytest.warns(TruncationWarning, match="top-mode rows") as record:
-        character.pi_of_f(reps.SpectralParam.principal(1.0), _witness(1), SMALL_GRID, 1)
-    assert record[0].filename == __file__
+    # at N = 1 the witness's isotype -1 is an edge row of the truncation; the
+    # character checks build pi(f) with pi_of_f and warn at their caller's line
+    p = reps.SpectralParam.principal(1.0)
+    for call in (lambda: character.pi_of_f(p, _witness(1), SMALL_GRID, 1),
+                 lambda: character.char_identity_check(p, 1, _witness(1), grid=SMALL_GRID, N=1),
+                 lambda: character.corollary_check(p, -1, _witness(1), grid=SMALL_GRID, N=1)):
+        with pytest.warns(TruncationWarning, match="top-mode rows") as record:
+            call()
+        assert len(record) == 1 and record[0].filename == __file__
 
 
 @pytest.mark.parametrize("N", [0, 1])
@@ -874,6 +891,20 @@ def test_char_identity_discrete_populated_isotype():
                                         _witness(-1), grid=SMALL_GRID, N=12)
     assert abs(res.rhs_integral) > 1e-4
     assert res.rel_err < 0.02
+
+
+def test_char_identity_rhs_is_the_pi_of_f_integral():
+    # the right side is pi_of_f's coefficient integral bit for bit when -1 is
+    # a K-type of p, and 0 for D(4, +), whose ladder misses it
+    f = _witness(1)
+    for p, populated in ((reps.SpectralParam.principal(1.0), True),
+                         (reps.SpectralParam.discrete(2, -1), True),
+                         (reps.SpectralParam.discrete(4, 1), False)):
+        res = character.char_identity_check(p, 1, f, grid=SMALL_GRID, N=12)
+        integral = character.pi_of_f(p, f, SMALL_GRID, 12).coefficient_integral
+        assert abs(integral) > 1e-4
+        expected = integral if populated else 0j
+        assert np.complex128(res.rhs_integral).tobytes() == np.complex128(expected).tobytes()
 
 
 def test_corollary_matches_relabeled_identity():

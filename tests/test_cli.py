@@ -1,5 +1,7 @@
 import argparse
 import dataclasses
+import functools
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import so21
-from so21 import acceptance, character, cli, hyperbolic
+from so21 import acceptance, character, cli, equivariant, hyperbolic, reps
 
 
 def run_json(capsys, *argv):
@@ -20,7 +22,8 @@ def run_json(capsys, *argv):
 
 
 IDENTITY = "1,0,0,0,1,0,0,0,1"
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +281,29 @@ def test_charcheck_isotype_outside_truncation(capsys):
     assert "outside the truncation" in capsys.readouterr().err
 
 
+def test_charcheck_warns_as_pi_of_f_does(capsys):
+    # charcheck builds pi(f) with pi_of_f, so at --trunc 4 it gives the same
+    # TruncationWarning, named at the CLI line that called the check
+    f = equivariant.separation_witness(1, equivariant.BumpProfile(0.6, 0.3))
+    with pytest.warns(so21.TruncationWarning) as direct:
+        character.pi_of_f(reps.SpectralParam.principal(1.0), f,
+                          character.HaarGrid(nt=16, nu=16, ntheta=32), 4)
+    with pytest.warns(so21.TruncationWarning) as through_cli:
+        assert cli.run(CHARCHECK_SMALL + ["--no-meta"]) == 0
+    assert [str(w.message) for w in through_cli] == [str(w.message) for w in direct]
+    assert "fraction 1.81e-02" in str(direct[0].message)
+    assert through_cli[0].filename == cli.__file__
+
+
+def test_matcoef_indices_outside_truncation(capsys):
+    # the CLI refuses a --trunc below the indices; matcoef takes no truncation
+    code = cli.run(["matcoef", "--s", "i", "--g-iwasawa", "0,0,0", "--n", "5", "--m", "0",
+                    "--trunc", "4", "--no-meta"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "outside truncation 4" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["charcheck", "--s", "i", "--n", "1", "--t0", "nan", "--grid", "16,16,32", "--trunc", "4"],
     ["separate", "--n", "1", "--t0", "0.6", "--width", "inf", "--probe", "0.5,1.5"],
@@ -463,6 +489,40 @@ def test_every_operation_reachable_from_exactly_one_subcommand():
     subparsers = next(action for action in cli.build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction))
     assert set(cli.OPERATION_COVERAGE) == set(subparsers.choices)
+
+
+def _output_digest():
+    spec = importlib.util.spec_from_file_location("output_digest",
+                                                  ROOT / "scripts" / "output_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("command", sorted(cli.OPERATION_COVERAGE))
+def test_every_subcommand_enters_the_operations_it_covers(command, monkeypatch):
+    # runs the command's invocations in scripts/output_digest.py with every
+    # registered operation wrapped by a recorder, so a coverage entry that no
+    # invocation reaches fails here, not only one that names no operation
+    digest = _output_digest()
+    entered = set()
+
+    def recorder(name, operation):
+        @functools.wraps(operation)
+        def recorded(*args, **kwargs):
+            entered.add(name)
+            return operation(*args, **kwargs)
+        return recorded
+
+    for module_name, ops in so21.OPERATIONS.items():
+        module = getattr(so21, module_name)
+        for op in ops:
+            monkeypatch.setattr(module, op, recorder(op, getattr(module, op)))
+    lines = [line.split() for line in digest.INVOCATIONS if line.split()[0] == command]
+    assert lines, f"scripts/output_digest.py runs no {command} invocation"
+    for argv in lines:
+        digest.digest(argv)
+    assert set(cli.OPERATION_COVERAGE[command]) - entered == set()
 
 
 def test_registry_names_exist():

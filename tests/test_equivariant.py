@@ -113,21 +113,22 @@ def test_witness_satisfies_equivariance_contract():
 # block products
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("count", [1, 5, 37, 100, 101])
 @pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "transposed"])
-def test_products_match_batched_products(count, transposed):
+def test_products_match_batched_products(transposed):
     # every block of the one 2-D product is bit for bit the batched 3x3
-    # product, at widths 3 * count below, at and off a multiple of the
-    # column padding
-    rng = np.random.default_rng(count)
-    left = groups.random_elements(rng, 7, t_bound=2.0, u_bound=1.5)
-    if transposed:
-        left = left.transpose(0, 2, 1)
-    right = groups.random_elements(rng, count, t_bound=2.0, u_bound=1.5)
-    got = equivariant._products(left, right)
-    want = left[:, None] @ right[None]
-    assert got.shape == want.shape == (7, count, 3, 3)
-    assert got.tobytes() == want.tobytes()
+    # product, at every right-factor count up to 199: BLAS computes a
+    # narrower tail of columns with other kernels, whose fused multiply-adds
+    # could round differently
+    for count in range(1, 200):
+        rng = np.random.default_rng(count)
+        left = groups.random_elements(rng, 7, t_bound=2.0, u_bound=1.5)
+        if transposed:
+            left = left.transpose(0, 2, 1)
+        right = groups.random_elements(rng, count, t_bound=2.0, u_bound=1.5)
+        got = equivariant._products(left, right)
+        want = left[:, None] @ right[None]
+        assert got.shape == want.shape == (7, count, 3, 3)
+        assert got.tobytes() == want.tobytes(), f"{count} right factors"
 
 
 # ---------------------------------------------------------------------------

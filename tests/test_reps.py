@@ -226,7 +226,7 @@ def _dense_rep_matrix(gamma, g, N, nodes):
     # reference for the induced action: P diag(mult) C, with the DFT matrix
     # P and the transported modes C written out as dense exponentials
     count = 4 * N + 4 if nodes is None else nodes
-    mult, theta_out = reps._induced_nodes(gamma, g[None], N, count)
+    (mult,), theta_out = reps._induced_nodes((gamma,), g[None], count)
     ns = np.arange(-N, N + 1)
     thetas = 2.0 * np.pi * np.arange(count) / count
     C = np.exp(1j * np.outer(theta_out[0], ns))
@@ -278,9 +278,9 @@ def test_induced_multiplier_is_real_for_a_real_exponent():
     g = groups.make_a(0.7)[None]
     for p in (reps.SpectralParam.complementary(0.5), reps.SpectralParam.discrete(4),
               reps.SpectralParam.induced_point(1.5)):
-        mult, _ = reps._induced_nodes(p.exponent, g, 4, None)
+        (mult,), _ = reps._induced_nodes((p.exponent,), g, 20)
         assert mult.dtype == np.float64
-    mult, _ = reps._induced_nodes(reps.SpectralParam.principal(1.0).exponent, g, 4, None)
+    (mult,), _ = reps._induced_nodes((reps.SpectralParam.principal(1.0).exponent,), g, 20)
     assert mult.dtype == np.complex128
 
 
@@ -331,11 +331,9 @@ def test_matcoef_on_stack_matches_per_element_calls():
     assert np.ndim(value) == 0 and isinstance(value, complex)
 
 
-def test_matcoef_truncation_bound_check():
+def test_matcoef_node_floor_check():
     p = reps.SpectralParam.principal(1.0)
-    with pytest.raises(DomainError):
-        reps.matcoef(p, np.eye(3), 5, 0, N=4)
-    # the node floor 4 max(|n|, |m|) + 4 of the induced action applies too
+    # the node floor 4 max(|n|, |m|) + 4 of the induced action
     with pytest.raises(DomainError):
         reps.matcoef(p, np.eye(3), 5, 0, nodes=20)
 
