@@ -63,6 +63,13 @@ INVOCATIONS = (
     "exp --dpsi 0.1,0.2,0.3,-0.1",
     "casimir --s i --n 1",
     "ktypes --rep D+4 --tau-spherical 1",
+    # the rotation character tau_n and the A-character: chi at a real
+    # exponent, tau_{-N} at N = 0 (where a zero's sign could move),
+    # negative-n projector weights and tau at a negative n
+    "spherical --w 0.5 --z 1,2",
+    "matcoef --s i --g-iwasawa 1,0,0 --n 0 --m 0 --trunc 0 --vector",
+    "separate --n -2 --t0 0.8 --width 0.2 --probe 0.8,1.4 --verify-projection",
+    "ktypes --tau-spherical -3",
 )
 
 

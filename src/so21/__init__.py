@@ -23,12 +23,12 @@ __version__ = "0.1.0"
 OPERATIONS = {
     "groups": ("make_a", "make_n", "make_k", "so21_check", "psi", "psi_inv",
                "iwasawa", "recompose", "cartan", "cartan_radius",
-               "haar_density"),
+               "haar_density", "tau"),
     "lie": ("bracket", "ad_w_eigencheck", "exp_matrix", "dpsi", "casimir_apply"),
     "hyperbolic": ("act", "chi", "phi", "laplacian_fd", "eigencheck"),
     "reps": ("cocycle", "act_principal", "matcoef", "k_types",
              "tau_spherical_set", "discrete_ladder_leakage"),
-    "equivariant": ("tau", "project_biequivariant", "right_isotype_project",
+    "equivariant": ("project_biequivariant", "right_isotype_project",
                     "separation_witness", "gram_min_eig"),
     "character": ("integrate_G", "pi_of_f", "char_identity_check",
                   "corollary_check", "haar_invariance_check"),

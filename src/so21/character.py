@@ -300,7 +300,7 @@ def pi_of_f(
     (mult,), theta_out = reps._induced_nodes((p.exponent,), grid._row_bases[rows[on]],
                                              reps._node_count(N, None))
     thetas = grid.coordinate_arrays()[2]
-    F = (grid.node_weight * fvals[on]) @ np.exp(1j * np.outer(thetas, np.arange(-N, N + 1)))
+    F = (grid.node_weight * fvals[on]) @ groups.tau(np.arange(-N, N + 1), thetas[:, None])
     # accumulate S[j, n] = sum_row F[row, n] mult[row, j] e^{i n theta'[row, j]}
     S = np.empty((theta_out.shape[1], 2 * N + 1), dtype=complex)
     for idx, modes in enumerate(reps._mode_ladder(mult, theta_out, N)):

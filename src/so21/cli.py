@@ -391,7 +391,7 @@ def _handle(args):
             families = reps.tau_spherical_set(args.tau_spherical)
             payload["tau_spherical"] = [fam.label for fam in families]
             payload["character_at_pi_over_3"] = complex(
-                equivariant.tau(args.tau_spherical, np.pi / 3.0))
+                groups.tau(args.tau_spherical, np.pi / 3.0))
         if not payload:
             raise UsageError("ktypes needs --rep or --tau-spherical")
         return payload, EXIT_OK

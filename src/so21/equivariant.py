@@ -27,11 +27,6 @@ from .groups import make_a, make_k
 DEFAULT_PROJECTION_NODES = 128
 
 
-def tau(n: int, theta):
-    """Character e^{i n theta} of the rotation subgroup; broadcasts over theta."""
-    return np.exp(1j * n * np.asarray(theta, dtype=float))
-
-
 def bump(x):
     """Standard smooth bump e^{-1/(1-x^2)} on |x| < 1, zero outside."""
     x = np.asarray(x, dtype=float)
@@ -188,10 +183,7 @@ def separation_witness(n: int, profile: BumpProfile) -> EquivariantFn:
 
 def _projection_angles(nodes):
     """Uniform angles of a projector and their rotations, at least 64 of them."""
-    nodes = DEFAULT_PROJECTION_NODES if nodes is None else int(nodes)
-    if nodes < 64:
-        raise DomainError("projection needs at least 64 nodes per angle")
-    thetas = groups._uniform_angles(nodes)
+    thetas = groups._uniform_angles(groups._node_count(nodes, DEFAULT_PROJECTION_NODES, 64))
     return thetas, make_k(thetas)
 
 
@@ -237,7 +229,7 @@ def _isotype_projector(f, ns, nodes=None):
     evaluation.
     """
     thetas, rotations = _projection_angles(nodes)
-    weights = np.exp(-1j * np.outer(ns, thetas)) / thetas.size
+    weights = groups.tau(-np.asarray(ns)[:, None], thetas) / thetas.size
 
     def value(g):
         translates = _products(rotations @ g, rotations)
@@ -266,7 +258,7 @@ def right_isotype_project(f, n: int, nodes=None):
     right Fourier mode of f along the rotation subgroup.
     """
     thetas, rotations = _projection_angles(nodes)
-    phase = np.exp(-1j * n * thetas)
+    phase = groups.tau(-n, thetas)
 
     def value(x):
         return np.mean(phase * f(_products(x[None], rotations)[0]))

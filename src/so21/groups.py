@@ -1,5 +1,6 @@
 """Group layer for SO(2,1)^0: membership, subgroup constructors, the double
-cover SL(2,R) -> SO(2,1)^0, and the Iwasawa / Cartan coordinate systems.
+cover SL(2,R) -> SO(2,1)^0, the Iwasawa / Cartan coordinate systems, and
+the rotation characters and trapezoid rules of harmonic analysis on K.
 
 Conventions
 -----------
@@ -19,6 +20,7 @@ and the Iwasawa factorization used throughout is g = a_t n_u k_theta.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +48,28 @@ def _uniform_angles(count):
     Every rotation average and DFT looks it up on this module at each call.
     """
     return 2.0 * np.pi * np.arange(count) / count
+
+
+def _node_count(nodes, default, floor):
+    """The node count of a trapezoid rule on K: `nodes`, or `default` when it is None.
+
+    A count that is not an integer of at least `floor` raises DomainError;
+    every rule on K takes its count from here, looked up on this module at
+    each call.
+    """
+    count = default if nodes is None else nodes
+    if not isinstance(count, numbers.Integral) or count < floor:
+        raise DomainError(f"need an integer count of at least {floor} nodes, got {count!r}")
+    return count
+
+
+def tau(n, theta):
+    """Rotation character tau_n(k_theta) = e^{i n theta}; broadcasts over n and theta.
+
+    Every rotation character and DFT phase looks it up on this module at
+    each call.
+    """
+    return np.exp(1j * n * np.asarray(theta, dtype=float))
 
 
 def _a_character(gamma, t):

@@ -71,9 +71,13 @@ def act(g, z):
 
 
 def chi(w, z):
-    """Power function y^w = exp(w log(Im z)); broadcasts over z."""
+    """Power function y^w = e^{w log(Im z)} of one exponent w; broadcasts over z.
+
+    Takes y^w from :func:`so21.groups._a_character`, as :func:`phi` does, so
+    a real w gives a real value.
+    """
     z = _require_hpoint(z)
-    return np.exp(np.asarray(w, dtype=complex) * np.log(z.imag))
+    return groups._a_character(w, np.log(np.atleast_1d(z.imag))).reshape(z.shape)[()]
 
 
 def _rotation_orbit(z, nodes):
@@ -99,15 +103,14 @@ def phi(w, z, nodes=None):
     z : complex or array of complex
         Points with Im z > 0.
     nodes : int, optional
-        Quadrature node count, >= 16.  Defaults to 512.
+        Quadrature node count, an integer >= 16 (see
+        :func:`so21.groups._node_count`).  Defaults to 512.
 
     Returns
     -------
     An array of shape w.shape + z.shape; a scalar when both are scalars.
     """
-    nodes = DEFAULT_PHI_NODES if nodes is None else int(nodes)
-    if nodes < 16:
-        raise DomainError("phi requires at least 16 quadrature nodes")
+    nodes = groups._node_count(nodes, DEFAULT_PHI_NODES, 16)
     w = np.asarray(w, dtype=complex)
     log_y = np.log(_rotation_orbit(_require_hpoint(z)[..., None], nodes).imag)
     values = np.empty(w.shape + log_y.shape[:-1], dtype=complex)

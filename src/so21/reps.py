@@ -259,15 +259,11 @@ def cocycle(theta, g):
 def _node_count(N, nodes, least=0):
     """Quadrature node count for truncation N: `nodes`, else the larger of `least` and 4N + 4.
 
-    Fewer than 4N + 4 nodes alias the products of modes up to N, so an
-    explicit count below that floor raises DomainError.
+    Fewer than 4N + 4 nodes alias the products of modes up to N, so
+    :func:`so21.groups._node_count` refuses an explicit count below that
+    floor, or one that is not an integer.
     """
-    floor = 4 * N + 4
-    if nodes is None:
-        return max(floor, least)
-    if int(nodes) < floor:
-        raise DomainError(f"need at least {floor} nodes for truncation {N}")
-    return int(nodes)
+    return groups._node_count(nodes, max(4 * N + 4, least), 4 * N + 4)
 
 
 def _induced_nodes(gammas, gs, count):
@@ -303,8 +299,8 @@ def _mode_ladder(mult, theta_out, N):
     the 2N + 1 modes cost one complex exponential per entry besides the
     first.  Each yielded array is new.
     """
-    phase = np.exp(1j * theta_out)
-    cur = mult * np.exp(-1j * N * theta_out)
+    phase = groups.tau(1, theta_out)
+    cur = mult * groups.tau(-N, theta_out)
     for idx in range(2 * N + 1):
         yield cur
         if idx < 2 * N:
@@ -319,8 +315,8 @@ def _coefficients(mults, theta_out, n, m):
     (mult * e^{i n theta'}) @ phases / nodes.
     """
     nodes = theta_out.shape[-1]
-    modes = np.exp(1j * n * theta_out)
-    phases = np.exp(-1j * m * groups._uniform_angles(nodes))
+    modes = groups.tau(n, theta_out)
+    phases = groups.tau(-m, groups._uniform_angles(nodes))
     # the named modes keep mult on the left at every size: numpy moves a
     # temporary right operand of 256 KiB or more to the left to reuse it, and
     # with fused multiply-adds that order can move a complex product's last bit
@@ -373,8 +369,8 @@ def act_principal(p: SpectralParam, g, v: KFourierVector, nodes=None) -> KFourie
     (mult,), theta_out = _induced_nodes((p.exponent,), g[None], _node_count(N, nodes))
     # v(theta') = e^{-i N theta'} sum_k c_{k-N} z^k with z = e^{i theta'};
     # the FFT then projects back onto |n| <= N
-    z = np.exp(1j * theta_out[0])
-    values = mult[0] * np.exp(-1j * N * theta_out[0]) * _blocked_series(v.c, z)
+    z = groups.tau(1, theta_out[0])
+    values = mult[0] * groups.tau(-N, theta_out[0]) * _blocked_series(v.c, z)
     out = KFourierVector(N, _dft_coefficients(values, N))
     total = np.sum(np.abs(out.c) ** 2)
     # the top modes -N and N, one entry when N = 0

@@ -2,34 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
-import hypothesis.strategies as st
 from so21 import character, equivariant, groups, reps
 from so21.errors import DomainError
-
-
-# ---------------------------------------------------------------------------
-# characters
-# ---------------------------------------------------------------------------
-
-def test_tau_trivial_character():
-    for theta in np.linspace(0, 2 * np.pi, 7):
-        assert equivariant.tau(0, theta) == 1.0
-
-
-def test_tau_third_roots():
-    assert abs(equivariant.tau(3, 2 * np.pi / 3) - 1.0) < 1e-14
-
-
-@given(st.integers(-8, 8), st.floats(0, 2 * np.pi), st.floats(0, 2 * np.pi))
-def test_tau_character_law(n, t1, t2):
-    product = equivariant.tau(n, t1) * equivariant.tau(n, t2)
-    assert abs(product - equivariant.tau(n, t1 + t2)) < 1e-12
-
-
-@given(st.integers(-8, 8), st.floats(0, 2 * np.pi))
-def test_tau_periodic(n, theta):
-    assert abs(equivariant.tau(n, theta + 2 * np.pi) - equivariant.tau(n, theta)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

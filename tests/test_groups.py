@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import example, given
+import hypothesis.strategies as st
 from numpy.testing import assert_allclose
 
-from so21 import groups
+from so21 import equivariant, groups, hyperbolic, reps
 from so21.errors import DomainError
 
 from conftest import iwasawa_params
@@ -366,3 +367,54 @@ def test_a_character_at_a_real_exponent_is_a_real_exp():
         value = groups._a_character(gamma, t)
         assert value.dtype == np.float64
         assert value.tobytes() == np.exp(complex(gamma).real * t).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# rotation characters and node counts on K
+# ---------------------------------------------------------------------------
+
+def test_tau_trivial_character():
+    for theta in np.linspace(0, 2 * np.pi, 7):
+        assert groups.tau(0, theta) == 1.0
+
+
+def test_tau_third_roots():
+    assert abs(groups.tau(3, 2 * np.pi / 3) - 1.0) < 1e-14
+
+
+@given(st.integers(-8, 8), st.floats(0, 2 * np.pi), st.floats(0, 2 * np.pi))
+def test_tau_character_law(n, t1, t2):
+    product = groups.tau(n, t1) * groups.tau(n, t2)
+    assert abs(product - groups.tau(n, t1 + t2)) < 1e-12
+
+
+@given(st.integers(-8, 8), st.floats(0, 2 * np.pi))
+def test_tau_periodic(n, theta):
+    assert abs(groups.tau(n, theta + 2 * np.pi) - groups.tau(n, theta)) < 1e-12
+
+
+_G = groups.recompose(groups.IwasawaCoords(0.7, 0.3, 1.1))
+_RHO_I = reps.SpectralParam.principal(1.0)
+_WITNESS = equivariant.separation_witness(1, equivariant.BumpProfile(0.6, 0.3))
+
+# rule on K: (its value at a node count, a non-integer count, an integer count)
+_NODE_COUNT_CASES = {
+    "matcoef": (lambda nodes: reps.matcoef(_RHO_I, _G, 1, 1, nodes=nodes), 130.9, 130),
+    "act_principal": (lambda nodes: reps.act_principal(
+        _RHO_I, _G, reps.KFourierVector.basis(4, 1), nodes=nodes).c, 40.5, 40),
+    "phi": (lambda nodes: hyperbolic.phi(0.5 + 1j, 2.0 + 1.5j, nodes=nodes), 64.7, 64),
+    "project_biequivariant": (lambda nodes: equivariant.project_biequivariant(
+        _WITNESS, 1, nodes=nodes)(_G), 64.5, 64),
+    "right_isotype_project": (lambda nodes: equivariant.right_isotype_project(
+        _WITNESS, 1, nodes=nodes)(_G), 64.5, 64),
+}
+
+
+@pytest.mark.filterwarnings("ignore:top-mode energy")
+@pytest.mark.parametrize("rule", sorted(_NODE_COUNT_CASES))
+def test_node_counts_must_be_integers(rule):
+    # an integer part taken of 130.9 would run 130 nodes without a word
+    value, fractional, whole = _NODE_COUNT_CASES[rule]
+    with pytest.raises(DomainError, match="integer count"):
+        value(fractional)
+    assert np.asarray(value(np.int64(whole))).tobytes() == np.asarray(value(whole)).tobytes()

@@ -1,8 +1,9 @@
 """Each numerical convention has one home, and every consumer reaches it.
 
 A plant is a one-line change at a convention's home: the Iwasawa kernel's
-boost, the polar phases, the uniform angles on K, the character e^{gamma t}
-of A, the unitary exponent, the sign of the cocycle's theta', the order of
+boost, the polar phases, the uniform angles on K, the node count of a rule
+on K, the rotation character tau_n, the character e^{gamma t} of A, the
+unitary exponent, the sign of the cocycle's theta', the order of
 the DFT coefficients, the Haar node weight and the discrete-series ladder
 edge.  Every consumer listed for a home must move its output under its
 plant by more than 1e-10 relative, far above round-off; a consumer that kept
@@ -43,6 +44,7 @@ CONSUMERS = {
     # the nodes sit; a complex and a real exponent
     "phi": lambda: hyperbolic.phi(np.array([0.5 + 1j, 0.3]), np.array([3.0 + 5.0j, 0.3 + 0.7j]),
                                   nodes=16),
+    "chi": lambda: hyperbolic.chi(0.5 + 1j, np.array([3.0 + 5.0j, 0.3 + 0.7j])),
     "psi_inv": lambda: groups.psi_inv(_G).matrix,
     "cocycle": lambda: reps.cocycle(0.3, _G),
     # on the 8-node floor the integrand aliases
@@ -92,6 +94,17 @@ def _polar_phase_plant(monkeypatch):
         return z1, z2 * np.exp(1e-3j)
 
     monkeypatch.setattr(groups, "_polar_phases", turned)
+
+
+def _node_count_plant(monkeypatch):
+    count = groups._node_count
+    monkeypatch.setattr(groups, "_node_count",
+                        lambda nodes, default, floor: count(nodes, default, floor) + 4)
+
+
+def _tau_conjugation_plant(monkeypatch):
+    tau = groups.tau
+    monkeypatch.setattr(groups, "tau", lambda n, theta: tau(-n, theta))
 
 
 def _a_character_plant(monkeypatch):
@@ -149,11 +162,22 @@ PLANTS = [
      ("phi", "matcoef", "rep_matrix", "act_principal", "pi_of_f", "char_identity_check",
       "integrate_G", "project_biequivariant", "right_isotype_project", "gram_min_eig",
       "discrete_ladder_leakage")),
+    # the character checks are left out: the two sides of each share their
+    # nodes, so four more move them by about 7e-13 (rho_i) and 3e-12 (D(2, +))
+    ("groups._node_count", _node_count_plant,
+     ("phi", "matcoef", "rep_matrix", "act_principal", "pi_of_f", "gram_min_eig",
+      "project_biequivariant", "right_isotype_project", "discrete_ladder_leakage")),
+    # gram_min_eig is left out: its Gram matrix sees only
+    # |<rho(a_r) e_n, e_n>|, the same at n and -n
+    ("groups.tau", _tau_conjugation_plant,
+     ("matcoef", "rep_matrix", "act_principal", "pi_of_f", "char_identity_check",
+      "char_identity_check_discrete", "project_biequivariant", "right_isotype_project",
+      "discrete_ladder_leakage")),
     ("groups._polar_phases", _polar_phase_plant,
      ("cartan", "pi_of_f", "char_identity_check", "integrate_G", "haar_invariance_check",
       "project_biequivariant", "right_isotype_project")),
     ("groups._a_character", _a_character_plant,
-     ("phi", "matcoef", "rep_matrix", "act_principal", "pi_of_f", "char_identity_check",
+     ("phi", "chi", "matcoef", "rep_matrix", "act_principal", "pi_of_f", "char_identity_check",
       "char_identity_check_discrete", "gram_min_eig", "discrete_ladder_leakage")),
     ("SpectralParam.exponent", _exponent_plant,
      ("matcoef", "rep_matrix", "act_principal", "pi_of_f", "char_identity_check",
