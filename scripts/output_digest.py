@@ -70,6 +70,23 @@ INVOCATIONS = (
     "matcoef --s i --g-iwasawa 1,0,0 --n 0 --m 0 --trunc 0 --vector",
     "separate --n -2 --t0 0.8 --width 0.2 --probe 0.8,1.4 --verify-projection",
     "ktypes --tau-spherical -3",
+    # the text format of complex values and of the payloads built from
+    # result dataclasses, the corollary path, and the right projector of a
+    # stack with a power |n| = 3
+    "spherical --w 0.5+3i --z 1,2 --format text",
+    "eigencheck --w 0.5+1i --z 0.5,1.5 --format text",
+    "iwasawa --matrix 1.066636794167345,-0.7638265251127709,0.8492025736757048,"
+    "0.7551285236337623,0.720958329444008,0.3,"
+    "0.8413876264106195,-0.32126604747552284,1.3457878774671144 --format text",
+    "cartan --matrix 1.066636794167345,-0.7638265251127709,0.8492025736757048,"
+    "0.7551285236337623,0.720958329444008,0.3,"
+    "0.8413876264106195,-0.32126604747552284,1.3457878774671144 --format text",
+    "psi-inv --matrix 1.066636794167345,-0.7638265251127709,0.8492025736757048,"
+    "0.7551285236337623,0.720958329444008,0.3,"
+    "0.8413876264106195,-0.32126604747552284,1.3457878774671144 --format text",
+    "haarcheck --grid 24,24,32 --format text",
+    "charcheck --s 2i --n -2 --corollary --grid 20,20,40 --trunc 6",
+    "separate --n 3 --t0 0.8 --width 0.2 --probe 0.8,1.4 --verify-projection",
 )
 
 

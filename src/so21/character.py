@@ -402,10 +402,8 @@ def corollary_check(
 
     Compares trace pi(f) with the integral of f times the (n, n) matrix
     coefficient; by relabeling this is the same quantity as
-    char_identity_check(p, -n, f).
+    char_identity_check(p, -n, f), which refuses any other bi-type.
     """
-    if f.n_left != f.n_right or f.n_left != -n:
-        raise DomainError(f"corollary needs a test function of bi-type ({-n}, {-n})")
     return char_identity_check(p, -n, f, grid=grid, N=N)
 
 

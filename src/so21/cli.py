@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -115,7 +116,7 @@ def _parse_grid(text):
 
 def _jsonable(value):
     if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
+        return {"re": float(value.real), "im": float(value.imag)}
     if isinstance(value, np.ndarray):
         if np.iscomplexobj(value):
             return [_jsonable(complex(v)) for v in value.ravel()]
@@ -294,13 +295,11 @@ def _handle(args):
     if name == "iwasawa":
         if args.recompose is not None:
             return {"matrix": _parse_element(args.recompose)}, EXIT_OK
-        c = groups.iwasawa(_parse_matrix3(args.matrix))
-        return {"t": c.t, "u": c.u, "theta": c.theta}, EXIT_OK
+        return dataclasses.asdict(groups.iwasawa(_parse_matrix3(args.matrix))), EXIT_OK
 
     if name == "cartan":
         g = _parse_matrix3(args.matrix)
-        c = groups.cartan(g)
-        return {"theta1": c.theta1, "t": c.t, "theta2": c.theta2,
+        return {**dataclasses.asdict(groups.cartan(g)),
                 "radius": float(groups.cartan_radius(g))}, EXIT_OK
 
     if name == "psi":
@@ -308,13 +307,8 @@ def _handle(args):
 
     if name == "psi-inv":
         g = _parse_matrix3(args.matrix)
-        diag = groups.so21_check(g)
-        rep = groups.psi_inv(g)
-        return {"sl2": rep.matrix,
-                "diagnostics": {"form_defect": diag.form_defect,
-                                "det_defect": diag.det_defect,
-                                "component_ok": diag.component_ok,
-                                "boost_error": diag.boost_error}}, EXIT_OK
+        return {"sl2": groups.psi_inv(g).matrix,
+                "diagnostics": dataclasses.asdict(groups.so21_check(g))}, EXIT_OK
 
     if name == "bracket":
         if args.adw_check:
@@ -428,15 +422,10 @@ def _handle(args):
             character._oracle_test_function,
             character.HaarGrid(nt=min(grid.nt, 48), nu=min(grid.nu, 48),
                                ntheta=min(grid.ntheta, 64)))
-        payload = {"base_integral": res.base_integral,
-                   "worst_left": res.worst_left,
-                   "worst_right": res.worst_right,
-                   "per_translation": res.per_translation,
-                   "evaluated_rows": res.evaluated_rows,
-                   "integrand_rows": res.integrand_rows,
-                   "density_at_origin": groups.haar_density(groups.IwasawaCoords(0.0, 0.0, 0.0)),
-                   "coarse_integral": complex(direct),
-                   "meta": {"check_seconds": res.seconds}}
+        payload = dataclasses.asdict(res)
+        payload["meta"] = {"check_seconds": payload.pop("seconds")}
+        payload["density_at_origin"] = groups.haar_density(groups.IwasawaCoords(0.0, 0.0, 0.0))
+        payload["coarse_integral"] = complex(direct)
         return payload, EXIT_OK if res.worst <= args.tol else EXIT_TOLERANCE
 
     if name == "charcheck":

@@ -170,13 +170,24 @@ def separation_witness(n: int, profile: BumpProfile) -> EquivariantFn:
     it takes different values on orbits inside versus outside the band:
     evaluating at two boosts a_x and a_y with radii on opposite sides of
     the band edge exhibits the separation directly.  For n < 0 it takes
-    conj(z1 z2)^|n|, as numpy's negative powers are slow.  b and z1 come per
-    row as (rows, 1), z2 as (rows, m); see :func:`_on_radial_support`.
+    conj(z1 z2)^|n|, as numpy's negative powers are slow, and at |n| = 1 the
+    product itself, as numpy's first power costs several products.  b and
+    z1 come per row as (rows, 1), z2 as (rows, m); see
+    :func:`_on_radial_support`.
     """
 
+    # the phase product stays an unnamed temporary, which numpy powers and
+    # multiplies in place; a named one costs a fresh array per operation
+    def phase(z1, z2):
+        return z1 * z2 if n >= 0 else np.conj(z1 * z2)
+
+    def value(b, z1, z2):
+        if abs(n) == 1:
+            return b * phase(z1, z2)
+        return b * phase(z1, z2) ** abs(n)
+
     def evaluate(gs):
-        return _on_radial_support(
-            gs, profile, lambda b, z1, z2: b * (z1 * z2 if n >= 0 else np.conj(z1 * z2)) ** abs(n))
+        return _on_radial_support(gs, profile, value)
 
     return EquivariantFn(n, n, evaluate, support=profile.support)
 
@@ -185,21 +196,6 @@ def _projection_angles(nodes):
     """Uniform angles of a projector and their rotations, at least 64 of them."""
     thetas = groups._uniform_angles(groups._node_count(nodes, DEFAULT_PROJECTION_NODES, 64))
     return thetas, make_k(thetas)
-
-
-def _per_element(value, gs):
-    """Apply `value(g)` to one element or to each element of a stack.
-
-    `value` returns a scalar or a fixed-shape array; the result has the
-    stack's leading shape followed by that shape.  Projectors evaluate f on
-    nodes^2 (or nodes) translates of each element, so they go one element
-    at a time to bound memory.
-    """
-    gs = np.asarray(gs, dtype=float)
-    out = np.array([value(g) for g in gs.reshape(-1, 3, 3)], dtype=complex)
-    if gs.ndim == 2:
-        return out[0]
-    return out.reshape(gs.shape[:-2] + out.shape[1:])
 
 
 def _products(left, right):
@@ -235,7 +231,14 @@ def _isotype_projector(f, ns, nodes=None):
         translates = _products(rotations @ g, rotations)
         return np.sum((weights @ f(translates)) * weights, axis=1)
 
-    return lambda gs: np.moveaxis(_per_element(value, gs), -1, 0)
+    def project(gs):
+        gs = np.asarray(gs, dtype=float)
+        # f runs on nodes^2 translates of each element (1.2 MB of them at 128
+        # nodes), so the elements go one at a time to bound memory
+        out = np.array([value(g) for g in gs.reshape(-1, 3, 3)], dtype=complex)
+        return out.T.reshape(out.shape[1:] + gs.shape[:-2])
+
+    return project
 
 
 def project_biequivariant(f, n: int, nodes=None) -> EquivariantFn:
@@ -255,15 +258,18 @@ def right_isotype_project(f, n: int, nodes=None):
     """Project onto the right isotype: h(x) = mean_theta e^{-i n theta} f(x k_theta).
 
     The result satisfies h(x k_theta) = e^{i n theta} h(x); it is the n-th
-    right Fourier mode of f along the rotation subgroup.
+    right Fourier mode of f along the rotation subgroup.  f runs once, on
+    the `nodes` right translates of every element of the stack.
     """
     thetas, rotations = _projection_angles(nodes)
     phase = groups.tau(-n, thetas)
 
-    def value(x):
-        return np.mean(phase * f(_products(x[None], rotations)[0]))
+    def project(xs):
+        xs = np.asarray(xs, dtype=float)
+        values = f(_products(xs.reshape(-1, 3, 3), rotations))
+        return np.mean(phase * values, axis=-1).reshape(xs.shape[:-2])[()]
 
-    return lambda xs: _per_element(value, xs)
+    return project
 
 
 @dataclass(frozen=True)
@@ -273,10 +279,6 @@ class GramResult:
     min_eig: float
     cond: float
     gram: np.ndarray
-
-    @property
-    def independent(self) -> bool:
-        return self.min_eig > 0
 
 
 GRAM_QUAD_NODES = 64

@@ -136,20 +136,15 @@ class SpectralParam:
 
 
 def parse_complex(text: str) -> complex:
-    """Parse "i", "2i", "0.5", "0.5+2i", "1-1i" into a complex number."""
+    """Parse "i", "2i", "0.5", "0.5+2i", "1-i" into a complex number.
+
+    The literal follows Python's complex() grammar with i (or I) for j.
+    """
     cleaned = text.strip().replace(" ", "").replace("I", "i")
     if not cleaned:
         raise DomainError("empty complex literal")
-    cleaned = cleaned.replace("i", "j")
-    if cleaned in ("j", "+j"):
-        cleaned = "1j"
-    elif cleaned == "-j":
-        cleaned = "-1j"
-    else:
-        # bare trailing j after a sign, e.g. "0.5+j"
-        cleaned = cleaned.replace("+j", "+1j").replace("-j", "-1j")
     try:
-        return complex(cleaned)
+        return complex(cleaned.replace("i", "j"))
     except ValueError as exc:
         raise DomainError(f"cannot parse complex literal {text!r}") from exc
 

@@ -325,12 +325,14 @@ def test_non_finite_bump_is_a_domain_error(capsys, argv):
      "truncation N must be >= 0"),
     (["spherical", "--w", "0.5", "--ray", "0,1,-3"], 1, "non-negative integer"),
     (["spherical", "--w", "0.5", "--ray", "0,1,2.5"], 1, "non-negative integer"),
+    (["matcoef", "--s", "1e+i", "--g-iwasawa", "0.4,0,0", "--n", "0", "--m", "0"], 2,
+     "cannot parse complex literal '1e+i'"),
 ], ids=["charcheck_zero_count", "charcheck_negative_count", "charcheck_fractional_count",
         "haarcheck_zero_count", "charcheck_negative_trunc", "ray_negative_steps",
-        "ray_fractional_steps"])
+        "ray_fractional_steps", "exponent_then_bare_i"])
 def test_malformed_counts_are_clean_errors(capsys, argv, code, message):
-    # each used to print a traceback, run a truncated count, or name the
-    # truncation [--1, -1]
+    # each used to print a traceback, run a truncated count, name the
+    # truncation [--1, -1], or (1e+i) print the value at s = 10i
     assert cli.run(argv + ["--no-meta"]) == code
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
@@ -459,6 +461,18 @@ def test_text_format(capsys):
     code = cli.run(["iwasawa", "--matrix", IDENTITY, "--no-meta", "--format", "text"])
     assert code == 0
     assert "t: 0.0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["spherical", "--w", "0.5+3i", "--z", "1,2"],
+    ["eigencheck", "--w", "0.5+1i", "--z", "0.5,1.5"],
+    ["matcoef", "--s", "i", "--g-iwasawa", "0.4,0,0", "--n", "0", "--m", "0"],
+], ids=["spherical", "eigencheck", "matcoef"])
+def test_text_format_prints_complex_parts_as_plain_floats(capsys, argv):
+    # the parts of a numpy complex printed as np.float64(...) reprs
+    assert cli.run(argv + ["--format", "text", "--no-meta"]) == 0
+    out = capsys.readouterr().out
+    assert "{'re': " in out and "np." not in out
 
 
 def test_suite_fast(capsys):

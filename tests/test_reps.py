@@ -57,6 +57,27 @@ def test_parse_complex_forms():
         reps.parse_complex("zz")
 
 
+@pytest.mark.parametrize("text, value", [
+    ("i", 1j), ("+i", 1j), ("-i", -1j), ("j", 1j), ("-j", -1j), ("I", 1j), ("2I", 2j),
+    ("2i", 2j), ("-2i", -2j), ("2j", 2j), ("0.5+i", 0.5 + 1j), ("1-i", 1 - 1j),
+    ("1-1i", 1 - 1j), ("0.5+2i", 0.5 + 2j), ("0.5+3i", 0.5 + 3j), ("0.5+1i", 0.5 + 1j),
+    ("-0.5+3i", -0.5 + 3j), ("-0.5+2i", -0.5 + 2j), ("1.5-3i", 1.5 - 3j), (" 0.5 + 2i ", 0.5 + 2j),
+    ("1", 1), ("0.5", 0.5), ("0.3", 0.3), ("0.7", 0.7), ("-0.25", -0.25), ("1e-3i", 1e-3j),
+])
+def test_parse_complex_values(text, value):
+    # every literal the CLI tests and the output digest pass, and the bare
+    # forms i, +i, -i, 0.5+i and 1-i
+    parsed = reps.parse_complex(text)
+    assert type(parsed) is complex and parsed == value
+
+
+@pytest.mark.parametrize("text", ["1e+i", "1E-i", "2e+i", "", "  ", "1i+", "ii"])
+def test_parse_complex_refuses(text):
+    # an exponent before a bare i (1e+i) was read as 10i
+    with pytest.raises(DomainError):
+        reps.parse_complex(text)
+
+
 def test_discrete_ambient_parameter():
     assert reps.SpectralParam.discrete(4, 1).induced_s == 3.0
     with pytest.raises(DomainError):
