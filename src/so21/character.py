@@ -17,12 +17,16 @@ observed outcome rather than an input assumption.  The trace of that matrix
 is then compared against the integral of f times the diagonal matrix
 coefficient at (-n, -n), which is the character identity under test.
 
-The quadrature works on whole (t, u) rows: :func:`_chunks` builds their
-nodes from the row bases a_t n_u and the rotations k_theta, and
-:func:`_grid_sum` sums f over them.  Every node of a row has the polar
-radius and the phase e^{i theta1} of its row base, since k_theta fixes the
-third column, and a radial integrand reads both once per row and
-e^{i theta2} by a few products per node, with no angle.  f is evaluated
+The quadrature works on whole (t, u) rows, in :func:`_chunks`, and
+:func:`_grid_sum` sums f over their nodes a_t n_u k_theta, the row bases
+times the rotations (:func:`_node_values`).  A radial integrand reads
+their polar entries p = g13 + i g23 and q = g31 - i g32
+(:func:`so21.groups._polar_entries`), and K acts on them by phases: k_theta
+fixes the third column, so every node of a row has its base's p, hence
+its polar radius and e^{i theta1}, and its q is the base's times
+e^{i theta}.  So the radius, the bump and e^{i theta1} come once per row
+and e^{i theta2} by one complex product per node, with no angle and no
+3x3 node built; any other f gets the element stacks.  f is evaluated
 only on the rows inside its declared support band, picked by
 :func:`so21.equivariant._near_band`, the band test of f's own radial kernel;
 f must vanish at the base of every skipped row, or DomainError is raised.
@@ -49,8 +53,7 @@ from . import groups, reps
 from .errors import DomainError, SupportWarning, TruncationWarning
 from .groups import (IwasawaCoords, _polar_radius, cartan_radius, haar_density, make_a, make_k,
                      make_n, recompose)
-from .equivariant import (BumpProfile, EquivariantFn, _near_band, _on_radial_support, _products,
-                          _read_only)
+from .equivariant import BumpProfile, EquivariantFn, _near_band, _on_nodes, _Radial, _read_only
 
 # The (t, u) box every grid covers; only the node counts vary.
 T_BOX = (-3.0, 3.0)
@@ -59,9 +62,10 @@ BOUNDARY_TOL = 1e-12
 BOUNDARY_SAMPLES = 24
 REFINE_FACTOR = 1.5
 # Nodes per chunk of a grid loop (whole rows, at least one).  A chunk's
-# elements and its integrand's temporaries then stay in cache: on a 2-core
-# AVX-512 Xeon, one BLAS thread, the 96x96x128 Haar oracle took 74 ms with
-# 8192-node chunks against 103-112 ms with 65536 (median of 9 calls).
+# polar entries or elements and its integrand's temporaries then stay in
+# cache: on a 2-core AVX-512 Xeon, one BLAS thread, the 96x96x128 Haar
+# oracle on polar entries took 28.1, 24.4, 24.5 and 31.3 ms with 4096-,
+# 8192-, 16384- and 32768-node chunks (medians of 20 interleaved calls).
 _CHUNK = 8192
 
 
@@ -177,24 +181,35 @@ def _check_support(f, grid: HaarGrid):
         )
 
 
-def _chunks(bases, rotations, rows):
-    """The elements ``bases[row] @ rotations[k]`` of the given rows, whole rows at a time.
+def _chunks(rows, count):
+    """`rows` in chunks of ``_CHUNK // count`` whole rows of `count` nodes (at least one row).
 
-    Each chunk holds every rotation of the next ``_CHUNK // len(rotations)``
-    rows (at least one): the (rows, len(rotations), 3, 3) view
-    :func:`so21.equivariant._products` gives, bit for bit the batched 3x3
-    products.  On the row bases a_t n_u and the rotations k_theta of a grid
-    that is :meth:`HaarGrid.elements` on those rows.  An empty selection
-    gives one empty chunk.
+    An empty selection gives one empty chunk.
     """
-    step = max(1, _CHUNK // rotations.shape[0])
+    step = max(1, _CHUNK // count)
     for start in range(0, max(rows.size, 1), step):
-        yield _products(bases[rows[start:start + step]], rotations)
+        yield rows[start:start + step]
+
+
+def _node_values(f, bases, rotations, rows):
+    """f at the nodes ``bases[row] @ rotations[k]`` of `rows`, one (rows, m) array per chunk.
+
+    Each chunk holds whole rows (:func:`_chunks`), evaluated by
+    :func:`so21.equivariant._on_nodes`: a radial integrand reads the polar
+    entries of its nodes, any other callable gets their element stack, the
+    (rows, m, 3, 3) view :func:`so21.equivariant._products` gives, bit for
+    bit the batched 3x3 products.  On the row bases a_t n_u and the
+    rotations k_theta of a grid those nodes are :meth:`HaarGrid.elements`
+    on those rows.
+    """
+    evaluate = _on_nodes(f, rotations)
+    for chunk in _chunks(rows, rotations.shape[0]):
+        yield evaluate(bases[chunk])
 
 
 def _grid_sum(f, grid, bases, rotations, rows):
-    """Node weight times the sum of f over the :func:`_chunks` of `rows`, in chunk order."""
-    partials = [np.sum(f(G)) for G in _chunks(bases, rotations, rows)]
+    """Node weight times the sum of f over the :func:`_node_values` of `rows`, in chunk order."""
+    partials = [np.sum(values) for values in _node_values(f, bases, rotations, rows)]
     return grid.node_weight * np.sum(np.asarray(partials))
 
 
@@ -203,21 +218,20 @@ def _support_rows(f, bases):
 
     The band test is :func:`so21.equivariant._near_band`, the one f's own
     radial kernel runs.  The support is checked, not trusted: f is
-    evaluated at every skipped base, and a nonzero value raises
-    DomainError.  A rotation fixes the third column, so on the grid
-    ``bases[row] @ k_theta`` (see :func:`_chunks`) every node of a row has
-    its base's radius.
+    evaluated at every base (:func:`so21.equivariant._on_nodes`), and a
+    nonzero value at a base outside the band raises DomainError.  A
+    rotation fixes the third column, so on the grid ``bases[row] @ k_theta``
+    every node of a row has its base's radius.
     """
     support = getattr(f, "support", None)
     if support is None:
         return np.arange(bases.shape[0])
-    rows = np.flatnonzero(_near_band(bases, support))
-    skipped = np.delete(bases, rows, axis=0)
-    off = np.flatnonzero(np.asarray(f(skipped)) != 0.0)
+    near = _near_band(bases, support)
+    off = np.flatnonzero((np.asarray(_on_nodes(f)(bases)) != 0.0) & ~near)
     if off.size:
-        raise DomainError(f"f is nonzero at polar radius {_polar_radius(skipped[off[0]]):.6g} "
+        raise DomainError(f"f is nonzero at polar radius {_polar_radius(bases[off[0]]):.6g} "
                           f"outside its declared support {tuple(support)}")
-    return rows
+    return np.flatnonzero(near)
 
 
 def integrate_G(f, grid: HaarGrid) -> complex:
@@ -287,8 +301,8 @@ def pi_of_f(
     n = f.n_left
     _check_support(f, grid)
     rows = _support_rows(f, grid._row_bases)
-    fvals = np.concatenate([np.asarray(f(G), dtype=complex)
-                            for G in _chunks(grid._row_bases, grid._rotations, rows)])
+    fvals = np.concatenate([np.asarray(values, dtype=complex)
+                            for values in _node_values(f, grid._row_bases, grid._rotations, rows)])
     fvals = fvals.reshape(-1, grid.ntheta)
     on = np.any(np.abs(fvals) > 0.0, axis=1)
     # k_phi a_t n_u = a' n' k_theta' gives k_phi (a_t n_u k_theta) = a' n' k_{theta' + theta}:
@@ -436,22 +450,21 @@ class HaarCheckResult:
 _ORACLE_PROFILE = BumpProfile(0.6, 0.35)
 
 
-def _oracle_test_function(gs):
-    """Generic smooth function of no K-type, zero outside the polar radii `.support`.
+def _oracle_value(b, z1, z2):
+    """b (1.3 + Re(z1 z2)) (0.7 + 0.3 Im(conj(z1)^2 z2)) of the polar phases.
 
-    b(r) (1.3 + Re(z1 z2)) (0.7 + 0.3 Im(conj(z1)^2 z2)) of the polar phases,
-    b and z1 per row as (rows, 1) and z2 as (rows, m); see
-    :func:`so21.equivariant._on_radial_support`.  conj(z1)^2 goes left:
-    numpy swaps a temporary right operand to the left to reuse it, which
-    with fused multiply-adds can move the last bit of a complex product.
+    b and z1 come per row as (rows, 1), z2 as (rows, m).  conj(z1)^2 goes
+    left: numpy swaps a temporary right operand to the left to reuse it,
+    which with fused multiply-adds can move the last bit of a complex
+    product.
     """
-    return _on_radial_support(
-        gs, _ORACLE_PROFILE,
-        lambda b, z1, z2:
-            b * (1.3 + (z1 * z2).real) * (0.7 + 0.3 * (np.conj(z1) ** 2 * z2).imag))
+    return b * (1.3 + (z1 * z2).real) * (0.7 + 0.3 * (np.conj(z1) ** 2 * z2).imag)
 
 
-_oracle_test_function.support = _ORACLE_PROFILE.support
+# The oracle's generic smooth function of no K-type, zero outside the polar
+# radii of its `.support`: a radial integrand (see
+# :class:`so21.equivariant._Radial`) on stacks and on polar entries.
+_oracle_test_function = _Radial(_ORACLE_PROFILE, _oracle_value)
 
 
 def haar_invariance_check(grid: HaarGrid | None = None, translations=None) -> HaarCheckResult:
@@ -469,11 +482,15 @@ def haar_invariance_check(grid: HaarGrid | None = None, translations=None) -> Ha
     node of a row has its translated base's radius.  Both take exactly the
     rows in f's band, checked as :func:`integrate_G` checks them: a nonzero
     value on a skipped row raises DomainError.  The right translate
-    (a_t n_u k_theta) g0 is the grid with rotations k_theta g0, whose nodes
-    leave their row's radius; it takes the rows whose base radius lies
-    within r(g0) of f's band, since with r(x) = d(o, x.o) and k.o = o the
-    triangle inequality gives |r(B k g0) - r(B)| <= r(g0).  A grid on which
-    f integrates to 0 (no node in its band) raises DomainError.
+    (a_t n_u k_theta) g0 is the grid with right factors k_theta g0, whose
+    nodes leave their row's radius unless g0 is a rotation (then the
+    factors fix e3 and the row route of
+    :func:`so21.groups._polar_entries` serves, as for the other
+    integrands; otherwise each node reads its own polar entries); it takes
+    the rows whose base radius lies within r(g0) of f's band, since with
+    r(x) = d(o, x.o) and k.o = o the triangle inequality gives
+    |r(B k g0) - r(B)| <= r(g0).  A grid on which f integrates to 0 (no
+    node in its band) raises DomainError.
     """
     start = time.perf_counter()
     grid = grid if grid is not None else HaarGrid(nt=96, nu=96, ntheta=128)

@@ -10,6 +10,17 @@ for the character identities.  Such functions are determined by their
 values on the boost subgroup, which is how the separation witnesses are
 built: a smooth bump in the polar radius times a power of the two polar
 phases e^{i theta1} e^{i theta2}.
+
+Those witnesses, like the Haar oracle's test function, are radial
+integrands (:class:`_Radial`): b(r) times a function of the polar phases.
+They read a node g only through its polar entries p = g13 + i g23 and
+q = g31 - i g32 (:func:`so21.groups._polar_entries`), with sinh r = |p|,
+e^{i theta1} = p / |p| and e^{i theta2} = q / |p|, and K acts on these by
+phases: p(k_a g k_b) = e^{i a} p(g), q(k_a g k_b) = q(g) e^{i b}.  So the
+Haar grid sums, pi(f) and the projectors, whose nodes are row bases times
+rotations, hand a radial integrand one p and q per row and a phase per
+node (:func:`_on_nodes`), and build no 3x3 node stack; any other function
+gets its nodes as element stacks.
 """
 
 from __future__ import annotations
@@ -30,9 +41,10 @@ DEFAULT_PROJECTION_NODES = 128
 def bump(x):
     """Standard smooth bump e^{-1/(1-x^2)} on |x| < 1, zero outside."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
     inside = np.abs(x) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
+    out = np.zeros_like(x)
+    np.divide(-1.0, 1.0 - x * x, out=out, where=inside)
+    np.exp(out, out=out, where=inside)
     if out.ndim == 0:
         return float(out)
     return out
@@ -92,73 +104,138 @@ class EquivariantFn:
 _SQUARED_BAND_MARGIN = 1e-9
 
 
-def _near_band(stack, band):
-    """Mask of the nodes of a (..., 3, 3) stack whose polar radius may lie in `band`.
+def _in_band(squared, band):
+    """Mask of the sinh^2 r values `squared` whose radius r may lie in `band`.
 
-    Compares g13^2 + g23^2 = sinh^2 r with sinh^2 of the band edges, widened
-    by `_SQUARED_BAND_MARGIN`; no arcsinh runs.  Radii are >= 0, so a lower
-    edge <= 0 admits every node from below.
+    Compares them with sinh^2 of the band edges, widened by
+    `_SQUARED_BAND_MARGIN`; no arcsinh runs.  Radii are >= 0, so a lower
+    edge <= 0 admits every value from below.
     """
     lo, hi = band
-    g13, g23 = stack[..., 0, 2], stack[..., 1, 2]
-    squared = g13 * g13 + g23 * g23
     return ((squared >= np.sinh(max(lo, 0.0)) ** 2 * (1.0 - _SQUARED_BAND_MARGIN))
             & (squared <= np.sinh(hi) ** 2 * (1.0 + _SQUARED_BAND_MARGIN)))
 
 
-def _shares_third_column(stack):
-    """Whether every row of a (..., m, 3, 3) stack, m > 1, has one (g13, g23) bit for bit.
+def _near_band(stack, band):
+    """Mask of the nodes of a (..., 3, 3) stack whose polar radius may lie in `band`.
 
-    The entries are compared as uint64, a view with no copy: float == would
-    merge -0.0 with +0.0, whose phases z1 differ in the sign of a zero, so
-    a row taken whole would not give the node-by-node values bit for bit.
+    The band test :func:`_in_band` on g13^2 + g23^2 = sinh^2 r, read in place.
     """
-    if stack.shape[-3] < 2:
-        return False
-    column = stack[..., :2, 2].view(np.uint64)
-    return bool((column == column[..., :1, :]).all())
+    g13, g23 = stack[..., 0, 2], stack[..., 1, 2]
+    return _in_band(g13 * g13 + g23 * g23, band)
 
 
-def _on_radial_support(gs, profile, value):
-    """b(r) times an angular factor on an unvalidated stack, evaluated only inside b's band.
+def _on_radial_support(entries, profile, value):
+    """b(r) times an angular factor on polar entries, evaluated only inside b's band.
 
-    `profile` is b, a callable on radii with a finite `support` band outside
-    which it vanishes.  The stack is read in place, never copied whole, so a
-    transposed (..., 3, 3) view, such as a Haar chunk or a projector's
-    translates, costs what a contiguous stack does.  The band test
-    (:func:`_near_band`) picks the candidates from g13 and g23 alone; the
-    radius, b, the polar phases z1 = e^{i theta1} and z2 = e^{i theta2}
+    `entries` are :func:`so21.groups._polar_entries` of the nodes
+    bases[i] @ right[k], and `profile` is b, a callable on radii with a
+    finite `support` band outside which it vanishes.  The band test
+    (:func:`_in_band`) runs on sinh^2 r = |p|^2; the radius, b, the polar
+    phases z1 = e^{i theta1} and z2 = e^{i theta2}
     (:func:`so21.groups._polar_phases`) and `value(b, z1, z2)` run only on
-    the candidates, gathered by one boolean mask on the entry views: g13,
-    g23, g31 and g32 (and g11 and g21 when some radius is 0), never the
-    whole 3x3 stack.  Every other node is an exact +0, and when every node
-    is a candidate nothing is gathered.  A candidate where b is 0 gets
-    `value(0, z1, z2)`, a zero that may carry a sign.
+    the candidates, gathered by their indices, and every other node is an
+    exact +0.  When every node is a candidate nothing is gathered.  A
+    candidate where b is 0 gets `value(0, z1, z2)`, a zero that may carry
+    a sign.
 
-    The kernel works on rows of nodes with one third column: b and z1 come
-    once per row as (rows, 1), z2 once per node as (rows, m), and `value`
-    broadcasts them.  A (..., m, 3, 3) stack whose rows share g13 and g23
-    bit for bit (:func:`_shares_third_column`) is taken row by row: k_theta
-    fixes the third column, so this holds on a Haar chunk's rows B k_theta,
-    its left translates and k right translate, and a projector's translates
-    k_a g k_b.  Any other stack is taken node by node (m = 1), with the same
-    values bit for bit.  Hot path on internally-built grids: the stack is
-    not re-validated.  A single (3, 3) element gives a scalar.
+    On the row route (right factors that fix e3, such as the rotations of
+    a Haar row or a projector) the band test, the radius, b and z1 run
+    once per row, as (rows, 1), and only z2 = (q / sinh r) e^{i theta_k}
+    and `value` run per node, as (rows, m); off it every node is a row of
+    its own.  Returns the (rows, m) values, m = 1 with no right factors.
     """
-    gs = np.asarray(gs, dtype=float)
-    stack = gs.reshape((1,) * max(0, 4 - gs.ndim) + gs.shape)
-    if not _shares_third_column(stack):
-        stack = stack[..., None, :, :]
-    heads = stack[..., 0, :, :]
-    near = _near_band(heads, profile.support)
-    on = ... if near.all() else near
-    radius = groups._polar_radius(heads, at=on)
-    vals = value(profile(radius)[..., None], *groups._polar_phases(stack, radius, at=on))
+    near = _in_band(entries.squared, profile.support)
+    on = ... if near.all() else np.flatnonzero(near)
+    radius, z1, z2 = groups._polar_phases(entries, at=on)
+    # the entries go before `value` runs, so their memory is not held with its temporaries
+    del entries
+    vals = value(profile(radius)[:, None], z1, z2)
+    shape = (near.shape[0], near.shape[1] * vals.shape[1])
     if on is ...:
-        return vals.reshape(gs.shape[:-2])[()]
-    out = np.zeros(stack.shape[:-2], dtype=vals.dtype)
-    out[on] = vals
-    return out.reshape(gs.shape[:-2])[()]
+        return vals.reshape(shape)
+    out = np.zeros(shape, dtype=vals.dtype)
+    out.reshape(near.size, -1)[on] = vals
+    return out
+
+
+class _Radial:
+    """A radial integrand: b(r) times `value(b, z1, z2)`, an angular factor of the polar phases.
+
+    Callable on an unvalidated (..., 3, 3) stack, read in place, never
+    copied whole: the band test (:func:`_near_band`) picks the candidate
+    nodes, whose polar entries (:func:`so21.groups._polar_entries`) are
+    gathered and sent through :func:`_on_radial_support`; every other node
+    is an exact +0.  A single (3, 3) element gives a scalar.  The grid
+    sums, pi(f) and the projectors give it polar entries instead, through
+    :func:`_on_nodes`.  Hot path on internally-built grids: nothing is
+    re-validated.
+    """
+
+    __slots__ = ("profile", "value")
+
+    def __init__(self, profile, value):
+        self.profile = profile
+        self.value = value
+
+    @property
+    def support(self):
+        return self.profile.support
+
+    def __call__(self, gs):
+        gs = np.asarray(gs, dtype=float)
+        build = groups._polar_entries()
+        near = _near_band(gs, self.support)
+        if near.all():
+            return self._on_entries(build, gs).reshape(gs.shape[:-2])[()]
+        vals = self._on_entries(build, gs[near])
+        out = np.zeros(gs.shape[:-2], dtype=vals.dtype)
+        out[near] = vals[:, 0]
+        return out[()]
+
+    def _on_entries(self, build, bases):
+        return _on_radial_support(build(bases), self.profile, self.value)
+
+
+def _on_nodes(f, right=None):
+    """f at the nodes bases[i] @ right[k]: a function of the (rows, 3, 3) bases.
+
+    It gives (rows, m) values, or (rows,) with no right factors.  A radial
+    integrand (a :class:`_Radial`, bare or as an :class:`EquivariantFn`'s
+    evaluator) reads the nodes' polar entries
+    (:func:`so21.groups._polar_entries`, whose route is picked here, once)
+    and no node is built; any other callable gets the element stack, the
+    :func:`_products` view.
+    """
+    radial = getattr(f, "evaluator", f)
+    if not isinstance(radial, _Radial):
+        return f if right is None else lambda bases: f(_products(bases, right))
+    build = groups._polar_entries(right)
+    if right is None:
+        return lambda bases: radial._on_entries(build, bases)[:, 0]
+    return lambda bases: radial._on_entries(build, bases)
+
+
+def _power(z, k):
+    """z ** k for an integer k >= 1 by binary powering: repeated products, in place where possible.
+
+    z is a temporary the caller gives up.  numpy's complex power is several
+    times slower than the products it takes: on 16384 unit phases (2-core
+    AVX-512 Xeon) z ** 3 took 99 us and z ** 6 158 us against 22 and 32 us
+    here, and z ** 0 58 us.  At most one array is allocated, so few fresh
+    pages are mapped.
+    """
+    result = None
+    while True:
+        if k & 1:
+            if result is None:
+                result = z
+            else:
+                np.multiply(result, z, out=result)
+        k >>= 1
+        if not k:
+            return result
+        z = z * z if z is result else np.multiply(z, z, out=z)
 
 
 def separation_witness(n: int, profile: BumpProfile) -> EquivariantFn:
@@ -170,26 +247,20 @@ def separation_witness(n: int, profile: BumpProfile) -> EquivariantFn:
     it takes different values on orbits inside versus outside the band:
     evaluating at two boosts a_x and a_y with radii on opposite sides of
     the band edge exhibits the separation directly.  For n < 0 it takes
-    conj(z1 z2)^|n|, as numpy's negative powers are slow, and at |n| = 1 the
-    product itself, as numpy's first power costs several products.  b and
-    z1 come per row as (rows, 1), z2 as (rows, m); see
-    :func:`_on_radial_support`.
+    conj(z1 z2)^|n|, by binary powering (:func:`_power`), and n = 0 gives b
+    with no power.  b and z1 come per row as (rows, 1), z2 as (rows, m);
+    see :func:`_on_radial_support`.
     """
 
-    # the phase product stays an unnamed temporary, which numpy powers and
-    # multiplies in place; a named one costs a fresh array per operation
-    def phase(z1, z2):
-        return z1 * z2 if n >= 0 else np.conj(z1 * z2)
-
     def value(b, z1, z2):
-        if abs(n) == 1:
-            return b * phase(z1, z2)
-        return b * phase(z1, z2) ** abs(n)
+        if n == 0:
+            return np.broadcast_to(b, z2.shape) + 0j
+        phase = z1 * z2
+        if n < 0:
+            np.conjugate(phase, out=phase)
+        return b * _power(phase, abs(n))
 
-    def evaluate(gs):
-        return _on_radial_support(gs, profile, value)
-
-    return EquivariantFn(n, n, evaluate, support=profile.support)
+    return EquivariantFn(n, n, _Radial(profile, value), support=profile.support)
 
 
 def _projection_angles(nodes):
@@ -218,18 +289,18 @@ def _isotype_projector(f, ns, nodes=None):
     to an array of shape (len(ns), ...), whose entry i is the mean over a
     `nodes` x `nodes` tensor grid of uniform angles (periodic trapezoid) of
     e^{-i n_i (theta_a + theta_b)} f(k_a g k_b).  f is evaluated once per
-    element on its nodes^2 translates F[a, b] = f(k_a g k_b), the
-    :func:`_products` of the k_a g and the k_b; each
+    element on its nodes^2 translates F[a, b] = f(k_a g k_b), the nodes of
+    the row bases k_a g and the right factors k_b (:func:`_on_nodes`); each
     coefficient is then the bilinear form e_n^T F e_n with
     e_n = e^{-i n theta} / nodes, so every isotype comes from that one
     evaluation.
     """
     thetas, rotations = _projection_angles(nodes)
     weights = groups.tau(-np.asarray(ns)[:, None], thetas) / thetas.size
+    translates = _on_nodes(f, rotations)
 
     def value(g):
-        translates = _products(rotations @ g, rotations)
-        return np.sum((weights @ f(translates)) * weights, axis=1)
+        return np.sum((weights @ translates(rotations @ g)) * weights, axis=1)
 
     def project(gs):
         gs = np.asarray(gs, dtype=float)
@@ -263,10 +334,11 @@ def right_isotype_project(f, n: int, nodes=None):
     """
     thetas, rotations = _projection_angles(nodes)
     phase = groups.tau(-n, thetas)
+    translates = _on_nodes(f, rotations)
 
     def project(xs):
         xs = np.asarray(xs, dtype=float)
-        values = f(_products(xs.reshape(-1, 3, 3), rotations))
+        values = translates(xs.reshape(-1, 3, 3))
         return np.mean(phase * values, axis=-1).reshape(xs.shape[:-2])[()]
 
     return project

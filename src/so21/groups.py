@@ -368,72 +368,166 @@ def recompose(c: IwasawaCoords):
 _DEGENERATE_RADIUS = 1e-12
 
 
-def _polar_radius(gs, at=...):
-    """Polar radius of an unvalidated (..., 3, 3) stack, at the nodes `at` selects.
-
-    The radius is arcsinh sqrt(g13^2 + g23^2), the band test's sum of
-    squares, exact on the subgroup elements and stable near the identity,
-    unlike arcosh(g33); in the membership domain (entries below 1e4) the sum
-    neither overflows nor underflows above 1e-154.  Radii below 1e-12 are
-    exactly 0.  `at` indexes the leading shape (a boolean mask gathers only
-    the selected nodes' entries); the default reads the stack in place.
-    """
-    g13, g23 = gs[..., 0, 2][at], gs[..., 1, 2][at]
-    r = np.arcsinh(np.sqrt(g13 * g13 + g23 * g23))
+def _radius(root):
+    """The polar radius arcsinh(root) from root = sinh r >= 0; radii below 1e-12 are exactly 0."""
+    r = np.arcsinh(root)
     flat = r < _DEGENERATE_RADIUS
     if flat.any():
         r = np.where(flat, 0.0, r)
     return r
 
 
-def _polar_phases(gs, r, at=...):
-    """Unit phases z1 = e^{i theta1}, z2 = e^{i theta2} of the rows of an unvalidated stack.
+def _polar_radius(gs):
+    """Polar radius of an unvalidated (..., 3, 3) stack, read in place.
 
-    gs is (..., m, 3, 3), each row m nodes with one third column, and r is
-    :func:`_polar_radius` of the rows' first nodes at `at`, a boolean mask
-    (or ...) on the rows.  With sinh r = sqrt(g13^2 + g23^2), z1 =
-    (g13 + i g23) / sinh r comes once per row, shape (..., 1), and z2 =
-    (g31 - i g32) / sinh r once per node, (..., m): no angle.  At radius 0
-    they are (1, g11 + i g21).  Single nodes are rows gs[..., None, :, :].
+    The radius is arcsinh sqrt(g13^2 + g23^2), the band test's sum of
+    squares, exact on the subgroup elements and stable near the identity,
+    unlike arcosh(g33); in the membership domain (entries below 1e4) the sum
+    neither overflows nor underflows above 1e-154.  Radii below 1e-12 are
+    exactly 0 (:func:`_radius`).
     """
-    def entry(i, j, first=False):
-        if first or gs.shape[-3] == 1:  # a mask gathers single nodes fast off a node axis
-            return gs[..., 0, i, j][at][..., None]
-        return gs[..., i, j][at]
-
-    g13, g23 = entry(0, 2, first=True), entry(1, 2, first=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = 1.0 / np.sqrt(g13 * g13 + g23 * g23)
-        z1 = _complex(g13, g23, scale, scale)
-        z2 = _complex(entry(2, 0), entry(2, 1), scale, -scale)
-    flat = np.asarray(r == 0.0)[..., None]
-    if flat.any():
-        z1 = np.where(flat, 1.0, z1)
-        z2 = np.where(flat, _complex(entry(0, 0), entry(1, 0), 1.0, 1.0), z2)
-    return z1, z2
+    g13, g23 = gs[..., 0, 2], gs[..., 1, 2]
+    return _radius(np.sqrt(g13 * g13 + g23 * g23))
 
 
-def _complex(re, im, re_scale, im_scale):
-    """re * re_scale + i im * im_scale, each part written by one real product."""
-    z = np.empty(re.shape, dtype=complex)
-    np.multiply(re, re_scale, out=z.real)
-    np.multiply(im, im_scale, out=z.imag)
+class _PolarEntries:
+    """Polar entries of the nodes bases[i] @ right[k], from a :func:`_polar_entries` builder.
+
+    p = g13 + i g23 and q = g31 - i g32 as (2, ...) arrays of real and
+    imaginary parts, with sinh^2 r = |p|^2 = `squared`, summed as
+    Re(p)^2 + Im(p)^2.  On the row route p, q and squared are per row,
+    (2, rows, 1) and (rows, 1), and node k's q is its row's times
+    `phase[k]`, an (m,) complex array; with no right factors `phase` is
+    None.  Off it they are per node, (2, rows, m) and (rows, m), and
+    `phase` is None.  `bases` and `right` stay for the radius-0 nodes
+    (:func:`_origin_phases`).
+    """
+
+    __slots__ = ("p", "q", "squared", "phase", "bases", "right")
+
+    def __init__(self, p, q, squared, phase, bases, right):
+        self.p, self.q, self.squared = p, q, squared
+        self.phase, self.bases, self.right = phase, bases, right
+
+
+def _pair(re, im):
+    """The complex array re + i im, each part written once."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real = re
+    z.imag = im
     return z
+
+
+def _fixes_e3(right):
+    """Whether every right factor of an (m, 3, 3) stack fixes e3: its third row and column are e3's.
+
+    One test on the m factors picks the route of :func:`_polar_entries`.
+    """
+    moved = right[:, :2, 2].any() or right[:, 2, :2].any()
+    return not moved and bool((right[:, 2, 2] == 1.0).all())
+
+
+def _polar_entries(right=None):
+    """The builder of the polar entries of the nodes bases[i] @ right[k]: a function of the bases.
+
+    `right` is an (m, 3, 3) stack, or None for nodes that are the bases
+    themselves.  The builder takes an unvalidated (..., 3, 3) stack of
+    bases, whose leading shape counts as rows, and returns their
+    :class:`_PolarEntries`; no node is built.  For g in SO(2,1)^0,
+    p = g13 + i g23 and q = g31 - i g32 give sinh r = |p|,
+    e^{i theta1} = p / |p| and e^{i theta2} = q / |p|, and K acts on them
+    by phases (Knapp, Ch. V, K A K): p(k_a g k_b) = e^{i a} p(g) and
+    q(k_a g k_b) = q(g) e^{i b}.  So when every right factor fixes e3
+    (:func:`_fixes_e3`, tested once on the factors, here), as a rotation
+    k_theta does, the row route reads p and q once per row off the bases
+    and each node's q is its row's times the factor's phase R11 + i R21.
+    Any other right factors take p and q per node from real
+    (rows x 3) @ (3 x m) products of the bases' rows and the factors'
+    columns.  With right factors the bases are a (rows, 3, 3) stack.
+    """
+    if right is None or _fixes_e3(right):
+        phase = None if right is None else _pair(right[:, 0, 0], right[:, 1, 0])
+
+        def build(bases):
+            if bases.ndim == 2:
+                bases = bases[None]
+            p = np.stack([bases[..., 0, 2], bases[..., 1, 2]]).reshape(2, -1, 1)
+            q = np.stack([bases[..., 2, 0], bases[..., 2, 1]]).reshape(2, -1, 1)
+            np.negative(q[1], out=q[1])
+            return _PolarEntries(p, q, p[0] * p[0] + p[1] * p[1], phase, bases, right)
+        return build
+    third_column = np.ascontiguousarray(right[:, :, 2].T)
+    first_rows = np.stack([right[:, :, 0].T, -right[:, :, 1].T])
+
+    def build(bases):
+        p = np.moveaxis(bases[:, :2, :], 1, 0) @ third_column
+        q = bases[:, 2, :] @ first_rows
+        return _PolarEntries(p, q, p[0] * p[0] + p[1] * p[1], None, bases, right)
+    return build
+
+
+def _polar_phases(entries, at=...):
+    """Radius r and unit phases z1 = e^{i theta1}, z2 = e^{i theta2} of polar entries, no angle.
+
+    `at` is ... or the flat indices of k entries into ``entries.squared``;
+    r is (k,), z1 is (k, 1), and z2 is (k, m) on the row route with right
+    factors (each row's q times the phases) and (k, 1) otherwise.  With
+    sinh r = sqrt(squared), z1 = p / sinh r and z2 = q / sinh r, each part
+    scaled by one real product.  At radius 0 they are 1 and g11 + i g21
+    (:func:`_origin_phases`).
+    """
+    parts = [part.reshape(-1) for part in (*entries.p, *entries.q, entries.squared)]
+    if at is not ...:
+        parts = [part[at] for part in parts]
+    p, q, root = parts[:2], parts[2:4], np.sqrt(parts[4])
+    r = _radius(root)
+    flat = r == 0.0
+    if flat.any():
+        root[flat] = 1.0
+    scale = np.divide(1.0, root, out=root)
+    z1, z2 = np.empty((2, r.size, 1), dtype=complex)
+    for z, (re, im) in ((z1, p), (z2, q)):
+        np.multiply(re, scale, out=z.real[:, 0])
+        np.multiply(im, scale, out=z.imag[:, 0])
+    if entries.phase is not None:
+        z2 = z2 * entries.phase
+    if flat.any():
+        z1[flat] = 1.0
+        z2[flat] = _origin_phases(entries, (np.arange(r.size) if at is ... else at)[flat])
+    return r, z1, z2
+
+
+def _origin_phases(entries, index):
+    """g11 + i g21 of the nodes at flat indices `index` into ``entries.squared``, shaped as z2.
+
+    Each node's is (g11 + i g21) R11 + (g12 + i g22) R21 + (g13 + i g23) R31
+    of its base and right factor, or its base's g11 + i g21.
+    """
+    bases, right = entries.bases, entries.right
+    row = index if entries.squared.shape[1] == 1 else index // right.shape[0]
+    picked = bases[np.unravel_index(row, bases.shape[:-2])]
+    upper = _pair(picked[:, 0, :], picked[:, 1, :])
+    if right is None:
+        return upper[:, :1]
+    if entries.phase is not None:
+        return upper @ right[:, :, 0].T
+    return np.sum(upper * right[index % right.shape[0], :, 0], axis=-1)[:, None]
 
 
 def _polar(gs):
     """Polar coordinates (theta1, r, theta2) of an unvalidated (..., 3, 3) stack.
 
-    The radius is :func:`_polar_radius`.  For positive radius the two
+    The radius is that of :func:`_polar_radius`.  For positive radius the two
     angles are pinned by the third column and the third row of g, and the
     factorization k_theta1 a_r k_theta2 is unique.  At the degenerate
     radius 0 the element is a pure rotation, stored as theta1 = 0 with
     theta2 carrying the whole angle.  The angles are the arguments of
-    :func:`_polar_phases`, in (-pi, pi]; radial integrands take the phases.
+    :func:`_polar_phases` on :func:`_polar_entries`, in (-pi, pi]; radial
+    integrands take the phases.
     """
-    r = _polar_radius(gs)
-    z1, z2 = _polar_phases(gs[..., None, :, :], r)
-    return np.angle(z1[..., 0]), r, np.angle(z2[..., 0])
+    shape = gs.shape[:-2]
+    r, z1, z2 = _polar_phases(_polar_entries()(gs))
+    return np.angle(z1).reshape(shape), r.reshape(shape), np.angle(z2).reshape(shape)
 
 
 def cartan_radius(g):

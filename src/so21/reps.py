@@ -42,14 +42,19 @@ class SpectralParam:
     """Tagged descriptor of an irreducible (or induced-point) representation.
 
     kind is one of "trivial", "principal", "complementary", "induced_point",
-    "discrete".  The induced kinds carry the complex parameter s; discrete
-    series carry an even integer m >= 2 and a sign.
+    "discrete".  The induced kinds carry the complex parameter s, which
+    must be finite (DomainError otherwise); discrete series carry an even
+    integer m >= 2 and a sign.
     """
 
     kind: str
     s: complex = 0j
     m: int = 0
     sign: int = 1
+
+    def __post_init__(self):
+        if not np.isfinite(complex(self.s)):
+            raise DomainError(f"spectral parameter s = {self.s} is not finite")
 
     @staticmethod
     def trivial() -> "SpectralParam":
@@ -138,15 +143,19 @@ class SpectralParam:
 def parse_complex(text: str) -> complex:
     """Parse "i", "2i", "0.5", "0.5+2i", "1-i" into a complex number.
 
-    The literal follows Python's complex() grammar with i (or I) for j.
+    The literal follows Python's complex() grammar with i (or I) for j; a
+    non-finite value (nan, inf) is a DomainError.
     """
     cleaned = text.strip().replace(" ", "").replace("I", "i")
     if not cleaned:
         raise DomainError("empty complex literal")
     try:
-        return complex(cleaned.replace("i", "j"))
+        value = complex(cleaned.replace("i", "j"))
     except ValueError as exc:
         raise DomainError(f"cannot parse complex literal {text!r}") from exc
+    if not np.isfinite(value):
+        raise DomainError(f"complex literal {text!r} is not finite")
+    return value
 
 
 def _format_complex(value: complex) -> str:

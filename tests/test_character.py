@@ -54,9 +54,10 @@ def test_grid_elements_are_members():
 
 
 def _grid_chunks(grid, rows=None):
-    # the chunks of the given rows of a grid (all when None)
+    # the element stacks of the chunks of the given rows of a grid (all when None)
     rows = np.arange(grid.nt * grid.nu) if rows is None else np.asarray(rows, dtype=np.intp)
-    return character._chunks(grid._row_bases, grid._rotations, rows)
+    return [equivariant._products(grid._row_bases[chunk], grid._rotations)
+            for chunk in character._chunks(rows, grid.ntheta)]
 
 
 def _rows_in_band(grid, band):
@@ -314,18 +315,22 @@ def test_haar_invariance_pruning_loses_no_mass():
 
 def _unmasked_polar(gs):
     # the radius and the polar phases of every node, each node a row of its
-    # own: the kernels' polar data with no band test and no shared rows, as
-    # (..., 1) arrays, so a single element runs array arithmetic too
-    nodes = np.asarray(gs, dtype=float)[..., None, :, :]
-    r = groups._polar_radius(nodes)
-    return (r, *groups._polar_phases(nodes, r[..., 0]))
+    # own: the kernels' polar data with no band test, as (..., 1) arrays,
+    # so a single element runs array arithmetic too
+    gs = np.asarray(gs, dtype=float)
+    r, z1, z2 = groups._polar_phases(groups._polar_entries()(gs))
+    shape = gs.shape[:-2] + (1,)
+    return r.reshape(shape), z1.reshape(shape), z2.reshape(shape)
 
 
 def _unmasked_witness(n, profile):
     def values(gs):
         r, z1, z2 = _unmasked_polar(gs)
-        phase = (z1 * z2 if n >= 0 else np.conj(z1 * z2)) ** abs(n)
-        return (profile(r) * phase)[..., 0][()]
+        # the witness's binary powering; its values are checked against
+        # the angle formula in test_phase_kernels_match_the_angle_formula
+        phase = z1 * z2 if n >= 0 else np.conj(z1 * z2)
+        power = equivariant._power(phase, abs(n)) if n else phase ** 0
+        return (profile(r) * power)[..., 0][()]
     return values
 
 
@@ -390,14 +395,9 @@ class _BoxProfile:
         return ((r >= lo) & (r <= hi)).astype(float)
 
 
-def _box_kernel(gs):
-    # e^{i (theta1 - 2 theta2)}, the per-node factor on the left (see
-    # character._oracle_test_function)
-    return equivariant._on_radial_support(
-        gs, _BoxProfile(), lambda b, z1, z2: b * (np.conj(z2) ** 2 * z1))
-
-
-_box_kernel.support = _BoxProfile.support
+# e^{i (theta1 - 2 theta2)}, the per-node factor on the left (see
+# character._oracle_value)
+_box_kernel = equivariant._Radial(_BoxProfile(), lambda b, z1, z2: b * (np.conj(z2) ** 2 * z1))
 
 
 def _unmasked_box(gs):
@@ -489,12 +489,13 @@ def test_phase_kernels_match_the_angle_formula(kind):
     # the witness and the oracle read their phases off the third column and
     # row; the hypot/arctan2/exp formula gives the same values to a few ulps
     # per unit of angular degree.  Worst measured over 1M random and
-    # signed-zero elements: 2.6 eps * max(1, |n|) for the witness, 5.4 eps
-    # for the oracle
+    # signed-zero elements, n = -6..6 (the witness powers by repeated
+    # products): 2.6 eps * max(1, |n|) for the witness, 5.4 eps for the
+    # oracle
     gs = _PHASE_STACKS[kind]
     eps = np.finfo(float).eps
     for profile in (equivariant.BumpProfile(0.6, 0.35), equivariant.BumpProfile(0.0, 0.7)):
-        for n in (-3, -2, -1, 0, 1, 2, 5):
+        for n in range(-6, 7):
             got = equivariant.separation_witness(n, profile)(gs)
             want = _angle_witness(n, profile)(gs)
             assert np.max(np.abs(got - want)) <= 8 * eps * max(1, abs(n)), (profile, n)
@@ -518,20 +519,21 @@ class _RecordingProfile:
 
 def test_radial_kernel_evaluates_the_profile_on_band_candidates_only():
     # cost guard: every node B k_theta of a Haar chunk's row has its base's
-    # g13 and g23, so the profile sees one radius per row the band test
-    # admits, not one per node
+    # g13 and g23, so on the row route the profile sees one radius per row
+    # the band test admits, not one per node
     profile = _RecordingProfile()
-    chunk = _BAND_CHUNK
+    bases = SMALL_GRID._row_bases[512:640]
+    entries = groups._polar_entries(SMALL_GRID._rotations)(bases)
     got = equivariant._on_radial_support(
-        chunk, profile, lambda b, z1, z2: b * (z1 * np.conj(z2)).real)
-    radius = groups._polar_radius(chunk[:, 0])
+        entries, profile, lambda b, z1, z2: b * (z1 * np.conj(z2)).real)
+    radius = groups._polar_radius(bases)
     lo, hi = profile.support
     inside = (radius >= lo - 1e-8) & (radius <= hi + 1e-8)
     assert len(profile.seen) == 1 and profile.seen[0].ndim == 1
     assert 0 < profile.seen[0].size == np.count_nonzero(inside) < radius.size
     assert np.array_equal(profile.seen[0], radius[inside])
-    want = _unmasked_witness(0, profile.bump)(chunk)
-    assert np.array_equal(got != 0.0, want != 0.0)
+    want = _unmasked_witness(0, profile.bump)(_BAND_CHUNK)
+    assert got.shape == want.shape and np.array_equal(got != 0.0, want != 0.0)
 
 
 def test_projector_evaluates_the_profile_once_per_translate_row():
@@ -548,117 +550,159 @@ def test_projector_evaluates_the_profile_once_per_translate_row():
     assert [r.shape for r in profile.seen] == [(2,)]
 
 
-def _translate_chunk(rotations, translate=None):
-    # the rows of SMALL_GRID near the oracle's band, as a chunk of rows
-    # (translate @ B) @ k_j, or B @ k_j when translate is None
-    B = SMALL_GRID._row_bases
-    bases = B if translate is None else translate @ B
-    rows = _band_rows(bases, (0.0, 1.5))[:100]
-    return next(character._chunks(bases, rotations, rows))
+def test_radial_integrands_build_no_node_stack(monkeypatch):
+    # cost guard: the Haar check, integrate_G, pi(f) and both projectors
+    # hand a radial integrand the polar entries of its nodes, so no
+    # (rows, m, 3, 3) node stack is built for it, not even for the right
+    # boost and unipotent translates
+    def refused(left, right):
+        raise AssertionError("a node stack was built")
+
+    monkeypatch.setattr(equivariant, "_products", refused)
+    g = groups.make_k(0.4) @ groups.make_a(0.55) @ groups.make_k(1.3)
+    assert character.haar_invariance_check(SMALL_GRID).worst < 0.05
+    assert abs(character.integrate_G(_witness(0), SMALL_GRID)) > 0.0
+    op = character.pi_of_f(reps.SpectralParam.principal(1.0), _witness(1), SMALL_GRID, 6)
+    assert op.active_rows > 0
+    assert abs(equivariant.project_biequivariant(_witness(2), 2, nodes=64)(g)) > 0.1
+    assert abs(equivariant.right_isotype_project(_witness(2), 2, nodes=64)(g)) > 0.1
 
 
-def _projector_translates(g, nodes=64):
-    # k_a g k_b in block (a, b), as _isotype_projector builds them
-    rotations = equivariant._projection_angles(nodes)[1]
-    return equivariant._products(rotations @ g, rotations)
+def _band_bases(bases, band=(0.0, 1.5), count=100):
+    # the first `count` of the bases whose radius lies in a wide band
+    # around the kernels' bands
+    return bases[_band_rows(bases, band)[:count]]
 
 
-def _right_isotype_stack(x, nodes=64):
-    # x k_b as one block row, as right_isotype_project builds it
-    rotations = equivariant._projection_angles(nodes)[1]
-    return equivariant._products(x[None], rotations)
+def _with_nan(bases, right):
+    # NaN in g31 of one row base (its q) and in g13 of another (its p, so
+    # the band test drops it), rows 3 and 4 of the oracle's band, and in
+    # R11 of right factor 5 (its phase)
+    bases, right = np.array(bases), np.array(right)
+    radius = groups._polar_radius(bases)
+    assert np.all((radius[3:5] > 0.3) & (radius[3:5] < 0.9))
+    bases[3, 2, 0] = np.nan
+    bases[4, 0, 2] = np.nan
+    right[5, 0, 0] = np.nan
+    return bases, right
 
 
 _K = SMALL_GRID._rotations
+_B = SMALL_GRID._row_bases
 _G = groups.make_k(0.4) @ groups.make_a(0.55) @ groups.make_k(1.3)
-_ROW_STACKS = {
-    "grid_chunk": _BAND_CHUNK,
-    "left_translate": _translate_chunk(_K, groups.make_a(0.3) @ groups.make_n(-0.2)),
-    "k_right_translate": _translate_chunk(_K @ groups.make_k(1.0)),
-    "projector_translates": _projector_translates(_G),
-    "right_isotype": _right_isotype_stack(_G),
-    "right_isotype_3d": _right_isotype_stack(_G)[0],
-    "one_row_3d": _BAND_CHUNK[46],
-    "zero_radius_rows": _ORIGIN_MIXED,
+_PROJECTION_K = equivariant._projection_angles(64)[1]
+# 37 x 41 midpoints put t = u = 0 at row 18 * 41 + 20: that row base is the
+# identity, and its nodes k_theta have radius 0
+_ORIGIN_GRID = character.HaarGrid(nt=37, nu=41, ntheta=100)
+# each route's (row bases, right factors): the polar route reads their
+# polar entries, the node route the (rows, m, 3, 3) stack of their products
+_ROUTES = {
+    "grid_rows": (_band_bases(_B), _K),
+    "origin_rows": (_ORIGIN_GRID._row_bases[18 * 41 + 14:18 * 41 + 27], _ORIGIN_GRID._rotations),
+    "left_translate": (_band_bases(groups.make_a(0.3) @ groups.make_n(-0.2) @ _B), _K),
+    "right_a": (_band_bases(_B), _K @ groups.make_a(0.3)),
+    "right_n": (_band_bases(_B), _K @ groups.make_n(0.5)),
+    "right_k": (_band_bases(_B), _K @ groups.make_k(1.0)),
+    "projector_translates": (_PROJECTION_K @ _G, _PROJECTION_K),
+    "right_isotype": (np.stack([_G, _G @ groups.make_a(0.1), _G @ groups.make_n(-0.3)]),
+                      _PROJECTION_K),
+    "signed_zeros": (_signed_zero_stack(np.random.default_rng(6), 60), _K),
+    "signed_zeros_right_a": (_signed_zero_stack(np.random.default_rng(7), 60),
+                             _K @ groups.make_a(0.3)),
+    "nan_rows": _with_nan(_band_bases(_B, (0.3, 0.9)), _K),
+    "nan_rows_right_n": _with_nan(_band_bases(_B, (0.3, 0.9)), _K @ groups.make_n(0.5)),
 }
-_NODE_STACKS = {
-    "a_right_translate": _translate_chunk(_K @ groups.make_a(0.3)),
-    "n_right_translate": _translate_chunk(_K @ groups.make_n(0.5)),
-    "row_bases_3d": SMALL_GRID._row_bases[::7],
-}
+_NODE_ROUTES = {"right_a", "right_n", "signed_zeros_right_a", "nan_rows_right_n"}
+_ORIGIN_PROFILE = equivariant.BumpProfile(0.0, 0.7)
 _KERNELS = {
-    "witness": _witness(2),
-    "origin_witness": _witness(-1, 0.0, 0.7),
+    **{f"witness_{n}": equivariant.separation_witness(n, equivariant.BumpProfile(0.6, 0.3))
+       for n in range(-6, 7)},
+    **{f"origin_witness_{n}": equivariant.separation_witness(n, _ORIGIN_PROFILE)
+       for n in (-3, 0, 2)},
     "oracle": character._oracle_test_function,
 }
+# The polar and node routes round differently: the row route multiplies a
+# row's q / sinh r by each rotation's phase R11 + i R21 and the other route
+# takes p and q from its own products, where the node route scales the
+# entries of the 3x3 block products.  Worst measured |polar - node| over
+# every route below: 0.63 eps * max(1, |n|) for the witnesses and 1.5 eps
+# for the oracle; over 2400 random row bases times 128 rotations and their
+# right translates by a boost, a unipotent and a rotation, 0.90 eps *
+# max(1, |n|) and 2.0 eps.
+_ROUTE_BOUND = 4 * np.finfo(float).eps
 
 
-def _node_by_node(f, gs):
-    # the per-node path: each node a row of its own
-    return f(np.ascontiguousarray(gs)[..., None, :, :]).reshape(gs.shape[:-2])
+def _route_values(f, bases, right):
+    polar = equivariant._on_nodes(f, right)(bases)
+    node = f(equivariant._products(bases, right))
+    return polar, node
 
 
-def _assert_bit_identical(got, want):
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
+def _route_bound(kernel):
+    n = int(kernel.rsplit("_", 1)[1]) if kernel != "oracle" else 1
+    return _ROUTE_BOUND * max(1, abs(n))
 
 
 @pytest.mark.parametrize("kernel", list(_KERNELS))
-@pytest.mark.parametrize("kind", list(_ROW_STACKS) + list(_NODE_STACKS))
+@pytest.mark.parametrize("kind", list(_ROUTES))
 def test_radial_kernel_rows_match_the_node_by_node_path(kind, kernel):
-    # rows sharing g13 and g23 take the row path, every other stack the
-    # node-by-node path; either way every value is bit for bit the value
-    # of the node-by-node path
-    gs = {**_ROW_STACKS, **_NODE_STACKS}[kind]
-    assert equivariant._shares_third_column(gs) == (kind in _ROW_STACKS)
+    # the polar entries of (row bases, right factors) against the node
+    # route on the materialized _products stack: the same exact zeros and
+    # NaNs, and every other value within a few eps per unit of |n|
+    bases, right = _ROUTES[kind]
+    assert groups._fixes_e3(right) == (kind not in _NODE_ROUTES)
     f = _KERNELS[kernel]
-    got, want = f(gs), _node_by_node(f, gs)
-    _assert_bit_identical(got, want)
-    assert np.any(want != 0.0) or kernel == "origin_witness"
+    polar, node = _route_values(f, bases, right)
+    assert polar.shape == node.shape == (bases.shape[0], right.shape[0])
+    assert polar.dtype == node.dtype
+    assert np.array_equal(np.isnan(polar), np.isnan(node))
+    assert np.array_equal(polar == 0.0, node == 0.0)
+    finite = ~np.isnan(node)
+    assert np.max(np.abs(polar - node)[finite], initial=0.0) <= _route_bound(kernel)
 
 
 def test_radial_kernel_row_cases_reach_the_band_and_the_origin():
-    # every row kind has band nodes where the oracle is nonzero, and the
-    # zero-radius rows take theta2 from g11 and g21 inside the origin band
-    for kind, gs in _ROW_STACKS.items():
-        assert np.count_nonzero(character._oracle_test_function(gs)) > 0, kind
-    radius = groups._polar_radius(_ORIGIN_MIXED)
-    assert np.all(radius[:4] == 0.0)
-    assert np.count_nonzero(_KERNELS["origin_witness"](_ORIGIN_MIXED)[:4]) == 20
-
-
-def test_radial_kernel_keeps_signed_zero_nodes_apart():
-    # g13 < 0 with g23 = +0.0 at one node and -0.0 at the other: their
-    # phases z1 = -1 + 0i and -1 - 0i differ in the sign of a zero, though
-    # float == sees one third column, so the row is taken node by node.
-    # The phase rule has no branch cut there: the two values agree to 1 ulp
-    row = np.repeat(groups.make_a(-0.5)[None, None], 2, axis=1)
-    row[0, 1, 1, 2] = -0.0
-    column = row[..., :2, 2]
-    assert np.all(column == column[:, :1]) and not equivariant._shares_third_column(row)
-    for f in _KERNELS.values():
-        got, want = f(row), _node_by_node(f, row)
-        _assert_bit_identical(got, want)
-    got = _witness(1)(row)
-    assert abs(got[0, 0] - got[0, 1]) <= np.spacing(abs(got[0, 0]))
+    # every route has band nodes where the oracle is nonzero, and the
+    # origin rows have radius-0 nodes inside the origin band, where theta2
+    # comes from g11 and g21
+    oracle = character._oracle_test_function
+    for kind, (bases, right) in _ROUTES.items():
+        if kind != "origin_rows":
+            assert np.count_nonzero(_route_values(oracle, bases, right)[0]) > 0, kind
+    bases, right = _ROUTES["origin_rows"]
+    radius = groups._polar_radius(equivariant._products(bases, right))
+    assert np.count_nonzero(radius == 0.0) == right.shape[0]
+    polar, node = _route_values(_KERNELS["origin_witness_2"], bases, right)
+    assert np.count_nonzero(polar[radius == 0.0]) == right.shape[0]
 
 
 def test_radial_kernel_rows_with_nan():
-    # a NaN entry: at one node's g31 (the row still shares its third
-    # column), in g13 at every node of a row (shared, outside the band), and
-    # in g13 at one node (the stack is taken node by node)
-    nan_theta = np.array(_BAND_CHUNK)
-    nan_theta[46, 5, 2, 0] = np.nan
-    nan_row = np.array(_BAND_CHUNK)
-    nan_row[47, :, 0, 2] = np.nan
-    nan_node = np.array(_BAND_CHUNK)
-    nan_node[48, 7, 0, 2] = np.nan
-    for gs, shared in ((nan_theta, True), (nan_row, True), (nan_node, False)):
-        assert equivariant._shares_third_column(gs) == shared
-        for f in _KERNELS.values():
-            _assert_bit_identical(f(gs), _node_by_node(f, gs))
-    oracle = character._oracle_test_function
-    assert np.isnan(oracle(nan_theta)[46, 5]) and np.count_nonzero(oracle(nan_row)[47]) == 0
+    # a NaN in g31 of row 3's base makes the nodes of that row NaN where the
+    # band test admits them (every node on the row route, whose rows keep
+    # their radius), one in g13 of row 4's base drops the row from the
+    # band, and one in R11 of right factor 5 reaches its column, on either
+    # route
+    for kind in ("nan_rows", "nan_rows_right_n"):
+        polar, node = _route_values(character._oracle_test_function, *_ROUTES[kind])
+        assert np.isnan(polar[3]).any() and not np.isnan(polar[4]).any(), kind
+        assert np.isnan(polar[3]).all() == (kind == "nan_rows"), kind
+        assert np.count_nonzero(polar[4]) == 0 and np.isnan(polar[:, 5]).any(), kind
+        assert np.array_equal(np.isnan(polar), np.isnan(node)), kind
+
+
+def test_radial_kernel_keeps_signed_zero_nodes_apart():
+    # row bases a_(-0.5) with g23 = +0.0 and -0.0: their phases z1 = -1 + 0i
+    # and -1 - 0i differ in the sign of a zero.  Each row takes its own p
+    # on the row route, within the route bound of the node route, and the
+    # phase rule has no branch cut there: the two rows agree to 1 ulp
+    bases = np.repeat(groups.make_a(-0.5)[None], 2, axis=0)
+    bases[1, 1, 2] = -0.0
+    assert bases[0, 1, 2] == bases[1, 1, 2] and np.signbit(bases[1, 1, 2])
+    for kernel, f in _KERNELS.items():
+        polar, node = _route_values(f, bases, _K)
+        assert np.max(np.abs(polar - node)) <= _route_bound(kernel), kernel
+    got = _route_values(_KERNELS["witness_1"], bases, _K)[0]
+    assert np.max(np.abs(got[0] - got[1])) <= np.spacing(np.max(np.abs(got)))
 
 
 def test_radial_kernel_single_elements_match_their_stack():

@@ -316,6 +316,21 @@ def test_non_finite_bump_is_a_domain_error(capsys, argv):
     assert captured.out == "" and "must be finite" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["matcoef", "--s", "nan", "--g-iwasawa", "0.4,0,0", "--n", "0", "--m", "0"],
+    ["matcoef", "--s", "0.5+nani", "--g-iwasawa", "0.4,0,0", "--n", "0", "--m", "0"],
+    ["charcheck", "--s", "1e400i", "--n", "1", "--grid", "16,16,32", "--trunc", "4"],
+    ["gram", "--params", "i,nan", "--n", "0"],
+    ["spherical", "--w", "nan", "--z", "1,2"],
+], ids=["matcoef_nan", "matcoef_nan_imaginary", "charcheck_overflow", "gram_nan",
+        "spherical_nan"])
+def test_non_finite_complex_literal_is_a_domain_error(capsys, argv):
+    # `matcoef --s nan` printed {"im": NaN, "re": NaN} and exited 0
+    assert cli.run(argv + ["--no-meta"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "is not finite" in captured.err
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["charcheck", "--s", "i", "--n", "1", "--grid", "0,48,96"], 2, "node counts must be >= 1"),
     (["charcheck", "--s", "i", "--n", "1", "--grid", "48,48,-4"], 1, "non-negative integer"),

@@ -78,6 +78,29 @@ def test_parse_complex_refuses(text):
         reps.parse_complex(text)
 
 
+@pytest.mark.parametrize("text", ["nan", "NaN", "-nan", "nan+1i", "1+nani", "1e400", "-1e400i",
+                                  "0.5+1e309i"])
+def test_parse_complex_refuses_non_finite(text):
+    # complex() reads nan and overflows 1e400 to inf; a non-finite spectral
+    # parameter or exponent used to reach the kernels and print NaN
+    with pytest.raises(DomainError, match="not finite"):
+        reps.parse_complex(text)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: reps.SpectralParam.principal(float("inf")),
+    lambda: reps.SpectralParam.principal(float("nan")),
+    lambda: reps.SpectralParam.induced_point(complex(float("nan"), 0.0)),
+    lambda: reps.SpectralParam.induced_point(complex(0.5, float("-inf"))),
+    lambda: reps.SpectralParam.from_s(complex(float("inf"), 0.0)),
+    lambda: reps.SpectralParam("principal", s=complex(0.0, float("nan"))),
+], ids=["principal_inf", "principal_nan", "induced_nan", "induced_minus_inf", "from_s_inf",
+        "direct_nan"])
+def test_spectral_param_refuses_non_finite(make):
+    with pytest.raises(DomainError, match="not finite"):
+        make()
+
+
 def test_discrete_ambient_parameter():
     assert reps.SpectralParam.discrete(4, 1).induced_s == 3.0
     with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -53,3 +54,38 @@ def test_output_digest_script_is_deterministic():
         assert len(digest) == 64 and argv.split()[0] in cli.OPERATION_COVERAGE
     assert {"suite", "suite --fast", "haarcheck --grid 96,96,128"} <= {
         line.split(" ", 1)[1] for line in lines}
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(Path(name).stem, ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_record_summarizes_alternating_pairs():
+    # each metric is summarized over the pairs, parent against change,
+    # whichever side ran first
+    record = _load_script("bench_record.py")
+
+    def run(pair, side, wall, failed=0):
+        return {"workload": "haar", "pair": pair, "side": side, "failed": failed,
+                "metrics": {"wall_s": wall, "haar_defect": 4e-4}}
+
+    runs = [run(0, "parent", 3.0), run(0, "change", 2.0), run(1, "change", 2.5, failed=1),
+            run(1, "parent", 2.0), run(2, "parent", 4.0), run(2, "change", 1.0)]
+    summary = record._summary(runs)["haar"]
+    wall = summary["wall_s"]
+    assert wall["pairs"] == 3 and wall["change_lower_in"] == 2
+    assert wall["parent_median"] == 3.0 and wall["change_median"] == 2.0
+    assert wall["parent_quartiles"] == [2.5, 3.5] and not wall["identical"]
+    assert summary["haar_defect"]["identical"]
+    assert summary["failed_ops"] == {"parent": 0, "change": 1}
+
+
+def test_bench_record_refuses_unknown_workloads(tmp_path):
+    out = tmp_path / "bench.json"
+    done = _run_script("bench_record.py", "--parent", "HEAD", "--out", str(out),
+                       "--workloads", "haar,nope")
+    assert done.returncode == 2 and "unknown workloads ['nope']" in done.stderr
+    assert not out.exists()
