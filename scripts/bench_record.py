@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """Record the benchmark of a change against its parent commit as a BENCH JSON file.
 
-Runs ``perfbench/run.py --trace 0`` on a parent commit and on this working
-tree in alternating pairs: pair k runs both sides on seed ``--seed + k``,
-the parent first in even pairs and the change first in odd ones.  The parent
-tree is extracted with ``git archive`` into a temporary directory, so it is
-measured with its own sources and benchmark, the way a fresh checkout is.
+Runs ``perfbench/run.py --trace 0`` on a parent commit and on HEAD, for
+every workload of ``BENCHMARK.json`` and for its ``run_seconds``,
+in PAIRS alternating pairs: pair k runs both sides on seed ``--seed + k``,
+the parent first in even pairs and the change first in odd ones.  Each
+commit is extracted with ``git archive`` into a temporary directory, so it
+is measured with its own sources and benchmark, the way a fresh checkout
+is; uncommitted changes are not measured.
 The output file holds every run's metrics and, per workload and metric, the
 median and quartiles of each side, the number of pairs the change read
 lower in, the provenance that ``run.py`` prints (git revision, source
 digest, CPU model, nproc, Python and numpy) and both git revisions:
 
-    python3 scripts/bench_record.py --parent HEAD~1 --out BENCH_29.json
-    python3 scripts/bench_record.py --parent main --workloads haar --pairs 10 --seconds 20
+    python3 scripts/bench_record.py --parent HEAD~1 --out BENCH_29.json --seed 30
 
 Exit code 1 means a run failed (its output is printed); nothing is written
 then.
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("battery", "pointwise", "haar")
+PAIRS = 10
 
 
 def _git(*args) -> str:
@@ -96,28 +97,24 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", required=True, help="git revision of the parent commit")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=0, help="seed of the first pair")
     args = parser.parse_args(argv)
-    workloads = [w for w in args.workloads.split(",") if w]
-    unknown = set(workloads) - set(WORKLOADS)
-    if unknown or args.pairs < 1:
-        parser.error(f"unknown workloads {sorted(unknown)}" if unknown else "--pairs must be >= 1")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
 
-    parent_revision = _git("rev-parse", args.parent)
+    revisions = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", "HEAD")}
     runs = []
     with tempfile.TemporaryDirectory() as scratch:
-        parent_tree = Path(scratch)
-        _extract(parent_revision, parent_tree)
-        for workload in workloads:
-            for pair in range(args.pairs):
+        trees = {side: Path(scratch) / side for side in revisions}
+        for side, tree in trees.items():
+            tree.mkdir()
+            _extract(revisions[side], tree)
+        for workload in (w["name"] for w in spec["workloads"]):
+            for pair in range(PAIRS):
                 seed = args.seed + pair
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
-                    tree = parent_tree if side == "parent" else ROOT
-                    run = _run(tree, workload, seed, args.seconds)
+                    run = _run(trees[side], workload, seed, seconds)
                     runs.append({"workload": workload, "pair": pair, "seed": seed, "side": side,
                                  **run})
                     print(f"{workload} pair {pair} {side}: wall_s "
@@ -127,14 +124,11 @@ def main(argv=None) -> int:
              for side in ("parent", "change")}
     record = {
         "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> "
-                   f"--seconds {args.seconds:g} --trace 0",
-        "pairs": f"{args.pairs} per workload; pair k runs seed {args.seed} + k on both sides, "
+                   f"--seconds {seconds:g} --trace 0",
+        "pairs": f"{PAIRS} per workload; pair k runs seed {args.seed} + k on both sides, "
                  "the parent first in even pairs",
-        "parent": {"git_revision": parent_revision,
-                   "source_sha256_16": first["parent"]["source_sha256_16"]},
-        "change": {"git_head": _git("rev-parse", "HEAD"),
-                   "uncommitted_changes": bool(_git("status", "--porcelain", "--", "src")),
-                   "source_sha256_16": first["change"]["source_sha256_16"]},
+        **{side: {"git_revision": revisions[side],
+                  "source_sha256_16": first[side]["source_sha256_16"]} for side in revisions},
         **{key: first["change"][key] for key in ("cpu_model", "nproc", "python", "numpy",
                                                    "blas_threads")},
         "summary": _summary(runs),

@@ -218,18 +218,19 @@ def _support_rows(f, bases):
 
     The band test is :func:`so21.equivariant._near_band`, the one f's own
     radial kernel runs.  The support is checked, not trusted: f is
-    evaluated at every base (:func:`so21.equivariant._on_nodes`), and a
-    nonzero value at a base outside the band raises DomainError.  A
-    rotation fixes the third column, so on the grid ``bases[row] @ k_theta``
-    every node of a row has its base's radius.
+    evaluated at every skipped base (:func:`so21.equivariant._on_nodes`),
+    and a nonzero value raises DomainError.  A rotation fixes the third
+    column, so on the grid ``bases[row] @ k_theta`` every node of a row has
+    its base's radius.
     """
     support = getattr(f, "support", None)
     if support is None:
         return np.arange(bases.shape[0])
     near = _near_band(bases, support)
-    off = np.flatnonzero((np.asarray(_on_nodes(f)(bases)) != 0.0) & ~near)
+    skipped = bases[~near]
+    off = np.flatnonzero(np.asarray(_on_nodes(f)(skipped)) != 0.0)
     if off.size:
-        raise DomainError(f"f is nonzero at polar radius {_polar_radius(bases[off[0]]):.6g} "
+        raise DomainError(f"f is nonzero at polar radius {_polar_radius(skipped[off[0]]):.6g} "
                           f"outside its declared support {tuple(support)}")
     return np.flatnonzero(near)
 

@@ -163,13 +163,12 @@ class _Radial:
     """A radial integrand: b(r) times `value(b, z1, z2)`, an angular factor of the polar phases.
 
     Callable on an unvalidated (..., 3, 3) stack, read in place, never
-    copied whole: the band test (:func:`_near_band`) picks the candidate
-    nodes, whose polar entries (:func:`so21.groups._polar_entries`) are
-    gathered and sent through :func:`_on_radial_support`; every other node
-    is an exact +0.  A single (3, 3) element gives a scalar.  The grid
-    sums, pi(f) and the projectors give it polar entries instead, through
-    :func:`_on_nodes`.  Hot path on internally-built grids: nothing is
-    re-validated.
+    copied: its polar entries (:func:`so21.groups._polar_entries`) go
+    through :func:`_on_radial_support`, which evaluates only the band's
+    candidate nodes; every other node is an exact +0.  A single (3, 3)
+    element gives a scalar.  The grid sums, pi(f) and the projectors give
+    it the polar entries of their nodes instead, through :func:`_on_nodes`.
+    Hot path on internally-built grids: nothing is re-validated.
     """
 
     __slots__ = ("profile", "value")
@@ -184,14 +183,7 @@ class _Radial:
 
     def __call__(self, gs):
         gs = np.asarray(gs, dtype=float)
-        build = groups._polar_entries()
-        near = _near_band(gs, self.support)
-        if near.all():
-            return self._on_entries(build, gs).reshape(gs.shape[:-2])[()]
-        vals = self._on_entries(build, gs[near])
-        out = np.zeros(gs.shape[:-2], dtype=vals.dtype)
-        out[near] = vals[:, 0]
-        return out[()]
+        return self._on_entries(groups._polar_entries(), gs).reshape(gs.shape[:-2])[()]
 
     def _on_entries(self, build, bases):
         return _on_radial_support(build(bases), self.profile, self.value)

@@ -369,12 +369,15 @@ _DEGENERATE_RADIUS = 1e-12
 
 
 def _radius(root):
-    """The polar radius arcsinh(root) from root = sinh r >= 0; radii below 1e-12 are exactly 0."""
+    """The polar radius arcsinh(root) from root = sinh r >= 0; radii below 1e-12 are exactly 0.
+
+    Returns r and the mask of its radius-0 entries, or None when there are none.
+    """
     r = np.arcsinh(root)
     flat = r < _DEGENERATE_RADIUS
-    if flat.any():
-        r = np.where(flat, 0.0, r)
-    return r
+    if not flat.any():
+        return r, None
+    return np.where(flat, 0.0, r), flat
 
 
 def _polar_radius(gs):
@@ -387,26 +390,26 @@ def _polar_radius(gs):
     exactly 0 (:func:`_radius`).
     """
     g13, g23 = gs[..., 0, 2], gs[..., 1, 2]
-    return _radius(np.sqrt(g13 * g13 + g23 * g23))
+    return _radius(np.sqrt(g13 * g13 + g23 * g23))[0]
 
 
 class _PolarEntries:
     """Polar entries of the nodes bases[i] @ right[k], from a :func:`_polar_entries` builder.
 
-    p = g13 + i g23 and q = g31 - i g32 as (2, ...) arrays of real and
-    imaginary parts, with sinh^2 r = |p|^2 = `squared`, summed as
-    Re(p)^2 + Im(p)^2.  On the row route p, q and squared are per row,
-    (2, rows, 1) and (rows, 1), and node k's q is its row's times
-    `phase[k]`, an (m,) complex array; with no right factors `phase` is
-    None.  Off it they are per node, (2, rows, m) and (rows, m), and
-    `phase` is None.  `bases` and `right` stay for the radius-0 nodes
+    `pq` holds the real and imaginary parts of p = g13 + i g23 and
+    q = g31 - i g32 as one (4, ...) array, with sinh^2 r = |p|^2 =
+    `squared`, summed as Re(p)^2 + Im(p)^2.  On the row route pq and
+    squared are per row, (4, rows, 1) and (rows, 1), and node k's q is its
+    row's times `phase[k]`, an (m,) complex array; with no right factors
+    `phase` is None.  Off it they are per node, (4, rows, m) and
+    (rows, m), and `phase` is None.  `bases` and `right` stay for the radius-0 nodes
     (:func:`_origin_phases`).
     """
 
-    __slots__ = ("p", "q", "squared", "phase", "bases", "right")
+    __slots__ = ("pq", "squared", "phase", "bases", "right")
 
-    def __init__(self, p, q, squared, phase, bases, right):
-        self.p, self.q, self.squared = p, q, squared
+    def __init__(self, pq, phase, bases, right):
+        self.pq, self.squared = pq, pq[0] * pq[0] + pq[1] * pq[1]
         self.phase, self.bases, self.right = phase, bases, right
 
 
@@ -418,13 +421,18 @@ def _pair(re, im):
     return z
 
 
+# The entries of a node's third row and column, its (row, column) indices,
+# and their values at an element that fixes e3.
+_E3_ENTRIES = ([0, 1, 2, 2, 2], [2, 2, 0, 1, 2])
+_E3_VALUES = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+
+
 def _fixes_e3(right):
     """Whether every right factor of an (m, 3, 3) stack fixes e3: its third row and column are e3's.
 
     One test on the m factors picks the route of :func:`_polar_entries`.
     """
-    moved = right[:, :2, 2].any() or right[:, 2, :2].any()
-    return not moved and bool((right[:, 2, 2] == 1.0).all())
+    return bool((right[:, _E3_ENTRIES[0], _E3_ENTRIES[1]] == _E3_VALUES).all())
 
 
 def _polar_entries(right=None):
@@ -444,6 +452,7 @@ def _polar_entries(right=None):
     Any other right factors take p and q per node from real
     (rows x 3) @ (3 x m) products of the bases' rows and the factors'
     columns.  With right factors the bases are a (rows, 3, 3) stack.
+    Either route writes p and q into one (4, rows, 1 or m) array.
     """
     if right is None or _fixes_e3(right):
         phase = None if right is None else _pair(right[:, 0, 0], right[:, 1, 0])
@@ -451,18 +460,21 @@ def _polar_entries(right=None):
         def build(bases):
             if bases.ndim == 2:
                 bases = bases[None]
-            p = np.stack([bases[..., 0, 2], bases[..., 1, 2]]).reshape(2, -1, 1)
-            q = np.stack([bases[..., 2, 0], bases[..., 2, 1]]).reshape(2, -1, 1)
-            np.negative(q[1], out=q[1])
-            return _PolarEntries(p, q, p[0] * p[0] + p[1] * p[1], phase, bases, right)
+            pq = np.empty((4,) + bases.shape[:-2])
+            pq[0] = bases[..., 0, 2]
+            pq[1] = bases[..., 1, 2]
+            pq[2] = bases[..., 2, 0]
+            np.negative(bases[..., 2, 1], out=pq[3])
+            return _PolarEntries(pq.reshape(4, -1, 1), phase, bases, right)
         return build
     third_column = np.ascontiguousarray(right[:, :, 2].T)
     first_rows = np.stack([right[:, :, 0].T, -right[:, :, 1].T])
 
     def build(bases):
-        p = np.moveaxis(bases[:, :2, :], 1, 0) @ third_column
-        q = bases[:, 2, :] @ first_rows
-        return _PolarEntries(p, q, p[0] * p[0] + p[1] * p[1], None, bases, right)
+        pq = np.empty((4, bases.shape[0], right.shape[0]))
+        np.matmul(np.moveaxis(bases[:, :2, :], 1, 0), third_column, out=pq[:2])
+        np.matmul(bases[:, 2, :], first_rows, out=pq[2:])
+        return _PolarEntries(pq, None, bases, right)
     return build
 
 
@@ -476,22 +488,21 @@ def _polar_phases(entries, at=...):
     scaled by one real product.  At radius 0 they are 1 and g11 + i g21
     (:func:`_origin_phases`).
     """
-    parts = [part.reshape(-1) for part in (*entries.p, *entries.q, entries.squared)]
+    pq, squared = entries.pq.reshape(4, -1), entries.squared.reshape(-1)
     if at is not ...:
-        parts = [part[at] for part in parts]
-    p, q, root = parts[:2], parts[2:4], np.sqrt(parts[4])
-    r = _radius(root)
-    flat = r == 0.0
-    if flat.any():
+        pq, squared = pq[:, at], squared[at]
+    root = np.sqrt(squared)
+    r, flat = _radius(root)
+    if flat is not None:
         root[flat] = 1.0
     scale = np.divide(1.0, root, out=root)
-    z1, z2 = np.empty((2, r.size, 1), dtype=complex)
-    for z, (re, im) in ((z1, p), (z2, q)):
-        np.multiply(re, scale, out=z.real[:, 0])
-        np.multiply(im, scale, out=z.imag[:, 0])
+    z = np.empty((2, r.size, 1), dtype=complex)
+    np.multiply(pq[0::2], scale, out=z.real[..., 0])
+    np.multiply(pq[1::2], scale, out=z.imag[..., 0])
+    z1, z2 = z
     if entries.phase is not None:
         z2 = z2 * entries.phase
-    if flat.any():
+    if flat is not None:
         z1[flat] = 1.0
         z2[flat] = _origin_phases(entries, (np.arange(r.size) if at is ... else at)[flat])
     return r, z1, z2
@@ -523,11 +534,12 @@ def _polar(gs):
     radius 0 the element is a pure rotation, stored as theta1 = 0 with
     theta2 carrying the whole angle.  The angles are the arguments of
     :func:`_polar_phases` on :func:`_polar_entries`, in (-pi, pi]; radial
-    integrands take the phases.
+    integrands take the phases.  A single element gives scalars.
     """
     shape = gs.shape[:-2]
     r, z1, z2 = _polar_phases(_polar_entries()(gs))
-    return np.angle(z1).reshape(shape), r.reshape(shape), np.angle(z2).reshape(shape)
+    theta1, theta2 = np.arctan2(z1.imag, z1.real), np.arctan2(z2.imag, z2.real)
+    return tuple(x.reshape(shape)[()] for x in (theta1, r, theta2))
 
 
 def cartan_radius(g):
