@@ -22,6 +22,7 @@ ladder subspaces.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass, field
 
@@ -53,7 +54,7 @@ class SpectralParam:
     sign: int = 1
 
     def __post_init__(self):
-        if not np.isfinite(complex(self.s)):
+        if not cmath.isfinite(complex(self.s)):
             raise DomainError(f"spectral parameter s = {self.s} is not finite")
 
     @staticmethod
@@ -153,7 +154,7 @@ def parse_complex(text: str) -> complex:
         value = complex(cleaned.replace("i", "j"))
     except ValueError as exc:
         raise DomainError(f"cannot parse complex literal {text!r}") from exc
-    if not np.isfinite(value):
+    if not cmath.isfinite(value):
         raise DomainError(f"complex literal {text!r} is not finite")
     return value
 
