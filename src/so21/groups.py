@@ -396,20 +396,20 @@ def _polar_radius(gs):
 class _PolarEntries:
     """Polar entries of the nodes bases[i] @ right[k], from a :func:`_polar_entries` builder.
 
-    p = g13 + i g23 and q = g31 - i g32 as (2, ...) arrays of real and
-    imaginary parts, with sinh^2 r = |p|^2 = `squared`, summed as
-    Re(p)^2 + Im(p)^2.  On the row route p, q and squared are per row,
-    (2, rows, 1) and (rows, 1), and node k's q is its row's times
-    `phase[k]`, an (m,) complex array; with no right factors `phase` is
-    None.  Off it they are per node, (2, rows, m) and (rows, m), and
-    `phase` is None.  `bases` and `right` stay for the radius-0 nodes
+    `pq` holds the real and imaginary parts of p = g13 + i g23 and
+    q = g31 - i g32 as one (4, ...) array, with sinh^2 r = |p|^2 =
+    `squared`, summed as Re(p)^2 + Im(p)^2.  On the row route pq and
+    squared are per row, (4, rows, 1) and (rows, 1), and node k's q is its
+    row's times `phase[k]`, an (m,) complex array; with no right factors
+    `phase` is None.  Off it they are per node, (4, rows, m) and
+    (rows, m), and `phase` is None.  `bases` and `right` stay for the radius-0 nodes
     (:func:`_origin_phases`).
     """
 
-    __slots__ = ("p", "q", "squared", "phase", "bases", "right")
+    __slots__ = ("pq", "squared", "phase", "bases", "right")
 
-    def __init__(self, p, q, phase, bases, right):
-        self.p, self.q, self.squared = p, q, p[0] * p[0] + p[1] * p[1]
+    def __init__(self, pq, phase, bases, right):
+        self.pq, self.squared = pq, pq[0] * pq[0] + pq[1] * pq[1]
         self.phase, self.bases, self.right = phase, bases, right
 
 
@@ -452,6 +452,7 @@ def _polar_entries(right=None):
     Any other right factors take p and q per node from real
     (rows x 3) @ (3 x m) products of the bases' rows and the factors'
     columns.  With right factors the bases are a (rows, 3, 3) stack.
+    Either route writes p and q into one (4, rows, 1 or m) array.
     """
     if right is None or _fixes_e3(right):
         phase = None if right is None else _pair(right[:, 0, 0], right[:, 1, 0])
@@ -464,15 +465,16 @@ def _polar_entries(right=None):
             pq[1] = bases[..., 1, 2]
             pq[2] = bases[..., 2, 0]
             np.negative(bases[..., 2, 1], out=pq[3])
-            pq = pq.reshape(4, -1, 1)
-            return _PolarEntries(pq[:2], pq[2:], phase, bases, right)
+            return _PolarEntries(pq.reshape(4, -1, 1), phase, bases, right)
         return build
     third_column = np.ascontiguousarray(right[:, :, 2].T)
     first_rows = np.stack([right[:, :, 0].T, -right[:, :, 1].T])
 
     def build(bases):
-        p = np.moveaxis(bases[:, :2, :], 1, 0) @ third_column
-        return _PolarEntries(p, bases[:, 2, :] @ first_rows, None, bases, right)
+        pq = np.empty((4, bases.shape[0], right.shape[0]))
+        np.matmul(np.moveaxis(bases[:, :2, :], 1, 0), third_column, out=pq[:2])
+        np.matmul(bases[:, 2, :], first_rows, out=pq[2:])
+        return _PolarEntries(pq, None, bases, right)
     return build
 
 
@@ -486,19 +488,18 @@ def _polar_phases(entries, at=...):
     scaled by one real product.  At radius 0 they are 1 and g11 + i g21
     (:func:`_origin_phases`).
     """
-    p, q = entries.p.reshape(2, -1), entries.q.reshape(2, -1)
-    squared = entries.squared.reshape(-1)
+    pq, squared = entries.pq.reshape(4, -1), entries.squared.reshape(-1)
     if at is not ...:
-        p, q, squared = p[:, at], q[:, at], squared[at]
+        pq, squared = pq[:, at], squared[at]
     root = np.sqrt(squared)
     r, flat = _radius(root)
     if flat is not None:
         root[flat] = 1.0
     scale = np.divide(1.0, root, out=root)
-    z1, z2 = np.empty((2, r.size, 1), dtype=complex)
-    for z, (re, im) in ((z1, p), (z2, q)):
-        np.multiply(re, scale, out=z.real[:, 0])
-        np.multiply(im, scale, out=z.imag[:, 0])
+    z = np.empty((2, r.size, 1), dtype=complex)
+    np.multiply(pq[0::2], scale, out=z.real[..., 0])
+    np.multiply(pq[1::2], scale, out=z.imag[..., 0])
+    z1, z2 = z
     if entries.phase is not None:
         z2 = z2 * entries.phase
     if flat is not None:

@@ -1,16 +1,17 @@
 """Each numerical convention has one home, and every consumer reaches it.
 
 A plant is a one-line change at a convention's home: the Iwasawa kernel's
-boost, the polar phases, the uniform angles on K, the node count of a rule
-on K, the rotation character tau_n, the character e^{gamma t} of A, the
-unitary exponent, the sign of the cocycle's theta', the order of
-the DFT coefficients, the Haar node weight and the discrete-series ladder
-edge.  Every consumer listed for a home must move its output under its
-plant by more than 1e-10 relative, far above round-off; a consumer that kept
-a copy of the convention, or imported a kernel by value, gives the old
-output and fails here.  The battery's verdict under each plant, the exact
-set of criteria that `acceptance.run_all(fast=True)` fails, is pinned as well,
-so a criterion that starts or stops seeing a plant shows here.
+boost, the polar entries and the route their builder takes, the uniform
+angles on K, the node count of a rule on K, the rotation character tau_n,
+the character e^{gamma t} of A, the unitary exponent, the sign of the
+cocycle's theta', the order of the DFT coefficients, the Haar node weight
+and the discrete-series ladder edge.  Every consumer listed for a home must
+move its output under its plant by more than 1e-10 relative, far above
+round-off; a consumer that kept a copy of the convention, or imported a
+kernel by value, gives the old output and fails here.  The battery's
+verdict under each plant, the exact set of criteria that
+`acceptance.run_all(fast=True)` fails, is pinned as well, so a criterion
+that starts or stops seeing a plant shows here.
 """
 
 import warnings
@@ -87,14 +88,27 @@ def _uniform_angles_plant(monkeypatch):
     monkeypatch.setattr(groups, "_uniform_angles", lambda count: angles(count) + 1e-3)
 
 
-def _polar_phase_plant(monkeypatch):
-    phases = groups._polar_phases
+def _polar_entry_plant(monkeypatch):
+    entries = groups._polar_entries
 
-    def turned(*args, **kwargs):
-        z1, z2 = phases(*args, **kwargs)
-        return z1, z2 * np.exp(1e-3j)
+    def turned(right=None):
+        build = entries(right)
 
-    monkeypatch.setattr(groups, "_polar_phases", turned)
+        def turned_build(bases):
+            polar = build(bases)
+            re, im = polar.pq[2:]
+            c, s = np.cos(1e-3), np.sin(1e-3)
+            polar.pq[2:] = np.stack([c * re - s * im, s * re + c * im])
+            return polar
+        return turned_build
+
+    monkeypatch.setattr(groups, "_polar_entries", turned)
+
+
+def _shared_row_plant(monkeypatch):
+    # every right factor taken as fixing e3: a right boost's nodes would
+    # keep their row's p and turn q by R11 + i R21 alone
+    monkeypatch.setattr(groups, "_fixes_e3", lambda right: True)
 
 
 def _node_count_plant(monkeypatch):
@@ -174,9 +188,10 @@ PLANTS = [
      ("matcoef", "rep_matrix", "act_principal", "pi_of_f", "char_identity_check",
       "char_identity_check_discrete", "project_biequivariant", "right_isotype_project",
       "discrete_ladder_leakage")),
-    ("groups._polar_phases", _polar_phase_plant,
+    ("groups._polar_entries", _polar_entry_plant,
      ("cartan", "pi_of_f", "char_identity_check", "integrate_G", "haar_invariance_check",
       "project_biequivariant", "right_isotype_project")),
+    ("groups._fixes_e3", _shared_row_plant, ("haar_invariance_check",)),
     ("groups._a_character", _a_character_plant,
      ("phi", "chi", "matcoef", "rep_matrix", "act_principal", "pi_of_f", "char_identity_check",
       "char_identity_check_discrete", "gram_min_eig", "discrete_ladder_leakage")),
@@ -207,7 +222,8 @@ VERDICTS = {
     # each rule on K is converged well past its floor (FOUND at CHANGES.md:63)
     "groups._node_count": set(),
     "groups.tau": {7, 8, 10},
-    "groups._polar_phases": {2},
+    "groups._polar_entries": {2},
+    "groups._fixes_e3": set(),
     "groups._a_character": {4, 5, 7},
     "SpectralParam.exponent": {5, 6, 7},
     "reps._cocycle_batch": {7},
