@@ -27,6 +27,9 @@ INVOCATIONS = (
     "charcheck --s 2i --n -2 --grid 37,41,100 --trunc 12",
     "charcheck --s 0.3 --n -1 --grid 20,30,101 --trunc 8",
     "haarcheck --grid 96,96,128",
+    # the fast battery grid, where a right translate read as a rotation
+    # leaves a defect of 3.9e-16 rather than 0
+    "haarcheck --grid 48,48,64",
     "haarcheck --grid 40,44,37",
     "separate --n 1 --t0 0.8 --width 0.2 --probe 0.8,1.4 --verify-projection",
     "gram --params i,2i,0.5 --n 0 --tmax 2",

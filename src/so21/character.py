@@ -33,7 +33,7 @@ f must vanish at the base of every skipped row, or DomainError is raised.
 The cocycle runs once per row: if k_phi a_t n_u = a' n' k_theta', then
 k_phi (a_t n_u k_theta) = a' n' k_{theta' + theta}.  Both identities hold for
 every element, so f is evaluated at every theta node of every evaluated row,
-and the range collapse stays observed.  The cocycle, the DFT and the
+and the range collapse stays observed.  The cocycle, the mode sums and the
 multiplier at :attr:`so21.reps.SpectralParam.exponent` are the kernels of
 :mod:`so21.reps`, looked up on that module at each call.
 """
@@ -316,13 +316,9 @@ def pi_of_f(
                                              reps._node_count(N, None))
     thetas = grid.coordinate_arrays()[2]
     F = (grid.node_weight * fvals[on]) @ groups.tau(np.arange(-N, N + 1), thetas[:, None])
-    # accumulate S[j, n] = sum_row F[row, n] mult[row, j] e^{i n theta'[row, j]}
-    S = np.empty((theta_out.shape[1], 2 * N + 1), dtype=complex)
-    for idx, modes in enumerate(reps._mode_ladder(mult, theta_out, N)):
-        S[:, idx] = F[:, idx] @ modes
+    mat = reps._mode_sums(F, mult, theta_out, N)
     integral = (complex(F[:, -n + N] @ reps._coefficients((mult,), theta_out, -n, -n)[0])
                 if abs(n) <= N else None)
-    mat = reps._dft_coefficients(S, N)
     total = np.abs(mat).sum()
     # the rows of the modes |n| >= N - 1, each counted once
     top = np.abs(np.arange(-N, N + 1)) >= N - 1
@@ -428,8 +424,12 @@ def corollary_check(
 
 @dataclass(frozen=True)
 class HaarCheckResult:
-    """Worst translation-invariance defects of the implemented Haar measure.
+    """Worst translation-invariance defects of the implemented Haar measure, and its normalization.
 
+    `normalization_gap` is the base integral's relative gap to the oracle's
+    integral in K A K coordinates (`_ORACLE_KAK_INTEGRAL`), which
+    translation defects cannot see: a constant factor of the measure
+    cancels in them.  `worst` is the translation defects alone.
     `evaluated_rows` counts the (t, u) grid rows some integrand was
     evaluated on (their union), `integrand_rows` the rows summed over all
     1 + 2 len(translations) integrands, and `seconds` the time of the check.
@@ -439,6 +439,7 @@ class HaarCheckResult:
     worst_left: float
     worst_right: float
     per_translation: dict
+    normalization_gap: float | None = None
     evaluated_rows: int | None = None
     integrand_rows: int | None = None
     seconds: float | None = None
@@ -467,14 +468,26 @@ def _oracle_value(b, z1, z2):
 # :class:`so21.equivariant._Radial`) on stacks and on polar entries.
 _oracle_test_function = _Radial(_ORACLE_PROFILE, _oracle_value)
 
+# The oracle's Haar integral from K A K coordinates.  With g = k_theta1 a_r
+# k_theta2 the Haar measure of dt du dtheta/(2 pi) is sinh r dr dtheta1
+# dtheta2/(2 pi) (Knapp, Ch. V), so the integral of b(r) value(z1, z2) is
+# 2 pi int b(r) sinh r dr (0.6276650800777, 64 nodes of
+# so21.equivariant._legendre_rule over the band; 128 agree to 2e-12) times
+# the K x K mean 0.91 of value(1, z1, z2).  A literal that the tests
+# recompute: the rule's eigensolver, loaded here, would add 2.7 MB to the
+# peak RSS of a process that runs only Haar checks.
+_ORACLE_KAK_INTEGRAL = 0.5711752228707428
+
 
 def haar_invariance_check(grid: HaarGrid | None = None, translations=None) -> HaarCheckResult:
-    """Certify the Haar density by measuring translation-invariance defects.
+    """Certify the Haar density by its translation-invariance defects and its normalization.
 
     Integrates f(g0 g) and f(g g0) over the grid for each translation g0
     and reports the relative deviation from the untranslated integral.
     f is a fixed generic bump supported well inside the default box;
-    defaults for g0 are a boost, a unipotent, and a rotation.
+    defaults for g0 are a boost, a unipotent, and a rotation.  The
+    untranslated integral is also compared with its K A K value
+    (`_ORACLE_KAK_INTEGRAL`), which fixes the measure's constant.
 
     Each integrand is a grid of its own, evaluated on its own rows (see
     :func:`_chunks`).  The untranslated integral is the grid itself.  The
@@ -525,6 +538,7 @@ def haar_invariance_check(grid: HaarGrid | None = None, translations=None) -> Ha
     return HaarCheckResult(
         base, max((d["left"] for d in per.values()), default=0.0),
         max((d["right"] for d in per.values()), default=0.0), per,
+        normalization_gap=abs(base - _ORACLE_KAK_INTEGRAL) / _ORACLE_KAK_INTEGRAL,
         evaluated_rows=int(np.count_nonzero(union)),
         integrand_rows=sum(rows.size for rows in evaluated),
         seconds=time.perf_counter() - start)

@@ -578,8 +578,10 @@ def haar_density(c: IwasawaCoords):
     In these coordinates the bi-invariant measure has constant density 1:
     the quotient map g -> g.i sends the (t, u) patch to the upper half-plane
     with Jacobian exactly cancelling the hyperbolic area weight 1/y^2.  The
-    value is certified by the translation-invariance oracle in
-    :func:`so21.character.haar_invariance_check` rather than trusted.
+    value is certified rather than trusted by the normalization check of
+    :func:`so21.character.haar_invariance_check`, which compares one
+    integral with its K A K value; its translation defects alone cancel a
+    constant factor.
     """
     t = np.asarray(c.t, dtype=float)
     if t.ndim == 0:

@@ -302,19 +302,31 @@ def _dft_coefficients(values, N):
     return np.fft.fft(values, axis=0)[np.arange(-N, N + 1) % nodes] / nodes
 
 
-def _mode_ladder(mult, theta_out, N):
-    """Yield mult * e^{i n theta'} for n = -N, ..., N, one array per mode.
+_MODE_BLOCK = 8192
 
-    Runs the recurrence e^{i (n+1) theta'} = e^{i n theta'} e^{i theta'}, so
-    the 2N + 1 modes cost one complex exponential per entry besides the
-    first.  Each yielded array is new.
+
+def _mode_sums(weights, mult, theta_out, N):
+    """The DFT of sum_row weights[row, n] mult[row, j] e^{i n theta'[row, j]}, |n| <= N.
+
+    Entry (m + N, n + N) is mode m of column n.  One row of unit weights is
+    rho(g) and a grid's rows weighted by f's theta-folded values are pi(f),
+    so rho(g) = pi(delta_g).  The modes run the recurrence e^{i (n+1) theta'}
+    = e^{i n theta'} e^{i theta'} in blocks of at most _MODE_BLOCK entries,
+    each summed over rows by one stacked matrix product: all of an
+    element's modes at once, a grid's rows one mode at a time.
     """
     phase = groups.tau(1, theta_out)
-    cur = mult * groups.tau(-N, theta_out)
-    for idx in range(2 * N + 1):
-        yield cur
-        if idx < 2 * N:
-            cur = cur * phase
+    step = max(1, _MODE_BLOCK // max(theta_out.size, 1))
+    last = mult * groups.tau(-N, theta_out)
+    sums = np.empty((2 * N + 1, theta_out.shape[1]), dtype=complex)
+    sums[0] = weights[:, 0] @ last
+    for start in range(1, 2 * N + 1, step):
+        modes = np.empty((min(step, 2 * N + 1 - start),) + theta_out.shape, dtype=complex)
+        for idx in range(len(modes)):
+            np.multiply(modes[idx - 1] if idx else last, phase, out=modes[idx])
+        sums[start:start + len(modes)] = (weights.T[start:start + len(modes), None] @ modes)[:, 0]
+        last = modes[-1]
+    return _dft_coefficients(sums.T, N)
 
 
 def _coefficients(mults, theta_out, n, m):
@@ -409,9 +421,7 @@ def _rep_matrix(p, g, N, what):
     """:func:`rep_matrix` in the induced space of p, for the public entry `what`."""
     g = _require_element(g, what)
     (mult,), theta_out = _induced_nodes((p.exponent,), g[None], _node_count(N, None))
-    # column n + N holds (rho(g) e_n)(theta_j) = mult_j e^{i n theta'_j}
-    columns = np.stack(list(_mode_ladder(mult[0], theta_out[0], N)), axis=1)
-    return _dft_coefficients(columns, N)
+    return _mode_sums(np.ones((1, 2 * N + 1), dtype=complex), mult, theta_out, N)
 
 
 DEFAULT_MATCOEF_NODES = 128

@@ -11,7 +11,7 @@ identity (criterion 10, 0.05 s) and the spherical eigenvalue check
 import numpy as np
 import pytest
 
-from so21 import acceptance, equivariant, hyperbolic, reps
+from so21 import acceptance, character, equivariant, groups, hyperbolic, reps
 
 CRITERIA = [
     acceptance.criterion_1_covering_homomorphism,
@@ -45,6 +45,29 @@ def test_criterion_7_fails_on_leakage_above_round_off(monkeypatch):
 
     monkeypatch.setattr(reps, "discrete_ladder_leakage", leaky)
     assert not acceptance.criterion_7_ladders().passed
+
+
+@pytest.mark.parametrize("fast", [False, True])
+def test_criterion_11_fails_on_scaled_haar_weight(monkeypatch, fast):
+    # negative control: a Haar weight 1.5 times too large cancels in every
+    # translation defect but puts the base integral 0.50 off its K A K value
+    weight = character.HaarGrid.node_weight
+    monkeypatch.setattr(character.HaarGrid, "node_weight",
+                        property(lambda grid: 1.5 * weight.fget(grid)))
+    result = acceptance.criterion_11_haar(fast=fast)
+    print(result.line())
+    assert not result.passed
+
+
+@pytest.mark.parametrize("fast", [False, True])
+def test_criterion_11_fails_on_unapplied_right_translate(monkeypatch, fast):
+    # negative control: every right factor taken as fixing e3, so a right
+    # boost or unipotent only turns each node's phase and its integral is
+    # the untranslated one: right defects 0.0 (full grid) and 3.9e-16 (fast)
+    monkeypatch.setattr(groups, "_fixes_e3", lambda right: True)
+    result = acceptance.criterion_11_haar(fast=fast)
+    print(result.line())
+    assert not result.passed
 
 
 def test_criterion_8_fails_on_mixed_isotypes(monkeypatch):

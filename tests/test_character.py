@@ -171,6 +171,37 @@ def test_haar_invariance_shared_oracle():
     assert res.worst < 0.005
 
 
+@pytest.mark.parametrize("shape", [(96, 96, 128), (48, 48, 64)])
+def test_haar_normalization_gap_is_small_on_the_battery_grids(shape):
+    # criterion 11's full and fast grids: 3.7e-4 and 1.1e-3
+    res = character.haar_invariance_check(character.HaarGrid(*shape))
+    assert 0.0 < res.normalization_gap < 5e-3
+
+
+def _oracle_kak_integral(xs, ws, count):
+    # 2 pi int b(r) sinh r dr over the band on Gauss-Legendre nodes xs and
+    # weights ws on [-1, 1], times the mean of the angular factor on a
+    # count x count grid of K x K
+    f = character._oracle_test_function
+    lo, hi = f.support
+    rs = lo + (hi - lo) * (xs + 1.0) / 2.0
+    radial = 2.0 * np.pi * np.sum(ws * (hi - lo) / 2.0 * f.profile(rs) * np.sinh(rs))
+    z = np.exp(2j * np.pi * np.arange(count) / count)
+    angular = np.mean(character._oracle_value(1.0, z[:, None], z[None, :]))
+    assert abs(angular - 0.91) < 1e-15
+    return float(radial * angular.real)
+
+
+def test_oracle_kak_integral_is_the_legendre_integral():
+    # the literal is the library's 64-node rule on an 8 x 8 K grid (exact
+    # for the oracle's angular modes, |mode| <= 3); 128 nodes and a 32 x 32
+    # grid agree to 2e-12
+    pinned = character._ORACLE_KAK_INTEGRAL
+    assert abs(_oracle_kak_integral(*equivariant._legendre_rule(64), 8) - pinned) < 1e-15
+    finer = _oracle_kak_integral(*np.polynomial.legendre.leggauss(128), 32)
+    assert abs(finer - pinned) < 2e-12
+
+
 def _translation_reach(translations):
     return max(groups.cartan_radius(g0) for g0 in translations.values())
 
@@ -812,6 +843,24 @@ def test_pi_of_f_matches_dense_dft_reference():
     columns = mult[..., None] * np.exp(1j * theta_out[..., None] * np.arange(-N, N + 1))
     ref = _dense_dft(N, count) @ np.einsum("g,gjn->jn", grid.node_weight * fvals[active], columns)
     assert np.max(np.abs(op.mat - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("block", [1, 100, 10**9])
+def test_mode_sums_blocks_change_no_bit(monkeypatch, block):
+    # rho(g) = pi(delta_g): rep_matrix and pi(f) share reps._mode_sums,
+    # whose block size only groups the modes.  By default each call here is
+    # one block; at 100 entries the element's 36 nodes take 2 modes per
+    # block and the grid's 12 active rows one
+    p, N = reps.SpectralParam.principal(1.0), 8
+    g = groups.recompose(groups.IwasawaCoords(0.7, 0.3, 1.1))
+    grid = character.HaarGrid(nt=16, nu=16, ntheta=32)
+
+    def both():
+        return reps.rep_matrix(p, g, N), character.pi_of_f(p, _witness(1), grid, N).mat
+
+    before = both()
+    monkeypatch.setattr(reps, "_MODE_BLOCK", block)
+    assert [m.tobytes() for m in both()] == [m.tobytes() for m in before]
 
 
 def _off_type(f):
