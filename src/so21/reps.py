@@ -302,30 +302,21 @@ def _dft_coefficients(values, N):
     return np.fft.fft(values, axis=0)[np.arange(-N, N + 1) % nodes] / nodes
 
 
-_MODE_BLOCK = 8192
-
-
 def _mode_sums(weights, mult, theta_out, N):
     """The DFT of sum_row weights[row, n] mult[row, j] e^{i n theta'[row, j]}, |n| <= N.
 
     Entry (m + N, n + N) is mode m of column n.  One row of unit weights is
     rho(g) and a grid's rows weighted by f's theta-folded values are pi(f),
     so rho(g) = pi(delta_g).  The modes run the recurrence e^{i (n+1) theta'}
-    = e^{i n theta'} e^{i theta'} in blocks of at most _MODE_BLOCK entries,
-    each summed over rows by one stacked matrix product: all of an
-    element's modes at once, a grid's rows one mode at a time.
+    = e^{i n theta'} e^{i theta'} in place, so a grid holds one mode at a time.
     """
     phase = groups.tau(1, theta_out)
-    step = max(1, _MODE_BLOCK // max(theta_out.size, 1))
-    last = mult * groups.tau(-N, theta_out)
+    modes = mult * groups.tau(-N, theta_out)
     sums = np.empty((2 * N + 1, theta_out.shape[1]), dtype=complex)
-    sums[0] = weights[:, 0] @ last
-    for start in range(1, 2 * N + 1, step):
-        modes = np.empty((min(step, 2 * N + 1 - start),) + theta_out.shape, dtype=complex)
-        for idx in range(len(modes)):
-            np.multiply(modes[idx - 1] if idx else last, phase, out=modes[idx])
-        sums[start:start + len(modes)] = (weights.T[start:start + len(modes), None] @ modes)[:, 0]
-        last = modes[-1]
+    for idx in range(2 * N + 1):
+        if idx:
+            modes *= phase
+        np.matmul(weights[:, idx], modes, out=sums[idx])
     return _dft_coefficients(sums.T, N)
 
 

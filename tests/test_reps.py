@@ -435,6 +435,20 @@ def test_rep_matrix_matches_action_and_matcoef(rng):
             assert abs(rep[m + N, n + N] - coef) < 1e-12
 
 
+@pytest.mark.parametrize("N", [0, 1, 8])
+def test_rep_matrix_is_the_mode_sums_of_a_point_mass(N):
+    # rho(g) = pi(delta_g): reps._mode_sums on a grid of two rows whose only
+    # weighted row is g's gives rep_matrix bit for bit
+    p = reps.SpectralParam.principal(1.0)
+    g = groups.recompose(groups.IwasawaCoords(0.7, 0.3, 1.1))
+    (mult,), theta_out = reps._induced_nodes((p.exponent,), np.stack([g, groups.make_a(0.4)]),
+                                             reps._node_count(N, None))
+    weights = np.zeros((2, 2 * N + 1), dtype=complex)
+    weights[0] = 1.0
+    point_mass = reps._mode_sums(weights, mult, theta_out, N)
+    assert point_mass.tobytes() == reps.rep_matrix(p, g, N).tobytes()
+
+
 def test_rep_matrix_homomorphism_central_block():
     # truncation-aware: small elements keep the intermediate mass inside the
     # basis, and the comparison excludes a guard band of 4 modes
