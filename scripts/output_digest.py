@@ -90,6 +90,11 @@ INVOCATIONS = (
     "haarcheck --grid 24,24,32 --format text",
     "charcheck --s 2i --n -2 --corollary --grid 20,20,40 --trunc 6",
     "separate --n 3 --t0 0.8 --width 0.2 --probe 0.8,1.4 --verify-projection",
+    # exit 3, the check subcommands' gates: a ladder whose 4N + 4 nodes alias
+    # at Cartan radius 2.09 (leakage 0.28), and a grid too coarse for
+    # criterion 11 (worst left defect 1.4e-2)
+    "ladder --m 2 --g-iwasawa 2,0.3,0.7",
+    "haarcheck --grid 24,24,32",
 )
 
 

@@ -3,6 +3,7 @@
 Each criterion returns a :class:`CriterionResult` with a pass flag and a
 human-readable detail string.  The battery is what both the test suite and
 the `suite` CLI subcommand run; everything is seeded and deterministic.
+The CLI's check subcommands run the gates of criteria 4, 7, 10 and 11.
 """
 
 from __future__ import annotations
@@ -17,6 +18,14 @@ from . import character, equivariant, groups, hyperbolic, lie, reps
 # Regression threshold for the Gram certificate, frozen from the first
 # converged computation (value 1.669e-4 at quad 64/128, coefficient nodes 128).
 GRAM_MIN_EIG_THRESHOLD = 1e-4
+
+# The gates shared with the check subcommands: criterion 4's residual, 7's
+# leakage, 10's base and refined rel_err, and 11's bound on the defects and
+# the normalization gap and its floor on the a/n right defects
+EIGEN_RESIDUAL_BOUND, LADDER_LEAK_BOUND = 1e-4, 1e-12
+CHAR_BASE_BOUND, CHAR_REFINED_BOUND = 0.02, 0.01
+HAAR_DEFECT_BOUND, HAAR_RIGHT_FLOOR = 5e-3, 1e-12
+_CHAR_PROFILE = equivariant.BumpProfile(0.6, 0.3)  # criterion 10's witnesses
 
 
 @dataclass(frozen=True)
@@ -34,6 +43,11 @@ class CriterionResult:
 
 def _result(number, name, start, passed, detail) -> CriterionResult:
     return CriterionResult(number, name, bool(passed), detail, time.perf_counter() - start)
+
+
+def _exp(bound) -> str:
+    """A bound as the detail lines print it, with no zero before the exponent's digit."""
+    return f"{bound:.0e}".replace("e-0", "e-")
 
 
 def criterion_1_covering_homomorphism() -> CriterionResult:
@@ -80,16 +94,11 @@ def criterion_3_lie_layer() -> CriterionResult:
         and np.array_equal(lie.bracket(lie.V1, lie.V2), lie.W)
     )
     dplus, dminus = lie.ad_w_eigencheck()
-    exp_err = 0.0
-    for theta in (0.1, 1.0, 3.0):
-        exp_err = max(exp_err, float(np.max(np.abs(
-            lie.exp_matrix(theta * lie.W) - groups.make_k(theta)))))
-    for t in (0.3, 1.0, 2.5):
-        exp_err = max(exp_err, float(np.max(np.abs(
-            lie.exp_matrix(t * lie.V2) - groups.make_a(t)))))
-    for u in (0.5, 1.0, 2.0):
-        exp_err = max(exp_err, float(np.max(np.abs(
-            lie.exp_matrix(u * (lie.V1 - lie.W)) - groups.make_n(u)))))
+    exp_err = max(float(np.max(np.abs(lie.exp_matrix(x * gen) - make(x))))
+                  for gen, make, xs in ((lie.W, groups.make_k, (0.1, 1.0, 3.0)),
+                                        (lie.V2, groups.make_a, (0.3, 1.0, 2.5)),
+                                        (lie.V1 - lie.W, groups.make_n, (0.5, 1.0, 2.0)))
+                  for x in xs)
     passed = table_exact and dplus == 0.0 and dminus == 0.0 and exp_err < 1e-12
     return _result(3, "Lie layer", start, passed,
                    f"bracket table exact={table_exact}, ad W defects ({dplus}, {dminus}), "
@@ -110,31 +119,23 @@ def criterion_4_spherical_eigenvalue() -> CriterionResult:
         target = (1.0 - complex(s) ** 2) / 4.0
         value = res.value[k, -1]
         spectral_gap = max(spectral_gap, abs(res.lhs[k, -1] - target * value) / abs(value))
-    passed = worst < 1e-4 and spectral_gap < 1e-4
+    passed = worst < EIGEN_RESIDUAL_BOUND and spectral_gap < EIGEN_RESIDUAL_BOUND
     return _result(4, "spherical eigenvalue", start, passed,
-                   f"worst residual {worst:.2e} (<1e-4), spectral form {spectral_gap:.2e}")
+                   f"worst residual {worst:.2e} (<{_exp(EIGEN_RESIDUAL_BOUND)}), "
+                   f"spectral form {spectral_gap:.2e}")
 
 
 def criterion_5_unitarity() -> CriterionResult:
     start = time.perf_counter()
-    rng = np.random.default_rng(20250105)
-    N = 256
-    v = reps.KFourierVector.smooth_random(N, rng)
-    worst_dev = 0.0
-    for s in (1j, 2j):
-        p = reps.SpectralParam.from_s(s)
-        for t in (0.7, 2.0):
-            w = reps.act_principal(p, groups.make_a(t), v)
-            worst_dev = max(worst_dev, abs(w.norm() - 1.0))
-    bad = reps.SpectralParam.induced_point(1 + 1j)
-    dev_nonunitary = max(
-        abs(reps.act_principal(bad, groups.make_a(t), v).norm() - 1.0) for t in (0.7, 2.0)
-    )
+    v = reps.KFourierVector.smooth_random(256, np.random.default_rng(20250105))
+
+    def deviation(p):
+        return max(abs(reps.act_principal(p, groups.make_a(t), v).norm() - 1.0) for t in (0.7, 2.0))
+
+    worst_dev = max(deviation(reps.SpectralParam.from_s(s)) for s in (1j, 2j))
+    dev_nonunitary = deviation(reps.SpectralParam.induced_point(1 + 1j))
     # the unshifted exponent 1 + s at s = i, reached as the point 1 + 2i
-    unshifted = reps.SpectralParam.induced_point(1 + 2j)
-    dev_unnormalized = max(
-        abs(reps.act_principal(unshifted, groups.make_a(t), v).norm() - 1.0) for t in (0.7, 2.0)
-    )
+    dev_unnormalized = deviation(reps.SpectralParam.induced_point(1 + 2j))
     passed = worst_dev < 1e-7 and dev_nonunitary > 0.1 and dev_unnormalized > 0.1
     return _result(5, "unitarity discrimination", start, passed,
                    f"unitary dev {worst_dev:.2e} (<1e-7), controls {dev_nonunitary:.2f}/"
@@ -162,10 +163,10 @@ def criterion_7_ladders() -> CriterionResult:
     mirrored = reps.discrete_ladder_leakage(2, -1, g, 24)
     # an exactly invariant ladder leaks only round-off (at most 1.5e-15 here),
     # so every truncation is held to one round-off bound
-    passed = all(leak < 1e-12 for leak in (*leaks.values(), mirrored))
+    passed = all(leak < LADDER_LEAK_BOUND for leak in (*leaks.values(), mirrored))
     detail = ", ".join(f"N={N}: {leaks[N]:.1e}" for N in (16, 24, 32))
     return _result(7, "discrete-series ladder", start, passed,
-                   f"{detail}, mirrored {mirrored:.1e} (<1e-12)")
+                   f"{detail}, mirrored {mirrored:.1e} (<{_exp(LADDER_LEAK_BOUND)})")
 
 
 def criterion_8_projectors() -> CriterionResult:
@@ -207,61 +208,68 @@ def criterion_9_gram() -> CriterionResult:
                    f"duplicated {dup.min_eig:.1e} (<1e-10)")
 
 
+def character_check(p, n, grids, N=16, profile=_CHAR_PROFILE, corollary=False):
+    """Criterion 10 on `grids`: the results and the verdict, the first grid held to
+    the base bound and each later one, a refinement, to the refined bound.
+
+    The witness of `profile` has bi-type (n, n), or (-n, -n) for the corollary.
+    """
+    check = character.corollary_check if corollary else character.char_identity_check
+    f = equivariant.separation_witness(-n if corollary else n, profile)
+    results = [check(p, n, f, grid=grid, N=N) for grid in grids]
+    bounds = [CHAR_BASE_BOUND] + [CHAR_REFINED_BOUND] * (len(results) - 1)
+    return results, all(res.rel_err < bound for res, bound in zip(results, bounds))
+
+
 def criterion_10_character_identity(fast=False) -> CriterionResult:
     start = time.perf_counter()
     base = character.HaarGrid()
-    cases = [
-        ("rho_i n=1", reps.SpectralParam.principal(1.0), 1,
-         equivariant.separation_witness(1, equivariant.BumpProfile(0.6, 0.3)), "identity"),
-        ("rho_0.5 n=0", reps.SpectralParam.complementary(0.5), 0,
-         equivariant.separation_witness(0, equivariant.BumpProfile(0.6, 0.3)), "identity"),
-        ("corollary rho_i n=1", reps.SpectralParam.principal(1.0), 1,
-         equivariant.separation_witness(-1, equivariant.BumpProfile(0.6, 0.3)), "corollary"),
-    ]
     # one refined grid for every case, so its row bases, rotations and
     # boundary samples are built once
-    fine_grid = None if fast else base.refine()
-    details = []
-    ok = True
-    for name, p, n, f, mode in cases:
-        runner = character.corollary_check if mode == "corollary" else character.char_identity_check
-        coarse = runner(p, n, f, grid=base, N=16)
-        ok = ok and coarse.rel_err < 0.02
-        if fast:
-            details.append(f"{name}: {coarse.rel_err:.1e}")
-            continue
-        fine = runner(p, n, f, grid=fine_grid, N=16)
-        ok = ok and fine.rel_err < 0.01
-        details.append(f"{name}: {coarse.rel_err:.1e}/{fine.rel_err:.1e}")
+    grids = [base] if fast else [base, base.refine()]
+    rho_i, rho_half = reps.SpectralParam.principal(1.0), reps.SpectralParam.complementary(0.5)
+    cases = [("rho_i n=1", rho_i, 1, False), ("rho_0.5 n=0", rho_half, 0, False),
+             ("corollary rho_i n=1", rho_i, 1, True)]
+    details, ok = [], True
+    for name, p, n, corollary in cases:
+        results, passed = character_check(p, n, grids, corollary=corollary)
+        ok = ok and passed
+        details.append(f"{name}: " + "/".join(f"{res.rel_err:.1e}" for res in results))
     zero_case = character.char_identity_check(
-        reps.SpectralParam.discrete(4, 1), 1,
-        equivariant.separation_witness(1, equivariant.BumpProfile(0.6, 0.3)),
+        reps.SpectralParam.discrete(4, 1), 1, equivariant.separation_witness(1, _CHAR_PROFILE),
         grid=base, N=16)
     lhs_mag, rhs_mag = zero_case.magnitudes
     ok = ok and lhs_mag < 1e-3 and rhs_mag < 1e-3
     details.append(f"empty isotype: |lhs|={lhs_mag:.1e}, |rhs|={rhs_mag:.1e} (<1e-3)")
-    tolerances = "(base <2%)" if fast else "(base <2%, refined <1%)"
+    refined = "" if fast else f", refined <{CHAR_REFINED_BOUND:.0%}"
     return _result(10, "character identity", start, ok,
-                   "; ".join(details) + " " + tolerances)
+                   "; ".join(details) + f" (base <{CHAR_BASE_BOUND:.0%}{refined})")
+
+
+def haar_check(grid):
+    """Criterion 11 on `grid`: the oracle's result, the verdict and the detail line.
+
+    The boost and the unipotent are built here, so they are known to move
+    every node off its row's radius: a grid that applies them shows a
+    quadrature error, never a right defect below HAAR_RIGHT_FLOOR.  The
+    rotation's may be 0, as a uniform theta rule is rotation-invariant.
+    """
+    moving = {"a(0.3)": groups.make_a(0.3), "n(0.5)": groups.make_n(0.5)}
+    res = character.haar_invariance_check(grid, {**moving, "k(1)": groups.make_k(1.0)})
+    least_moving = min(res.per_translation[name]["right"] for name in moving)
+    passed = (res.worst < HAAR_DEFECT_BOUND and res.normalization_gap < HAAR_DEFECT_BOUND
+              and least_moving >= HAAR_RIGHT_FLOOR)
+    bound = _exp(HAAR_DEFECT_BOUND)
+    detail = (f"worst defect left {res.worst_left:.2e} / right {res.worst_right:.2e} (<{bound}), "
+              f"least a/n right {least_moving:.2e} (>={_exp(HAAR_RIGHT_FLOOR)}), "
+              f"normalization {res.normalization_gap:.2e} (<{bound})")
+    return res, passed, detail
 
 
 def criterion_11_haar(fast=False) -> CriterionResult:
     start = time.perf_counter()
-    grid = character.HaarGrid(nt=48, nu=48, ntheta=64) if fast \
-        else character.HaarGrid(nt=96, nu=96, ntheta=128)
-    # the boost and the unipotent are known as such because they are built
-    # here: each moves every node off its row's radius, so a grid that
-    # applied it shows a quadrature error, never a right defect below
-    # 1e-12.  The rotation's right defect is legitimately 0: a uniform theta
-    # rule is rotation-invariant for the oracle's low modes
-    moving = {"a(0.3)": groups.make_a(0.3), "n(0.5)": groups.make_n(0.5)}
-    res = character.haar_invariance_check(grid, {**moving, "k(1)": groups.make_k(1.0)})
-    least_moving = min(res.per_translation[name]["right"] for name in moving)
-    passed = res.worst < 0.005 and res.normalization_gap < 0.005 and least_moving >= 1e-12
-    return _result(11, "Haar certification", start, passed,
-                   f"worst defect left {res.worst_left:.2e} / right {res.worst_right:.2e} (<5e-3), "
-                   f"least a/n right {least_moving:.2e} (>=1e-12), "
-                   f"normalization {res.normalization_gap:.2e} (<5e-3)")
+    _, passed, detail = haar_check(character.HaarGrid(*((48, 48, 64) if fast else (96, 96, 128))))
+    return _result(11, "Haar certification", start, passed, detail)
 
 
 def run_all(fast=False) -> list[CriterionResult]:

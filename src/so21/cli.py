@@ -5,7 +5,9 @@ Every subcommand takes the output flags --format (json, text, or csv for
 order, so identical configurations print byte-identical output once
 --no-meta strips the timing block.  A value that starts with a minus and a
 digit or -i needs no `=`: `--z -1,0.7`, `--s -2i`, `--params -i,2i`.  Exit codes:
-0 success, 1 usage error, 2 domain error, 3 tolerance failure on a check subcommand.
+0 success, 1 usage error, 2 domain error, 3 the subcommand's battery criterion
+failed (`so21.acceptance`): 4 for `eigencheck`, 7 for `ladder` (which exits 3
+wherever its 4N + 4 nodes alias), 10 for `charcheck`, 11 for `haarcheck`.
 """
 
 from __future__ import annotations
@@ -85,12 +87,8 @@ def _parse_floats(text, count=None):
     return values
 
 
-def _parse_matrix3(text):
-    return np.array(_parse_floats(text, 9)).reshape(3, 3)
-
-
-def _parse_matrix2(text):
-    return np.array(_parse_floats(text, 4)).reshape(2, 2)
+def _parse_matrix(text, size=3):
+    return np.array(_parse_floats(text, size * size)).reshape(size, size)
 
 
 def _parse_element(text):
@@ -215,7 +213,6 @@ def build_parser() -> _Parser:
     p.add_argument("--z", required=True)
     p.add_argument("--h", type=float, default=1e-3)
     p.add_argument("--nodes", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-4)
 
     p = command("matcoef", "matrix coefficient <rho(g) e_n, e_m>")
     p.add_argument("--s", required=True)
@@ -238,7 +235,6 @@ def build_parser() -> _Parser:
     p.add_argument("--sign", choices=("+", "-"), default="+")
     p.add_argument("--g-iwasawa", default="1,0,0")
     p.add_argument("--N", type=int, default=24)
-    p.add_argument("--tol", type=float, default=None)
 
     p = command("separate", "separation witness on polar orbits")
     p.add_argument("--n", type=int, required=True)
@@ -255,7 +251,6 @@ def build_parser() -> _Parser:
 
     p = command("haarcheck", "translation-invariance oracle for the Haar weights")
     p.add_argument("--grid", default="96,96,128")
-    p.add_argument("--tol", type=float, default=0.005)
 
     p = command("charcheck", "character-distribution identity check")
     p.add_argument("--s", required=True)
@@ -267,7 +262,6 @@ def build_parser() -> _Parser:
     p.add_argument("--refine", action="store_true")
     p.add_argument("--corollary", action="store_true",
                    help="test against a function of the opposite bi-type")
-    p.add_argument("--tol", type=float, default=0.02)
 
     p = command("suite", "run the full acceptance battery")
     p.add_argument("--fast", action="store_true")
@@ -276,9 +270,7 @@ def build_parser() -> _Parser:
 
 
 def _algebra_from_text(text):
-    if text in lie.BASIS:
-        return lie.BASIS[text]
-    return _parse_matrix3(text)
+    return lie.BASIS[text] if text in lie.BASIS else _parse_matrix(text)
 
 
 def _char_sides(res):
@@ -295,18 +287,18 @@ def _handle(args):
     if name == "iwasawa":
         if args.recompose is not None:
             return {"matrix": _parse_element(args.recompose)}, EXIT_OK
-        return dataclasses.asdict(groups.iwasawa(_parse_matrix3(args.matrix))), EXIT_OK
+        return dataclasses.asdict(groups.iwasawa(_parse_matrix(args.matrix))), EXIT_OK
 
     if name == "cartan":
-        g = _parse_matrix3(args.matrix)
+        g = _parse_matrix(args.matrix)
         return {**dataclasses.asdict(groups.cartan(g)),
                 "radius": float(groups.cartan_radius(g))}, EXIT_OK
 
     if name == "psi":
-        return {"matrix": groups.psi(_parse_matrix2(args.sl2))}, EXIT_OK
+        return {"matrix": groups.psi(_parse_matrix(args.sl2, 2))}, EXIT_OK
 
     if name == "psi-inv":
-        g = _parse_matrix3(args.matrix)
+        g = _parse_matrix(args.matrix)
         return {"sl2": groups.psi_inv(g).matrix,
                 "diagnostics": dataclasses.asdict(groups.so21_check(g))}, EXIT_OK
 
@@ -322,7 +314,7 @@ def _handle(args):
 
     if name == "exp":
         if args.dpsi is not None:
-            return {"matrix": lie.dpsi(_parse_matrix2(args.dpsi))}, EXIT_OK
+            return {"matrix": lie.dpsi(_parse_matrix(args.dpsi, 2))}, EXIT_OK
         return {"matrix": lie.exp_matrix(_algebra_from_text(args.algebra))}, EXIT_OK
 
     if name == "casimir":
@@ -354,7 +346,8 @@ def _handle(args):
         x, y = _parse_floats(args.z, 2)
         res = hyperbolic.eigencheck(w, complex(x, y), h=args.h, nodes=args.nodes)
         payload = {"lhs": res.lhs, "rhs": res.rhs, "rel_err": res.rel_err}
-        return payload, EXIT_OK if res.rel_err <= args.tol else EXIT_TOLERANCE
+        passed = res.rel_err < acceptance.EIGEN_RESIDUAL_BOUND
+        return payload, EXIT_OK if passed else EXIT_TOLERANCE
 
     if name == "matcoef":
         p = _parse_spectral(args.s)
@@ -394,7 +387,7 @@ def _handle(args):
         sign = 1 if args.sign == "+" else -1
         leak = reps.discrete_ladder_leakage(args.m, sign, _parse_element(args.g_iwasawa), args.N)
         payload = {"leakage": leak, "m": args.m, "sign": args.sign, "N": args.N}
-        return payload, EXIT_TOLERANCE if args.tol is not None and leak > args.tol else EXIT_OK
+        return payload, EXIT_OK if leak < acceptance.LADDER_LEAK_BOUND else EXIT_TOLERANCE
 
     if name == "separate":
         profile = equivariant.BumpProfile(args.t0, args.width)
@@ -417,7 +410,7 @@ def _handle(args):
 
     if name == "haarcheck":
         grid = _parse_grid(args.grid)
-        res = character.haar_invariance_check(grid)
+        res, passed, _ = acceptance.haar_check(grid)
         direct = character.integrate_G(
             character._oracle_test_function,
             character.HaarGrid(nt=min(grid.nt, 48), nu=min(grid.nu, 48),
@@ -426,21 +419,18 @@ def _handle(args):
         payload["meta"] = {"check_seconds": payload.pop("seconds")}
         payload["density_at_origin"] = groups.haar_density(groups.IwasawaCoords(0.0, 0.0, 0.0))
         payload["coarse_integral"] = complex(direct)
-        return payload, EXIT_OK if res.worst <= args.tol else EXIT_TOLERANCE
+        return payload, EXIT_OK if passed else EXIT_TOLERANCE
 
     if name == "charcheck":
         p = _parse_spectral(args.s)
         grid = _parse_grid(args.grid)
-        check = character.corollary_check if args.corollary else character.char_identity_check
-        f = equivariant.separation_witness(-args.n if args.corollary else args.n,
-                                           equivariant.BumpProfile(args.t0, args.width))
-        grids = [grid, grid.refine()] if args.refine else [grid]
-        res, *refined = (check(p, args.n, f, grid=g, N=args.trunc) for g in grids)
+        (res, *refined), passed = acceptance.character_check(
+            p, args.n, [grid, grid.refine()] if args.refine else [grid], N=args.trunc,
+            profile=equivariant.BumpProfile(args.t0, args.width), corollary=args.corollary)
         payload = {**_char_sides(res), "offrow_mass": res.offrow_mass, "trunc": res.N,
                    "meta": {"check_seconds": res.seconds}}
         if refined:
             payload["refined"] = _char_sides(refined[0])
-        passed = all(r.rel_err <= args.tol for r in (res, *refined))
         return payload, EXIT_OK if passed else EXIT_TOLERANCE
 
     if name == "suite":

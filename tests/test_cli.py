@@ -39,6 +39,11 @@ def test_iwasawa_identity(capsys):
 def test_usage_error_unknown_flag(capsys):
     assert cli.run(["iwasawa", "--bogus", "1"]) == 1
     assert cli.run(["haarcheck", "--threads", "2"]) == 1
+    # a check subcommand is held to its criterion's gate and takes no tolerance
+    assert cli.run(["eigencheck", "--w", "0.5", "--z", "1,2", "--tol", "1e-4"]) == 1
+    assert cli.run(["ladder", "--m", "2", "--tol", "1e-6"]) == 1
+    assert cli.run(["haarcheck", "--grid", "48,48,64", "--tol", "0.005"]) == 1
+    assert cli.run(["charcheck", *CHARCHECK_SMALL[1:], "--tol", "0.02"]) == 1
 
 
 def test_usage_error_unknown_subcommand(capsys):
@@ -61,13 +66,15 @@ def test_matcoef_boost_beyond_precision_exit_code(capsys):
     assert "boost error" in capsys.readouterr().err
 
 
-def test_tolerance_gate_exit_codes(capsys):
+def test_tolerance_gate_exit_codes(capsys, monkeypatch):
     code, payload = run_json(capsys, "eigencheck", "--w", "0.5", "--z", "1,2", "--no-meta")
     assert code == 0
-    assert payload["rel_err"] < 1e-4
-    code, _ = run_json(capsys, "eigencheck", "--w", "0.5", "--z", "1,2",
-                       "--tol", "1e-12", "--no-meta")
+    assert payload["rel_err"] < acceptance.EIGEN_RESIDUAL_BOUND
+    # the bound is criterion 4's: below this residual both fail
+    monkeypatch.setattr(acceptance, "EIGEN_RESIDUAL_BOUND", payload["rel_err"])
+    code, _ = run_json(capsys, "eigencheck", "--w", "0.5", "--z", "1,2", "--no-meta")
     assert code == 3
+    assert not acceptance.criterion_4_spherical_eigenvalue().passed
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +202,26 @@ def test_ktypes_listing(capsys):
     assert payload["tau_spherical"] == ["D+2", "rho_s (principal and complementary)"]
 
 
-def test_ladder_tolerance_gate(capsys):
+def test_ladder_tolerance_gate(capsys, monkeypatch):
     code, payload = run_json(capsys, "ladder", "--m", "2", "--sign", "+",
-                             "--N", "16", "--tol", "1e-6", "--no-meta")
+                             "--N", "16", "--no-meta")
     assert code == 0
-    assert payload["leakage"] < 1e-6
+    assert payload["leakage"] < acceptance.LADDER_LEAK_BOUND
+    # the bound is criterion 7's: at this leakage both fail
+    monkeypatch.setattr(acceptance, "LADDER_LEAK_BOUND", payload["leakage"])
     code, _ = run_json(capsys, "ladder", "--m", "2", "--sign", "+",
-                       "--N", "16", "--tol", "1e-30", "--no-meta")
+                       "--N", "16", "--no-meta")
     assert code == 3
+    assert not acceptance.criterion_7_ladders().passed
+
+
+def test_ladder_exits_3_where_its_nodes_alias(capsys):
+    # at Cartan radius 2.09 the 4N + 4 = 100 nodes alias: the leakage of an
+    # exactly invariant ladder reads 0.28 (400 nodes give 3.3e-29)
+    code, payload = run_json(capsys, "ladder", "--m", "2", "--g-iwasawa", "2,0.3,0.7",
+                             "--no-meta")
+    assert code == 3
+    assert payload["leakage"] == pytest.approx(0.2777, abs=1e-4)
 
 
 def test_separate_with_projection_verification(capsys):
@@ -232,13 +251,23 @@ def test_gram_subcommand_above_the_default_node_count(capsys):
     assert payload["min_eig"] > 1e-3
 
 
-def test_haarcheck_small_grid(capsys):
-    code, payload = run_json(capsys, "haarcheck", "--grid", "48,48,64",
-                             "--tol", "0.005", "--no-meta")
+def test_haarcheck_small_grid(capsys, monkeypatch):
+    code, payload = run_json(capsys, "haarcheck", "--grid", "48,48,64", "--no-meta")
     assert code == 0
     assert payload["density_at_origin"] == 1.0
-    assert payload["worst_left"] < 0.005
+    assert payload["worst_left"] < acceptance.HAAR_DEFECT_BOUND
     assert 0 < payload["evaluated_rows"] < 48 * 48
+    # criterion 11's defect bound and right-defect floor, shared with the
+    # subcommand, each fail both at these values (the normalization gap is
+    # below the worst defect here; the node-weight plant fails its gate)
+    worst = max(payload["worst_left"], payload["worst_right"])
+    assert payload["normalization_gap"] < worst
+    least_moving = min(payload["per_translation"][name]["right"] for name in ("a(0.3)", "n(0.5)"))
+    for name, value in (("HAAR_DEFECT_BOUND", worst), ("HAAR_RIGHT_FLOOR", 2 * least_moving)):
+        with monkeypatch.context() as patch:
+            patch.setattr(acceptance, name, value)
+            assert cli.run(["haarcheck", "--grid", "48,48,64", "--no-meta"]) == 3
+            assert not acceptance.criterion_11_haar(fast=True).passed
 
 
 def test_haarcheck_reports_integrand_rows_and_time(capsys):
@@ -257,18 +286,17 @@ def test_haarcheck_without_band_nodes_exit_code(capsys):
     assert captured.out == "" and "integrates to 0" in captured.err
 
 
-def test_charcheck_gate(capsys):
-    code, payload = run_json(capsys, "charcheck", "--s", "i", "--n", "1",
-                             "--grid", "24,24,48", "--trunc", "8",
-                             "--tol", "0.05", "--no-meta")
+def test_charcheck_gate(capsys, monkeypatch):
+    argv = ["charcheck", "--s", "i", "--n", "1", "--grid", "24,24,48", "--trunc", "8",
+            "--no-meta"]
+    code, payload = run_json(capsys, *argv)
     assert code == 0
-    assert payload["rel_err"] < 0.05
+    assert payload["rel_err"] < acceptance.CHAR_BASE_BOUND
     assert 0 < payload["active_rows"] <= payload["support_rows"] < payload["grid_rows"] == 24 * 24
-    # the two sides share the quadrature, so they agree to ~1e-16; the
-    # tolerance gate is exercised below that floor
-    code, _ = run_json(capsys, "charcheck", "--s", "i", "--n", "1",
-                       "--grid", "24,24,48", "--trunc", "8",
-                       "--tol", "1e-17", "--no-meta")
+    # the two sides share the quadrature, so they agree to ~1e-16; criterion
+    # 10's base bound, shared with the subcommand, is exercised at that floor
+    monkeypatch.setattr(acceptance, "CHAR_BASE_BOUND", payload["rel_err"])
+    code, _ = run_json(capsys, *argv)
     assert code == 3
 
 
@@ -283,7 +311,8 @@ def test_charcheck_isotype_outside_truncation(capsys):
 
 def test_charcheck_warns_as_pi_of_f_does(capsys):
     # charcheck builds pi(f) with pi_of_f, so at --trunc 4 it gives the same
-    # TruncationWarning, named at the CLI line that called the check
+    # TruncationWarning, named at the line of criterion 10's runner that
+    # called the check
     f = equivariant.separation_witness(1, equivariant.BumpProfile(0.6, 0.3))
     with pytest.warns(so21.TruncationWarning) as direct:
         character.pi_of_f(reps.SpectralParam.principal(1.0), f,
@@ -292,7 +321,7 @@ def test_charcheck_warns_as_pi_of_f_does(capsys):
         assert cli.run(CHARCHECK_SMALL + ["--no-meta"]) == 0
     assert [str(w.message) for w in through_cli] == [str(w.message) for w in direct]
     assert "fraction 1.81e-02" in str(direct[0].message)
-    assert through_cli[0].filename == cli.__file__
+    assert through_cli[0].filename == acceptance.__file__
 
 
 def test_matcoef_indices_outside_truncation(capsys):
@@ -376,6 +405,26 @@ def test_charcheck_refine_gates_the_refined_grid(capsys, monkeypatch):
     assert calls[1] == calls[0].refine()
     assert payload["rel_err"] < 1e-12 and payload["refined"]["rel_err"] == 1.0
     assert code == 3
+
+
+@pytest.mark.parametrize("planted, code", [(1, 0), (2, 3)])
+def test_charcheck_holds_the_refined_grid_to_criterion_10s_bound(capsys, monkeypatch,
+                                                                 planted, code):
+    # a rel_err of 1.5% passes criterion 10's base bound (2%) and fails its
+    # refined bound (1%)
+    real = character.char_identity_check
+    calls = []
+
+    def plant(p, n, f, grid, N):
+        res = real(p, n, f, grid=grid, N=N)
+        calls.append(grid)
+        return dataclasses.replace(res, rel_err=0.015) if len(calls) == planted else res
+
+    monkeypatch.setattr(character, "char_identity_check", plant)
+    exit_code, payload = run_json(capsys, *CHARCHECK_SMALL, "--refine", "--no-meta")
+    sides = [payload["rel_err"], payload["refined"]["rel_err"]]
+    assert sides[planted - 1] == 0.015 and sides[2 - planted] < 1e-12
+    assert exit_code == code
 
 
 def test_charcheck_corollary_and_refine(capsys):

@@ -11,7 +11,9 @@ round-off; a consumer that kept a copy of the convention, or imported a
 kernel by value, gives the old output and fails here.  The battery's
 verdict under each plant, the exact set of criteria that
 `acceptance.run_all(fast=True)` fails, is pinned as well, so a criterion
-that starts or stops seeing a plant shows here.
+that starts or stops seeing a plant shows here.  `so21 haarcheck` runs
+criterion 11's path and gate, so it fails under exactly the plants that
+criterion does.
 """
 
 import warnings
@@ -19,7 +21,7 @@ import warnings
 import numpy as np
 import pytest
 
-from so21 import acceptance, character, equivariant, groups, hyperbolic, reps
+from so21 import acceptance, character, cli, equivariant, groups, hyperbolic, reps
 
 _RHO_I = reps.SpectralParam.principal(1.0)
 _D2 = reps.SpectralParam.discrete(2, 1)
@@ -275,3 +277,23 @@ def test_battery_verdict_under_plant(monkeypatch, home, plant):
         warnings.simplefilter("ignore")
         results = acceptance.run_all(fast=True)
     assert {r.number for r in results if not r.passed} == VERDICTS[home]
+
+
+@pytest.mark.parametrize("home, plant", [
+    pytest.param(home, plant, id=home) for home, plant, _ in PLANTS])
+def test_haarcheck_exit_under_plant(monkeypatch, capsys, home, plant):
+    # the fast battery's grid, on which VERDICTS is pinned
+    plant(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = cli.run(["haarcheck", "--grid", "48,48,64", "--no-meta"])
+    assert code == (3 if 11 in VERDICTS[home] else 0)
+
+
+def test_haarcheck_default_grid_fails_under_the_criterion_11_plants(monkeypatch, capsys):
+    assert cli.run(["haarcheck", "--no-meta"]) == 0
+    for home, plant, _ in PLANTS:
+        if 11 in VERDICTS[home]:
+            with monkeypatch.context() as patch:
+                plant(patch)
+                assert cli.run(["haarcheck", "--no-meta"]) == 3, home
