@@ -13,7 +13,7 @@ Example:
 
 import sys
 
-from so21 import character, cli, equivariant, reps
+from so21 import acceptance, character, cli, equivariant, reps
 
 
 def main():
@@ -21,10 +21,11 @@ def main():
     parser = cli._Parser(description=__doc__)
     parser.add_argument("--s", default="i")
     parser.add_argument("--n", type=int, default=1)
-    parser.add_argument("--trunc", type=int, default=16)
+    # the defaults of `so21 charcheck`, the library's
+    parser.add_argument("--trunc", type=int, default=character.CHAR_TRUNC)
     parser.add_argument("--levels", type=int, default=3)
-    parser.add_argument("--t0", type=float, default=0.6)
-    parser.add_argument("--width", type=float, default=0.3)
+    parser.add_argument("--t0", type=float, default=acceptance.CHAR_PROFILE.center)
+    parser.add_argument("--width", type=float, default=acceptance.CHAR_PROFILE.width)
     try:
         args = parser.parse_args()
     except cli.UsageError as exc:

@@ -95,6 +95,11 @@ INVOCATIONS = (
     # criterion 11 (worst left defect 1.4e-2)
     "ladder --m 2 --g-iwasawa 2,0.3,0.7",
     "haarcheck --grid 24,24,32",
+    # the check subcommands at their defaults, which they read from the
+    # library; each prints what its spelled-out twin prints
+    "haarcheck",
+    "charcheck --s i --n 1",
+    "gram --params i,2i,0.5 --n 0",
 )
 
 

@@ -30,8 +30,7 @@ OPERATIONS = {
              "tau_spherical_set", "discrete_ladder_leakage"),
     "equivariant": ("project_biequivariant", "right_isotype_project",
                     "separation_witness", "gram_min_eig"),
-    "character": ("integrate_G", "pi_of_f", "char_identity_check",
-                  "corollary_check", "haar_invariance_check"),
+    "character": ("integrate_G", "pi_of_f", "char_identity_check", "haar_invariance_check"),
     "cli": ("run",),
 }
 

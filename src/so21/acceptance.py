@@ -25,7 +25,7 @@ GRAM_MIN_EIG_THRESHOLD = 1e-4
 EIGEN_RESIDUAL_BOUND, LADDER_LEAK_BOUND = 1e-4, 1e-12
 CHAR_BASE_BOUND, CHAR_REFINED_BOUND = 0.02, 0.01
 HAAR_DEFECT_BOUND, HAAR_RIGHT_FLOOR = 5e-3, 1e-12
-_CHAR_PROFILE = equivariant.BumpProfile(0.6, 0.3)  # criterion 10's witnesses
+CHAR_PROFILE = equivariant.BumpProfile(0.6, 0.3)  # criterion 10's witnesses
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,8 @@ def criterion_8_projectors() -> CriterionResult:
     witness_cache = {m: equivariant.separation_witness(m, profile) for m in ns}
     for m in ns:
         # every isotype n of witness m from one evaluation per probe
-        isotypes = equivariant._isotype_projector(witness_cache[m], ns, nodes=64)(probes)
+        isotypes = equivariant._isotype_projector(
+            witness_cache[m], ns, nodes=equivariant.MIN_PROJECTION_NODES)(probes)
         for n, values in zip(ns, isotypes):
             if n == m:
                 worst_idem = max(worst_idem, float(np.max(np.abs(
@@ -200,23 +201,23 @@ def criterion_8_projectors() -> CriterionResult:
 def criterion_9_gram() -> CriterionResult:
     start = time.perf_counter()
     params = [reps.SpectralParam.from_s(s) for s in (1j, 2j, 0.5)]
-    res = equivariant.gram_min_eig(params, 0, region=(0.0, 2.0))
-    dup = equivariant.gram_min_eig(params + [params[0]], 0, region=(0.0, 2.0))
+    res = equivariant.gram_min_eig(params, 0)
+    dup = equivariant.gram_min_eig(params + [params[0]], 0)
     passed = res.min_eig > GRAM_MIN_EIG_THRESHOLD and abs(dup.min_eig) < 1e-10
     return _result(9, "linear independence", start, passed,
                    f"min eig {res.min_eig:.3e} (>{GRAM_MIN_EIG_THRESHOLD:.0e}), "
                    f"duplicated {dup.min_eig:.1e} (<1e-10)")
 
 
-def character_check(p, n, grids, N=16, profile=_CHAR_PROFILE, corollary=False):
+def character_check(p, n, grids, profile, N=None, corollary=False):
     """Criterion 10 on `grids`: the results and the verdict, the first grid held to
     the base bound and each later one, a refinement, to the refined bound.
 
     The witness of `profile` has bi-type (n, n), or (-n, -n) for the corollary.
     """
-    check = character.corollary_check if corollary else character.char_identity_check
-    f = equivariant.separation_witness(-n if corollary else n, profile)
-    results = [check(p, n, f, grid=grid, N=N) for grid in grids]
+    m = -n if corollary else n
+    f = equivariant.separation_witness(m, profile)
+    results = [character.char_identity_check(p, m, f, grid=grid, N=N) for grid in grids]
     bounds = [CHAR_BASE_BOUND] + [CHAR_REFINED_BOUND] * (len(results) - 1)
     return results, all(res.rel_err < bound for res, bound in zip(results, bounds))
 
@@ -232,12 +233,10 @@ def criterion_10_character_identity(fast=False) -> CriterionResult:
              ("corollary rho_i n=1", rho_i, 1, True)]
     details, ok = [], True
     for name, p, n, corollary in cases:
-        results, passed = character_check(p, n, grids, corollary=corollary)
+        results, passed = character_check(p, n, grids, CHAR_PROFILE, corollary=corollary)
         ok = ok and passed
         details.append(f"{name}: " + "/".join(f"{res.rel_err:.1e}" for res in results))
-    zero_case = character.char_identity_check(
-        reps.SpectralParam.discrete(4, 1), 1, equivariant.separation_witness(1, _CHAR_PROFILE),
-        grid=base, N=16)
+    (zero_case,), _ = character_check(reps.SpectralParam.discrete(4, 1), 1, [base], CHAR_PROFILE)
     lhs_mag, rhs_mag = zero_case.magnitudes
     ok = ok and lhs_mag < 1e-3 and rhs_mag < 1e-3
     details.append(f"empty isotype: |lhs|={lhs_mag:.1e}, |rhs|={rhs_mag:.1e} (<1e-3)")
@@ -249,14 +248,14 @@ def criterion_10_character_identity(fast=False) -> CriterionResult:
 def haar_check(grid):
     """Criterion 11 on `grid`: the oracle's result, the verdict and the detail line.
 
-    The boost and the unipotent are built here, so they are known to move
-    every node off its row's radius: a grid that applies them shows a
-    quadrature error, never a right defect below HAAR_RIGHT_FLOOR.  The
-    rotation's may be 0, as a uniform theta rule is rotation-invariant.
+    Each oracle translation of positive Cartan radius moves the nodes off
+    their rows' radii, so a grid that applies it shows a quadrature error,
+    never a right defect below HAAR_RIGHT_FLOOR; with none the check fails.
+    A rotation's may be 0, as a uniform theta rule is rotation-invariant.
     """
-    moving = {"a(0.3)": groups.make_a(0.3), "n(0.5)": groups.make_n(0.5)}
-    res = character.haar_invariance_check(grid, {**moving, "k(1)": groups.make_k(1.0)})
-    least_moving = min(res.per_translation[name]["right"] for name in moving)
+    res = character.haar_invariance_check(grid)
+    moving = [name for name, g in character.ORACLE_TRANSLATIONS.items() if groups.cartan_radius(g) > 0]
+    least_moving = min((res.per_translation[name]["right"] for name in moving), default=0.0)
     passed = (res.worst < HAAR_DEFECT_BOUND and res.normalization_gap < HAAR_DEFECT_BOUND
               and least_moving >= HAAR_RIGHT_FLOOR)
     bound = _exp(HAAR_DEFECT_BOUND)
@@ -268,7 +267,8 @@ def haar_check(grid):
 
 def criterion_11_haar(fast=False) -> CriterionResult:
     start = time.perf_counter()
-    _, passed, detail = haar_check(character.HaarGrid(*((48, 48, 64) if fast else (96, 96, 128))))
+    shape = character.FAST_ORACLE_GRID if fast else character.ORACLE_GRID
+    _, passed, detail = haar_check(character.HaarGrid(*shape))
     return _result(11, "Haar certification", start, passed, detail)
 
 

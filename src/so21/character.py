@@ -61,6 +61,11 @@ U_BOX = (-4.0, 4.0)
 BOUNDARY_TOL = 1e-12
 BOUNDARY_SAMPLES = 24
 REFINE_FACTOR = 1.5
+# The Haar oracle's full and fast grid shapes (not grids, which cache rows) and translations
+ORACLE_GRID, FAST_ORACLE_GRID = (96, 96, 128), (48, 48, 64)
+ORACLE_TRANSLATIONS = {"a(0.3)": _read_only(make_a(0.3)), "n(0.5)": _read_only(make_n(0.5)),
+                       "k(1)": _read_only(make_k(1.0))}
+CHAR_TRUNC = 16  # the truncation N of pi(f) in the character checks
 # Nodes per chunk of a grid loop (whole rows, at least one).  A chunk's
 # polar entries or elements and its integrand's temporaries then stay in
 # cache: on a 2-core AVX-512 Xeon, one BLAS thread, the 96x96x128 Haar
@@ -371,7 +376,7 @@ def char_identity_check(
     n: int,
     f: EquivariantFn,
     grid: HaarGrid | None = None,
-    N: int = 16,
+    N: int | None = None,
 ) -> CharIdentityResult:
     """Verify trace pi(f) = integral of f times the (-n, -n) matrix coefficient.
 
@@ -381,8 +386,9 @@ def char_identity_check(
     :attr:`~OperatorMatrix.coefficient_integral`.  When the K-types miss the
     isotype -n the right side is 0 and the trace must come out numerically
     zero.  The isotype -n must lie inside the truncation, |n| <= N, with
-    N >= 0.
+    N >= 0; N defaults to CHAR_TRUNC and the grid to :class:`HaarGrid`'s.
     """
+    N = CHAR_TRUNC if N is None else N
     if (f.n_left, f.n_right) != (n, n):
         raise DomainError(f"test function has bi-type ({f.n_left}, {f.n_right}), expected ({n}, {n})")
     if abs(n) > N >= 0:
@@ -402,13 +408,8 @@ def char_identity_check(
                               op.active_rows, op.support_rows, seconds, block_norm)
 
 
-def corollary_check(
-    p: reps.SpectralParam,
-    n: int,
-    f: EquivariantFn,
-    grid: HaarGrid | None = None,
-    N: int = 16,
-) -> CharIdentityResult:
+def corollary_check(p: reps.SpectralParam, n: int, f: EquivariantFn, grid: HaarGrid | None = None,
+                    N: int | None = None) -> CharIdentityResult:
     """Character identity for a tau_n-spherical p against a bi-type (-n, -n) f.
 
     Compares trace pi(f) with the integral of f times the (n, n) matrix
@@ -485,7 +486,7 @@ def haar_invariance_check(grid: HaarGrid | None = None, translations=None) -> Ha
     Integrates f(g0 g) and f(g g0) over the grid for each translation g0
     and reports the relative deviation from the untranslated integral.
     f is a fixed generic bump supported well inside the default box;
-    defaults for g0 are a boost, a unipotent, and a rotation.  The
+    the defaults are ORACLE_GRID and ORACLE_TRANSLATIONS.  The
     untranslated integral is also compared with its K A K value
     (`_ORACLE_KAK_INTEGRAL`), which fixes the measure's constant.
 
@@ -507,9 +508,8 @@ def haar_invariance_check(grid: HaarGrid | None = None, translations=None) -> Ha
     node in its band) raises DomainError.
     """
     start = time.perf_counter()
-    grid = grid if grid is not None else HaarGrid(nt=96, nu=96, ntheta=128)
-    if translations is None:
-        translations = {"a(0.3)": make_a(0.3), "n(0.5)": make_n(0.5), "k(1)": make_k(1.0)}
+    grid = grid if grid is not None else HaarGrid(*ORACLE_GRID)
+    translations = ORACLE_TRANSLATIONS if translations is None else translations
     f = _oracle_test_function
     lo, hi = f.support
     bases, rotations = grid._row_bases, grid._rotations

@@ -50,7 +50,7 @@ OPERATION_COVERAGE = {
     "separate": ("separation_witness", "project_biequivariant", "right_isotype_project"),
     "gram": ("gram_min_eig",),
     "haarcheck": ("haar_density", "integrate_G", "haar_invariance_check"),
-    "charcheck": ("char_identity_check", "corollary_check", "pi_of_f"),
+    "charcheck": ("char_identity_check", "pi_of_f"),
     "suite": ("run",),
 }
 
@@ -108,8 +108,7 @@ def _count(value, what):
 
 
 def _parse_grid(text):
-    nt, nu, ntheta = (_count(v, "--grid count") for v in _parse_floats(text, 3))
-    return character.HaarGrid(nt=nt, nu=nu, ntheta=ntheta)
+    return character.HaarGrid(*(_count(v, "--grid count") for v in _parse_floats(text, 3)))
 
 
 def _jsonable(value):
@@ -198,7 +197,7 @@ def build_parser() -> _Parser:
     p.add_argument("--s", required=True, help="spectral parameter, e.g. i, 2i, 0.5")
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--g-iwasawa", default="0.4,0.2,0.3")
-    p.add_argument("--h", type=float, default=1e-3)
+    p.add_argument("--h", type=float, default=lie.DEFAULT_CASIMIR_STEP)
 
     p = command("spherical", "evaluate phi_w; --ray sweeps a geodesic (csv-able)")
     p.add_argument("--w", required=True, help="complex exponent, e.g. 0.5+3i")
@@ -211,7 +210,7 @@ def build_parser() -> _Parser:
     p = command("eigencheck", "Laplacian eigenvalue residual of phi_w")
     p.add_argument("--w", required=True)
     p.add_argument("--z", required=True)
-    p.add_argument("--h", type=float, default=1e-3)
+    p.add_argument("--h", type=float, default=hyperbolic.DEFAULT_FD_STEP)
     p.add_argument("--nodes", type=int, default=None)
 
     p = command("matcoef", "matrix coefficient <rho(g) e_n, e_m>")
@@ -247,18 +246,18 @@ def build_parser() -> _Parser:
     p = command("gram", "Gram-matrix independence certificate")
     p.add_argument("--params", required=True, help="comma-separated spectral parameters, e.g. i,2i,0.5")
     p.add_argument("--n", type=int, default=0)
-    p.add_argument("--tmax", type=float, default=2.0)
+    p.add_argument("--tmax", type=float, default=equivariant.GRAM_REGION[1])
 
     p = command("haarcheck", "translation-invariance oracle for the Haar weights")
-    p.add_argument("--grid", default="96,96,128")
+    p.add_argument("--grid", default=",".join(map(str, character.ORACLE_GRID)))
 
     p = command("charcheck", "character-distribution identity check")
     p.add_argument("--s", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--grid", default="48,48,96")
-    p.add_argument("--trunc", type=int, default=16)
-    p.add_argument("--t0", type=float, default=0.6)
-    p.add_argument("--width", type=float, default=0.3)
+    p.add_argument("--grid", default=",".join(map(str, character.HaarGrid().shape)))
+    p.add_argument("--trunc", type=int, default=character.CHAR_TRUNC)
+    p.add_argument("--t0", type=float, default=acceptance.CHAR_PROFILE.center)
+    p.add_argument("--width", type=float, default=acceptance.CHAR_PROFILE.width)
     p.add_argument("--refine", action="store_true")
     p.add_argument("--corollary", action="store_true",
                    help="test against a function of the opposite bi-type")
@@ -396,9 +395,10 @@ def _handle(args):
         v1, v2 = (complex(v) for v in witness(probes))
         payload = {"at_t1": v1, "at_t2": v2, "margin": abs(v1 - v2)}
         if args.verify_projection:
-            reproj = equivariant.project_biequivariant(witness, args.n, nodes=64)
+            nodes = equivariant.MIN_PROJECTION_NODES
+            reproj = equivariant.project_biequivariant(witness, args.n, nodes=nodes)
             payload["projection_defect"] = float(np.max(np.abs(reproj(probes) - witness(probes))))
-            h = equivariant.right_isotype_project(witness, args.n, nodes=64)
+            h = equivariant.right_isotype_project(witness, args.n, nodes=nodes)
             payload["right_isotype_defect"] = float(np.max(np.abs(h(probes) - witness(probes))))
         return payload, EXIT_OK
 
@@ -411,22 +411,18 @@ def _handle(args):
     if name == "haarcheck":
         grid = _parse_grid(args.grid)
         res, passed, _ = acceptance.haar_check(grid)
-        direct = character.integrate_G(
-            character._oracle_test_function,
-            character.HaarGrid(nt=min(grid.nt, 48), nu=min(grid.nu, 48),
-                               ntheta=min(grid.ntheta, 64)))
         payload = dataclasses.asdict(res)
         payload["meta"] = {"check_seconds": payload.pop("seconds")}
         payload["density_at_origin"] = groups.haar_density(groups.IwasawaCoords(0.0, 0.0, 0.0))
-        payload["coarse_integral"] = complex(direct)
+        coarse = character.HaarGrid(*map(min, grid.shape, character.FAST_ORACLE_GRID))
+        payload["coarse_integral"] = character.integrate_G(character._oracle_test_function, coarse)
         return payload, EXIT_OK if passed else EXIT_TOLERANCE
 
     if name == "charcheck":
-        p = _parse_spectral(args.s)
-        grid = _parse_grid(args.grid)
+        p, grid = _parse_spectral(args.s), _parse_grid(args.grid)
         (res, *refined), passed = acceptance.character_check(
-            p, args.n, [grid, grid.refine()] if args.refine else [grid], N=args.trunc,
-            profile=equivariant.BumpProfile(args.t0, args.width), corollary=args.corollary)
+            p, args.n, [grid, grid.refine()] if args.refine else [grid],
+            equivariant.BumpProfile(args.t0, args.width), N=args.trunc, corollary=args.corollary)
         payload = {**_char_sides(res), "offrow_mass": res.offrow_mass, "trunc": res.N,
                    "meta": {"check_seconds": res.seconds}}
         if refined:

@@ -35,7 +35,7 @@ from . import groups, reps
 from .errors import DomainError, NumericError
 from .groups import make_a, make_k
 
-DEFAULT_PROJECTION_NODES = 128
+DEFAULT_PROJECTION_NODES, MIN_PROJECTION_NODES = 128, 64
 
 
 def bump(x):
@@ -256,8 +256,9 @@ def separation_witness(n: int, profile: BumpProfile) -> EquivariantFn:
 
 
 def _projection_angles(nodes):
-    """Uniform angles of a projector and their rotations, at least 64 of them."""
-    thetas = groups._uniform_angles(groups._node_count(nodes, DEFAULT_PROJECTION_NODES, 64))
+    """Uniform angles of a projector and their rotations, at least MIN_PROJECTION_NODES of them."""
+    thetas = groups._uniform_angles(
+        groups._node_count(nodes, DEFAULT_PROJECTION_NODES, MIN_PROJECTION_NODES))
     return thetas, make_k(thetas)
 
 
@@ -346,6 +347,7 @@ class GramResult:
 
 
 GRAM_QUAD_NODES = 64
+GRAM_REGION = (0.0, 2.0)  # the band of polar radii of the Gram certificate
 
 
 def _read_only(array):
@@ -363,7 +365,7 @@ def _legendre_rule(nq):
 def gram_min_eig(
     params: list[reps.SpectralParam],
     n: int,
-    region: tuple[float, float] = (0.0, 2.0),
+    region: tuple[float, float] = GRAM_REGION,
 ) -> GramResult:
     """Smallest eigenvalue of the Gram matrix of diagonal matrix coefficients.
 

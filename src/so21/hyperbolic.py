@@ -34,6 +34,7 @@ from .errors import DomainError
 Y_MIN = 1e-12
 
 DEFAULT_PHI_NODES = 512
+DEFAULT_FD_STEP = 1e-3  # the step h of the finite-difference Laplacian
 
 
 def _require_hpoint(z):
@@ -43,6 +44,14 @@ def _require_hpoint(z):
     if np.any(z.imag <= Y_MIN):
         raise DomainError("point must have imaginary part > 1e-12")
     return z
+
+
+def _require_exponent(w):
+    """w as a complex array; a non-finite exponent raises DomainError."""
+    w = np.asarray(w, dtype=complex)
+    if not np.all(np.isfinite(w)):
+        raise DomainError("exponent is not finite")
+    return w
 
 
 def mobius(m, z):
@@ -76,7 +85,7 @@ def chi(w, z):
     Takes y^w from :func:`so21.groups._a_character`, as :func:`phi` does, so
     a real w gives a real value.
     """
-    z = _require_hpoint(z)
+    z, w = _require_hpoint(z), _require_exponent(w)
     return groups._a_character(w, np.log(np.atleast_1d(z.imag))).reshape(z.shape)[()]
 
 
@@ -99,7 +108,8 @@ def phi(w, z, nodes=None):
     w : complex or array of complex
         Exponent.  phi(w, .) and phi(1 - w, .) agree.  An array pairs each
         exponent with every point, and each value is bit for bit the one a
-        call with that exponent alone gives.
+        call with that exponent alone gives.  A non-finite exponent raises
+        DomainError, as in :func:`chi` and :func:`eigencheck`.
     z : complex or array of complex
         Points with Im z > 0.
     nodes : int, optional
@@ -111,7 +121,7 @@ def phi(w, z, nodes=None):
     An array of shape w.shape + z.shape; a scalar when both are scalars.
     """
     nodes = groups._node_count(nodes, DEFAULT_PHI_NODES, 16)
-    w = np.asarray(w, dtype=complex)
+    w = _require_exponent(w)
     log_y = np.log(_rotation_orbit(_require_hpoint(z)[..., None], nodes).imag)
     values = np.empty(w.shape + log_y.shape[:-1], dtype=complex)
     for index, wk in np.ndenumerate(w):
@@ -120,7 +130,7 @@ def phi(w, z, nodes=None):
     return values[()]
 
 
-def laplacian_fd(f, z, h=1e-3):
+def laplacian_fd(f, z, h=DEFAULT_FD_STEP):
     """Hyperbolic Laplacian -y^2 (d^2/dx^2 + d^2/dy^2) by central differences.
 
     The 5-point stencil is O(h^2); one Richardson level makes it O(h^4).
@@ -172,7 +182,7 @@ class EigenResult:
     value: complex | np.ndarray
 
 
-def eigencheck(w, z, h=1e-3, nodes=None) -> EigenResult:
+def eigencheck(w, z, h=DEFAULT_FD_STEP, nodes=None) -> EigenResult:
     """Residual of the identity (Laplacian phi_w)(z) = w(1-w) phi_w(z).
 
     The left side is the finite-difference Laplacian applied to the

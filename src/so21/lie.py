@@ -28,6 +28,7 @@ E_MINUS = V1 - 1j * V2
 BASIS = {"V1": V1, "V2": V2, "W": W}
 
 ALGEBRA_TOL = 1e-13
+DEFAULT_CASIMIR_STEP = 1e-3  # the step h of casimir_apply's second differences
 
 
 def algebra_defect(x) -> float:
@@ -113,7 +114,7 @@ def dpsi(x):
     return (beta + gamma) * V1 + 2.0 * alpha * V2 + (gamma - beta) * W
 
 
-def casimir_apply(f, g, h=1e-3):
+def casimir_apply(f, g, h=DEFAULT_CASIMIR_STEP):
     """Second-order Casimir applied to a function on the group at g.
 
     Evaluates D_V1^2 f + D_V2^2 f - D_W^2 f, where D_X^2 is the central

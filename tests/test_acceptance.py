@@ -70,6 +70,24 @@ def test_criterion_11_fails_on_unapplied_right_translate(monkeypatch, fast):
     assert not result.passed
 
 
+def test_criterion_11_holds_each_translation_of_positive_radius_to_the_floor(monkeypatch):
+    # the moving translates are worked out from their Cartan radius: with
+    # rotations alone none is held to the right-defect floor and the check
+    # fails; a boost added to them is held to it, and fails it once the
+    # floor lies above its right defect, while the rotations' 0.0 stays exempt
+    grid = character.HaarGrid(*character.FAST_ORACLE_GRID)
+    rotations = {"k(1)": groups.make_k(1.0), "k(2.5)": groups.make_k(2.5)}
+    monkeypatch.setattr(character, "ORACLE_TRANSLATIONS", rotations)
+    result = acceptance.criterion_11_haar(fast=True)
+    assert not result.passed and "least a/n right 0.00e+00" in result.detail
+    monkeypatch.setattr(character, "ORACLE_TRANSLATIONS", {**rotations, "a(0.7)": groups.make_a(0.7)})
+    res, passed, _ = acceptance.haar_check(grid)
+    assert passed and res.per_translation["k(1)"]["right"] == 0.0
+    boost = res.per_translation["a(0.7)"]["right"]
+    monkeypatch.setattr(acceptance, "HAAR_RIGHT_FLOOR", np.nextafter(boost, np.inf))
+    assert not acceptance.haar_check(grid)[1]
+
+
 def test_criterion_8_fails_on_mixed_isotypes(monkeypatch):
     # negative control: witness m carries 1e-6 of witness m + 1, a type
     # (m+1, m+1) admixture the projectors must expose

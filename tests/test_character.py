@@ -707,6 +707,26 @@ def test_radial_kernel_row_cases_reach_the_band_and_the_origin():
     assert np.count_nonzero(polar[radius == 0.0]) == right.shape[0]
 
 
+def test_origin_phases_on_the_node_route():
+    # right factors k_theta a(0.3) move e3, so the polar entries are read
+    # node by node; on the bases a(0.3)^-1 and k(0.7) a(0.3)^-1 (rows 1 and
+    # 3) the theta = 0 node is the identity and k(0.7), radius 0 inside the
+    # band of a witness that reaches the origin, so its theta2 comes from
+    # groups._origin_phases, which finds the node's row by index // m
+    right = groups.make_k(groups._uniform_angles(8)) @ groups.make_a(0.3)
+    bases = np.stack([groups.make_a(0.2) @ groups.make_n(0.1), groups.make_a(-0.3),
+                      groups.make_a(0.45), groups.make_k(0.7) @ groups.make_a(-0.3)])
+    assert not groups._fixes_e3(right)
+    origin = groups._polar_radius(equivariant._products(bases, right)) == 0.0
+    assert np.array_equal(np.argwhere(origin), [[1, 0], [3, 0]])
+    for n in (-3, 0, 1, 2):
+        f = equivariant.separation_witness(n, equivariant.BumpProfile(0.0, 0.5))
+        polar, node = _route_values(f, bases, right)
+        assert np.array_equal(polar[origin], node[origin]), n
+        assert np.max(np.abs(polar - node)) <= _route_bound(f"witness_{n}"), n
+        assert np.allclose(polar[origin], np.exp(-1.0) * np.exp([0.0, 0.7j * n]), atol=1e-15), n
+
+
 def test_radial_kernel_rows_with_nan():
     # a NaN in g31 of row 3's base makes the nodes of that row NaN where the
     # band test admits them (every node on the row route, whose rows keep
@@ -754,6 +774,16 @@ def test_pi_of_zero_function():
                                      support=(0.0, 0.1))
     op = character.pi_of_f(reps.SpectralParam.principal(1.0), zero, SMALL_GRID, N=8)
     assert np.all(op.mat == 0.0)
+    # a zero matrix has no off-row mass, and the trace of a zero pi(f) is a zero gap
+    assert op.offrow_mass() == 0.0
+    assert character._relative_gap(0j, 0j) == 0.0
+
+
+def test_offrow_mass_with_the_isotype_outside_the_truncation():
+    # the row -n lies outside |m| <= N, so all of the mass is off it
+    op = character.OperatorMatrix(np.ones((3, 3)), reps.SpectralParam.principal(1.0), 2,
+                                  SMALL_GRID, 1, None, 0, 0)
+    assert op.offrow_mass() == 1.0
 
 
 def test_pi_range_concentration():

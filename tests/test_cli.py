@@ -286,6 +286,23 @@ def test_haarcheck_without_band_nodes_exit_code(capsys):
     assert captured.out == "" and "integrates to 0" in captured.err
 
 
+@pytest.mark.parametrize("default, spelled", [
+    ("haarcheck", "haarcheck --grid 96,96,128"),
+    ("charcheck --s i --n 1",
+     "charcheck --s i --n 1 --grid 48,48,96 --trunc 16 --t0 0.6 --width 0.3"),
+    ("gram --params i,2i,0.5 --n 0", "gram --params i,2i,0.5 --n 0 --tmax 2"),
+    ("eigencheck --w 0.5+1i --z 0.5,1.5", "eigencheck --w 0.5+1i --z 0.5,1.5 --h 1e-3"),
+    ("casimir --s i --n 1", "casimir --s i --n 1 --h 0.001"),
+])
+def test_default_run_prints_what_its_spelled_out_twin_prints(capsys, default, spelled):
+    # the defaults the subcommands read from the library are these values
+    outputs = []
+    for argv in (default, spelled):
+        code = cli.run(argv.split() + ["--no-meta"])
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0 and outputs[0][1]
+
+
 def test_charcheck_gate(capsys, monkeypatch):
     argv = ["charcheck", "--s", "i", "--n", "1", "--grid", "24,24,48", "--trunc", "8",
             "--no-meta"]

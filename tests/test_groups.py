@@ -345,6 +345,11 @@ def test_cartan_degenerates_to_rotation():
 def test_haar_density_is_one():
     assert groups.haar_density(groups.IwasawaCoords(0.0, 0.0, 0.0)) == 1.0
     assert groups.haar_density(groups.IwasawaCoords(2.0, -1.0, 0.3)) == 1.0
+    # array coordinates give an array of ones, shaped as t
+    t = np.array([[0.0, 1.5, -2.0], [0.3, 0.4, 0.5]])
+    density = groups.haar_density(groups.IwasawaCoords(t, np.zeros_like(t), np.ones_like(t)))
+    assert isinstance(density, np.ndarray) and density.shape == t.shape
+    assert np.all(density == 1.0)
 
 
 def test_haar_invariance_oracle_moderate_grid():

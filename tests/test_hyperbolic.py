@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,21 @@ def test_phi_functional_equation():
 def test_phi_node_floor():
     with pytest.raises(DomainError):
         hyperbolic.phi(0.5, 1j, nodes=8)
+
+
+@pytest.mark.parametrize("w", [np.nan, np.inf, complex(0.5, np.inf)])
+def test_non_finite_exponent_is_a_domain_error(w):
+    # each used to give a NaN (phi(nan, i) = nan+0j, eigencheck's rel_err nan
+    # with a RuntimeWarning); alone or inside an array of finite exponents
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for exponent in (w, np.array([0.5, w, 0.5 + 1j])):
+            with pytest.raises(DomainError, match="exponent is not finite"):
+                hyperbolic.phi(exponent, 1j)
+            with pytest.raises(DomainError, match="exponent is not finite"):
+                hyperbolic.eigencheck(exponent, 1 + 1j)
+        with pytest.raises(DomainError, match="exponent is not finite"):
+            hyperbolic.chi(w, 1j)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,11 @@ def test_param_parse_labels():
         reps.SpectralParam.parse("Q+2")
 
 
+def test_label_of_a_parameter_with_both_parts_nonzero():
+    assert reps.SpectralParam.from_s(0.5 + 2j).label == "rho_s(0.5+2i)"
+    assert reps.SpectralParam.from_s(1 - 1j).label == "rho_s(1-1i)"
+
+
 def test_parse_complex_forms():
     assert reps.parse_complex("i") == 1j
     assert reps.parse_complex("2i") == 2j
@@ -170,6 +175,17 @@ def test_cocycle_and_matcoef_reject_boost_beyond_precision(t):
         reps.cocycle(0.0, g)
     with pytest.raises(DomainError):
         reps.matcoef(reps.SpectralParam.principal(1.0), g, 0, 0)
+
+
+def test_cocycle_on_an_array_of_angles_is_its_per_angle_calls():
+    # the kernel's theta' is negative at theta = pi and 4 here; cocycle reduces it to [0, 2 pi)
+    g = groups.make_a(0.5) @ groups.make_n(1.0) @ groups.make_k(2.0)
+    thetas = np.array([0.0, 0.9, np.pi, 4.0, 2.0 * np.pi - 1e-9])
+    t, theta_out = reps.cocycle(thetas, g)
+    assert t.shape == theta_out.shape == thetas.shape
+    for k, theta in enumerate(thetas):
+        assert (t[k], theta_out[k]) == reps.cocycle(float(theta), g)
+    assert np.all((0.0 <= theta_out) & (theta_out < 2.0 * np.pi))
 
 
 def test_cocycle_matches_iwasawa():
@@ -475,6 +491,11 @@ def test_k_types_trivial():
     assert types.contains(0)
     assert not types.contains(1)
     assert types.description == "{0}"
+
+
+def test_k_types_description_of_an_induced_kind():
+    assert reps.k_types(reps.SpectralParam.principal(1.0)).description == "all integers"
+    assert reps.k_types(reps.SpectralParam.induced_point(1 + 1j)).description == "all integers"
 
 
 def test_k_types_principal_all():
