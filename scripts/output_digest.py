@@ -11,19 +11,31 @@ and diffing the output:
     PYTHONPATH=src python scripts/output_digest.py > new.txt
     PYTHONPATH=/path/to/other/checkout/src python scripts/output_digest.py > old.txt
     diff old.txt new.txt
+
+Run as a script, it sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 before so21 (and with it numpy) loads: BLAS reads its
+thread count once, at load, and a threaded matrix product can sum in another
+order, which moves the last bit of criterion 10's rel_err (2.3e-16 on one
+thread, 2.4e-16 on two), so the digest would depend on the caller's
+environment.
 """
 
 import contextlib
 import hashlib
 import io
+import os
 
-from so21 import cli
+if __name__ == "__main__":
+    os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                     "MKL_NUM_THREADS"), "1"))
+
+from so21 import cli  # noqa: E402  (after the thread counts are set)
 
 INVOCATIONS = (
     "suite",
     "suite --fast",
     "charcheck --s i --n 1 --refine",
-    "charcheck --s 0.5 --n 0 --corollary",
+    "charcheck --s 0.5 --n 0",
     "charcheck --s 2i --n -2 --grid 37,41,100 --trunc 12",
     "charcheck --s 0.3 --n -1 --grid 20,30,101 --trunc 8",
     "haarcheck --grid 96,96,128",
@@ -68,13 +80,14 @@ INVOCATIONS = (
     "ktypes --rep D+4 --tau-spherical 1",
     # the rotation character tau_n and the A-character: chi at a real
     # exponent, tau_{-N} at N = 0 (where a zero's sign could move),
-    # negative-n projector weights and tau at a negative n
+    # negative-n projector weights and the tau_n-spherical families at a
+    # negative n
     "spherical --w 0.5 --z 1,2",
     "matcoef --s i --g-iwasawa 1,0,0 --n 0 --m 0 --trunc 0 --vector",
     "separate --n -2 --t0 0.8 --width 0.2 --probe 0.8,1.4 --verify-projection",
     "ktypes --tau-spherical -3",
     # the text format of complex values and of the payloads built from
-    # result dataclasses, the corollary path, and the right projector of a
+    # result dataclasses, charcheck at n = 2, and the right projector of a
     # stack with a power |n| = 3
     "spherical --w 0.5+3i --z 1,2 --format text",
     "eigencheck --w 0.5+1i --z 0.5,1.5 --format text",
@@ -88,7 +101,7 @@ INVOCATIONS = (
     "0.7551285236337623,0.720958329444008,0.3,"
     "0.8413876264106195,-0.32126604747552284,1.3457878774671144 --format text",
     "haarcheck --grid 24,24,32 --format text",
-    "charcheck --s 2i --n -2 --corollary --grid 20,20,40 --trunc 6",
+    "charcheck --s 2i --n 2 --grid 20,20,40 --trunc 6",
     "separate --n 3 --t0 0.8 --width 0.2 --probe 0.8,1.4 --verify-projection",
     # exit 3, the check subcommands' gates: a ladder whose 4N + 4 nodes alias
     # at Cartan radius 2.09 (leakage 0.28), and a grid too coarse for

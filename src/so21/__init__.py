@@ -10,7 +10,10 @@ distribution onto a single matrix coefficient.
 
 Everything is certified by independent numerical oracles at stated
 tolerances; run the `suite` CLI subcommand or the acceptance tests to see
-the full battery.
+the full battery.  `so21.cli.OPERATION_COVERAGE` names, per subcommand, the
+operations it computes for its user; public building blocks such as
+`groups.tau`, `groups.haar_density`, `reps.rep_matrix`,
+`character.integrate_G` and `character.corollary_check` sit outside it.
 """
 
 from . import character, equivariant, groups, hyperbolic, lie, reps
@@ -18,26 +21,9 @@ from .errors import DomainError, NumericError, SupportWarning, TruncationWarning
 
 __version__ = "0.1.0"
 
-# The public operations, one entry per verified behavior; the CLI coverage
-# table maps each of these to exactly one subcommand.
-OPERATIONS = {
-    "groups": ("make_a", "make_n", "make_k", "so21_check", "psi", "psi_inv",
-               "iwasawa", "recompose", "cartan", "cartan_radius",
-               "haar_density", "tau"),
-    "lie": ("bracket", "ad_w_eigencheck", "exp_matrix", "dpsi", "casimir_apply"),
-    "hyperbolic": ("act", "chi", "phi", "laplacian_fd", "eigencheck"),
-    "reps": ("cocycle", "act_principal", "matcoef", "k_types",
-             "tau_spherical_set", "discrete_ladder_leakage"),
-    "equivariant": ("project_biequivariant", "right_isotype_project",
-                    "separation_witness", "gram_min_eig"),
-    "character": ("integrate_G", "pi_of_f", "char_identity_check", "haar_invariance_check"),
-    "cli": ("run",),
-}
-
 __all__ = [
     "character", "cli", "equivariant", "groups", "hyperbolic", "lie", "reps",
     "DomainError", "NumericError", "SupportWarning", "TruncationWarning",
-    "OPERATIONS",
 ]
 
 

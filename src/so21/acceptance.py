@@ -209,15 +209,14 @@ def criterion_9_gram() -> CriterionResult:
                    f"duplicated {dup.min_eig:.1e} (<1e-10)")
 
 
-def character_check(p, n, grids, profile, N=None, corollary=False):
+def character_check(p, n, grids, profile, N=None):
     """Criterion 10 on `grids`: the results and the verdict, the first grid held to
     the base bound and each later one, a refinement, to the refined bound.
 
-    The witness of `profile` has bi-type (n, n), or (-n, -n) for the corollary.
+    The witness of `profile` has bi-type (n, n).
     """
-    m = -n if corollary else n
-    f = equivariant.separation_witness(m, profile)
-    results = [character.char_identity_check(p, m, f, grid=grid, N=N) for grid in grids]
+    f = equivariant.separation_witness(n, profile)
+    results = [character.char_identity_check(p, n, f, grid=grid, N=N) for grid in grids]
     bounds = [CHAR_BASE_BOUND] + [CHAR_REFINED_BOUND] * (len(results) - 1)
     return results, all(res.rel_err < bound for res, bound in zip(results, bounds))
 
@@ -229,11 +228,12 @@ def criterion_10_character_identity(fast=False) -> CriterionResult:
     # boundary samples are built once
     grids = [base] if fast else [base, base.refine()]
     rho_i, rho_half = reps.SpectralParam.principal(1.0), reps.SpectralParam.complementary(0.5)
-    cases = [("rho_i n=1", rho_i, 1, False), ("rho_0.5 n=0", rho_half, 0, False),
-             ("corollary rho_i n=1", rho_i, 1, True)]
+    # the corollary at n = 1 tests a witness of bi-type (-1, -1): the identity at n = -1
+    cases = [("rho_i n=1", rho_i, 1), ("rho_0.5 n=0", rho_half, 0),
+             ("corollary rho_i n=1", rho_i, -1)]
     details, ok = [], True
-    for name, p, n, corollary in cases:
-        results, passed = character_check(p, n, grids, CHAR_PROFILE, corollary=corollary)
+    for name, p, n in cases:
+        results, passed = character_check(p, n, grids, CHAR_PROFILE)
         ok = ok and passed
         details.append(f"{name}: " + "/".join(f"{res.rel_err:.1e}" for res in results))
     (zero_case,), _ = character_check(reps.SpectralParam.discrete(4, 1), 1, [base], CHAR_PROFILE)

@@ -44,6 +44,8 @@ def test_usage_error_unknown_flag(capsys):
     assert cli.run(["ladder", "--m", "2", "--tol", "1e-6"]) == 1
     assert cli.run(["haarcheck", "--grid", "48,48,64", "--tol", "0.005"]) == 1
     assert cli.run(["charcheck", *CHARCHECK_SMALL[1:], "--tol", "0.02"]) == 1
+    # the corollary at n is the check at -n, `--n -1` for `--n 1 --corollary`
+    assert cli.run([*CHARCHECK_SMALL, "--corollary"]) == 1
 
 
 def test_usage_error_unknown_subcommand(capsys):
@@ -254,7 +256,9 @@ def test_gram_subcommand_above_the_default_node_count(capsys):
 def test_haarcheck_small_grid(capsys, monkeypatch):
     code, payload = run_json(capsys, "haarcheck", "--grid", "48,48,64", "--no-meta")
     assert code == 0
-    assert payload["density_at_origin"] == 1.0
+    # the oracle's result and nothing else; its seconds go to the meta block
+    fields = {field.name for field in dataclasses.fields(character.HaarCheckResult)}
+    assert set(payload) == fields - {"seconds"}
     assert payload["worst_left"] < acceptance.HAAR_DEFECT_BOUND
     assert 0 < payload["evaluated_rows"] < 48 * 48
     # criterion 11's defect bound and right-defect floor, shared with the
@@ -445,11 +449,17 @@ def test_charcheck_holds_the_refined_grid_to_criterion_10s_bound(capsys, monkeyp
 
 
 def test_charcheck_corollary_and_refine(capsys):
-    code, payload = run_json(capsys, "charcheck", "--s", "i", "--n", "1",
-                             "--grid", "24,24,48", "--trunc", "8",
-                             "--corollary", "--refine", "--no-meta")
+    # the corollary at n = 1, on a witness of bi-type (-1, -1), is `--n -1`
+    code, payload = run_json(capsys, "charcheck", "--s", "i", "--n", "-1",
+                             "--grid", "24,24,48", "--trunc", "8", "--refine", "--no-meta")
     assert code == 0
     assert payload["refined"]["rel_err"] < 0.02
+    p, grid = reps.SpectralParam.principal(1.0), character.HaarGrid(24, 24, 48)
+    f = equivariant.separation_witness(-1, acceptance.CHAR_PROFILE)
+    for sides, at in ((payload, grid), (payload["refined"], grid.refine())):
+        res = character.corollary_check(p, 1, f, grid=at, N=8)
+        assert complex(sides["lhs"]["re"], sides["lhs"]["im"]) == res.lhs_trace
+        assert complex(sides["rhs"]["re"], sides["rhs"]["im"]) == res.rhs_integral
 
 
 # ---------------------------------------------------------------------------
@@ -576,11 +586,16 @@ def test_suite_fast(capsys):
 # coverage of the operation registry
 # ---------------------------------------------------------------------------
 
+def _operation(qualified):
+    """The library function a coverage entry `module.name` names."""
+    module_name, name = qualified.split(".")
+    return importlib.import_module(f"so21.{module_name}"), name
+
+
 def test_every_operation_reachable_from_exactly_one_subcommand():
     declared = [op for ops in cli.OPERATION_COVERAGE.values() for op in ops]
     assert len(declared) == len(set(declared)), "operation mapped twice"
-    registry = {op for ops in so21.OPERATIONS.values() for op in ops}
-    assert set(declared) == registry
+    assert all(op.count(".") == 1 for op in declared), "operation not module-qualified"
     subparsers = next(action for action in cli.build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction))
     assert set(cli.OPERATION_COVERAGE) == set(subparsers.choices)
@@ -609,10 +624,9 @@ def test_every_subcommand_enters_the_operations_it_covers(command, monkeypatch):
             return operation(*args, **kwargs)
         return recorded
 
-    for module_name, ops in so21.OPERATIONS.items():
-        module = getattr(so21, module_name)
-        for op in ops:
-            monkeypatch.setattr(module, op, recorder(op, getattr(module, op)))
+    for op in cli.OPERATION_COVERAGE[command]:
+        module, name = _operation(op)
+        monkeypatch.setattr(module, name, recorder(op, getattr(module, name)))
     lines = [line.split() for line in digest.INVOCATIONS if line.split()[0] == command]
     assert lines, f"scripts/output_digest.py runs no {command} invocation"
     for argv in lines:
@@ -621,12 +635,15 @@ def test_every_subcommand_enters_the_operations_it_covers(command, monkeypatch):
 
 
 def test_registry_names_exist():
-    import so21 as pkg
-
-    for module_name, ops in so21.OPERATIONS.items():
-        module = pkg if module_name == "" else getattr(pkg, module_name)
-        for op in ops:
-            assert callable(getattr(module, op)), f"{module_name}.{op} missing"
+    declared = {op for ops in cli.OPERATION_COVERAGE.values() for op in ops}
+    for op in declared:
+        module, name = _operation(op)
+        assert callable(getattr(module, name)), f"{op} missing"
+    # public building blocks that no subcommand computes for its user
+    for op in ("groups.tau", "groups.haar_density", "character.integrate_G",
+               "reps.rep_matrix", "character.corollary_check"):
+        module, name = _operation(op)
+        assert op not in declared and callable(getattr(module, name))
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +747,8 @@ def test_python_m_so21_cli_prints_nothing_on_stderr():
 
 def test_import_so21_leaves_the_cli_unloaded():
     code = ("import sys, so21; loaded = [m for m in ('so21.cli', 'argparse', 'csv', 'json') "
-            "if m in sys.modules]; print(loaded, so21.cli.__name__, 'run' in so21.OPERATIONS['cli'])")
+            "if m in sys.modules]; print(loaded, so21.cli.__name__, "
+            "'acceptance.run_all' in so21.cli.OPERATION_COVERAGE['suite'])")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,

@@ -94,6 +94,17 @@ def test_chi_at_height_e():
     assert_allclose(hyperbolic.chi(0.5 + 1j, np.e * 1j), np.exp(0.5 + 1j))
 
 
+@pytest.mark.parametrize("z", [2j, np.array([3.0 + 5.0j, 0.3 + 0.7j, -1.0 + 0.2j])],
+                         ids=["point", "points"])
+def test_chi_takes_an_array_of_exponents(z):
+    # an array of exponents used to raise a bare TypeError
+    w = np.array([[0.5, 1.0], [0.5 + 1j, -2.0 - 3j]])
+    values = hyperbolic.chi(w, z)
+    assert values.shape == w.shape + np.shape(z)
+    for index, wk in np.ndenumerate(w):
+        np.testing.assert_array_equal(values[index], hyperbolic.chi(wk, z))
+
+
 def test_phi_at_base_point_is_one():
     for w in (0.3, 0.5 + 3j, 1.0):
         assert abs(hyperbolic.phi(w, 1j) - 1.0) < 1e-14
@@ -132,8 +143,8 @@ def test_non_finite_exponent_is_a_domain_error(w):
                 hyperbolic.phi(exponent, 1j)
             with pytest.raises(DomainError, match="exponent is not finite"):
                 hyperbolic.eigencheck(exponent, 1 + 1j)
-        with pytest.raises(DomainError, match="exponent is not finite"):
-            hyperbolic.chi(w, 1j)
+            with pytest.raises(DomainError, match="exponent is not finite"):
+                hyperbolic.chi(exponent, 1j)
 
 
 # ---------------------------------------------------------------------------
