@@ -73,7 +73,6 @@ INVOCATIONS = (
     "0.7551285236337623,0.720958329444008,0.3,"
     "0.8413876264106195,-0.32126604747552284,1.3457878774671144",
     "bracket --x V1 --y W",
-    "bracket --adw-check",
     "exp --algebra W",
     "exp --dpsi 0.1,0.2,0.3,-0.1",
     "casimir --s i --n 1",
@@ -113,6 +112,10 @@ INVOCATIONS = (
     "haarcheck",
     "charcheck --s i --n 1",
     "gram --params i,2i,0.5 --n 0",
+    # exit 2, a malformed ladder label, and the repeated-parameter negative
+    # control, whose infinite condition number JSON prints as null
+    "ktypes --rep D+x",
+    "gram --params i,i",
 )
 
 

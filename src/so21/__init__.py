@@ -12,8 +12,9 @@ Everything is certified by independent numerical oracles at stated
 tolerances; run the `suite` CLI subcommand or the acceptance tests to see
 the full battery.  `so21.cli.OPERATION_COVERAGE` names, per subcommand, the
 operations it computes for its user; public building blocks such as
-`groups.tau`, `groups.haar_density`, `reps.rep_matrix`,
-`character.integrate_G` and `character.corollary_check` sit outside it.
+`groups.tau`, `groups.haar_density`, `groups.cartan_radius`,
+`reps.rep_matrix`, `character.integrate_G`, `character.corollary_check`
+and `lie.ad_w_eigencheck` sit outside it.
 """
 
 from . import character, equivariant, groups, hyperbolic, lie, reps

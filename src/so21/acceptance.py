@@ -191,7 +191,7 @@ def criterion_8_projectors() -> CriterionResult:
     witness = witness_cache[1]
     on_orbit = abs(complex(witness(groups.make_a(t0))))
     off_orbit = abs(complex(witness(groups.make_a(t0 + 3 * delta))))
-    margin_ok = on_orbit > 0.5 * profile.peak and off_orbit == 0.0
+    margin_ok = on_orbit > 0.5 * profile(profile.center) and off_orbit == 0.0
     passed = worst_idem < 1e-9 and worst_annihilate < 1e-9 and margin_ok
     return _result(8, "projector algebra", start, passed,
                    f"idempotence {worst_idem:.2e}, annihilation {worst_annihilate:.2e} (<1e-9), "
@@ -237,7 +237,7 @@ def criterion_10_character_identity(fast=False) -> CriterionResult:
         ok = ok and passed
         details.append(f"{name}: " + "/".join(f"{res.rel_err:.1e}" for res in results))
     (zero_case,), _ = character_check(reps.SpectralParam.discrete(4, 1), 1, [base], CHAR_PROFILE)
-    lhs_mag, rhs_mag = zero_case.magnitudes
+    lhs_mag, rhs_mag = abs(zero_case.lhs_trace), abs(zero_case.rhs_integral)
     ok = ok and lhs_mag < 1e-3 and rhs_mag < 1e-3
     details.append(f"empty isotype: |lhs|={lhs_mag:.1e}, |rhs|={rhs_mag:.1e} (<1e-3)")
     refined = "" if fast else f", refined <{CHAR_REFINED_BOUND:.0%}"

@@ -46,14 +46,15 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from . import groups, reps
 from .errors import DomainError, SupportWarning, TruncationWarning
-from .groups import (IwasawaCoords, _polar_radius, cartan_radius, haar_density, make_a, make_k,
+from .groups import (IwasawaCoords, _read_only, cartan_radius, haar_density, make_a, make_k,
                      make_n, recompose)
-from .equivariant import BumpProfile, EquivariantFn, _near_band, _on_nodes, _Radial, _read_only
+from .equivariant import BumpProfile, EquivariantFn, _near_band, _on_nodes, _Radial
 
 # The (t, u) box every grid covers; only the node counts vary.
 T_BOX = (-3.0, 3.0)
@@ -63,8 +64,9 @@ BOUNDARY_SAMPLES = 24
 REFINE_FACTOR = 1.5
 # The Haar oracle's full and fast grid shapes (not grids, which cache rows) and translations
 ORACLE_GRID, FAST_ORACLE_GRID = (96, 96, 128), (48, 48, 64)
-ORACLE_TRANSLATIONS = {"a(0.3)": _read_only(make_a(0.3)), "n(0.5)": _read_only(make_n(0.5)),
-                       "k(1)": _read_only(make_k(1.0))}
+ORACLE_TRANSLATIONS = MappingProxyType({"a(0.3)": _read_only(make_a(0.3)),
+                                        "n(0.5)": _read_only(make_n(0.5)),
+                                        "k(1)": _read_only(make_k(1.0))})
 CHAR_TRUNC = 16  # the truncation N of pi(f) in the character checks
 # Nodes per chunk of a grid loop (whole rows, at least one).  A chunk's
 # polar entries or elements and its integrand's temporaries then stay in
@@ -110,10 +112,6 @@ class HaarGrid:
         du = (U_BOX[1] - U_BOX[0]) / self.nu
         base = IwasawaCoords(0.0, 0.0, 0.0)
         return dt * du * haar_density(base) / self.ntheta
-
-    def total_mass(self) -> float:
-        """Integral of the constant 1 over the box (analytically Dt * Du)."""
-        return self.node_weight * self.nt * self.nu * self.ntheta
 
     def coordinate_arrays(self):
         ts = T_BOX[0] + ((np.arange(self.nt) + 0.5) / self.nt) * (T_BOX[1] - T_BOX[0])
@@ -235,7 +233,7 @@ def _support_rows(f, bases):
     skipped = bases[~near]
     off = np.flatnonzero(np.asarray(_on_nodes(f)(skipped)) != 0.0)
     if off.size:
-        raise DomainError(f"f is nonzero at polar radius {_polar_radius(skipped[off[0]]):.6g} "
+        raise DomainError(f"f is nonzero at polar radius {groups._polar(skipped[off[0]])[1]:.6g} "
                           f"outside its declared support {tuple(support)}")
     return np.flatnonzero(near)
 
@@ -353,10 +351,6 @@ class CharIdentityResult:
     support_rows: int
     seconds: float
     block_norm: float | None = None
-
-    @property
-    def magnitudes(self) -> tuple[float, float]:
-        return abs(self.lhs_trace), abs(self.rhs_integral)
 
     @property
     def grid_rows(self) -> int:

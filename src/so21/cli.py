@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import re
 import sys
 import time
@@ -37,10 +38,10 @@ EXIT_TOLERANCE = 3
 OPERATION_COVERAGE = {
     "iwasawa": ("groups.iwasawa", "groups.recompose", "groups.make_a", "groups.make_n",
                 "groups.make_k"),
-    "cartan": ("groups.cartan", "groups.cartan_radius"),
+    "cartan": ("groups.cartan",),
     "psi": ("groups.psi",),
     "psi-inv": ("groups.psi_inv", "groups.so21_check"),
-    "bracket": ("lie.bracket", "lie.ad_w_eigencheck"),
+    "bracket": ("lie.bracket",),
     "exp": ("lie.exp_matrix", "lie.dpsi"),
     "casimir": ("lie.casimir_apply",),
     "spherical": ("hyperbolic.phi", "hyperbolic.chi", "hyperbolic.act"),
@@ -129,6 +130,17 @@ def _jsonable(value):
     return value
 
 
+def _null_non_finite(value):
+    """A :func:`_jsonable` value with each non-finite float as None, which JSON writes as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _null_non_finite(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_null_non_finite(v) for v in value]
+    return value
+
+
 def _emit(payload, args, started: float) -> None:
     # timings a handler reports ride in its "meta" entry, never in the payload
     payload = dict(payload)
@@ -141,7 +153,7 @@ def _emit(payload, args, started: float) -> None:
             **timings,
         }
     if args.format == "json":
-        text = json.dumps(_jsonable(payload), sort_keys=True)
+        text = json.dumps(_null_non_finite(_jsonable(payload)), sort_keys=True, allow_nan=False)
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -176,7 +188,7 @@ def build_parser() -> _Parser:
     source.add_argument("--matrix")
     source.add_argument("--recompose", help="t,u,theta to rebuild instead of decompose")
 
-    p = command("cartan", "polar coordinates k_theta1 a_t k_theta2 and the radius")
+    p = command("cartan", "polar coordinates k_theta1 a_t k_theta2")
     p.add_argument("--matrix", required=True)
 
     p = command("psi", "apply the covering map to an SL(2,R) matrix")
@@ -185,10 +197,9 @@ def build_parser() -> _Parser:
     p = command("psi-inv", "canonical SL(2,R) representative of a group element")
     p.add_argument("--matrix", required=True)
 
-    p = command("bracket", "commutator of algebra elements; --adw-check for the eigenvector defects")
-    p.add_argument("--x", help="9 numbers or a basis name (V1, V2, W)")
-    p.add_argument("--y", help="9 numbers or a basis name")
-    p.add_argument("--adw-check", action="store_true")
+    p = command("bracket", "commutator of algebra elements")
+    p.add_argument("--x", required=True, help="9 numbers or a basis name (V1, V2, W)")
+    p.add_argument("--y", required=True, help="9 numbers or a basis name")
 
     p = command("exp", "matrix exponential; --dpsi for the differential of the covering map")
     source = p.add_mutually_exclusive_group(required=True)
@@ -289,9 +300,7 @@ def _handle(args):
         return dataclasses.asdict(groups.iwasawa(_parse_matrix(args.matrix))), EXIT_OK
 
     if name == "cartan":
-        g = _parse_matrix(args.matrix)
-        return {**dataclasses.asdict(groups.cartan(g)),
-                "radius": float(groups.cartan_radius(g))}, EXIT_OK
+        return dataclasses.asdict(groups.cartan(_parse_matrix(args.matrix))), EXIT_OK
 
     if name == "psi":
         return {"matrix": groups.psi(_parse_matrix(args.sl2, 2))}, EXIT_OK
@@ -302,12 +311,6 @@ def _handle(args):
                 "diagnostics": dataclasses.asdict(groups.so21_check(g))}, EXIT_OK
 
     if name == "bracket":
-        if args.adw_check:
-            _refuse_with(args, "--adw-check", "x", "y")
-            dplus, dminus = lie.ad_w_eigencheck()
-            return {"defect_plus": dplus, "defect_minus": dminus}, EXIT_OK
-        if not args.x or not args.y:
-            raise UsageError("bracket needs --x and --y (or --adw-check)")
         return {"matrix": lie.bracket(_algebra_from_text(args.x),
                                       _algebra_from_text(args.y))}, EXIT_OK
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import groups, reps
 from .errors import DomainError, NumericError
-from .groups import make_a, make_k
+from .groups import _read_only, make_a, make_k
 
 DEFAULT_PROJECTION_NODES, MIN_PROJECTION_NODES = 128, 64
 
@@ -67,11 +67,6 @@ class BumpProfile:
 
     def __call__(self, r):
         return bump((np.asarray(r, dtype=float) - self.center) / self.width)
-
-    @property
-    def peak(self) -> float:
-        """Value at the center, e^{-1}."""
-        return float(np.exp(-1.0))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -183,10 +178,8 @@ class _Radial:
 
     def __call__(self, gs):
         gs = np.asarray(gs, dtype=float)
-        return self._on_entries(groups._polar_entries(), gs).reshape(gs.shape[:-2])[()]
-
-    def _on_entries(self, build, bases):
-        return _on_radial_support(build(bases), self.profile, self.value)
+        return _on_radial_support(groups._polar_entries()(gs), self.profile,
+                                  self.value).reshape(gs.shape[:-2])[()]
 
 
 def _on_nodes(f, right=None):
@@ -204,8 +197,8 @@ def _on_nodes(f, right=None):
         return f if right is None else lambda bases: f(_products(bases, right))
     build = groups._polar_entries(right)
     if right is None:
-        return lambda bases: radial._on_entries(build, bases)[:, 0]
-    return lambda bases: radial._on_entries(build, bases)
+        return lambda bases: _on_radial_support(build(bases), radial.profile, radial.value)[:, 0]
+    return lambda bases: _on_radial_support(build(bases), radial.profile, radial.value)
 
 
 def _power(z, k):
@@ -350,11 +343,6 @@ GRAM_QUAD_NODES = 64
 GRAM_REGION = (0.0, 2.0)  # the band of polar radii of the Gram certificate
 
 
-def _read_only(array):
-    array.flags.writeable = False
-    return array
-
-
 @functools.cache
 def _legendre_rule(nq):
     """Gauss-Legendre nodes and weights on [-1, 1], built once per node count, read-only."""
@@ -385,15 +373,17 @@ def gram_min_eig(
     whole group); the quadrature is validated against one refinement and a
     disagreement raises NumericError.
 
-    Parameters are required to carry the K-type tau_n; pairwise
-    inequivalence is the caller's responsibility (a repeated entry is the
-    standard negative control and must come out singular).
+    Parameters must be of an induced kind, each of which carries every
+    K-type tau_n: a discrete series' coefficients in V(m - 1) have another
+    norm than its ladder's invariant one.  Pairwise inequivalence is the
+    caller's responsibility (a repeated entry is the standard negative
+    control and must come out singular).
     """
     if not params:
         raise DomainError("need at least one spectral parameter")
     for p in params:
-        if not reps.k_types(p).contains(n):
-            raise DomainError(f"{p.label} does not carry the K-type tau_{n}")
+        if not p.is_induced:
+            raise DomainError(f"gram_min_eig needs an induced kind, got {p.kind}")
     lo, hi = float(region[0]), float(region[1])
     if not 0.0 <= lo < hi:
         raise DomainError("region must be an interval [lo, hi) with 0 <= lo < hi")

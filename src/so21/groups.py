@@ -27,7 +27,13 @@ import numpy as np
 
 from .errors import DomainError
 
-J = np.diag([1.0, 1.0, -1.0])
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+J = _read_only(np.diag([1.0, 1.0, -1.0]))
 
 FORM_TOL = 1e-10
 DET_TOL = 1e-10
@@ -288,7 +294,7 @@ class PSL2Element:
             raise DomainError("PSL2Element expects 2x2 matrices")
         det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
         defect = float(np.max(np.abs(det - 1.0)))
-        if defect > 1e-12:
+        if defect > DET_TOL:
             raise DomainError(f"PSL2 representative must have det 1, got defect {defect:.2e}")
         entries = m.reshape(m.shape[:-2] + (4,))
         first = np.argmax(np.abs(entries) > SIGN_TOL, axis=-1)
@@ -378,19 +384,6 @@ def _radius(root):
     if not flat.any():
         return r, None
     return np.where(flat, 0.0, r), flat
-
-
-def _polar_radius(gs):
-    """Polar radius of an unvalidated (..., 3, 3) stack, read in place.
-
-    The radius is arcsinh sqrt(g13^2 + g23^2), the band test's sum of
-    squares, exact on the subgroup elements and stable near the identity,
-    unlike arcosh(g33); in the membership domain (entries below 1e4) the sum
-    neither overflows nor underflows above 1e-154.  Radii below 1e-12 are
-    exactly 0 (:func:`_radius`).
-    """
-    g13, g23 = gs[..., 0, 2], gs[..., 1, 2]
-    return _radius(np.sqrt(g13 * g13 + g23 * g23))[0]
 
 
 class _PolarEntries:
@@ -528,7 +521,9 @@ def _origin_phases(entries, index):
 def _polar(gs):
     """Polar coordinates (theta1, r, theta2) of an unvalidated (..., 3, 3) stack.
 
-    The radius is that of :func:`_polar_radius`.  For positive radius the two
+    The radius is arcsinh sqrt(g13^2 + g23^2), exact on the subgroup
+    elements and stable near the identity, unlike arcosh(g33); radii below
+    1e-12 are exactly 0 (:func:`_radius`).  For positive radius the two
     angles are pinned by the third column and the third row of g, and the
     factorization k_theta1 a_r k_theta2 is unique.  At the degenerate
     radius 0 the element is a pure rotation, stored as theta1 = 0 with
@@ -543,8 +538,8 @@ def _polar(gs):
 
 
 def cartan_radius(g):
-    """Radius r >= 0 of the polar factorization, no angle computed; K-bi-invariant."""
-    return _polar_radius(require_member(g, "cartan input"))
+    """Radius r >= 0 of the polar factorization, :func:`cartan`'s t; K-bi-invariant."""
+    return _polar(require_member(g, "cartan input"))[1]
 
 
 def cartan(g) -> CartanCoords:

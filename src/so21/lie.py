@@ -13,19 +13,21 @@ all of this is integer arithmetic and is tested exactly.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .groups import J
+from .groups import J, _read_only
 
-V1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-V2 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+V1 = _read_only(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+V2 = _read_only(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+W = _read_only(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
-E_PLUS = V1 + 1j * V2
-E_MINUS = V1 - 1j * V2
+E_PLUS = _read_only(V1 + 1j * V2)
+E_MINUS = _read_only(V1 - 1j * V2)
 
-BASIS = {"V1": V1, "V2": V2, "W": W}
+BASIS = MappingProxyType({"V1": V1, "V2": V2, "W": W})
 
 ALGEBRA_TOL = 1e-13
 DEFAULT_CASIMIR_STEP = 1e-3  # the step h of casimir_apply's second differences

@@ -23,6 +23,7 @@ ladder subspaces.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -112,9 +113,9 @@ class SpectralParam:
             return cls.trivial()
         if text == "rho":
             return cls.principal(0.0)
-        if text.startswith("D+") or text.startswith("D-"):
-            sign = 1 if text[1] == "+" else -1
-            return cls.discrete(int(text[2:]), sign)
+        ladder = re.fullmatch(r"D([+-])(\d+)", text)
+        if ladder:
+            return cls.discrete(int(ladder[2]), 1 if ladder[1] == "+" else -1)
         if text.startswith("rho:"):
             return cls.from_s(parse_complex(text[4:]))
         raise DomainError(f"cannot parse representation label {text!r}")
@@ -203,9 +204,6 @@ class KFourierVector:
         ns = np.arange(-N, N + 1)
         c = np.exp(-np.abs(ns) / decay) * np.exp(2j * np.pi * rng.random(2 * N + 1))
         return cls(N, c / np.linalg.norm(c))
-
-    def coeff(self, n: int) -> complex:
-        return complex(self.c[n + self.N])
 
     def norm(self) -> float:
         """L2(K) norm; Parseval makes it the plain 2-norm of the coefficients."""

@@ -20,7 +20,7 @@ def _witness(n, center=0.6, width=0.3):
 
 def test_grid_total_mass_is_box_area():
     grid = character.HaarGrid()
-    assert abs(grid.total_mass() - 6.0 * 8.0) < 1e-10
+    assert abs(grid.node_weight * grid.nt * grid.nu * grid.ntheta - 6.0 * 8.0) < 1e-10
 
 
 def test_grid_refinement_scales_counts():
@@ -87,7 +87,7 @@ def test_grid_rows_share_their_base_radius():
     # radius of its row base bit for bit; the band test on the row bases
     # relies on it
     grid = character.HaarGrid(nt=24, nu=24, ntheta=40)
-    radius = groups._polar_radius(grid.elements()).reshape(-1, grid.ntheta)
+    radius = groups._polar(grid.elements())[1].reshape(-1, grid.ntheta)
     assert np.array_equal(radius, np.repeat(radius[:, :1], grid.ntheta, axis=1))
     rows = _rows_in_band(grid, (0.25, 0.95))
     inside = (radius[:, 0] >= 0.25) & (radius[:, 0] <= 0.95)
@@ -108,6 +108,14 @@ def test_grid_constants_are_built_once_per_grid_and_read_only():
     other = character.HaarGrid(nt=8, nu=6, ntheta=16)
     assert other == grid and hash(other) == hash(grid)
     assert other._row_bases is not grid._row_bases
+
+
+def test_oracle_translations_are_read_only():
+    # criterion 11 and haarcheck read them: neither an entry nor a matrix moves
+    with pytest.raises(TypeError):
+        character.ORACLE_TRANSLATIONS["a(0.3)"] = groups.make_a(2.0)
+    with pytest.raises(ValueError):
+        character.ORACLE_TRANSLATIONS["a(0.3)"][0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +217,7 @@ def _translation_reach(translations):
 def _band_rows(bases, band):
     # rows whose base radius lies in the band, widened for round-off: an
     # arcsinh reference, independent of the library's squared band test
-    radius = groups._polar_radius(bases)
+    radius = groups._polar(bases)[1]
     margin = 1e-9
     return np.flatnonzero((radius >= band[0] - margin) & (radius <= band[1] + margin))
 
@@ -488,12 +496,12 @@ def test_support_masked_cases_reach_the_edges_and_the_origin():
     # the edge stack straddles both band edges by a few ulps, in the
     # computed radius the kernel compares; the origin case has r = 0 nodes
     # inside the band next to nodes outside it
-    radius = groups._polar_radius(_EDGES)
+    radius = groups._polar(_EDGES)[1]
     for edge in _BoxProfile.support:
         near = np.abs(radius - edge) <= 8 * np.spacing(edge)
         assert np.any(near & (radius < edge)) and np.any(near & (radius == edge))
         assert np.any(near & (radius > edge))
-    radius = groups._polar_radius(_ORIGIN_MIXED)
+    radius = groups._polar(_ORIGIN_MIXED)[1]
     assert radius.shape == (6, 5) and not _ORIGIN_MIXED.flags.c_contiguous
     assert np.count_nonzero(radius == 0.0) == 20 and np.any(radius > 0.5)
 
@@ -557,7 +565,7 @@ def test_radial_kernel_evaluates_the_profile_on_band_candidates_only():
     entries = groups._polar_entries(SMALL_GRID._rotations)(bases)
     got = equivariant._on_radial_support(
         entries, profile, lambda b, z1, z2: b * (z1 * np.conj(z2)).real)
-    radius = groups._polar_radius(bases)
+    radius = groups._polar(bases)[1]
     lo, hi = profile.support
     inside = (radius >= lo - 1e-8) & (radius <= hi + 1e-8)
     assert len(profile.seen) == 1 and profile.seen[0].ndim == 1
@@ -610,7 +618,7 @@ def _with_nan(bases, right):
     # the band test drops it), rows 3 and 4 of the oracle's band, and in
     # R11 of right factor 5 (its phase)
     bases, right = np.array(bases), np.array(right)
-    radius = groups._polar_radius(bases)
+    radius = groups._polar(bases)[1]
     assert np.all((radius[3:5] > 0.3) & (radius[3:5] < 0.9))
     bases[3, 2, 0] = np.nan
     bases[4, 0, 2] = np.nan
@@ -701,7 +709,7 @@ def test_radial_kernel_row_cases_reach_the_band_and_the_origin():
         if kind != "origin_rows":
             assert np.count_nonzero(_route_values(oracle, bases, right)[0]) > 0, kind
     bases, right = _ROUTES["origin_rows"]
-    radius = groups._polar_radius(equivariant._products(bases, right))
+    radius = groups._polar(equivariant._products(bases, right))[1]
     assert np.count_nonzero(radius == 0.0) == right.shape[0]
     polar, node = _route_values(_KERNELS["origin_witness_2"], bases, right)
     assert np.count_nonzero(polar[radius == 0.0]) == right.shape[0]
@@ -717,7 +725,7 @@ def test_origin_phases_on_the_node_route():
     bases = np.stack([groups.make_a(0.2) @ groups.make_n(0.1), groups.make_a(-0.3),
                       groups.make_a(0.45), groups.make_k(0.7) @ groups.make_a(-0.3)])
     assert not groups._fixes_e3(right)
-    origin = groups._polar_radius(equivariant._products(bases, right)) == 0.0
+    origin = groups._polar(equivariant._products(bases, right))[1] == 0.0
     assert np.array_equal(np.argwhere(origin), [[1, 0], [3, 0]])
     for n in (-3, 0, 1, 2):
         f = equivariant.separation_witness(n, equivariant.BumpProfile(0.0, 0.5))
@@ -980,7 +988,7 @@ def test_char_identity_empty_isotype_case():
     f = _witness(1)
     res = character.char_identity_check(reps.SpectralParam.discrete(4, 1), 1,
                                         f, grid=SMALL_GRID, N=12)
-    lhs_mag, rhs_mag = res.magnitudes
+    lhs_mag, rhs_mag = abs(res.lhs_trace), abs(res.rhs_integral)
     assert lhs_mag < 1e-3
     assert rhs_mag == 0.0
     norm_f = float(np.real(character.integrate_G(

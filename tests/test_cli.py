@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import so21
-from so21 import acceptance, character, cli, equivariant, hyperbolic, reps
+from so21 import acceptance, character, cli, equivariant, groups, hyperbolic, reps
 
 
 def run_json(capsys, *argv):
@@ -111,7 +111,8 @@ def test_cartan_output(capsys):
     code, payload = run_json(capsys, "cartan", "--matrix", IDENTITY, "--no-meta")
     assert code == 0
     assert payload["t"] == 0.0
-    assert payload["radius"] == 0.0
+    # the coordinates and nothing else: the radius is t
+    assert set(payload) == {field.name for field in dataclasses.fields(groups.CartanCoords)}
 
 
 def test_bracket_and_adw(capsys):
@@ -119,9 +120,12 @@ def test_bracket_and_adw(capsys):
     assert code == 0
     v2 = [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
     assert payload["matrix"] == pytest.approx([-v for v in v2])
-    code, payload = run_json(capsys, "bracket", "--adw-check", "--no-meta")
-    assert code == 0
-    assert payload == {"defect_plus": 0.0, "defect_minus": 0.0}
+    # the ad W eigenvector defects are criterion 3's, not a bracket option;
+    # a bracket needs both of its arguments
+    for argv in (["bracket", "--adw-check"], ["bracket", "--y", "V1"]):
+        assert cli.run(argv + ["--no-meta"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage error:")
 
 
 def test_exp_and_dpsi(capsys):
@@ -180,12 +184,10 @@ def test_matcoef_vector_at_truncation_zero(capsys):
     ["spherical", "--w", "0.5", "--ray", "0,2,5", "--z", "junk"],
     ["spherical", "--w", "0.5", "--ray", "0,2,5", "--act", "junk"],
     ["iwasawa", "--recompose", "0.5,1,2", "--matrix", IDENTITY],
-    ["bracket", "--adw-check", "--x", "W"],
-    ["bracket", "--adw-check", "--y", "V1"],
     ["exp", "--dpsi", "1,0,0,-1", "--algebra", "W"],
     ["matcoef", "--s", "i", "--g-iwasawa", "1,0,0", "--n", "0", "--m", "0", "--vector", "e"],
 ], ids=["ray_with_z", "ray_with_bad_z", "ray_with_bad_act", "recompose_with_matrix",
-        "adw_check_with_x", "adw_check_with_y", "dpsi_with_algebra", "vector_with_value"])
+        "dpsi_with_algebra", "vector_with_value"])
 def test_ignored_option_is_a_usage_error(capsys, argv):
     # every option given is read: one the subcommand would ignore is refused
     assert cli.run(argv + ["--no-meta"]) == 1
@@ -202,6 +204,14 @@ def test_ktypes_listing(capsys):
     code, payload = run_json(capsys, "ktypes", "--tau-spherical", "1", "--no-meta")
     assert code == 0
     assert payload["tau_spherical"] == ["D+2", "rho_s (principal and complementary)"]
+
+
+def test_ktypes_malformed_ladder_label_is_a_domain_error(capsys):
+    assert cli.run(["ktypes", "--rep", "D+x", "--no-meta"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("domain error: cannot parse representation label")
+    assert "Traceback" not in captured.err
 
 
 def test_ladder_tolerance_gate(capsys, monkeypatch):
@@ -243,6 +253,25 @@ def test_gram_subcommand(capsys):
                              "--tmax", "2", "--no-meta")
     assert code == 0
     assert payload["min_eig"] > 1e-4
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_json_output_writes_non_finite_floats_as_null(capsys):
+    # a repeated parameter is singular: its condition number is infinite,
+    # which JSON has no number for
+    code = cli.run(["gram", "--params", "i,i", "--no-meta"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert payload["cond"] is None and abs(payload["min_eig"]) < 1e-10
+    # the text format prints the float itself
+    assert cli.run(["gram", "--params", "i,i", "--no-meta", "--format", "text"]) == 0
+    assert "cond: inf" in capsys.readouterr().out.splitlines()
+    # every non-finite float, at any depth, and never a bare NaN or Infinity
+    assert cli._null_non_finite({"a": [1.0, float("nan"), {"b": -float("inf")}], "c": 2}) == {
+        "a": [1.0, None, {"b": None}], "c": 2}
 
 
 def test_gram_subcommand_above_the_default_node_count(capsys):
@@ -481,7 +510,7 @@ def test_byte_identical_output_without_meta(capsys):
             ["psi", "--sl2", "1,1,0,1", "--no-meta"],
             ["psi-inv", "--matrix", PSI_IMAGE, "--no-meta"],
             ["bracket", "--x", "W", "--y", "V1", "--no-meta"],
-            ["bracket", "--adw-check", "--no-meta"],
+            ["bracket", "--x", "V1", "--y", "V2", "--no-meta"],
             ["exp", "--algebra", "W", "--no-meta"],
             ["exp", "--dpsi", "1,0,0,-1", "--no-meta"],
             ["ktypes", "--rep", "D+4", "--no-meta"],
@@ -640,8 +669,9 @@ def test_registry_names_exist():
         module, name = _operation(op)
         assert callable(getattr(module, name)), f"{op} missing"
     # public building blocks that no subcommand computes for its user
-    for op in ("groups.tau", "groups.haar_density", "character.integrate_G",
-               "reps.rep_matrix", "character.corollary_check"):
+    for op in ("groups.tau", "groups.haar_density", "groups.cartan_radius",
+               "character.integrate_G", "reps.rep_matrix", "character.corollary_check",
+               "lie.ad_w_eigencheck"):
         module, name = _operation(op)
         assert op not in declared and callable(getattr(module, name))
 

@@ -375,9 +375,17 @@ def test_gram_monotone_in_region():
     assert eigs[2] >= eigs[1] - 1e-8
 
 
-def test_gram_requires_spherical_type():
-    with pytest.raises(DomainError):
-        equivariant.gram_min_eig([reps.SpectralParam.discrete(4, 1)], 0)
+@pytest.mark.parametrize("params, n", [
+    ([reps.SpectralParam.discrete(2, 1), reps.SpectralParam.discrete(4, 1)], 2),
+    ([reps.SpectralParam.principal(1.0), reps.SpectralParam.discrete(4, 1)], 2),
+    ([reps.SpectralParam.discrete(4, 1)], 0),
+    ([reps.SpectralParam.trivial()], 0),
+], ids=["ladders", "mixed", "ladder_without_the_type", "trivial"])
+def test_gram_refuses_a_kind_that_is_not_induced(params, n):
+    # a ladder's coefficients in V(m - 1) are not in its invariant norm, as
+    # matcoef, rep_matrix and act_principal refuse them too
+    with pytest.raises(DomainError, match="gram_min_eig needs an induced kind"):
+        equivariant.gram_min_eig(params, n)
 
 
 def test_gram_nonzero_isotype():

@@ -202,6 +202,18 @@ def test_psl2_sign_canonicalization_is_total():
     assert_allclose(plus.matrix, minus.matrix)
 
 
+@pytest.mark.parametrize("defect, accepted", [(5e-11, True), (2e-10, False)])
+def test_psi_and_psl2_share_one_det_tolerance(defect, accepted):
+    # psi and a PSL(2,R) representative accept the same det defects, DET_TOL
+    m = np.array([[1.0 + defect, 0.0], [0.0, 1.0]])
+    for build in (groups.psi, groups.PSL2Element.from_matrix):
+        if accepted:
+            build(m)
+        else:
+            with pytest.raises(DomainError, match="det 1"):
+                build(m)
+
+
 def test_psi_inv_rejects_non_member():
     with pytest.raises(DomainError):
         groups.psi_inv(np.diag([1.0, 1.0, -1.0]))

@@ -53,6 +53,15 @@ def test_eigenvectors_conjugate():
     assert np.array_equal(lie.E_MINUS, np.conj(lie.E_PLUS))
 
 
+def test_module_constants_are_read_only():
+    for array in (groups.J, lie.V1, lie.V2, lie.W, lie.E_PLUS, lie.E_MINUS):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        lie.BASIS["V1"] = lie.W
+    assert lie.BASIS["V1"] is lie.V1
+
+
 # ---------------------------------------------------------------------------
 # exponential
 # ---------------------------------------------------------------------------

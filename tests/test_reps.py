@@ -47,6 +47,13 @@ def test_param_parse_labels():
         reps.SpectralParam.parse("Q+2")
 
 
+@pytest.mark.parametrize("text", ["D+x", "D+", "D-2.5", "D4", "D+-4"])
+def test_param_parse_refuses_a_malformed_ladder_label(text):
+    # a ladder label is D, a sign and the digits of m, or no label at all
+    with pytest.raises(DomainError, match="cannot parse representation label"):
+        reps.SpectralParam.parse(text)
+
+
 def test_label_of_a_parameter_with_both_parts_nonzero():
     assert reps.SpectralParam.from_s(0.5 + 2j).label == "rho_s(0.5+2i)"
     assert reps.SpectralParam.from_s(1 - 1j).label == "rho_s(1-1i)"
@@ -118,7 +125,7 @@ def test_discrete_ambient_parameter():
 
 def test_basis_vector_layout():
     v = reps.KFourierVector.basis(4, -3)
-    assert v.coeff(-3) == 1.0
+    assert v.c[-3 + v.N] == 1.0
     assert v.norm() == 1.0
     with pytest.raises(DomainError):
         reps.KFourierVector.basis(4, 5)
@@ -215,7 +222,7 @@ def test_act_rotation_is_diagonal():
     for n in (-2, 1, 5):
         v = reps.KFourierVector.basis(8, n)
         w = reps.act_principal(p, groups.make_k(theta), v)
-        assert abs(w.coeff(n) - np.exp(1j * n * theta)) < 1e-12
+        assert abs(w.c[n + w.N] - np.exp(1j * n * theta)) < 1e-12
         off = w.c.copy()
         off[n + w.N] = 0.0
         assert np.sum(np.abs(off) ** 2) < 1e-24
