@@ -116,6 +116,15 @@ INVOCATIONS = (
     # control, whose infinite condition number JSON prints as null
     "ktypes --rep D+x",
     "gram --params i,i",
+    # every representation label: the trivial one, bare rho with its
+    # tau_0-spherical families, a real rho point, and an s whose real part
+    # is far below any tolerance, printed as given
+    "ktypes --rep trivial",
+    "ktypes --rep rho --tau-spherical 0",
+    "ktypes --rep rho:0.5",
+    "ktypes --rep rho:1e-15+2i",
+    # exit 1, a truncation with no vector to truncate
+    "matcoef --s i --g-iwasawa 1,0,0 --n 0 --m 0 --trunc 4",
 )
 
 

@@ -133,9 +133,9 @@ def criterion_5_unitarity() -> CriterionResult:
         return max(abs(reps.act_principal(p, groups.make_a(t), v).norm() - 1.0) for t in (0.7, 2.0))
 
     worst_dev = max(deviation(reps.SpectralParam.from_s(s)) for s in (1j, 2j))
-    dev_nonunitary = deviation(reps.SpectralParam.induced_point(1 + 1j))
+    dev_nonunitary = deviation(reps.SpectralParam.from_s(1 + 1j))
     # the unshifted exponent 1 + s at s = i, reached as the point 1 + 2i
-    dev_unnormalized = deviation(reps.SpectralParam.induced_point(1 + 2j))
+    dev_unnormalized = deviation(reps.SpectralParam.from_s(1 + 2j))
     passed = worst_dev < 1e-7 and dev_nonunitary > 0.1 and dev_unnormalized > 0.1
     return _result(5, "unitarity discrimination", start, passed,
                    f"unitary dev {worst_dev:.2e} (<1e-7), controls {dev_nonunitary:.2f}/"

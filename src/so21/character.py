@@ -221,17 +221,16 @@ def _support_rows(f, bases):
 
     The band test is :func:`so21.equivariant._near_band`, the one f's own
     radial kernel runs.  The support is checked, not trusted: f is
-    evaluated at every skipped base (:func:`so21.equivariant._on_nodes`),
-    and a nonzero value raises DomainError.  A rotation fixes the third
-    column, so on the grid ``bases[row] @ k_theta`` every node of a row has
-    its base's radius.
+    evaluated at every skipped base, and a nonzero value raises
+    DomainError.  A rotation fixes the third column, so on the grid
+    ``bases[row] @ k_theta`` every node of a row has its base's radius.
     """
     support = getattr(f, "support", None)
     if support is None:
         return np.arange(bases.shape[0])
     near = _near_band(bases, support)
     skipped = bases[~near]
-    off = np.flatnonzero(np.asarray(_on_nodes(f)(skipped)) != 0.0)
+    off = np.flatnonzero(np.asarray(f(skipped)) != 0.0)
     if off.size:
         raise DomainError(f"f is nonzero at polar radius {groups._polar(skipped[off[0]])[1]:.6g} "
                           f"outside its declared support {tuple(support)}")
@@ -300,8 +299,7 @@ def pi_of_f(
         raise DomainError("the trivial representation is not modeled as an operator here")
     if f.n_left != f.n_right:
         raise DomainError("pi_of_f needs a test function of equal bi-type (n, n)")
-    if N < 0:
-        raise DomainError(f"truncation N must be >= 0, got {N}")
+    N = groups._integer(N, "pi_of_f truncation N", 0)
     n = f.n_left
     _check_support(f, grid)
     rows = _support_rows(f, grid._row_bases)
@@ -337,8 +335,8 @@ class CharIdentityResult:
     """Both sides of the character identity plus diagnostics.
 
     For a discrete (ladder) parameter, `block_norm` is the operator 2-norm
-    of pi(f) restricted to the ladder subspace; it stays None for induced
-    kinds.  `support_rows` and `active_rows` are those of :class:`OperatorMatrix`.
+    of pi(f) restricted to the ladder subspace; it stays None for the
+    induced kind.  `support_rows` and `active_rows` are those of :class:`OperatorMatrix`.
     """
 
     lhs_trace: complex
@@ -375,17 +373,18 @@ def char_identity_check(
     """Verify trace pi(f) = integral of f times the (-n, -n) matrix coefficient.
 
     f must be of bi-type (n, n).  The trace of :func:`pi_of_f` over the
-    K-types of p inside the truncation (all of them for an induced kind, the
+    K-types of p inside the truncation (all of them for the induced kind, the
     ladder for a discrete one) is compared with its
     :attr:`~OperatorMatrix.coefficient_integral`.  When the K-types miss the
     isotype -n the right side is 0 and the trace must come out numerically
     zero.  The isotype -n must lie inside the truncation, |n| <= N, with
     N >= 0; N defaults to CHAR_TRUNC and the grid to :class:`HaarGrid`'s.
     """
-    N = CHAR_TRUNC if N is None else N
+    n = groups._integer(n, "char_identity_check index n")
+    N = groups._integer(CHAR_TRUNC if N is None else N, "char_identity_check truncation N", 0)
     if (f.n_left, f.n_right) != (n, n):
         raise DomainError(f"test function has bi-type ({f.n_left}, {f.n_right}), expected ({n}, {n})")
-    if abs(n) > N >= 0:
+    if abs(n) > N:
         raise DomainError(f"isotype {-n} lies outside the truncation [-{N}, {N}]")
     grid = grid if grid is not None else HaarGrid()
     start = time.perf_counter()

@@ -352,6 +352,8 @@ def _handle(args):
         return payload, EXIT_OK if passed else EXIT_TOLERANCE
 
     if name == "matcoef":
+        if args.trunc is not None and not args.vector:
+            raise UsageError("--trunc needs --vector")
         p = _parse_spectral(args.s)
         g = _parse_element(args.g_iwasawa)
         if args.trunc is not None and max(abs(args.n), abs(args.m)) > args.trunc:
@@ -378,7 +380,7 @@ def _handle(args):
             payload["sample"] = {str(n): bool(types.contains(n)) for n in range(-4, 5)}
         if args.tau_spherical is not None:
             families = reps.tau_spherical_set(args.tau_spherical)
-            payload["tau_spherical"] = [fam.label for fam in families]
+            payload["tau_spherical"] = [types.label for types in families]
         if not payload:
             raise UsageError("ktypes needs --rep or --tau-spherical")
         return payload, EXIT_OK

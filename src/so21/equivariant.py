@@ -88,6 +88,11 @@ class EquivariantFn:
     evaluator: Callable
     support: Optional[tuple[float, float]] = None
 
+    def __post_init__(self):
+        for side in ("n_left", "n_right"):
+            value = groups._integer(getattr(self, side), f"EquivariantFn {side}")
+            object.__setattr__(self, side, value)
+
     def __call__(self, g):
         return self.evaluator(np.asarray(g, dtype=float))
 
@@ -182,10 +187,10 @@ class _Radial:
                                   self.value).reshape(gs.shape[:-2])[()]
 
 
-def _on_nodes(f, right=None):
+def _on_nodes(f, right):
     """f at the nodes bases[i] @ right[k]: a function of the (rows, 3, 3) bases.
 
-    It gives (rows, m) values, or (rows,) with no right factors.  A radial
+    It gives (rows, m) values for m right factors.  A radial
     integrand (a :class:`_Radial`, bare or as an :class:`EquivariantFn`'s
     evaluator) reads the nodes' polar entries
     (:func:`so21.groups._polar_entries`, whose route is picked here, once)
@@ -194,10 +199,8 @@ def _on_nodes(f, right=None):
     """
     radial = getattr(f, "evaluator", f)
     if not isinstance(radial, _Radial):
-        return f if right is None else lambda bases: f(_products(bases, right))
+        return lambda bases: f(_products(bases, right))
     build = groups._polar_entries(right)
-    if right is None:
-        return lambda bases: _on_radial_support(build(bases), radial.profile, radial.value)[:, 0]
     return lambda bases: _on_radial_support(build(bases), radial.profile, radial.value)
 
 
@@ -236,6 +239,7 @@ def separation_witness(n: int, profile: BumpProfile) -> EquivariantFn:
     with no power.  b and z1 come per row as (rows, 1), z2 as (rows, m);
     see :func:`_on_radial_support`.
     """
+    n = groups._integer(n, "separation_witness index n")
 
     def value(b, z1, z2):
         if n == 0:
@@ -307,6 +311,7 @@ def project_biequivariant(f, n: int, nodes=None) -> EquivariantFn:
     functions already of type (n, n) and annihilates every pure type
     (m, m) with m != n.
     """
+    n = groups._integer(n, "project_biequivariant index n")
     project = _isotype_projector(f, (n,), nodes)
     return EquivariantFn(n, n, lambda gs: project(gs)[0], support=getattr(f, "support", None))
 
@@ -318,6 +323,7 @@ def right_isotype_project(f, n: int, nodes=None):
     right Fourier mode of f along the rotation subgroup.  f runs once, on
     the `nodes` right translates of every element of the stack.
     """
+    n = groups._integer(n, "right_isotype_project index n")
     thetas, rotations = _projection_angles(nodes)
     phase = groups.tau(-n, thetas)
     translates = _on_nodes(f, rotations)
@@ -373,8 +379,8 @@ def gram_min_eig(
     whole group); the quadrature is validated against one refinement and a
     disagreement raises NumericError.
 
-    Parameters must be of an induced kind, each of which carries every
-    K-type tau_n: a discrete series' coefficients in V(m - 1) have another
+    Parameters must be of the induced kind, which carries every K-type
+    tau_n: a discrete series' coefficients in V(m - 1) have another
     norm than its ladder's invariant one.  Pairwise inequivalence is the
     caller's responsibility (a repeated entry is the standard negative
     control and must come out singular).
@@ -384,6 +390,7 @@ def gram_min_eig(
     for p in params:
         if not p.is_induced:
             raise DomainError(f"gram_min_eig needs an induced kind, got {p.kind}")
+    n = groups._integer(n, "gram_min_eig index n")
     lo, hi = float(region[0]), float(region[1])
     if not 0.0 <= lo < hi:
         raise DomainError("region must be an interval [lo, hi) with 0 <= lo < hi")

@@ -69,6 +69,21 @@ def _node_count(nodes, default, floor):
     return count
 
 
+def _integer(value, what, least=None):
+    """`value` as an int if it is an integer (numpy integers included) of at least `least`.
+
+    Anything else raises DomainError naming `what`, the entry and its
+    argument, such as "rep_matrix truncation N"; a truncation passes
+    least=0.  Every K-type index and truncation a public entry takes is
+    read through here.
+    """
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise DomainError(f"{what} must be >= {least}, got {value}")
+    return int(value)
+
+
 def tau(n, theta):
     """Rotation character tau_n(k_theta) = e^{i n theta}; broadcasts over n and theta.
 

@@ -46,12 +46,14 @@ def _finite(z: complex) -> bool:
 
 @dataclass(frozen=True)
 class SpectralParam:
-    """Tagged descriptor of an irreducible (or induced-point) representation.
+    """Tagged descriptor of an irreducible (or induced) representation.
 
-    kind is one of "trivial", "principal", "complementary", "induced_point",
-    "discrete".  The induced kinds carry the complex parameter s, which
-    must be finite (DomainError otherwise); discrete series carry an even
-    integer m >= 2 and a sign.
+    kind is one of "trivial", "induced", "discrete"; any other string is a
+    DomainError.  The induced kind is the family rho_s, unitary on the
+    principal series s in i[0, inf) and the complementary series s in
+    (0, 1), and keeps the complex parameter s exactly as given; it must be
+    finite (DomainError otherwise).  Discrete series carry an even integer
+    m >= 2 and a sign.
     """
 
     kind: str
@@ -60,6 +62,8 @@ class SpectralParam:
     sign: int = 1
 
     def __post_init__(self):
+        if self.kind not in ("trivial", "induced", "discrete"):
+            raise DomainError(f"unknown representation kind {self.kind!r}")
         if not _finite(complex(self.s)):
             raise DomainError(f"spectral parameter s = {self.s} is not finite")
 
@@ -71,17 +75,13 @@ class SpectralParam:
     def principal(imag_part: float) -> "SpectralParam":
         if imag_part < 0:
             raise DomainError("principal parameter must have s in i*[0, inf)")
-        return SpectralParam("principal", s=1j * float(imag_part))
+        return SpectralParam("induced", s=1j * float(imag_part))
 
     @staticmethod
     def complementary(x: float) -> "SpectralParam":
         if not 0.0 < x < 1.0:
             raise DomainError("complementary parameter must lie in (0, 1)")
-        return SpectralParam("complementary", s=complex(x))
-
-    @staticmethod
-    def induced_point(s: complex) -> "SpectralParam":
-        return SpectralParam("induced_point", s=complex(s))
+        return SpectralParam("induced", s=complex(x))
 
     @staticmethod
     def discrete(m: int, sign: int = 1) -> "SpectralParam":
@@ -93,13 +93,8 @@ class SpectralParam:
 
     @classmethod
     def from_s(cls, s: complex) -> "SpectralParam":
-        """Classify a complex parameter into the matching induced kind."""
-        s = complex(s)
-        if abs(s.real) < 1e-14 and s.imag >= 0:
-            return cls.principal(s.imag)
-        if abs(s.imag) < 1e-14 and 0.0 < s.real < 1.0:
-            return cls.complementary(s.real)
-        return cls.induced_point(s)
+        """The induced representation rho_s at any complex s, kept bit for bit."""
+        return cls("induced", s=complex(s))
 
     @classmethod
     def parse(cls, text: str) -> "SpectralParam":
@@ -122,7 +117,7 @@ class SpectralParam:
 
     @property
     def is_induced(self) -> bool:
-        return self.kind in ("principal", "complementary", "induced_point")
+        return self.kind == "induced"
 
     @property
     def induced_s(self) -> complex:
@@ -185,6 +180,7 @@ class KFourierVector:
     c: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "N", groups._integer(self.N, "KFourierVector truncation N", 0))
         c = np.asarray(self.c, dtype=complex)
         if c.shape != (2 * self.N + 1,):
             raise DomainError(f"coefficient vector must have length {2 * self.N + 1}")
@@ -192,7 +188,8 @@ class KFourierVector:
 
     @classmethod
     def basis(cls, N: int, n: int) -> "KFourierVector":
-        if abs(n) > N:
+        N = groups._integer(N, "KFourierVector truncation N", 0)
+        if abs(groups._integer(n, "KFourierVector.basis index n")) > N:
             raise DomainError(f"basis index {n} outside truncation [-{N}, {N}]")
         c = np.zeros(2 * N + 1, dtype=complex)
         c[n + N] = 1.0
@@ -201,6 +198,7 @@ class KFourierVector:
     @classmethod
     def smooth_random(cls, N: int, rng, decay: float = 4.0) -> "KFourierVector":
         """Unit vector with coefficients ~ e^{-|n|/decay} and random phases."""
+        N = groups._integer(N, "KFourierVector truncation N", 0)
         ns = np.arange(-N, N + 1)
         c = np.exp(-np.abs(ns) / decay) * np.exp(2j * np.pi * rng.random(2 * N + 1))
         return cls(N, c / np.linalg.norm(c))
@@ -363,7 +361,7 @@ def act_principal(p: SpectralParam, g, v: KFourierVector, nodes=None) -> KFourie
     """Induced action of g on a truncated vector, with multiplier e^{gamma t(theta, g)}.
 
     gamma is :attr:`SpectralParam.exponent`, unitary on the unitary points;
-    any other gamma is that of ``SpectralParam.induced_point(2 gamma - 1)``.
+    any other gamma is that of ``SpectralParam.from_s(2 gamma - 1)``.
     Nodes default to the floor 4N + 4; a TruncationWarning at the caller's
     line flags energy in the top modes of the result.
 
@@ -403,7 +401,7 @@ def rep_matrix(p: SpectralParam, g, N: int) -> np.ndarray:
     """
     if not p.is_induced:
         raise DomainError(f"rep_matrix needs an induced kind, got {p.kind}")
-    return _rep_matrix(p, g, N, "rep_matrix input")
+    return _rep_matrix(p, g, groups._integer(N, "rep_matrix truncation N", 0), "rep_matrix input")
 
 
 def _rep_matrix(p, g, N, what):
@@ -447,6 +445,7 @@ def matcoef(p: SpectralParam, g, n: int, m: int, nodes=None):
     """
     if not p.is_induced:
         raise DomainError(f"matcoef needs an induced kind, got {p.kind}")
+    n, m = groups._integer(n, "matcoef index n"), groups._integer(m, "matcoef index m")
     g = groups.require_member(g, "matcoef input")
     values = _matcoef_batch((p.exponent,), g.reshape(-1, 3, 3), n, m, nodes)[0]
     return values.reshape(g.shape[:-2])[()]
@@ -468,6 +467,11 @@ class KTypeSet:
         return self.param.m // 2
 
     @property
+    def label(self) -> str:
+        """The family sharing these K-types: all of rho_s for an induced param, else the param."""
+        return "rho_s (principal and complementary)" if self.param.is_induced else self.param.label
+
+    @property
     def description(self) -> str:
         p = self.param
         if p.kind == "trivial":
@@ -477,7 +481,10 @@ class KTypeSet:
         return "all integers"
 
     def contains(self, n) -> bool | np.ndarray:
+        """Whether tau_n occurs, for an integer n or elementwise on an integer array."""
         n = np.asarray(n)
+        if not np.issubdtype(n.dtype, np.integer):
+            raise DomainError(f"KTypeSet.contains needs integer K-types, got dtype {n.dtype}")
         p = self.param
         if p.kind == "trivial":
             result = n == 0
@@ -499,43 +506,21 @@ def k_types(p: SpectralParam) -> KTypeSet:
     return KTypeSet(p)
 
 
-@dataclass(frozen=True)
-class SpectralFamily:
-    """A family of representations sharing tau_n: a single item or a curve."""
-
-    kind: str  # "trivial", "discrete", or "rho" (all unitary induced)
-    m: int = 0
-    sign: int = 1
-
-    @property
-    def _representative(self) -> SpectralParam:
-        """A member of the family; all members share its K-types."""
-        if self.kind == "trivial":
-            return SpectralParam.trivial()
-        if self.kind == "discrete":
-            return SpectralParam.discrete(self.m, self.sign)
-        return SpectralParam.principal(0.0)
-
-    @property
-    def label(self) -> str:
-        if self.kind == "rho":
-            return "rho_s (principal and complementary)"
-        return self._representative.label
-
-
-def tau_spherical_set(n: int) -> list[SpectralFamily]:
-    """All families of irreducible unitary representations containing tau_n.
+def tau_spherical_set(n: int) -> list[KTypeSet]:
+    """The K-type sets of all families of irreducible unitary representations containing tau_n.
 
     Keeps the candidates whose :func:`k_types` contain n: the trivial
     representation, the ladders D(m, +-) with m = 2, 4, ..., 2|n| + 2, and
-    the rho_s family.  That gives every rho_s family, the trivial one only at
-    n = 0, and for n != 0 the ladders D(m, sign n) with m <= 2|n|.
+    rho_0, which stands for the whole rho_s family (:attr:`KTypeSet.label`).
+    That gives the rho_s family, the trivial one only at n = 0, and for
+    n != 0 the ladders D(m, sign n) with m <= 2|n|.
     """
-    candidates = [SpectralFamily("trivial")]
-    candidates += [SpectralFamily("discrete", m=m, sign=sign)
+    n = groups._integer(n, "tau_spherical_set index n")
+    candidates = [SpectralParam.trivial()]
+    candidates += [SpectralParam.discrete(m, sign)
                    for m in range(2, 2 * abs(n) + 3, 2) for sign in (1, -1)]
-    candidates.append(SpectralFamily("rho"))
-    return [family for family in candidates if k_types(family._representative).contains(n)]
+    candidates.append(SpectralParam.principal(0.0))
+    return [types for types in map(k_types, candidates) if types.contains(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +542,7 @@ def discrete_ladder_leakage(m: int, sign: int, g, N: int) -> float:
     are excluded as truncation guard.  An exactly invariant subspace drives
     this to round-off, so criterion 7 holds it below 1e-12 at every N.
     """
+    N = groups._integer(N, "discrete_ladder_leakage truncation N", 0)
     p = SpectralParam.discrete(m, sign)
     types = k_types(p)
     if N < types._edge + LADDER_SOURCE_GUARD:

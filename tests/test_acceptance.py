@@ -167,7 +167,7 @@ def test_criterion_6_fails_on_unshifted_exponent(monkeypatch):
     pure = reps.matcoef
 
     def unshifted(p, g, n, m, nodes=None):
-        return pure(reps.SpectralParam.induced_point(1 + 2 * p.s), g, n, m, nodes=nodes)
+        return pure(reps.SpectralParam.from_s(1 + 2 * p.s), g, n, m, nodes=nodes)
 
     monkeypatch.setattr(reps, "matcoef", unshifted)
     result = acceptance.criterion_6_matcoef_vs_spherical()

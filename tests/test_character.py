@@ -1051,3 +1051,81 @@ def test_char_identity_type_validation():
     with pytest.raises(DomainError):
         character.char_identity_check(reps.SpectralParam.principal(1.0), 2,
                                       _witness(1), grid=SMALL_GRID, N=8)
+
+
+# ---------------------------------------------------------------------------
+# K-type indices and truncations
+# ---------------------------------------------------------------------------
+
+_RHO_I = reps.SpectralParam.principal(1.0)
+_INDEX_GRID = character.HaarGrid(nt=16, nu=16, ntheta=32)
+
+
+def _char_sides(res):
+    return [res.lhs_trace, res.rhs_integral, res.rel_err, res.offrow_mass]
+
+
+# each entry at the index or truncation k, named as its DomainError names it
+_INTEGER_ENTRIES = {
+    "matcoef_n": ("matcoef", lambda k: reps.matcoef(_RHO_I, _G, k, 1)),
+    "matcoef_m": ("matcoef", lambda k: reps.matcoef(_RHO_I, _G, 1, k)),
+    "rep_matrix": ("rep_matrix", lambda k: reps.rep_matrix(_RHO_I, _G, 4 * k)),
+    "discrete_ladder_leakage": ("discrete_ladder_leakage",
+                                lambda k: reps.discrete_ladder_leakage(2, 1, _G, 16 * k)),
+    "KFourierVector": ("KFourierVector", lambda k: reps.KFourierVector(k, np.arange(3)).c),
+    "basis_N": ("KFourierVector", lambda k: reps.KFourierVector.basis(2 * k, 0).c),
+    "basis_n": ("KFourierVector.basis", lambda k: reps.KFourierVector.basis(2, k).c),
+    "contains": ("KTypeSet.contains", lambda k: reps.k_types(_RHO_I).contains(k)),
+    "tau_spherical_set": ("tau_spherical_set",
+                          lambda k: [types.label for types in reps.tau_spherical_set(k)]),
+    "separation_witness": ("separation_witness", lambda k: _witness(k)(_G)),
+    "EquivariantFn": ("EquivariantFn n_left", lambda k: character.pi_of_f(
+        _RHO_I, equivariant.EquivariantFn(k, k, _witness(1).evaluator, (0.3, 0.9)), _INDEX_GRID,
+        4).mat),
+    "project_biequivariant": ("project_biequivariant",
+                              lambda k: equivariant.project_biequivariant(_witness(1), k,
+                                                                          nodes=64)(_G)),
+    "right_isotype_project": ("right_isotype_project",
+                              lambda k: equivariant.right_isotype_project(_witness(1), k,
+                                                                          nodes=64)(_G)),
+    "gram_min_eig": ("gram_min_eig", lambda k: equivariant.gram_min_eig([_RHO_I], k).gram),
+    "pi_of_f": ("pi_of_f", lambda k: character.pi_of_f(_RHO_I, _witness(1), _INDEX_GRID,
+                                                       4 * k).mat),
+    "char_identity_check_n": ("char_identity_check", lambda k: _char_sides(
+        character.char_identity_check(_RHO_I, k, _witness(1), grid=_INDEX_GRID, N=4))),
+    "char_identity_check_N": ("char_identity_check", lambda k: _char_sides(
+        character.char_identity_check(_RHO_I, 1, _witness(1), grid=_INDEX_GRID, N=4 * k))),
+}
+
+
+def _same_bits(a, b):
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_bits, a, b))
+    if isinstance(a, str):
+        return a == b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("entry", list(_INTEGER_ENTRIES))
+def test_indices_and_truncations_must_be_integers(entry):
+    # a fractional index or truncation used to give a wrong number (matcoef
+    # at n = 1.5, a gram at n = 1.5, the projectors at 1.5) or a raw
+    # TypeError, IndexError or ValueError; a numpy integer is an integer
+    name, run = _INTEGER_ENTRIES[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        with pytest.raises(DomainError, match=name):
+            run(1.5)
+        assert _same_bits(run(np.int64(1)), run(1))
+
+
+@pytest.mark.parametrize("run", [
+    lambda: reps.rep_matrix(_RHO_I, _G, -1),
+    lambda: reps.KFourierVector.basis(-1, 0),
+    lambda: reps.discrete_ladder_leakage(2, 1, _G, -1),
+], ids=["rep_matrix", "basis", "discrete_ladder_leakage"])
+def test_negative_truncation_is_a_domain_error(run):
+    # rep_matrix at N = -1 used to raise numpy's "negative dimensions" ValueError
+    with pytest.raises(DomainError, match="truncation N must be >= 0"):
+        run()

@@ -186,8 +186,9 @@ def test_matcoef_vector_at_truncation_zero(capsys):
     ["iwasawa", "--recompose", "0.5,1,2", "--matrix", IDENTITY],
     ["exp", "--dpsi", "1,0,0,-1", "--algebra", "W"],
     ["matcoef", "--s", "i", "--g-iwasawa", "1,0,0", "--n", "0", "--m", "0", "--vector", "e"],
+    ["matcoef", "--s", "i", "--g-iwasawa", "1,0,0", "--n", "0", "--m", "0", "--trunc", "4"],
 ], ids=["ray_with_z", "ray_with_bad_z", "ray_with_bad_act", "recompose_with_matrix",
-        "dpsi_with_algebra", "vector_with_value"])
+        "dpsi_with_algebra", "vector_with_value", "trunc_without_vector"])
 def test_ignored_option_is_a_usage_error(capsys, argv):
     # every option given is read: one the subcommand would ignore is refused
     assert cli.run(argv + ["--no-meta"]) == 1
@@ -377,7 +378,7 @@ def test_charcheck_warns_as_pi_of_f_does(capsys):
 def test_matcoef_indices_outside_truncation(capsys):
     # the CLI refuses a --trunc below the indices; matcoef takes no truncation
     code = cli.run(["matcoef", "--s", "i", "--g-iwasawa", "0,0,0", "--n", "5", "--m", "0",
-                    "--trunc", "4", "--no-meta"])
+                    "--trunc", "4", "--vector", "--no-meta"])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "outside truncation 4" in captured.err

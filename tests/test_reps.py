@@ -28,10 +28,15 @@ def test_param_constructors_validate():
 
 
 def test_param_classification():
-    assert reps.SpectralParam.from_s(2j).kind == "principal"
-    assert reps.SpectralParam.from_s(0.5).kind == "complementary"
-    assert reps.SpectralParam.from_s(3.0).kind == "induced_point"
-    assert reps.SpectralParam.from_s(1 + 1j).kind == "induced_point"
+    # one induced kind, which keeps s bit for bit: from_s used to drop a part
+    # below 1e-14, so rho:1e-15+2i printed rho_s(2i)
+    for s in (1e-15 + 2j, 5e-15, 0.3 - 5e-15j):
+        p = reps.SpectralParam.from_s(s)
+        assert p.kind == "induced"
+        assert p.s == complex(s)
+    assert reps.SpectralParam.principal(1.0) == reps.SpectralParam.from_s(1j)
+    with pytest.raises(DomainError, match="unknown representation kind"):
+        reps.SpectralParam("principal", s=1j)
 
 
 def test_param_parse_labels():
@@ -41,8 +46,8 @@ def test_param_parse_labels():
     p = reps.SpectralParam.parse("D-2")
     assert (p.kind, p.m, p.sign) == ("discrete", 2, -1)
     assert reps.SpectralParam.parse("rho:i").s == 1j
-    assert reps.SpectralParam.parse("rho:0.5").kind == "complementary"
-    assert reps.SpectralParam.parse("rho").kind == "principal"
+    assert reps.SpectralParam.parse("rho:0.5").kind == "induced"
+    assert reps.SpectralParam.parse("rho").kind == "induced"
     with pytest.raises(DomainError):
         reps.SpectralParam.parse("Q+2")
 
@@ -102,10 +107,10 @@ def test_parse_complex_refuses_non_finite(text):
 @pytest.mark.parametrize("make", [
     lambda: reps.SpectralParam.principal(float("inf")),
     lambda: reps.SpectralParam.principal(float("nan")),
-    lambda: reps.SpectralParam.induced_point(complex(float("nan"), 0.0)),
-    lambda: reps.SpectralParam.induced_point(complex(0.5, float("-inf"))),
+    lambda: reps.SpectralParam.from_s(complex(float("nan"), 0.0)),
+    lambda: reps.SpectralParam.from_s(complex(0.5, float("-inf"))),
     lambda: reps.SpectralParam.from_s(complex(float("inf"), 0.0)),
-    lambda: reps.SpectralParam("principal", s=complex(0.0, float("nan"))),
+    lambda: reps.SpectralParam("induced", s=complex(0.0, float("nan"))),
 ], ids=["principal_inf", "principal_nan", "induced_nan", "induced_minus_inf", "from_s_inf",
         "direct_nan"])
 def test_spectral_param_refuses_non_finite(make):
@@ -253,11 +258,11 @@ def test_unitarity_negative_controls(rng):
     v = reps.KFourierVector.smooth_random(256, rng)
     g = groups.make_a(2.0)
     # a non-unitary spectral point
-    bad = reps.SpectralParam.induced_point(1 + 1j)
+    bad = reps.SpectralParam.from_s(1 + 1j)
     assert abs(reps.act_principal(bad, g, v).norm() - 1.0) > 0.1
     # the unshifted exponent 1 + s at the unitary point s = i, whose exponent
     # is the unitary one of the point 1 + 2s
-    unshifted = reps.SpectralParam.induced_point(1 + 2j)
+    unshifted = reps.SpectralParam.from_s(1 + 2j)
     assert abs(reps.act_principal(unshifted, g, v).norm() - 1.0) > 0.1
 
 
@@ -325,7 +330,7 @@ def test_induced_action_matches_dense_dft_reference(N, nodes, rng):
         warnings.simplefilter("ignore", TruncationWarning)
         acted = reps.act_principal(p, g, v, nodes=nodes)
         # the unshifted exponent 1 + i, the unitary one of the point 1 + 2i
-        unshifted = reps.act_principal(reps.SpectralParam.induced_point(1 + 2j), g, v,
+        unshifted = reps.act_principal(reps.SpectralParam.from_s(1 + 2j), g, v,
                                        nodes=nodes)
     assert _rel_err(acted.c, unitary @ v.c) < 1e-13
     assert _rel_err(unshifted.c, _dense_rep_matrix(1.0 + 1j, g, N, nodes) @ v.c) < 1e-13
@@ -344,7 +349,7 @@ def test_blocked_series_matches_direct_sum(length):
 def test_induced_multiplier_is_real_for_a_real_exponent():
     g = groups.make_a(0.7)[None]
     for p in (reps.SpectralParam.complementary(0.5), reps.SpectralParam.discrete(4),
-              reps.SpectralParam.induced_point(1.5)):
+              reps.SpectralParam.from_s(1.5)):
         (mult,), _ = reps._induced_nodes((p.exponent,), g, 20)
         assert mult.dtype == np.float64
     (mult,), _ = reps._induced_nodes((reps.SpectralParam.principal(1.0).exponent,), g, 20)
@@ -502,7 +507,7 @@ def test_k_types_trivial():
 
 def test_k_types_description_of_an_induced_kind():
     assert reps.k_types(reps.SpectralParam.principal(1.0)).description == "all integers"
-    assert reps.k_types(reps.SpectralParam.induced_point(1 + 1j)).description == "all integers"
+    assert reps.k_types(reps.SpectralParam.from_s(1 + 1j)).description == "all integers"
 
 
 def test_k_types_principal_all():
@@ -530,14 +535,27 @@ def test_tau_spherical_families():
     assert {"D-2", "D-4", "D-6"} <= at_minus_three
 
 
+def test_tau_spherical_set_returns_k_type_sets():
+    # rho_0 stands for the whole rho_s family, and its set is labelled so
+    for n in range(-8, 9):
+        sign = "+" if n > 0 else "-"
+        expected = (["trivial"] if n == 0 else [])
+        expected += [f"D{sign}{m}" for m in range(2, 2 * abs(n) + 1, 2)]
+        expected.append("rho_s (principal and complementary)")
+        families = reps.tau_spherical_set(n)
+        assert all(isinstance(types, reps.KTypeSet) for types in families)
+        assert [types.label for types in families] == expected
+        assert families[-1].param == reps.SpectralParam.principal(0.0)
+
+
 def test_tau_spherical_consistent_with_k_types():
     for n in range(-5, 6):
         for family in reps.tau_spherical_set(n):
-            if family.kind == "trivial":
+            p = family.param
+            if p.kind == "trivial":
                 assert reps.k_types(reps.SpectralParam.trivial()).contains(n)
-            elif family.kind == "discrete":
-                p = reps.SpectralParam.discrete(family.m, family.sign)
-                assert reps.k_types(p).contains(n)
+            elif p.kind == "discrete":
+                assert reps.k_types(reps.SpectralParam.discrete(p.m, p.sign)).contains(n)
             else:
                 assert reps.k_types(reps.SpectralParam.principal(1.0)).contains(n)
 
